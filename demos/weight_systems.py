@@ -40,8 +40,9 @@ for k in range(0, 4):
     print(f"degree {k}: dim A = {t['dim_A']}  "
           f"(P {t['dim_P']}, N {t['dim_N']}, T {t['dim_T']})")
 
-# The logarithmic variant composes with the projection onto the connected
-# summand, so products and the empty class die:
+# The logarithmic variant is the cumulant of wc over connected components;
+# it agrees with wc after projecting onto the connected summand, so
+# products and the empty class die:
 seq = product(single_chord(), single_chord())
 print()
 print("wc(chord x chord) =", wc_diagram(seq),

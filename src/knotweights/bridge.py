@@ -141,7 +141,13 @@ def _wbcr_table(k, k_max=K_MAX):
         _, perms = bcr_canonical(bcr)
         aut = len(perms)
         eps = epsilon(bcr)
-        n_ext = len(bcr.external_edges())
+        # the per-term denominator identity: internal edges make up
+        # exactly the gap between 2k and the induced edge count
+        n_ext, n_int = len(bcr.external_edges()), len(bcr.internal_edges())
+        if 2 * k - n_ext != n_int:
+            raise ArithmeticError(
+                f"degree-{k} source has {n_ext} external and {n_int} "
+                f"internal edges")
         for rho in orderings(bcr):
             jd = jacobi_of(bcr, rho)
             key, sign = class_of(jd)
@@ -149,9 +155,6 @@ def _wbcr_table(k, k_max=K_MAX):
                 continue
             term = Fraction(eps * epsilon2(bcr, rho) * sign, aut)
             table[key] = table.get(key, ZERO) + term
-            # the per-term denominator identity: internal edges make up
-            # exactly the gap between 2k and the induced edge count
-            assert 2 * k - n_ext == len(bcr.internal_edges())
     return table
 
 

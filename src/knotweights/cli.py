@@ -17,7 +17,7 @@ from .alexander import alexander_by_skein, alexander_poly
 from .bridge import verify_main, verify_stu, wbcr
 from .conway import wc_eval, wc_prime_eval
 from .enumerate import K_MAX, enumerate_bcr, enumerate_jacobi
-from .errors import DiagramError
+from .errors import DegreeOutOfRange, DiagramError
 from .jacobi import key_bytes, wheel
 from .pd import parse_pd
 from .psi import verify_wc_psi
@@ -36,7 +36,14 @@ def _emit(obj, as_json):
         print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _check_degree(args, lowest=0):
+    """Reject a degree outside [lowest, --k-max] before any cache lookup."""
+    if not lowest <= args.degree <= args.k_max:
+        raise DegreeOutOfRange(args.degree, args.k_max)
+
+
 def cmd_enumerate(args):
+    _check_degree(args, lowest=1 if args.kind == "bcr" else 0)
     if args.kind == "bcr":
         diagrams = cache.cached(
             "enumerate-bcr", args.degree,
@@ -65,6 +72,7 @@ def cmd_enumerate(args):
 
 
 def cmd_dim(args):
+    _check_degree(args)
     table = cache.cached("dims", args.degree,
                          lambda: dims_table(args.degree, k_max=args.k_max),
                          enabled=not args.no_cache)
@@ -122,31 +130,26 @@ def _report(rows, label, as_json, key_fields):
 
 
 def cmd_verify(args):
+    """Verdicts are always recomputed: a cached one could outlive the code
+    that produced it."""
     k = args.degree
     if args.what == "prop32":
-        rows = cache.cached(
-            "verify-prop32", k,
-            lambda: verify_main(k, k_max=args.k_max),
-            enabled=not args.no_cache)
+        rows = verify_main(k, k_max=args.k_max)
         for r in rows:
             r["class"] = key_bytes(r["key"]).decode()
         return _report(rows, f"wbcr == -wc' at degree {k}", args.json,
                        ["class", "wbcr", "minus_wc_prime"])
     if args.what == "stu":
-        rows = cache.cached("verify-stu", k,
-                            lambda: verify_stu(k, k_max=args.k_max),
-                            enabled=not args.no_cache)
+        rows = verify_stu(k, k_max=args.k_max)
         return _report(rows, f"wbcr STU/AS compatibility at degree {k}",
                        args.json, ["kind"])
     if args.what == "wcpsi":
-        rows = cache.cached("verify-wcpsi", k,
-                            lambda: verify_wc_psi(k, k_max=args.k_max),
-                            enabled=not args.no_cache)
+        rows = verify_wc_psi(k, k_max=args.k_max)
         return _report(rows, f"wc o substitution == wc at degree {k}",
                        args.json, ["lhs", "rhs"])
     if args.what == "lemma33":
         w = wheel(k)
-        got = wbcr(w, k_max=max(args.k_max, k))
+        got = wbcr(w, k_max=args.k_max)
         want = Fraction(1 + (-1) ** k)
         rows = [{"equal": got == want, "wbcr": got, "expected": want}]
         if not args.json:
@@ -159,7 +162,10 @@ def cmd_verify(args):
 def cmd_alexander(args):
     pd = parse_pd(Path(args.pd).read_text())
     delta = alexander_poly(pd)
-    assert delta == alexander_by_skein(pd)
+    skein = alexander_by_skein(pd)
+    if delta != skein:
+        raise ArithmeticError(
+            f"determinant gives {delta} but the skein recursion gives {skein}")
     out = {"delta": str(delta)}
     if not args.json:
         print(f"Delta(t) = {delta}")
@@ -186,7 +192,8 @@ def build_parser():
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
     common.add_argument("--no-cache", action="store_true",
-                        help="recompute instead of using the disk cache")
+                        help="recompute instead of using the disk cache "
+                             "(verify never uses it)")
     common.add_argument("--k-max", type=int, default=K_MAX,
                         help=f"largest supported degree (default {K_MAX})")
 

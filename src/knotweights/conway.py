@@ -9,16 +9,25 @@ step, the trivalent vertex attached to the lowest univalent vertex; the
 two resolutions enter with opposite signs.  Diagrams with a purely
 trivalent component weigh 0 outright.
 
-The logarithmic variant composes with the projection onto connected
-classes, so it kills the empty class and every non-trivial product as
-well.
+The logarithmic variant wc' is the cumulant of wc over connected
+components: on a diagram D,
+
+  wc'(D) = sum over set partitions pi of the components of D of
+           (-1)^(|pi|-1) (|pi|-1)! prod_{B in pi} wc(D_B),
+
+where D_B keeps the components in block B.  Primitives are spanned by
+connected diagrams, the coproduct splits the set of components, and wc is
+multiplicative, so this equals wc composed with the projection onto the
+connected summand (``quotient.project_pc``, kept as the test oracle).  It
+kills the empty class and every non-trivial product.
 """
 
 from fractions import Fraction
+from math import factorial
 
-from .errors import VertexTypeViolation
-from .jacobi import representative, stu_expand, stu_sites
-from .quotient import project_pc
+from .enumerate import K_MAX
+from .errors import DegreeOutOfRange, VertexTypeViolation
+from .jacobi import representative, stu_expand, stu_sites, sub_diagram
 from .vectors import vector_of
 
 ZERO = Fraction(0)
@@ -94,17 +103,53 @@ def wc_diagram(d):
     return wc_eval(vector_of(d))
 
 
-def wc_prime_eval(v, k_max=None):
-    """Logarithmic variant: evaluate after projecting onto connected part."""
-    if v.is_zero():
+def _set_partitions(items):
+    """Every set partition of a list, each as a list of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def _wc_prime_class(key):
+    rep = representative(key)
+    comps = rep.components()
+    if not comps:
         return ZERO
-    if all(representative(key).is_connected()
-           and representative(key).univalent_order
-           for key in v.terms):
-        return wc_eval(v)  # already inside the connected summand
-    kw = {} if k_max is None else {"k_max": k_max}
-    return wc_eval(project_pc(v, **kw))
+    if len(comps) == 1:
+        return _wc_class(key)
+    block_wc = {}
+    total = ZERO
+    for part in _set_partitions(list(range(len(comps)))):
+        n = len(part)
+        term = Fraction((-1) ** (n - 1) * factorial(n - 1))
+        for block in part:
+            block = tuple(block)
+            w = block_wc.get(block)
+            if w is None:
+                w = wc_diagram(sub_diagram(
+                    rep, [v for i in block for v in comps[i]]))
+                block_wc[block] = w
+            term *= w
+            if not term:
+                break
+        total += term
+    return total
 
 
-def wc_prime_diagram(d, k_max=None):
+def wc_prime_eval(v, k_max=K_MAX):
+    """Logarithmic variant: the cumulant of wc over connected components."""
+    if not 0 <= v.degree <= k_max:
+        raise DegreeOutOfRange(v.degree, k_max)
+    total = ZERO
+    for key, c in v.terms.items():
+        total += c * _wc_prime_class(key)
+    return total
+
+
+def wc_prime_diagram(d, k_max=K_MAX):
     return wc_prime_eval(vector_of(d), k_max=k_max)

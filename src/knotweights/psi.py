@@ -189,7 +189,10 @@ def psi_apply(gamma, d, K, X=None):
             dropped = True
             continue
         spliced = splice(d, assignment)
-        assert spliced.degree == out_degree
+        if spliced.degree != out_degree:
+            raise ArithmeticError(
+                f"splice produced degree {spliced.degree}, expected "
+                f"{out_degree}")
         vec = by_degree.setdefault(out_degree, DiagramVector(out_degree))
         for key, c in vector_of(spliced, coeff).terms.items():
             vec.add_term(key, c)

@@ -1,4 +1,6 @@
 import json
+import pickle
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -129,3 +131,46 @@ def test_cli_bad_diagram_file_reports_error(tmp_path, monkeypatch, capsys):
     f.write_text("X(1,2,3)\n")
     assert _run(tmp_path, monkeypatch, "alexander", "--pd", str(f)) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_verify_ignores_and_never_writes_the_cache(tmp_path, monkeypatch,
+                                                        capsys):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    bogus = [{"key": "bogus", "wbcr": Fraction(7),
+              "minus_wc_prime": Fraction(7), "equal": True}]
+    planted = cache_dir / "verify-prop32-v1-k2.pickle"
+    planted.write_bytes(pickle.dumps(bogus))
+    assert _run(tmp_path, monkeypatch, "verify", "prop32", "--degree", "2",
+                "--json") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["rows"]) == 10
+    assert all(r["class"] != "bogus" for r in report["rows"])
+    assert _run(tmp_path, monkeypatch, "verify", "prop32", "--degree", "2",
+                "--json", "--no-cache") == 0
+    assert json.loads(capsys.readouterr().out) == report
+    assert sorted(cache_dir.iterdir()) == [planted]
+
+
+@pytest.mark.parametrize("argv", [
+    ("dim", "--degree", "3"),
+    ("enumerate", "jacobi", "--degree", "3"),
+    ("enumerate", "bcr", "--degree", "3"),
+])
+def test_cli_degree_cap_holds_on_a_warm_cache(tmp_path, monkeypatch, capsys,
+                                              argv):
+    assert _run(tmp_path, monkeypatch, *argv) == 0
+    assert list((tmp_path / "cache").glob("*.pickle"))
+    capsys.readouterr()
+    assert _run(tmp_path, monkeypatch, *argv, "--k-max", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "outside supported range" in captured.err
+
+
+def test_cli_verify_lemma33_respects_the_cap(tmp_path, monkeypatch, capsys):
+    assert _run(tmp_path, monkeypatch,
+                "verify", "lemma33", "--degree", "5") == 2
+    assert "outside supported range" in capsys.readouterr().err
+    assert _run(tmp_path, monkeypatch,
+                "verify", "lemma33", "--degree", "3", "--k-max", "2") == 2

@@ -1,8 +1,13 @@
 from fractions import Fraction
 
+import pytest
+
+from knotweights import quotient
+from knotweights.bridge import verify_main
 from knotweights.conway import (count_circles, wc_diagram, wc_eval,
                                 wc_prime_diagram, wc_prime_eval)
 from knotweights.enumerate import enumerate_jacobi
+from knotweights.errors import DegreeOutOfRange
 from knotweights.jacobi import (chord_diagram, empty_diagram, product,
                                 single_chord, stu_expand, stu_sites,
                                 theta_graph, wheel)
@@ -91,3 +96,38 @@ def test_wc_prime_vanishes_on_all_products_degree_two_three():
 def test_values_are_exact_fractions():
     assert isinstance(wc_diagram(wheel(2)), Fraction)
     assert isinstance(wc_prime_diagram(wheel(2)), Fraction)
+
+
+def _assert_cumulant_matches_projection(k):
+    for rep in enumerate_jacobi(k):
+        v = vector_of(rep)
+        assert wc_prime_eval(v) == wc_eval(quotient.project_pc(v))
+
+
+def test_wc_prime_matches_projection_oracle():
+    for k in range(4):
+        _assert_cumulant_matches_projection(k)
+
+
+@pytest.mark.slow
+def test_wc_prime_matches_projection_oracle_degree_four():
+    _assert_cumulant_matches_projection(4)
+
+
+def test_verify_main_never_reaches_the_quotient(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the quotient was built")
+
+    for name in ("project_pc", "quotient_basis", "splitting"):
+        monkeypatch.setattr(quotient, name, forbidden)
+    rows = verify_main(3)
+    assert len(rows) == 67
+    assert all(r["equal"] for r in rows)
+
+
+def test_wc_prime_rejects_degrees_above_the_cap():
+    with pytest.raises(DegreeOutOfRange):
+        wc_prime_diagram(wheel(5))
+    with pytest.raises(DegreeOutOfRange):
+        wc_prime_diagram(wheel(3), k_max=2)
+    assert wc_prime_diagram(wheel(5), k_max=5) == -1 - (-1) ** 5
