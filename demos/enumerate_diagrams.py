@@ -23,7 +23,7 @@ print("wheel_2:       degree", w2.degree, " edges:", w2.edges)
 # parallel edges may be permuted freely.
 for k in range(0, 4):
     classes = enumerate_jacobi(k)
-    conn = enumerate_jacobi(k, connected_only=True)
+    conn = [d for d in classes if d.is_connected()]
     print(f"degree {k}: {len(classes):3d} classes "
           f"({len(conn)} connected)")
 

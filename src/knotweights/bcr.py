@@ -194,11 +194,6 @@ def bcr_key(d):
     return key
 
 
-def bcr_aut_order(d):
-    _, perms = bcr_canonical(d)
-    return len(perms)
-
-
 def degree_one_bcr():
     """The unique degree-1 diagram: v -> w internal, w -> v external."""
     return validate_bcr(2, [], [(0, 1, INTERNAL), (1, 0, EXTERNAL)])

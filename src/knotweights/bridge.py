@@ -20,14 +20,14 @@ overall, which the implementation divides out explicitly.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 
 from .bcr import EXTERNAL, bcr_canonical
 from .canon import canonical_form
-from .enumerate import K_MAX, enumerate_bcr, enumerate_jacobi
+from .enumerate import K_MAX, enumerate_bcr, enumerate_jacobi, per_degree
 from .errors import AmbiguousIsomorphism, NotIsomorphic
-from .jacobi import JacobiDiagram, canonicalize, class_of, representative
+from .jacobi import (JacobiDiagram, _colors, canonicalize, class_of,
+                     representative)
 from .relations import stu_triple
 from .vectors import vector_of
 
@@ -124,20 +124,16 @@ def _parallel_factor(rep):
 
 def _jacobi_edge_aut_order(rep):
     entries = [(u, v, 0) for (u, v) in rep.edges]
-    colors = []
-    pos = {v: i for i, v in enumerate(rep.univalent_order)}
-    for v in range(rep.nv):
-        colors.append(("u", pos[v]) if v in pos else ("t",))
-    _, perms = canonical_form(rep.nv, colors, entries)
+    _, perms = canonical_form(rep.nv, _colors(rep), entries)
     return len(perms) * _parallel_factor(rep)
 
 
-@lru_cache(maxsize=None)
-def _wbcr_table(k, k_max=K_MAX):
+@per_degree(lowest=1)
+def _wbcr_table(k):
     """Base sums keyed by induced class: sum of eps*eps2*sign over all
     (representative, ordering) pairs, each divided by |Aut| of its source."""
     table = {}
-    for bcr in enumerate_bcr(k, k_max=k_max):
+    for bcr in enumerate_bcr(k, k_max=k):
         _, perms = bcr_canonical(bcr)
         aut = len(perms)
         eps = epsilon(bcr)
@@ -223,10 +219,8 @@ class Triple:
 def _isomorphisms(source_jd, target_jd):
     """All vertex/edge matchings between isomorphic unoriented diagrams."""
     def parts(d):
-        pos = {v: i for i, v in enumerate(d.univalent_order)}
-        colors = [("u", pos[v]) if v in pos else ("t",) for v in range(d.nv)]
         entries = [(a, b, 0) for (a, b) in d.edges]
-        key, perms = canonical_form(d.nv, colors, entries)
+        key, perms = canonical_form(d.nv, _colors(d), entries)
         return key, perms, entries
 
     key_s, perms_s, _entries_s = parts(source_jd)
@@ -266,12 +260,12 @@ def _edge_bijections(buckets_s, buckets_t, n_edges):
     yield from rec(0, [-1] * n_edges)
 
 
-@lru_cache(maxsize=None)
-def _match_table(k, k_max=K_MAX):
+@per_degree(lowest=1)
+def _match_table(k):
     """(source index, ordering) pairs per induced class, one degree at a
     time, so repeated triple listings share the scan."""
     table = {}
-    for idx, bcr in enumerate(enumerate_bcr(k, k_max=k_max)):
+    for idx, bcr in enumerate(enumerate_bcr(k, k_max=k)):
         for rho in orderings(bcr):
             key, _sign = class_of(jacobi_of(bcr, rho))
             table.setdefault(key, []).append((idx, tuple(sorted(rho.items()))))

@@ -1,56 +1,14 @@
-"""Small on-disk result cache for the command-line layer.
+"""The retired on-disk result cache.
 
-Entries are pickled under a key of (name, schema version, degree).  The
-directory comes from KNOTWEIGHTS_CACHE_DIR, defaulting to
-~/.cache/knotweights.
+Nothing is read from or written to disk: results are memoised per process
+and per degree by `enumerate.per_degree`, behind the degree cap.  `load`
+is kept, as a lookup that always misses, because the benchmark's tracer
+(perfbench/tracer.py) wraps `cache.load` by name and its tests expect every
+traced layer function to exist.  Delete this module when the benchmark
+stops tracing it.
 """
-
-import os
-import pickle
-from pathlib import Path
-
-SCHEMA_VERSION = 1
-
-ENV_VAR = "KNOTWEIGHTS_CACHE_DIR"
-
-
-def cache_dir():
-    root = os.environ.get(ENV_VAR)
-    if root:
-        return Path(root)
-    return Path.home() / ".cache" / "knotweights"
-
-
-def _path(name, degree):
-    return cache_dir() / f"{name}-v{SCHEMA_VERSION}-k{degree}.pickle"
 
 
 def load(name, degree):
-    path = _path(name, degree)
-    if not path.exists():
-        return None
-    try:
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
-    except Exception:
-        return None
-
-
-def store(name, degree, value):
-    path = _path(name, degree)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        pickle.dump(value, fh)
-    tmp.replace(path)
-
-
-def cached(name, degree, compute, enabled=True):
-    if enabled:
-        hit = load(name, degree)
-        if hit is not None:
-            return hit
-    value = compute()
-    if enabled:
-        store(name, degree, value)
-    return value
+    """Return None: no result is served from disk."""
+    return None

@@ -162,9 +162,3 @@ def edge_map_for_perm(edges, perm, directed=False):
     for slot, (_tok, idx) in enumerate(tagged):
         edge_map[idx] = slot
     return [tok for tok, _ in tagged], edge_map
-
-
-def automorphism_count(n, colors, edges, directed=False):
-    """Order of the color-preserving vertex automorphism group."""
-    _, perms = canonical_form(n, colors, edges, directed)
-    return len(perms)

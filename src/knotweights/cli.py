@@ -12,12 +12,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import cache
+from . import cache  # noqa: F401  (loaded for perfbench's cache.load span)
 from .alexander import alexander_by_skein, alexander_poly
 from .bridge import verify_main, verify_stu, wbcr
 from .conway import wc_eval, wc_prime_eval
-from .enumerate import K_MAX, enumerate_bcr, enumerate_jacobi
-from .errors import DegreeOutOfRange, DiagramError
+from .enumerate import K_MAX, check_degree, enumerate_bcr, enumerate_jacobi
+from .errors import DiagramError
 from .jacobi import key_bytes, wheel
 from .pd import parse_pd
 from .psi import verify_wc_psi
@@ -36,26 +36,13 @@ def _emit(obj, as_json):
         print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _check_degree(args, lowest=0):
-    """Reject a degree outside [lowest, --k-max] before any cache lookup."""
-    if not lowest <= args.degree <= args.k_max:
-        raise DegreeOutOfRange(args.degree, args.k_max)
-
-
 def cmd_enumerate(args):
-    _check_degree(args, lowest=1 if args.kind == "bcr" else 0)
     if args.kind == "bcr":
-        diagrams = cache.cached(
-            "enumerate-bcr", args.degree,
-            lambda: [bcr_to_obj(d) for d in
-                     enumerate_bcr(args.degree, k_max=args.k_max)],
-            enabled=not args.no_cache)
+        diagrams = [bcr_to_obj(d) for d in
+                    enumerate_bcr(args.degree, k_max=args.k_max)]
     else:
-        diagrams = cache.cached(
-            "enumerate-jacobi", args.degree,
-            lambda: [jacobi_to_obj(d) for d in
-                     enumerate_jacobi(args.degree, k_max=args.k_max)],
-            enabled=not args.no_cache)
+        diagrams = [jacobi_to_obj(d) for d in
+                    enumerate_jacobi(args.degree, k_max=args.k_max)]
     if args.json:
         _emit({"kind": args.kind, "degree": args.degree,
                "count": len(diagrams), "diagrams": diagrams}, True)
@@ -72,10 +59,7 @@ def cmd_enumerate(args):
 
 
 def cmd_dim(args):
-    _check_degree(args)
-    table = cache.cached("dims", args.degree,
-                         lambda: dims_table(args.degree, k_max=args.k_max),
-                         enabled=not args.no_cache)
+    table = dims_table(args.degree, k_max=args.k_max)
     if args.json:
         _emit(table, True)
     else:
@@ -90,7 +74,9 @@ def cmd_dim(args):
 def cmd_weight(args):
     d = from_json(Path(args.diagram).read_text())
     vec = vector_of(d)
-    value = wc_eval(vec) if args.system == "wc" else wc_prime_eval(vec)
+    check_degree(vec.degree, args.k_max)
+    value = (wc_eval(vec) if args.system == "wc"
+             else wc_prime_eval(vec, k_max=args.k_max))
     if args.json:
         _emit({"system": args.system, "value": _frac(value)}, True)
     else:
@@ -130,8 +116,6 @@ def _report(rows, label, as_json, key_fields):
 
 
 def cmd_verify(args):
-    """Verdicts are always recomputed: a cached one could outlive the code
-    that produced it."""
     k = args.degree
     if args.what == "prop32":
         rows = verify_main(k, k_max=args.k_max)
@@ -191,11 +175,9 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--no-cache", action="store_true",
-                        help="recompute instead of using the disk cache "
-                             "(verify never uses it)")
     common.add_argument("--k-max", type=int, default=K_MAX,
-                        help=f"largest supported degree (default {K_MAX})")
+                        help=f"largest degree any step may compute, checked "
+                             f"before any work (default {K_MAX})")
 
     p = argparse.ArgumentParser(
         prog="knotweights",

@@ -25,8 +25,8 @@ kills the empty class and every non-trivial product.
 from fractions import Fraction
 from math import factorial
 
-from .enumerate import K_MAX
-from .errors import DegreeOutOfRange, VertexTypeViolation
+from .enumerate import K_MAX, check_degree
+from .errors import VertexTypeViolation
 from .jacobi import representative, stu_expand, stu_sites, sub_diagram
 from .vectors import vector_of
 
@@ -143,8 +143,7 @@ def _wc_prime_class(key):
 
 def wc_prime_eval(v, k_max=K_MAX):
     """Logarithmic variant: the cumulant of wc over connected components."""
-    if not 0 <= v.degree <= k_max:
-        raise DegreeOutOfRange(v.degree, k_max)
+    check_degree(v.degree, k_max)
     total = ZERO
     for key, c in v.terms.items():
         total += c * _wc_prime_class(key)

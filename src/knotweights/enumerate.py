@@ -9,6 +9,7 @@ are deduplicated through canonical keys, so the output carries one
 representative per class in a deterministic order.
 """
 
+from functools import lru_cache, wraps
 from itertools import product as iproduct
 
 from .bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
@@ -16,6 +17,38 @@ from .errors import DegreeOutOfRange
 from .jacobi import canonicalize, empty_diagram, make_diagram
 
 K_MAX = 4
+
+
+def check_degree(k, k_max, lowest=0):
+    """Raise DegreeOutOfRange unless lowest <= k <= k_max."""
+    if not lowest <= k <= k_max:
+        raise DegreeOutOfRange(k, k_max, lowest)
+
+
+def per_degree(lowest=0):
+    """Memoise a function of the degree alone, behind the degree cap.
+
+    The decorated function is called as ``f(k, k_max=K_MAX)``.  Every call
+    checks ``lowest <= k <= k_max`` first, so a warm memo never serves a
+    degree the caller's cap excludes; only then is the result looked up,
+    keyed on ``k`` alone.  Results are shared by every caller, so bodies
+    return values nobody mutates.  A body that calls another per-degree
+    function at a degree its own cap admitted passes ``k_max=k``, which
+    keeps degrees above K_MAX reachable under a larger cap.
+    """
+    def decorate(body):
+        memo = lru_cache(maxsize=None)(body)
+
+        @wraps(body)
+        def capped(k, k_max=K_MAX):
+            check_degree(k, k_max, lowest)
+            return memo(k)
+
+        capped.cache_info = memo.cache_info
+        capped.cache_clear = memo.cache_clear
+        return capped
+    return decorate
+
 
 # cycle pieces: (incoming flavor, outgoing flavor, has leg, external vertex)
 _PIECES = {
@@ -53,10 +86,9 @@ def _diagram_from_word(word):
     return validate_bcr(next_id, external, edges)
 
 
-def enumerate_bcr(k, k_max=K_MAX):
+@per_degree(lowest=1)
+def enumerate_bcr(k):
     """All BCR diagram classes of degree k, one representative each."""
-    if not 1 <= k <= k_max:
-        raise DegreeOutOfRange(k, k_max)
     found = {}
     for length in range(2, 2 * k + 1):
         legs = 2 * k - length
@@ -71,7 +103,7 @@ def enumerate_bcr(k, k_max=K_MAX):
             key = bcr_key(d)
             if key not in found:
                 found[key] = d
-    return [found[key] for key in sorted(found)]
+    return tuple(found[key] for key in sorted(found))
 
 
 def _multigraphs(deg_seq, free_start):
@@ -124,21 +156,17 @@ def _multigraphs(deg_seq, free_start):
     yield from rec()
 
 
-def enumerate_jacobi(k, connected_only=False, with_univalent_only=False,
-                     k_max=K_MAX):
+@per_degree()
+def enumerate_jacobi(k):
     """All Jacobi diagram classes of degree k, one representative each.
 
     Representatives carry the default vertex orientation (ascending
-    half-edges).  `connected_only` keeps connected diagrams;
-    `with_univalent_only` keeps diagrams whose every component touches the
-    line.
+    half-edges).
     """
-    if not 0 <= k <= k_max:
-        raise DegreeOutOfRange(k, k_max)
     if k == 0:
         d = empty_diagram()
         key, _, rep = canonicalize(d)
-        return [rep]
+        return (rep,)
     found = {}
     for t in range(0, 2 * k + 1):
         u = 2 * k - t
@@ -150,10 +178,6 @@ def enumerate_jacobi(k, connected_only=False, with_univalent_only=False,
             key, _, rep = canonicalize(d)
             if key in found:
                 continue
-            if connected_only and not rep.is_connected():
-                continue
-            if with_univalent_only and rep.has_trivalent_component():
-                continue
             found[key] = rep
-    return [found[key] for key in sorted(found)]
+    return tuple(found[key] for key in sorted(found))
 

@@ -40,10 +40,11 @@ class InvalidNumbering(DiagramError):
 
 
 class DegreeOutOfRange(DiagramError):
-    def __init__(self, degree, k_max):
+    def __init__(self, degree, k_max, lowest=0):
         self.degree = degree
         self.k_max = k_max
-        super().__init__(f"degree {degree} outside supported range [0, {k_max}]")
+        super().__init__(
+            f"degree {degree} outside supported range [{lowest}, {k_max}]")
 
 
 class NonzeroConstantTerm(DiagramError):

@@ -84,9 +84,6 @@ class PDCode:
         return PDCode([Crossing(x.under_in, x.over_b, x.under_out, x.over_a,
                                 -x.sign) for x in self.crossings])
 
-    def writhe(self):
-        return sum(x.sign for x in self.crossings)
-
 
 _LINE = re.compile(
     r"^\s*X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*([+-]?)\s*$")

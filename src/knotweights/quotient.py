@@ -13,10 +13,8 @@ the logarithmic weight system.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .enumerate import K_MAX, enumerate_jacobi
-from .errors import DegreeOutOfRange
+from .enumerate import K_MAX, enumerate_jacobi, per_degree
 from .jacobi import canonicalize, product
 from .relations import generate_relations
 from .vectors import DiagramVector, vector_of
@@ -89,19 +87,17 @@ class Quotient:
         return [red.terms.get(k, Fraction(0)) for k in self.basis]
 
 
-@lru_cache(maxsize=None)
-def quotient_basis(k, k_max=K_MAX):
-    if not 0 <= k <= k_max:
-        raise DegreeOutOfRange(k, k_max)
+@per_degree()
+def quotient_basis(k):
     keys = []
-    for rep in enumerate_jacobi(k, k_max=k_max):
+    for rep in enumerate_jacobi(k, k_max=k):
         key, sign, _ = canonicalize(rep)
         if sign:  # classes killed by antisymmetry never index a column
             keys.append(key)
     keys.sort()
     rank = {key: i for i, key in enumerate(keys)}
     elim = _Eliminator(rank)
-    for vec in generate_relations(k, k_max=k_max).vectors():
+    for vec in generate_relations(k, k_max=k).vectors():
         if not vec.is_zero():
             elim.add_row(vec.terms)
     return Quotient(k, keys, elim)
@@ -122,8 +118,8 @@ def _independent(quotient, generators):
 class Splitting:
     """The decomposition P + N + T of one degree, with its projector."""
 
-    def __init__(self, k, k_max=K_MAX):
-        q = quotient_basis(k, k_max)
+    def __init__(self, k):
+        q = quotient_basis(k, k_max=k)
         self.quotient = q
         self.degree = k
 
@@ -132,7 +128,7 @@ class Splitting:
             for key in q.basis:
                 n_gens.append((key, DiagramVector(0, {key: 1})))
         else:
-            for rep in enumerate_jacobi(k, k_max=k_max):
+            for rep in enumerate_jacobi(k, k_max=k):
                 key, sign, _ = canonicalize(rep)
                 if not sign:
                     continue
@@ -145,9 +141,9 @@ class Splitting:
                 k2 = k - k1
                 if k1 > k2:
                     break
-                lefts = [d for d in enumerate_jacobi(k1, k_max=k_max)
+                lefts = [d for d in enumerate_jacobi(k1, k_max=k)
                          if not d.has_trivalent_component()]
-                rights = [d for d in enumerate_jacobi(k2, k_max=k_max)
+                rights = [d for d in enumerate_jacobi(k2, k_max=k)
                           if not d.has_trivalent_component()]
                 for d1 in lefts:
                     for d2 in rights:
@@ -212,9 +208,9 @@ class _Solver:
         return [sum(r * x for r, x in zip(row, b)) for row in self.inverse]
 
 
-@lru_cache(maxsize=None)
-def splitting(k, k_max=K_MAX):
-    return Splitting(k, k_max)
+@per_degree()
+def splitting(k):
+    return Splitting(k)
 
 
 def project_pc(vec, k_max=K_MAX):

@@ -14,8 +14,7 @@ STU wherever a component touches the line, but it is the only relation
 available on purely trivalent components, so it is generated everywhere.
 """
 
-from .enumerate import K_MAX, enumerate_jacobi
-from .errors import DegreeOutOfRange
+from .enumerate import K_MAX, check_degree, enumerate_jacobi
 from .jacobi import flipped, ihx_terms, internal_edges, stu_expand, stu_sites
 from .vectors import vector_of
 
@@ -42,12 +41,11 @@ def stu_triple(rep, t, u):
 
 
 def generate_relations(k, k_max=K_MAX):
-    if not 0 <= k <= k_max:
-        raise DegreeOutOfRange(k, k_max)
+    check_degree(k, k_max)
     rels = RelationSet(k)
     if k == 0:
         return rels
-    for rep in enumerate_jacobi(k, k_max=k_max):
+    for rep in enumerate_jacobi(k, k_max=k):
         for v in rep.trivalent:
             vec = vector_of(flipped(rep, v)) + vector_of(rep)
             rels.add("AS", (rep, v), vec)

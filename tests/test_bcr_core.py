@@ -79,7 +79,7 @@ def test_enumerate_contains_wheel():
 
 
 def test_enumerate_degree_out_of_range():
-    with pytest.raises(DegreeOutOfRange):
+    with pytest.raises(DegreeOutOfRange, match=r"range \[1, 4\]"):
         enumerate_bcr(0)
     with pytest.raises(DegreeOutOfRange):
         enumerate_bcr(9)

@@ -86,11 +86,11 @@ def test_enumerate_contains_stock_diagrams():
 
 
 def test_enumerate_filters():
-    conn = enumerate_jacobi(2, connected_only=True)
-    assert all(d.is_connected() for d in conn)
-    line = enumerate_jacobi(2, with_univalent_only=True)
-    assert all(not d.has_trivalent_component() for d in line)
-    assert len(line) < len(enumerate_jacobi(2))
+    classes = enumerate_jacobi(2)
+    conn = [d for d in classes if d.is_connected()]
+    line = [d for d in classes if not d.has_trivalent_component()]
+    assert 0 < len(conn) < len(classes)
+    assert 0 < len(line) < len(classes)
 
 
 def test_enumerate_degree_out_of_range():
@@ -98,6 +98,11 @@ def test_enumerate_degree_out_of_range():
         enumerate_jacobi(5)
     with pytest.raises(DegreeOutOfRange):
         enumerate_jacobi(-1)
+
+
+def test_enumerate_is_memoised_per_degree():
+    assert enumerate_jacobi(3) is enumerate_jacobi(3)
+    assert enumerate_jacobi(3, k_max=3) is enumerate_jacobi(3)
 
 
 def test_components_and_shape_predicates():

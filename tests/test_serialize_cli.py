@@ -54,6 +54,8 @@ def test_golden_bytes_single_chord():
 
 
 def _run(tmp_path, monkeypatch, *argv):
+    # the directory the removed disk cache read, so planted files show up
+    # in any run that still reads it
     monkeypatch.setenv("KNOTWEIGHTS_CACHE_DIR", str(tmp_path / "cache"))
     return cli.main(list(argv))
 
@@ -90,6 +92,21 @@ def test_cli_weight_and_wbcr(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_cli_weight_respects_the_cap(tmp_path, monkeypatch, capsys):
+    w3, w5 = tmp_path / "w3.json", tmp_path / "w5.json"
+    w3.write_text(to_json(wheel(3)))
+    w5.write_text(to_json(wheel(5)))
+    for system in ("wc", "wcp"):
+        assert _run(tmp_path, monkeypatch, "weight", "--system", system,
+                    "--diagram", str(w3), "--k-max", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside supported range" in captured.err
+    assert _run(tmp_path, monkeypatch, "weight", "--system", "wcp",
+                "--diagram", str(w5), "--k-max", "5") == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
 def test_cli_alexander(tmp_path, monkeypatch, capsys):
     assert _run(tmp_path, monkeypatch, "alexander", "--json",
                 "--pd", str(FIXTURES / "3_1.pd"),
@@ -102,22 +119,30 @@ def test_cli_alexander(tmp_path, monkeypatch, capsys):
 
 def test_cli_enumerate_json_stable(tmp_path, monkeypatch, capsys):
     assert _run(tmp_path, monkeypatch, "enumerate", "jacobi",
-                "--degree", "1", "--json", "--no-cache") == 0
+                "--degree", "1", "--json") == 0
     first = capsys.readouterr().out
     assert _run(tmp_path, monkeypatch, "enumerate", "jacobi",
-                "--degree", "1", "--json", "--no-cache") == 0
+                "--degree", "1", "--json") == 0
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["count"] == 2
 
 
-def test_cli_cache_round_trip(tmp_path, monkeypatch, capsys):
-    assert _run(tmp_path, monkeypatch, "dim", "--degree", "1") == 0
-    first = capsys.readouterr().out
-    cache_files = list((tmp_path / "cache").glob("*.pickle"))
-    assert cache_files
-    assert _run(tmp_path, monkeypatch, "dim", "--degree", "1") == 0
-    assert capsys.readouterr().out == first
+def test_cli_ignores_and_never_writes_planted_cache_files(tmp_path,
+                                                         monkeypatch, capsys):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    planted = [cache_dir / "dims-v1-k2.pickle",
+               cache_dir / "enumerate-jacobi-v1-k1.pickle"]
+    planted[0].write_bytes(pickle.dumps(
+        {"degree": 2, "dim_A": 99, "dim_P": 0, "dim_N": 0, "dim_T": 0}))
+    planted[1].write_bytes(pickle.dumps([]))
+    assert _run(tmp_path, monkeypatch, "dim", "--degree", "2") == 0
+    assert "dim A = 5" in capsys.readouterr().out
+    assert _run(tmp_path, monkeypatch, "enumerate", "jacobi",
+                "--degree", "1", "--json") == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 2
+    assert sorted(cache_dir.iterdir()) == sorted(planted)
 
 
 def test_cli_usage_error_exits_two(tmp_path, monkeypatch):
@@ -147,7 +172,7 @@ def test_cli_verify_ignores_and_never_writes_the_cache(tmp_path, monkeypatch,
     assert len(report["rows"]) == 10
     assert all(r["class"] != "bogus" for r in report["rows"])
     assert _run(tmp_path, monkeypatch, "verify", "prop32", "--degree", "2",
-                "--json", "--no-cache") == 0
+                "--json") == 0
     assert json.loads(capsys.readouterr().out) == report
     assert sorted(cache_dir.iterdir()) == [planted]
 
@@ -160,7 +185,6 @@ def test_cli_verify_ignores_and_never_writes_the_cache(tmp_path, monkeypatch,
 def test_cli_degree_cap_holds_on_a_warm_cache(tmp_path, monkeypatch, capsys,
                                               argv):
     assert _run(tmp_path, monkeypatch, *argv) == 0
-    assert list((tmp_path / "cache").glob("*.pickle"))
     capsys.readouterr()
     assert _run(tmp_path, monkeypatch, *argv, "--k-max", "2") == 2
     captured = capsys.readouterr()

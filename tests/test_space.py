@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from knotweights.enumerate import enumerate_jacobi
-from knotweights.errors import NonzeroConstantTerm
+from knotweights.bridge import _wbcr_table
+from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
+from knotweights.errors import DegreeOutOfRange, NonzeroConstantTerm
 from knotweights.jacobi import (empty_diagram, flipped, product,
                                 single_chord, stu_sites, wheel)
 from knotweights.quotient import (dense_rank_oracle, dims_table, project_pc,
@@ -28,6 +29,13 @@ def test_as_sign_identity():
 
 def test_no_relations_in_degree_zero():
     assert len(generate_relations(0)) == 0
+
+
+@pytest.mark.parametrize("layer", [quotient_basis, _wbcr_table, enumerate_bcr])
+def test_degree_cap_holds_on_a_warm_memo(layer):
+    assert layer(3) is layer(3)
+    with pytest.raises(DegreeOutOfRange):
+        layer(3, k_max=2)
 
 
 def test_stu_site_count_matches_site_scan():
