@@ -3,32 +3,32 @@
 An ordering of a BCR diagram is a total order of its internal vertices.
 Each ordering induces a Jacobi diagram: keep all vertices, keep only the
 external edges, order the univalent vertices by rank, and orient every
-external vertex by (incoming cycle edge head, leg head, outgoing cycle edge
-tail).  Three signs enter the weight:
+external vertex by (incoming cycle edge, outgoing cycle edge, leg).
+Three signs enter the weight:
 
   epsilon    (-1)^(external edges + trivalent vertices), fixed per diagram;
   epsilon2   the product over internal edges (v, w) of sign(rank w - rank v);
   epsilon3   the antisymmetry sign comparing the induced orientation with
              the target class representative.
 
-The weight of a Jacobi diagram sums epsilon * epsilon2 * epsilon3 over all
-ordered, numbered BCR diagrams inducing it, counted up to isomorphism of
-the decorated diagrams, and divides by 2^(2k - edge count).  Enumerating
-class representatives with all orderings counts each decorated isomorphism
-class |Aut(target)| times per matching ordering and |Aut(source)| times
-overall, which the implementation divides out explicitly.
+The weight of a Jacobi diagram d sums epsilon * epsilon2 * epsilon3 over
+the ordered, numbered BCR diagrams inducing d, up to isomorphism, and
+divides by 2^(2k - edge count).  Matched onto d, such a source is a BCR
+structure on d's own vertices and edges, ordered by d's line, so `sources`
+builds the sources there and `wbcr` sums their signs.  The test oracle
+`wbcr_by_orderings` scans every ordering of every BCR class instead.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
-from .bcr import EXTERNAL, bcr_canonical
+from .bcr import EXTERNAL, INTERNAL, bcr_canonical
 from .canon import canonical_form
-from .enumerate import K_MAX, enumerate_bcr, enumerate_jacobi, per_degree
+from .enumerate import (K_MAX, check_degree, enumerate_bcr, enumerate_jacobi,
+                        per_degree)
 from .errors import AmbiguousIsomorphism, NotIsomorphic
 from .jacobi import (JacobiDiagram, _colors, canonicalize, class_of,
                      representative)
-from .relations import stu_triple
 from .vectors import vector_of
 
 ZERO = Fraction(0)
@@ -107,6 +107,116 @@ def epsilon3(target, bcr, rho):
     return sign * t_sign
 
 
+# -- sources on the target ---------------------------------------------------
+
+def _vertex_roles(d, v, univalent):
+    """The (out, leg, cycle-in, epsilon3 factor) choices at trivalent v: the
+    leg comes from a univalent vertex, and the factor is +1 exactly when
+    (cycle-in, out, leg) is a rotation of v's cyclic order."""
+    cyc = [e for (e, _end) in d.orient[v]]
+    roles = []
+    for out, leg, c_in in permutations(cyc):
+        if any(x in univalent for x in d.edges[leg]):
+            turn = (cyc.index(out) - cyc.index(c_in)) % 3
+            roles.append((out, leg, c_in, 1 if turn == 1 else -1))
+    return roles
+
+
+def sources(d):
+    """Every BCR source of `d` built on d's own vertices and edges.
+
+    Yields ``(edges, sign)``: `edges` lists the ``(tail, head, class)``
+    triples, d's edges first in d's order and directed, then the internal
+    edges; d's trivalent vertices are the external vertices; `sign` is
+    epsilon * epsilon2 * epsilon3 with the ordering read off d's line.
+    Each trivalent vertex gets an outgoing edge, a leg from a type-3
+    vertex and an incoming cycle edge; each chord is a leg into type 2 or
+    a step from type 5 to type 4.  The external edges then form chains
+    from type 5 to type 4 (or one closed cycle), and the internal edges
+    close chains and type-2 vertices into one cycle in every order.
+    """
+    if not d.edges or any(a == b for (a, b) in d.edges):
+        return  # the empty diagram and loops have no sources
+    rank = {v: i for i, v in enumerate(d.univalent_order)}
+    tri = [v for v in range(d.nv) if v not in rank]
+    tt = [i for i, (a, b) in enumerate(d.edges)
+          if a not in rank and b not in rank]
+    chords = [i for i, (a, b) in enumerate(d.edges)
+              if a in rank and b in rank]
+    chord_ways = [[(a, b, 2), (b, a, 2), (a, b, 4), (b, a, 4)]
+                  for (a, b) in (d.edges[i] for i in chords)]
+    parity = len(d.edges) + len(tri)
+
+    def far(i, v):
+        a, b = d.edges[i]
+        return b if a == v else a
+
+    for choice in product(*(_vertex_roles(d, v, rank) for v in tri)):
+        # every edge between trivalent vertices leaves exactly one of them
+        if sorted(r[0] for r in choice if r[0] in tt) != tt:
+            continue
+        tails = [None] * len(d.edges)
+        succ, starts, s3 = {}, [], 1
+        for v, (out, leg, c_in, s) in zip(tri, choice):
+            s3 *= s
+            tails[out], succ[v], tails[leg] = v, far(out, v), far(leg, v)
+            if c_in not in tt:
+                tails[c_in] = far(c_in, v)
+                starts.append((tails[c_in], v))
+        chains, seen = [], 0
+        for u, x in starts:  # walk from type 5 through trivalent to type 4
+            while x in succ:
+                x, seen = succ[x], seen + 1
+            chains.append((u, x))
+        for ways in product(*chord_ways):
+            ring = list(chains)
+            for i, (a, b, head_type) in zip(chords, ways):
+                tails[i] = a
+                ring.append((b, b) if head_type == 2 else (a, b))
+            ext = [(t, far(i, t), EXTERNAL) for i, t in enumerate(tails)]
+            n2 = sum(1 for (a, b) in ring if a == b)
+            sign = s3 * (-1 if (parity + n2) % 2 else 1)
+            if seen < len(tri):  # a closed cycle must be the whole cycle
+                if not ring and _orbit_length(succ, tri[0]) == len(tri):
+                    yield ext, sign
+            elif len(ring) > 1 or ring[0][0] != ring[0][1]:  # no loop
+                for perm in permutations(ring[1:]):
+                    order = ring[:1] + list(perm)
+                    internal, s2 = [], sign
+                    for (_, x), (y, _) in zip(order, order[1:] + order[:1]):
+                        internal.append((x, y, INTERNAL))
+                        if rank[y] < rank[x]:
+                            s2 = -s2
+                    yield ext + internal, s2
+
+
+def _orbit_length(succ, v):
+    x, n = succ[v], 1
+    while x != v:
+        x, n = succ[x], n + 1
+    return n
+
+
+def wbcr(d, k_max=K_MAX):
+    """The signed, weighted count of ordered numbered sources of `d`."""
+    k = d.degree
+    check_degree(k, k_max)
+    total = sum(sign for _edges, sign in sources(d))
+    if not total:
+        return ZERO
+    return Fraction(total, 2 ** (2 * k - len(d.edges)))
+
+
+def wbcr_eval(v, k_max=K_MAX):
+    """Linear extension of the weight to diagram vectors."""
+    total = ZERO
+    for key, c in v.terms.items():
+        total += c * wbcr(representative(key), k_max)
+    return total
+
+
+# -- the ordering scan (test oracle) -----------------------------------------
+
 def _parallel_factor(rep):
     """Number of edge bijections per vertex automorphism (parallel swaps)."""
     counts = {}
@@ -154,8 +264,9 @@ def _wbcr_table(k):
     return table
 
 
-def wbcr(d, k_max=K_MAX):
-    """The signed, weighted count of ordered numbered sources of `d`."""
+def wbcr_by_orderings(d, k_max=K_MAX):
+    """`wbcr` by the test oracle: the degree-wide ordering scan, whose terms
+    are divided by |Aut(source)|, times the target's edge automorphisms."""
     key, sign, rep = canonicalize(d)
     if sign == 0:
         return ZERO
@@ -167,147 +278,6 @@ def wbcr(d, k_max=K_MAX):
         return ZERO
     weight = Fraction(_jacobi_edge_aut_order(rep), 2 ** (2 * k - len(rep.edges)))
     return sign * base * weight
-
-
-def wbcr_eval(v, k_max=K_MAX):
-    """Linear extension of the weight to diagram vectors."""
-    total = ZERO
-    for key, c in v.terms.items():
-        total += c * wbcr(representative(key), k_max)
-    return total
-
-
-# -- explicit triples (for numbering-independence and involution tests) ----
-
-class Triple:
-    """An ordered, numbered source diagram matched onto a target.
-
-    Carries the matching maps: vmap sends source vertices to target
-    vertices, emap sends source *external* edge indices to target edge
-    indices, and sigma numbers the external edges accordingly.
-    """
-
-    __slots__ = ("bcr", "rho", "sigma", "vmap", "emap")
-
-    def __init__(self, bcr, rho, sigma, vmap, emap):
-        self.bcr = bcr
-        self.rho = rho
-        self.sigma = sigma
-        self.vmap = vmap
-        self.emap = emap
-
-    def term_sign(self, target):
-        return (epsilon(self.bcr) * epsilon2(self.bcr, self.rho)
-                * epsilon3(target, self.bcr, self.rho))
-
-    def key(self):
-        """Canonical form of the fully decorated source diagram."""
-        colors = []
-        for v in range(self.bcr.nv):
-            if v in self.bcr.external:
-                colors.append(("e",))
-            else:
-                colors.append(("i", self.rho[v]))
-        entries = []
-        for i, (a, b, cls) in enumerate(self.bcr.edges):
-            tag = (cls, self.sigma.get(i, 0))
-            entries.append((a, b, tag))
-        key, _ = canonical_form(self.bcr.nv, colors, entries, directed=True)
-        return key
-
-
-def _isomorphisms(source_jd, target_jd):
-    """All vertex/edge matchings between isomorphic unoriented diagrams."""
-    def parts(d):
-        entries = [(a, b, 0) for (a, b) in d.edges]
-        key, perms = canonical_form(d.nv, _colors(d), entries)
-        return key, perms, entries
-
-    key_s, perms_s, _entries_s = parts(source_jd)
-    key_t, perms_t, _entries_t = parts(target_jd)
-    if key_s != key_t:
-        return
-    inv_t = {perms_t[0][v]: v for v in range(target_jd.nv)}
-
-    for perm_s in perms_s:
-        vmap = tuple(inv_t[perm_s[v]] for v in range(source_jd.nv))
-        # group source and target edges by the matched unordered pair
-        buckets_s = {}
-        for i, (a, b) in enumerate(source_jd.edges):
-            pair = tuple(sorted((vmap[a], vmap[b])))
-            buckets_s.setdefault(pair, []).append(i)
-        buckets_t = {}
-        for i, (a, b) in enumerate(target_jd.edges):
-            pair = tuple(sorted((a, b)))
-            buckets_t.setdefault(pair, []).append(i)
-        for emap in _edge_bijections(buckets_s, buckets_t,
-                                     len(source_jd.edges)):
-            yield vmap, emap
-
-
-def _edge_bijections(buckets_s, buckets_t, n_edges):
-    pairs = sorted(buckets_s)
-    def rec(i, acc):
-        if i == len(pairs):
-            yield list(acc)
-            return
-        src = buckets_s[pairs[i]]
-        dst = buckets_t[pairs[i]]
-        for assignment in permutations(dst):
-            for e_s, e_t in zip(src, assignment):
-                acc[e_s] = e_t
-            yield from rec(i + 1, acc)
-    yield from rec(0, [-1] * n_edges)
-
-
-@per_degree(lowest=1)
-def _match_table(k):
-    """(source index, ordering) pairs per induced class, one degree at a
-    time, so repeated triple listings share the scan."""
-    table = {}
-    for idx, bcr in enumerate(enumerate_bcr(k, k_max=k)):
-        for rho in orderings(bcr):
-            key, _sign = class_of(jacobi_of(bcr, rho))
-            table.setdefault(key, []).append((idx, tuple(sorted(rho.items()))))
-    return table
-
-
-def source_triples(target, numbering, k_max=K_MAX):
-    """All decorated sources of a numbered target diagram, one per
-    isomorphism class of triples."""
-    k = target.degree
-    t_key, _ = class_of(target)
-    matches = _match_table(k, k_max).get(t_key, [])
-    reps = enumerate_bcr(k, k_max=k_max)
-    out = []
-    seen = set()
-    for idx, rho_items in matches:
-        bcr = reps[idx]
-        rho = dict(rho_items)
-        ext = bcr.external_edges()
-        jd = jacobi_of(bcr, rho)
-        for vmap, emap in _isomorphisms(jd, target):
-            sigma = {ext[i]: numbering[emap[i]] for i in range(len(ext))}
-            tri = Triple(bcr, rho, sigma, list(vmap), list(emap))
-            key = tri.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(tri)
-    return out
-
-
-def wbcr_from_triples(target, numbering, k_max=K_MAX):
-    """Recompute the weight from the explicit triple list."""
-    k = target.degree
-    total = ZERO
-    for tri in source_triples(target, numbering, k_max):
-        total += tri.term_sign(target)
-    return total / Fraction(2 ** (2 * k - len(target.edges)))
-
-
-def canonical_numbering(d):
-    return {i: i + 1 for i in range(len(d.edges))}
 
 
 # -- verification reports ---------------------------------------------------
@@ -333,23 +303,25 @@ def verify_main(k, k_max=K_MAX):
 
 def verify_stu(k, k_max=K_MAX):
     """Check the weight against every STU relator and antisymmetry."""
-    from .jacobi import flipped, stu_sites
+    from .jacobi import flipped, stu_expand, stu_sites
     rows = []
     for rep in enumerate_jacobi(k, k_max=k_max):
+        key = canonicalize(rep)[0]
+        w = wbcr(rep, k_max)
         for (t, u) in stu_sites(rep):
-            s, d1, d2 = stu_triple(rep, t, u)
-            ws, w1, w2 = wbcr(s, k_max), wbcr(d1, k_max), wbcr(d2, k_max)
+            d1, d2 = stu_expand(rep, t, u)
+            w1, w2 = wbcr(d1, k_max), wbcr(d2, k_max)
             rows.append({
-                "site": (canonicalize(rep)[0], t, u),
+                "site": (key, t, u),
                 "kind": "STU",
-                "equal": ws == w1 - w2,
-                "values": (ws, w1, w2),
+                "equal": w == w1 - w2,
+                "values": (w, w1, w2),
             })
         for v in rep.trivalent:
             rows.append({
-                "site": (canonicalize(rep)[0], v),
+                "site": (key, v),
                 "kind": "AS",
-                "equal": wbcr(flipped(rep, v), k_max) == -wbcr(rep, k_max),
-                "values": (wbcr(rep, k_max),),
+                "equal": wbcr(flipped(rep, v), k_max) == -w,
+                "values": (w,),
             })
     return rows

@@ -18,7 +18,7 @@ from .bridge import verify_main, verify_stu, wbcr
 from .conway import wc_eval, wc_prime_eval
 from .enumerate import K_MAX, check_degree, enumerate_bcr, enumerate_jacobi
 from .errors import DiagramError
-from .jacobi import key_bytes, wheel
+from .jacobi import JacobiDiagram, key_bytes, wheel
 from .pd import parse_pd
 from .psi import verify_wc_psi
 from .quotient import dims_table
@@ -34,6 +34,29 @@ def _frac(x):
 def _emit(obj, as_json):
     if as_json:
         print(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def _read(path):
+    """The text of an input file; an unreadable path is an input error."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise DiagramError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _read_jacobi(path):
+    d = from_json(_read(path))
+    if not isinstance(d, JacobiDiagram):
+        raise DiagramError(f"{path} holds a {type(d).__name__}, "
+                           f"not a Jacobi diagram")
+    return d
+
+
+def _natural(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def cmd_enumerate(args):
@@ -72,8 +95,7 @@ def cmd_dim(args):
 
 
 def cmd_weight(args):
-    d = from_json(Path(args.diagram).read_text())
-    vec = vector_of(d)
+    vec = vector_of(_read_jacobi(args.diagram))
     check_degree(vec.degree, args.k_max)
     value = (wc_eval(vec) if args.system == "wc"
              else wc_prime_eval(vec, k_max=args.k_max))
@@ -85,8 +107,7 @@ def cmd_weight(args):
 
 
 def cmd_wbcr(args):
-    d = from_json(Path(args.diagram).read_text())
-    value = wbcr(d, k_max=args.k_max)
+    value = wbcr(_read_jacobi(args.diagram), k_max=args.k_max)
     if args.json:
         _emit({"wbcr": _frac(value)}, True)
     else:
@@ -144,7 +165,7 @@ def cmd_verify(args):
 
 
 def cmd_alexander(args):
-    pd = parse_pd(Path(args.pd).read_text())
+    pd = parse_pd(_read(args.pd))
     delta = alexander_poly(pd)
     skein = alexander_by_skein(pd)
     if delta != skein:
@@ -153,7 +174,7 @@ def cmd_alexander(args):
     out = {"delta": str(delta)}
     if not args.json:
         print(f"Delta(t) = {delta}")
-    if args.series:
+    if args.series is not None:
         K = args.series
         s = exp_substitute(delta, K)
         out["series"] = [str(s[i]) for i in range(K + 1)]
@@ -216,7 +237,7 @@ def build_parser():
     a = sub.add_parser("alexander", parents=[common],
                        help="Alexander polynomial tools")
     a.add_argument("--pd", required=True, help="PD code file")
-    a.add_argument("--series", type=int, metavar="K",
+    a.add_argument("--series", type=_natural, metavar="K",
                    help="expand Delta(e^h) to order K")
     a.add_argument("--zbcr", action="store_true",
                    help="also print the degree-k log coefficients")

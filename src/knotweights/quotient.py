@@ -228,27 +228,3 @@ def dims_table(k, k_max=K_MAX):
     return {"degree": k, "dim_A": dim_a, "dim_P": dim_p,
             "dim_N": dim_n, "dim_T": dim_t}
 
-
-def dense_rank_oracle(rows, columns):
-    """Textbook dense elimination, used to cross-check ranks in tests."""
-    order = {key: i for i, key in enumerate(columns)}
-    mat = []
-    for row in rows:
-        dense = [Fraction(0)] * len(columns)
-        for key, c in row.items():
-            dense[order[key]] = Fraction(c)
-        mat.append(dense)
-    rank = 0
-    for col in range(len(columns)):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank

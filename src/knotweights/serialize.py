@@ -71,6 +71,16 @@ def to_json(d, indent=None):
 
 
 def from_obj(obj):
+    """The diagram an object encodes; a malformed object is a ParseError."""
+    try:
+        return _decode(obj)
+    except KeyError as exc:
+        raise ParseError(0, "diagram", f"missing field {exc}") from None
+    except (AttributeError, TypeError) as exc:
+        raise ParseError(0, "diagram", f"malformed: {exc}") from None
+
+
+def _decode(obj):
     kind = obj.get("kind")
     vertices = sorted(obj["vertices"], key=lambda r: r["id"])
     edges_rows = sorted(obj["edges"], key=lambda r: r["id"])
@@ -97,4 +107,9 @@ def from_obj(obj):
 
 
 def from_json(text):
-    return from_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, "diagram JSON",
+                         f"{exc.msg} at column {exc.colno}") from None
+    return from_obj(obj)

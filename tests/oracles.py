@@ -1,7 +1,9 @@
 """Naive generate-and-filter enumerations used to cross-check the fast
-generators.  Everything here works by exhausting a finite search space and
-keeping what passes an independently coded validity test."""
+generators, and a dense rank for the sparse eliminator.  Everything here
+works by exhausting a finite search space and keeping what passes an
+independently coded validity test, or by textbook elimination."""
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
@@ -96,3 +98,28 @@ def brute_force_jacobi_keys(k):
             d = make_diagram(nv, range(u), multiset)
             keys.add(class_of(d)[0])
     return keys
+
+
+def dense_rank_oracle(rows, columns):
+    """Textbook dense elimination, to cross-check the sparse ranks."""
+    order = {key: i for i, key in enumerate(columns)}
+    mat = []
+    for row in rows:
+        dense = [Fraction(0)] * len(columns)
+        for key, c in row.items():
+            dense[order[key]] = Fraction(c)
+        mat.append(dense)
+    rank = 0
+    for col in range(len(columns)):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank

@@ -3,17 +3,20 @@ from math import factorial
 
 import pytest
 
+from knotweights import bridge
 from knotweights.bcr import EXTERNAL, INTERNAL, validate_bcr, wheel_bcr
-from knotweights.bridge import (Triple, canonical_numbering, epsilon,
-                                epsilon2, epsilon3, jacobi_of, orderings,
-                                source_triples, verify_main, verify_stu,
-                                wbcr, wbcr_from_triples)
+from knotweights.bridge import (epsilon, epsilon2, epsilon3, jacobi_of,
+                                orderings, sources, verify_main, verify_stu,
+                                wbcr, wbcr_by_orderings)
+from knotweights.canon import canonical_form
 from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
-from knotweights.errors import NotIsomorphic
+from knotweights.errors import DegreeOutOfRange, NotIsomorphic
 from knotweights.jacobi import (JacobiDiagram, class_of, flipped,
                                 product, single_chord, stu_expand,
                                 stu_sites, wheel)
 from knotweights.bcr import degree_one_bcr
+
+from helpers import shuffled_jacobi
 
 
 def _rho_from_ranks(bcr, ranked_vertices):
@@ -113,8 +116,10 @@ def test_epsilon3_rejects_degenerate_target():
 
 
 def test_wbcr_wheels():
-    for k in (2, 3):
-        assert wbcr(wheel(k)) == 1 + (-1) ** k
+    for k in range(2, 11):
+        assert wbcr(wheel(k), k_max=10) == 1 + (-1) ** k
+    with pytest.raises(DegreeOutOfRange):
+        wbcr(wheel(5))
 
 
 def test_wbcr_flips_with_orientation():
@@ -161,45 +166,53 @@ def test_degree_one_contributions_cancel():
     assert total == 0
 
 
-def test_triples_reproduce_wbcr_and_ignore_numbering():
-    rng = random.Random(17)
-    for k in (1, 2):
-        for rep in enumerate_jacobi(k):
-            if class_of(rep)[1] == 0:
-                continue
-            want = wbcr(rep)
-            j0 = canonical_numbering(rep)
-            assert wbcr_from_triples(rep, j0) == want
-            for _ in range(10):
-                labels = rng.sample(range(1, 3 * k + 1), len(rep.edges))
-                j = {i: labels[i] for i in range(len(rep.edges))}
-                assert wbcr_from_triples(rep, j) == want
+# -- sources on the target ------------------------------------------------
+
+def _line_rank(d):
+    return {v: i + 1 for i, v in enumerate(d.univalent_order)}
 
 
-def test_numbering_independence_degree_three_spot_checks():
-    rng = random.Random(23)
-    targets = [wheel(3), product(single_chord(), wheel(2)),
-               product(single_chord(),
-                       product(single_chord(), single_chord()))]
-    for rep in targets:
-        want = wbcr(rep)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sources_are_valid_and_induce_their_target(k):
+    for rep in enumerate_jacobi(k):
+        key, sign = class_of(rep)
+        rank = _line_rank(rep)
+        for edges, s in sources(rep):
+            bcr = validate_bcr(rep.nv, rep.trivalent, edges)
+            assert class_of(jacobi_of(bcr, rank))[0] == key
+            if sign:
+                assert s == (epsilon(bcr) * epsilon2(bcr, rank)
+                             * epsilon3(rep, bcr, rank))
+
+
+@pytest.mark.parametrize("k, total", [
+    (1, 2), (2, 56), (3, 2186),
+    pytest.param(4, 183366, marks=pytest.mark.slow)])
+def test_source_totals_per_degree(k, total):
+    assert sum(len(list(sources(rep))) for rep in enumerate_jacobi(k)) \
+        == total
+
+
+@pytest.mark.parametrize("k", [
+    1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_wbcr_matches_the_ordering_scan(k):
+    # sources are counted on the diagram as given, so relabeling its
+    # vertices and edges must not change the count
+    rng = random.Random(17 + k)
+    for rep in enumerate_jacobi(k, k_max=k):
+        want = wbcr_by_orderings(rep, k)
+        assert wbcr(rep, k) == want
         for _ in range(3):
-            labels = rng.sample(range(1, 10), len(rep.edges))
-            j = {i: labels[i] for i in range(len(rep.edges))}
-            assert wbcr_from_triples(rep, j) == want
+            assert wbcr(shuffled_jacobi(rep, rng), k) == want
 
 
-@pytest.mark.slow
-def test_numbering_independence_degree_three_all_classes():
-    rng = random.Random(29)
-    for rep in enumerate_jacobi(3):
-        if class_of(rep)[1] == 0:
-            continue
-        want = wbcr(rep)
-        for _ in range(10):
-            labels = rng.sample(range(1, 10), len(rep.edges))
-            j = {i: labels[i] for i in range(len(rep.edges))}
-            assert wbcr_from_triples(rep, j) == want
+def test_verify_main_never_builds_the_ordering_table(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the ordering scan was used")
+    monkeypatch.setattr(bridge, "_wbcr_table", boom)
+    monkeypatch.setattr(bridge, "enumerate_bcr", boom)
+    rows = verify_main(3)
+    assert len(rows) == 67 and all(r["equal"] for r in rows)
 
 
 # -- the two involutions used in the compatibility proofs --------------------
@@ -210,8 +223,26 @@ def _numbered_key(jd, numbering):
     return class_of(d, with_numbering=True)[0]
 
 
-def _target_key(target, j):
-    return _numbered_key(target, j)
+def _numbering(d):
+    return {i: i + 1 for i in range(len(d.edges))}
+
+
+def _decorated_sources(target):
+    """Sources of the target as (bcr, rho, sigma, sign): ranked by the
+    target's line, external edges numbered by the target's edge order."""
+    rho, sigma = _line_rank(target), _numbering(target)
+    for edges, sign in sources(target):
+        yield (validate_bcr(target.nv, target.trivalent, edges), rho, sigma,
+               sign)
+
+
+def _decorated_key(bcr, rho, sigma):
+    """Canonical form of an ordered, numbered source diagram."""
+    colors = [("e",) if v in bcr.external else ("i", rho[v])
+              for v in range(bcr.nv)]
+    entries = [(a, b, (cls, sigma.get(i, 0)))
+               for i, (a, b, cls) in enumerate(bcr.edges)]
+    return canonical_form(bcr.nv, colors, entries, directed=True)[0]
 
 
 def _triple_member_key(bcr, rho, sigma):
@@ -223,28 +254,30 @@ def _term_sign(target, bcr, rho):
     return epsilon(bcr) * epsilon2(bcr, rho) * epsilon3(target, bcr, rho)
 
 
-def _stu_site_cases(k):
-    for rep in enumerate_jacobi(k):
-        for (t, u) in stu_sites(rep):
-            d1, d2 = stu_expand(rep, t, u)
-            if class_of(d1)[1] == 0 or class_of(d2)[1] == 0:
-                continue
-            pos = list(rep.univalent_order).index(u)
-            yield rep, d1, d2, pos
+def _stu_site_cases(degrees):
+    for k in degrees:
+        for rep in enumerate_jacobi(k):
+            for (t, u) in stu_sites(rep):
+                d1, d2 = stu_expand(rep, t, u)
+                if class_of(d1)[1] == 0 or class_of(d2)[1] == 0:
+                    continue
+                pos = list(rep.univalent_order).index(u)
+                yield rep, d1, d2, pos
 
 
 def test_stu_ordering_bijection_and_sign_reversing_involution():
     # the transposition of the two new line vertices maps sources of the
     # first resolution onto sources of the second, reversing the
     # rank-comparison sign exactly when one internal edge joins them; on
-    # the doubly-trivalent part a second pairing cancels terms outright
-    for rep, d1, d2, pos in _stu_site_cases(2):
-        j1 = canonical_numbering(d1)
-        key_target_2 = _target_key(d2, j1)
-        triples = source_triples(d1, j1)
+    # the doubly-trivalent part (empty in degree 2) a second pairing
+    # cancels terms outright
+    paired = 0
+    for rep, d1, d2, pos in _stu_site_cases((2, 3)):
+        key_target_2 = _numbered_key(d2, _numbering(d1))
+        triples = list(_decorated_sources(d1))
         g1a_keys = set()
-        for tri in triples:
-            bcr, rho, sigma = tri.bcr, tri.rho, tri.sigma
+        for bcr, rho, sigma, sign in triples:
+            assert sign == _term_sign(d1, bcr, rho)
             inv_rho = {r: v for v, r in rho.items()}
             v_g, w_g = inv_rho[pos + 1], inv_rho[pos + 2]
             internal_between = [
@@ -261,12 +294,11 @@ def test_stu_ordering_bijection_and_sign_reversing_involution():
 
             both_trivalent = (bcr.type_of[v_g] == 2 and bcr.type_of[w_g] == 2)
             if len(internal_between) == 1 and both_trivalent:
-                g1a_keys.add(tri.key())
+                g1a_keys.add(_decorated_key(bcr, rho, sigma))
         # now the sign-reversing involution inside that part
-        for tri in triples:
-            if tri.key() not in g1a_keys:
+        for bcr, rho, sigma, _sign in triples:
+            if _decorated_key(bcr, rho, sigma) not in g1a_keys:
                 continue
-            bcr, rho, sigma = tri.bcr, tri.rho, tri.sigma
             inv_rho = {r: v for v, r in rho.items()}
             v_g, w_g = inv_rho[pos + 1], inv_rho[pos + 2]
             legs = bcr.leg_edges()
@@ -277,7 +309,7 @@ def test_stu_ordering_bijection_and_sign_reversing_involution():
             rho_star[x_g], rho_star[y_g] = rho[y_g], rho[x_g]
             sigma_star = dict(sigma)
             sigma_star[e_leg], sigma_star[f_leg] = sigma[f_leg], sigma[e_leg]
-            image_key = Triple(bcr, rho_star, sigma_star, None, None).key()
+            image_key = _decorated_key(bcr, rho_star, sigma_star)
             assert image_key in g1a_keys
             assert _term_sign(d1, bcr, rho_star) == -_term_sign(d1, bcr, rho)
             # twice brings the triple back
@@ -285,6 +317,8 @@ def test_stu_ordering_bijection_and_sign_reversing_involution():
             rho_back[v_g], rho_back[w_g] = rho_star[w_g], rho_star[v_g]
             rho_back[x_g], rho_back[y_g] = rho_star[y_g], rho_star[x_g]
             assert rho_back == rho
+            paired += 1
+    assert paired > 0
 
 
 def _first_factor_vertices(bcr, rho, m_uni):
@@ -355,25 +389,29 @@ def test_product_sources_cancel_by_involution():
     cases = [(single_chord(), single_chord()),
              (single_chord(), wheel(2)),
              (single_chord(), product(single_chord(), single_chord()))]
+    checked = 0
     for d1, d2 in cases:
         target = product(d1, d2)
         if class_of(target)[1] == 0:
             continue
-        j = canonical_numbering(target)
-        target_key = _target_key(target, j)
-        triples = source_triples(target, j)
-        all_keys = {tri.key() for tri in triples}
+        j = _numbering(target)
+        target_key = _numbered_key(target, j)
+        triples = list(_decorated_sources(target))
+        all_keys = {_decorated_key(b, r, s) for b, r, s, _ in triples}
         m_uni = len(d1.univalent_order)
-        for tri in triples:
+        for bcr, rho, sigma, sign in triples:
+            assert sign == _term_sign(target, bcr, rho)
+            key = _decorated_key(bcr, rho, sigma)
             bcr2, rho2, sigma2 = _product_involution_step(
-                target, j, tri.bcr, tri.rho, tri.sigma, m_uni)
+                target, j, bcr, rho, sigma, m_uni)
             assert _triple_member_key(bcr2, rho2, sigma2) == target_key
-            key2 = Triple(bcr2, rho2, sigma2, None, None).key()
+            key2 = _decorated_key(bcr2, rho2, sigma2)
             assert key2 in all_keys
-            assert key2 != tri.key()
-            assert _term_sign(target, bcr2, rho2) == \
-                -_term_sign(target, tri.bcr, tri.rho)
+            assert key2 != key
+            assert _term_sign(target, bcr2, rho2) == -sign
             bcr3, rho3, sigma3 = _product_involution_step(
                 target, j, bcr2, rho2, sigma2, m_uni)
-            assert Triple(bcr3, rho3, sigma3, None, None).key() == tri.key()
-        assert sum(_term_sign(target, t.bcr, t.rho) for t in triples) == 0
+            assert _decorated_key(bcr3, rho3, sigma3) == key
+        assert sum(sign for *_, sign in triples) == 0
+        checked += len(triples)
+    assert checked > 0

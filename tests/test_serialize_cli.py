@@ -198,3 +198,60 @@ def test_cli_verify_lemma33_respects_the_cap(tmp_path, monkeypatch, capsys):
     assert "outside supported range" in capsys.readouterr().err
     assert _run(tmp_path, monkeypatch,
                 "verify", "lemma33", "--degree", "3", "--k-max", "2") == 2
+
+
+def test_cli_verify_lemma33_past_the_default_cap(tmp_path, monkeypatch,
+                                                 capsys):
+    assert _run(tmp_path, monkeypatch, "verify", "lemma33", "--degree", "6",
+                "--k-max", "6") == 0
+    assert "wbcr(wheel_6) = 2" in capsys.readouterr().out
+
+
+_DIAGRAM_ARGV = [("wbcr", "--diagram"),
+                 ("weight", "--system", "wc", "--diagram")]
+
+
+def _assert_input_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("case", ["missing", "directory"])
+@pytest.mark.parametrize("argv", _DIAGRAM_ARGV + [("alexander", "--pd")])
+def test_cli_unreadable_input_exits_two(tmp_path, monkeypatch, capsys, argv,
+                                        case):
+    path = tmp_path / "input"
+    if case == "directory":
+        path.mkdir()
+    assert _run(tmp_path, monkeypatch, *argv, str(path)) == 2
+    _assert_input_error(capsys)
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "jacobi", "vertices": [',
+    '{"kind": "jacobi", "edges": []}',
+    "[1, 2]",
+    to_json(wheel_bcr(2)),
+], ids=["malformed", "no_vertices", "a_list", "bcr_kind"])
+@pytest.mark.parametrize("argv", _DIAGRAM_ARGV)
+def test_cli_malformed_diagram_exits_two(tmp_path, monkeypatch, capsys, argv,
+                                         text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert _run(tmp_path, monkeypatch, *argv, str(path)) == 2
+    _assert_input_error(capsys)
+
+
+def test_cli_series_order_zero_and_negative(tmp_path, monkeypatch, capsys):
+    pd = str(FIXTURES / "3_1.pd")
+    assert _run(tmp_path, monkeypatch, "alexander", "--json", "--pd", pd,
+                "--series", "0") == 0
+    assert json.loads(capsys.readouterr().out)["series"] == ["1"]
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, monkeypatch, "alexander", "--pd", pd, "--series", "-1")
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --series" in captured.err
