@@ -183,15 +183,15 @@ def validate_bcr(nv, external, edges):
 
 
 def bcr_canonical(d):
-    """Canonical key and the minimizing relabelings of a BCR diagram."""
+    """Canonical key, one minimizing relabeling and generators of the
+    automorphism group of a BCR diagram (see `canon.canonical_form`)."""
     colors = [("e",) if v in d.external else ("i",) for v in range(d.nv)]
     entries = [(a, b, cls) for (a, b, cls) in d.edges]
     return canonical_form(d.nv, colors, entries, directed=True)
 
 
 def bcr_key(d):
-    key, _ = bcr_canonical(d)
-    return key
+    return bcr_canonical(d)[0]
 
 
 def degree_one_bcr():

@@ -232,10 +232,23 @@ def _parallel_factor(rep):
     return out
 
 
+def _group_order(n, gens):
+    """Order of the group generated by vertex permutations `gens`, by
+    closure: only the oracle below needs |Aut|, the program never does."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        frontier = [q for q in {tuple(g[x] for x in p)
+                                for p in frontier for g in gens}
+                    if q not in seen]
+        seen.update(frontier)
+    return len(seen)
+
+
 def _jacobi_edge_aut_order(rep):
     entries = [(u, v, 0) for (u, v) in rep.edges]
-    _, perms = canonical_form(rep.nv, _colors(rep), entries)
-    return len(perms) * _parallel_factor(rep)
+    _, _, gens = canonical_form(rep.nv, _colors(rep), entries)
+    return _group_order(rep.nv, gens) * _parallel_factor(rep)
 
 
 @per_degree(lowest=1)
@@ -244,8 +257,7 @@ def _wbcr_table(k):
     (representative, ordering) pairs, each divided by |Aut| of its source."""
     table = {}
     for bcr in enumerate_bcr(k, k_max=k):
-        _, perms = bcr_canonical(bcr)
-        aut = len(perms)
+        aut = _group_order(bcr.nv, bcr_canonical(bcr)[2])
         eps = epsilon(bcr)
         # the per-term denominator identity: internal edges make up
         # exactly the gap between 2k and the induced edge count

@@ -3,16 +3,26 @@
 Every diagram handled by this package has at most ~16 vertices, so canonical
 forms are computed exactly: a color-respecting relabeling minimizing the
 sorted edge list is found by depth-first search with prefix pruning, after a
-Weisfeiler-Leman style refinement of the color classes.  The search returns
-*all* minimizing relabelings, which doubles as the automorphism group (its
-order is the number of relabelings returned).
+Weisfeiler-Leman style refinement of the color classes.  The search also
+collects generators of the automorphism group and prunes with them
+[McKay-Piperno, *Practical graph isomorphism II*, JSC 60 (2014)]: a child
+in the same orbit as an earlier sibling, under the generators found so far
+that fix the current prefix pointwise, roots a subtree with the same edge
+lists, so it is skipped.  Each further leaf reaching the best edge list is
+one generator, and the search jumps back to where that leaf's path leaves
+the best one, since the generator maps the rest of that subtree onto
+explored ground.  Every skipped minimal leaf is the image of an earlier one
+under the group found so far, so that group is all of Aut.
 
 Edges are triples ``(u, v, tag)``; parallel edges are simply repeated
 entries.  Edge tokens are keyed by the larger endpoint first so that the
 edges inside an assigned prefix of slots form a prefix of the final sorted
-token list, which is what makes the pruning sound.
+token list, which is what makes the pruning sound.  That prefix is also
+complete: every later token has a larger first entry, so a prefix that
+stops short of the best list's tokens on the same slots already loses.
 """
 
+from bisect import bisect_left
 from itertools import groupby
 
 
@@ -60,16 +70,36 @@ def _refine(cells, incidence):
             return cells
 
 
+def _orbits(n, gens):
+    """Orbit labels of the group generated by `gens` on 0..n-1."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for g in gens:
+        for v in range(n):
+            a, b = find(v), find(g[v])
+            if a != b:
+                root[a] = b
+    return [find(v) for v in range(n)]
+
+
 def canonical_form(n, colors, edges, directed=False):
     """Minimal relabeling of a vertex-colored multigraph.
 
-    Returns ``(key, perms)`` where ``key = (slot_colors, edge_tokens)`` is
-    relabeling-invariant and ``perms`` lists every map ``vertex -> slot``
-    (as a tuple indexed by vertex) that achieves the minimum.  Relabelings
+    Returns ``(key, perm, gens)``.  ``key = (slot_colors, edge_tokens)`` is
+    relabeling-invariant; ``perm`` is one map ``vertex -> slot`` (a tuple
+    indexed by vertex) that achieves the minimum; ``gens`` lists vertex
+    permutations generating the automorphism group, so the minimizing
+    relabelings are exactly ``perm`` composed with that group.  Relabelings
     must preserve colors; slots are ordered by color.
     """
     if n == 0:
-        return ((), ()), [()]
+        return ((), ()), (), []
     order = sorted(range(n), key=lambda v: (colors[v], v))
     slot_colors = tuple(colors[v] for v in order)
 
@@ -87,62 +117,76 @@ def canonical_form(n, colors, edges, directed=False):
 
     # Slot ranges follow the refined cell order; all vertices in one cell
     # share a color, so any assignment keeps slot_colors fixed.
-    flat_cells = []
+    slot_cell = []
     for cell in cells:
-        flat_cells.append(sorted(cell))
+        slot_cell.extend([sorted(cell)] * len(cell))
 
-    best_tokens = None
-    best_perms = []
-    assign = [-1] * n  # vertex -> slot
-    slot_vertex = [-1] * n
-
-    # Edges grouped by vertex for incremental finalization.
     edges_at = [[] for _ in range(n)]
-    for idx, (u, v, tag) in enumerate(edges):
-        edges_at[u].append((idx, u, v, tag))
+    for (u, v, tag) in edges:
+        edges_at[u].append((u, v, tag))
         if u != v:
-            edges_at[v].append((idx, u, v, tag))
+            edges_at[v].append((u, v, tag))
 
-    def dfs(cell_i, pos_in_cell, next_slot, tokens):
-        nonlocal best_tokens, best_perms
-        if cell_i == len(flat_cells):
-            if best_tokens is None or tokens < best_tokens:
-                best_tokens = list(tokens)
-                best_perms = [tuple(assign)]
-            elif tokens == best_tokens:
-                best_perms.append(tuple(assign))
-            return
-        cell = flat_cells[cell_i]
-        if pos_in_cell == len(cell):
-            dfs(cell_i + 1, 0, next_slot, tokens)
-            return
-        for v in cell:
+    assign = [-1] * n  # vertex -> slot
+    path = []          # slot -> vertex, for the assigned prefix
+    best = None        # (tokens, perm, path) of the least leaf so far
+    end = [(n,)]       # sorts after every token
+    gens = []
+
+    def dfs(s, tokens):
+        """Search below the prefix `path`; return the level to resume at
+        (``s`` to go on with the siblings, less to jump back)."""
+        nonlocal best
+        if s == n:
+            if best is None or tokens < best[0]:
+                best = (tokens, tuple(assign), list(path))
+                return s
+            # tokens equal the best (anything larger was pruned): the map
+            # carrying this leaf onto the best leaf is an automorphism
+            best_path = best[2]
+            gens.append(tuple(best_path[assign[v]] for v in range(n)))
+            c = 0
+            while path[c] == best_path[c]:
+                c += 1
+            return c
+        tried = []
+        seen_gens = 0
+        orbit = None
+        for v in slot_cell[s]:
             if assign[v] != -1:
                 continue
-            assign[v] = next_slot
-            slot_vertex[next_slot] = v
+            if seen_gens != len(gens):
+                seen_gens = len(gens)
+                fixing = [g for g in gens if all(g[w] == w for w in path)]
+                orbit = _orbits(n, fixing) if fixing else None
+            if orbit is not None and any(orbit[v] == orbit[w] for w in tried):
+                continue
+            tried.append(v)
+            assign[v] = s
+            path.append(v)
             new_tokens = []
-            for (idx, a, b, tag) in edges_at[v]:
-                w = b if a == v else a
-                if assign[w] != -1:
-                    if directed:
-                        new_tokens.append(_edge_token(assign[a], assign[b], tag, True))
-                    else:
-                        new_tokens.append(_edge_token(assign[a], assign[b], tag, False))
-            merged = sorted(tokens + new_tokens)
-            prune = False
-            if best_tokens is not None:
-                prefix = best_tokens[:len(merged)]
-                if merged > prefix:
-                    prune = True
-            if not prune:
-                dfs(cell_i, pos_in_cell + 1, next_slot + 1, merged)
+            for (a, b, tag) in edges_at[v]:
+                if assign[a] != -1 and assign[b] != -1:
+                    new_tokens.append(
+                        _edge_token(assign[a], assign[b], tag, directed))
+            # every new token has the largest slot s, so it sorts last, and
+            # merged holds every token with hi <= s of any leaf below: a
+            # leaf there loses to the best if merged, ended by a sentinel,
+            # is larger than the best's tokens with hi <= s
+            new_tokens.sort()
+            merged = tokens + new_tokens
+            back = s
+            if best is None or not merged + end > (
+                    best[0][:bisect_left(best[0], (s + 1,))] + end):
+                back = dfs(s + 1, merged)
+            path.pop()
             assign[v] = -1
-            slot_vertex[next_slot] = -1
-        return
+            if back < s:
+                return back
+        return s
 
-    dfs(0, 0, 0, [])
-    return (slot_colors, tuple(best_tokens)), best_perms
+    dfs(0, [])
+    return (slot_colors, tuple(best[0])), best[1], gens
 
 
 def edge_map_for_perm(edges, perm, directed=False):

@@ -26,9 +26,12 @@ class JacobiDiagram:
                       when the diagram came from a directed construction
       orient          dict trivalent vertex -> cyclic triple of half-edges
       numbering       optional dict edge index -> label in 1..3k
+      record          ``canonicalize``'s result, set only on the interned
+                      class representative
     """
 
-    __slots__ = ("nv", "univalent_order", "edges", "orient", "numbering")
+    __slots__ = ("nv", "univalent_order", "edges", "orient", "numbering",
+                 "record")
 
     def __init__(self, nv, univalent_order, edges, orient, numbering=None,
                  validate=True):
@@ -37,6 +40,7 @@ class JacobiDiagram:
         self.edges = tuple((u, v) for (u, v) in edges)
         self.orient = {v: tuple(c) for v, c in orient.items()}
         self.numbering = dict(numbering) if numbering else None
+        self.record = None
         if validate:
             self._validate()
 
@@ -330,33 +334,38 @@ def _cyclic_parity(triple):
     return -1
 
 
+def _orientation_sign(d, entries, perm):
+    """Sign of d's orientation against the default in the labels `perm`."""
+    _, emap = edge_map_for_perm(entries, perm)
+    s = 1
+    for v, cyc in d.orient.items():
+        moved = tuple((emap[e], 0 if perm[d.edges[e][end]] == max(
+            perm[d.edges[e][0]], perm[d.edges[e][1]]) else 1)
+            for (e, end) in cyc)
+        s *= _cyclic_parity(moved)
+    return s
+
+
 def class_of(d, with_numbering=False):
     """Canonical class of an oriented diagram: ``(key, sign)``.
 
     The key identifies the diagram up to isomorphisms preserving the line
     order and (optionally) the edge numbering, with trivalent orientations
     forgotten.  The sign compares the given orientation with the class
-    default (ascending half-edges at every vertex in canonical labels);
-    it is 0 exactly when some automorphism reverses an odd number of
+    default (ascending half-edges at every vertex in canonical labels),
+    read in one minimizing labeling.  Relabeling by an automorphism
+    multiplies it by a character of the automorphism group, so it is 0
+    exactly when some generator of that group reverses an odd number of
     vertices, in which case the class vanishes by antisymmetry.
     """
     if any(a == b for (a, b) in d.edges):
         return None, 0
     tags = _edge_tags(d, with_numbering)
     entries = [(u, v, tags[i]) for i, (u, v) in enumerate(d.edges)]
-    key, perms = canonical_form(d.nv, _colors(d), entries)
-    sign = None
-    for perm in perms:
-        _, emap = edge_map_for_perm(entries, perm)
-        s = 1
-        for v, cyc in d.orient.items():
-            moved = tuple((emap[e], 0 if perm[d.edges[e][end]] == max(
-                perm[d.edges[e][0]], perm[d.edges[e][1]]) else 1)
-                for (e, end) in cyc)
-            s *= _cyclic_parity(moved)
-        if sign is None:
-            sign = s
-        elif sign != s:
+    key, perm, gens = canonical_form(d.nv, _colors(d), entries)
+    sign = _orientation_sign(d, entries, perm)
+    for g in gens:
+        if _orientation_sign(d, entries, [perm[w] for w in g]) != sign:
             return key, 0
     return key, sign
 
@@ -371,8 +380,13 @@ def canonicalize(d):
 
     The representative is built even when the class vanishes (sign 0), so
     enumerations can list it; only loop-carrying diagrams have no class at
-    all and come back as ``(None, 0, None)``.
+    all and come back as ``(None, 0, None)``.  An interned representative
+    carries its own record, so canonicalizing that same object again runs
+    no search; copies of it, relabeled or flipped, are new objects and
+    are canonicalized afresh.
     """
+    if d.record is not None:
+        return d.record
     key, sign = class_of(d)
     if key is None:
         return None, 0, None
@@ -383,6 +397,11 @@ def canonicalize(d):
         order.sort(key=lambda i: slot_colors[i][1])
         edges = [(tok[1], tok[0]) for tok in tokens]
         rep = make_diagram(len(slot_colors), order, edges)
+        # rep is drawn in canonical labels with its edges in token order, so
+        # the identity is a minimizing labeling under which its ascending
+        # orientation is the class default: its sign is 1 unless the class
+        # vanishes.
+        rep.record = (key, 1 if sign else 0, rep)
         _registry[key] = rep
     return key, sign, rep
 

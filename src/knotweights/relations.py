@@ -7,16 +7,19 @@ Relators are emitted per class representative and local site:
                                    to a univalent one
   IHX  [I] - [H] + [X]             every edge with two trivalent ends
 
-Orientation signs are folded in on insertion, so AS relators are zero
-vectors by construction; they are still listed (their count is part of the
-contract) and the STU/IHX rows carry all the content.  IHX is implied by
-STU wherever a component touches the line, but it is the only relation
-available on purely trivalent components, so it is generated everywhere.
+Orientation signs are folded in on insertion, so an AS relator is the zero
+vector: flipping one vertex keeps the class and negates its sign (a test
+checks this at every vertex through degree 3).  AS relators are therefore
+listed as zero vectors without canonicalizing the flipped diagram (their
+count is part of the contract) and the STU/IHX rows carry all the content.
+IHX is implied by STU wherever a component touches the line, but it is the
+only relation available on purely trivalent components, so it is generated
+everywhere.
 """
 
 from .enumerate import K_MAX, check_degree, enumerate_jacobi
-from .jacobi import flipped, ihx_terms, internal_edges, stu_expand, stu_sites
-from .vectors import vector_of
+from .jacobi import ihx_terms, internal_edges, stu_expand, stu_sites
+from .vectors import DiagramVector, vector_of
 
 
 class RelationSet:
@@ -47,8 +50,7 @@ def generate_relations(k, k_max=K_MAX):
         return rels
     for rep in enumerate_jacobi(k, k_max=k):
         for v in rep.trivalent:
-            vec = vector_of(flipped(rep, v)) + vector_of(rep)
-            rels.add("AS", (rep, v), vec)
+            rels.add("AS", (rep, v), DiagramVector.zero(k))
         for (t, u) in stu_sites(rep):
             s, d1, d2 = stu_triple(rep, t, u)
             vec = vector_of(s) - vector_of(d1) + vector_of(d2)

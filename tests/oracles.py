@@ -1,13 +1,16 @@
 """Naive generate-and-filter enumerations used to cross-check the fast
-generators, and a dense rank for the sparse eliminator.  Everything here
-works by exhausting a finite search space and keeping what passes an
-independently coded validity test, or by textbook elimination."""
+generators, a dense rank for the sparse eliminator, and the canonical
+labeling search without automorphism pruning.  Everything here works by
+exhausting a finite search space and keeping what passes an independently
+coded validity test, or by textbook elimination."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (combinations, combinations_with_replacement, groupby,
+                       product)
 
+from knotweights import canon
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
-from knotweights.jacobi import class_of, make_diagram
+from knotweights.jacobi import _colors, _orientation_sign, class_of, make_diagram
 
 
 def _bcr_local_check(nv, external, edges):
@@ -123,3 +126,108 @@ def dense_rank_oracle(rows, columns):
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def canonical_form_all(n, colors, edges, directed=False):
+    """`canon.canonical_form` without automorphism pruning: the search
+    visits every minimizing relabeling and returns ``(key, perms)`` with
+    all of them, so ``len(perms)`` is the order of the automorphism group.
+    """
+    if n == 0:
+        return ((), ()), [()]
+    order = sorted(range(n), key=lambda v: (colors[v], v))
+    slot_colors = tuple(colors[v] for v in order)
+
+    incidence = [[] for _ in range(n)]
+    for (u, v, tag) in edges:
+        if directed:
+            incidence[u].append((v, tag, 1))
+            incidence[v].append((u, tag, -1))
+        else:
+            incidence[u].append((v, tag, 0))
+            incidence[v].append((u, tag, 0))
+
+    cells = [list(g) for _, g in groupby(order, key=lambda v: colors[v])]
+    cells = canon._refine(cells, incidence)
+
+    # Slot ranges follow the refined cell order; all vertices in one cell
+    # share a color, so any assignment keeps slot_colors fixed.
+    flat_cells = []
+    for cell in cells:
+        flat_cells.append(sorted(cell))
+
+    best_tokens = None
+    best_perms = []
+    assign = [-1] * n  # vertex -> slot
+
+    # Edges grouped by vertex for incremental finalization.
+    edges_at = [[] for _ in range(n)]
+    for idx, (u, v, tag) in enumerate(edges):
+        edges_at[u].append((idx, u, v, tag))
+        if u != v:
+            edges_at[v].append((idx, u, v, tag))
+
+    def dfs(cell_i, pos_in_cell, next_slot, tokens):
+        nonlocal best_tokens, best_perms
+        if cell_i == len(flat_cells):
+            if best_tokens is None or tokens < best_tokens:
+                best_tokens = list(tokens)
+                best_perms = [tuple(assign)]
+            elif tokens == best_tokens:
+                best_perms.append(tuple(assign))
+            return
+        cell = flat_cells[cell_i]
+        if pos_in_cell == len(cell):
+            dfs(cell_i + 1, 0, next_slot, tokens)
+            return
+        for v in cell:
+            if assign[v] != -1:
+                continue
+            assign[v] = next_slot
+            new_tokens = []
+            for (idx, a, b, tag) in edges_at[v]:
+                w = b if a == v else a
+                if assign[w] != -1:
+                    new_tokens.append(canon._edge_token(assign[a], assign[b],
+                                                        tag, directed))
+            merged = sorted(tokens + new_tokens)
+            prune = False
+            if best_tokens is not None:
+                prefix = best_tokens[:len(merged)]
+                if merged > prefix:
+                    prune = True
+            if not prune:
+                dfs(cell_i, pos_in_cell + 1, next_slot + 1, merged)
+            assign[v] = -1
+        return
+
+    dfs(0, 0, 0, [])
+    return (slot_colors, tuple(best_tokens)), best_perms
+
+
+def group_order(n, gens):
+    """Order of the permutation group on 0..n-1 generated by `gens`, by
+    closing the identity under right multiplication by the generators."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[x] for x in p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(seen)
+
+
+def class_of_all(d):
+    """`jacobi.class_of` by the unpruned search, as ``(key, sign, |Aut|)``:
+    the sign is read in every minimizing relabeling and is 0 unless they
+    all agree."""
+    entries = [(u, v, 0) for (u, v) in d.edges]
+    key, perms = canonical_form_all(d.nv, _colors(d), entries)
+    signs = {_orientation_sign(d, entries, perm) for perm in perms}
+    return key, (signs.pop() if len(signs) == 1 else 0), len(perms)

@@ -9,6 +9,7 @@ from knotweights.errors import (DegreeOutOfRange, Disconnected, EmptyGraph,
                                 LoopEdge, VertexTypeViolation)
 
 from helpers import shuffled_bcr
+from oracles import canonical_form_all, group_order
 
 
 def test_degree_one_diagram():
@@ -108,5 +109,21 @@ def test_relabeling_preserves_key():
 
 def test_wheel_automorphisms_are_rotations():
     for k in (2, 3, 4):
-        _, perms = bcr_canonical(wheel_bcr(k))
-        assert len(perms) == k
+        d = wheel_bcr(k)
+        _, _, gens = bcr_canonical(d)
+        assert group_order(d.nv, gens) == k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bcr_canonical_form_matches_the_unpruned_search(k):
+    rng = random.Random(k)
+    for rep in enumerate_bcr(k):
+        for d in [rep] + [shuffled_bcr(rep, rng) for _ in range(3)]:
+            key, perm, gens = bcr_canonical(d)
+            colors = [("e",) if v in d.external else ("i",)
+                      for v in range(d.nv)]
+            key_all, perms = canonical_form_all(d.nv, colors, list(d.edges),
+                                                directed=True)
+            assert key == key_all
+            assert perm in perms
+            assert group_order(d.nv, gens) == len(perms)

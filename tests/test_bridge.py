@@ -4,7 +4,8 @@ from math import factorial
 import pytest
 
 from knotweights import bridge
-from knotweights.bcr import EXTERNAL, INTERNAL, validate_bcr, wheel_bcr
+from knotweights.bcr import (EXTERNAL, INTERNAL, bcr_canonical, validate_bcr,
+                             wheel_bcr)
 from knotweights.bridge import (epsilon, epsilon2, epsilon3, jacobi_of,
                                 orderings, sources, verify_main, verify_stu,
                                 wbcr, wbcr_by_orderings)
@@ -17,6 +18,7 @@ from knotweights.jacobi import (JacobiDiagram, class_of, flipped,
 from knotweights.bcr import degree_one_bcr
 
 from helpers import shuffled_jacobi
+from oracles import canonical_form_all, class_of_all
 
 
 def _rho_from_ranks(bcr, ranked_vertices):
@@ -204,6 +206,20 @@ def test_wbcr_matches_the_ordering_scan(k):
         assert wbcr(rep, k) == want
         for _ in range(3):
             assert wbcr(shuffled_jacobi(rep, rng), k) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_oracle_group_orders_match_the_unpruned_search(k):
+    # the ordering scan weighs its terms by |Aut|, which it now closes
+    # from the generators the pruned search returns
+    for rep in enumerate_jacobi(k):
+        assert bridge._jacobi_edge_aut_order(rep) == (
+            class_of_all(rep)[2] * bridge._parallel_factor(rep))
+    for d in enumerate_bcr(k):
+        colors = [("e",) if v in d.external else ("i",) for v in range(d.nv)]
+        perms = canonical_form_all(d.nv, colors, list(d.edges),
+                                   directed=True)[1]
+        assert bridge._group_order(d.nv, bcr_canonical(d)[2]) == len(perms)
 
 
 def test_verify_main_never_builds_the_ordering_table(monkeypatch):

@@ -2,15 +2,19 @@ import random
 
 import pytest
 
+from knotweights import canon, jacobi
+from knotweights.canon import canonical_form, edge_map_for_perm
 from knotweights.errors import (DegreeOutOfRange, InvalidNumbering, LoopEdge,
                                 VertexTypeViolation)
-from knotweights.jacobi import (JacobiDiagram, canonicalize, chord_diagram,
+from knotweights.jacobi import (JacobiDiagram, _colors, canonicalize, chord_diagram,
                                 class_of, empty_diagram, flipped,
                                 make_diagram, product, single_chord,
                                 theta_graph, validate_jacobi, wheel)
 from knotweights.enumerate import enumerate_jacobi
+from knotweights.vectors import DiagramVector, vector_of
 
 from helpers import shuffled_jacobi
+from oracles import class_of_all, group_order
 
 
 def test_empty_diagram_is_valid_degree_zero():
@@ -142,3 +146,62 @@ def test_relabeling_preserves_key_and_sign():
         for _ in range(50):
             key2, sign2 = class_of(shuffled_jacobi(d, rng))
             assert (key2, sign2) == (key, sign)
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_canonical_form_matches_the_unpruned_search(k):
+    rng = random.Random(k)
+    for rep in enumerate_jacobi(k):
+        for d in [rep] + [shuffled_jacobi(rep, rng) for _ in range(3)]:
+            entries = [(u, v, 0) for (u, v) in d.edges]
+            key, perm, gens = canonical_form(d.nv, _colors(d), entries)
+            key_all, sign_all, aut = class_of_all(d)
+            assert key == key_all
+            assert edge_map_for_perm(entries, perm)[0] == list(key[1])
+            assert group_order(d.nv, gens) == aut
+            assert class_of(d) == (key, sign_all)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_flip_negates_the_sign_at_every_vertex(k):
+    for rep in enumerate_jacobi(k):
+        key, sign = class_of(rep)
+        for v in rep.trivalent:
+            assert class_of(flipped(rep, v)) == (key, -sign)
+
+
+class _SearchRan(Exception):
+    pass
+
+
+def _refuse_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _SearchRan()
+    monkeypatch.setattr(canon, "canonical_form", refuse)
+    monkeypatch.setattr(jacobi, "canonical_form", refuse)
+
+
+def test_representatives_carry_their_class(monkeypatch):
+    reps = [rep for k in range(4) for rep in enumerate_jacobi(k)]
+    classes = [class_of(rep) for rep in reps]
+    _refuse_search(monkeypatch)
+    for rep, (key, sign) in zip(reps, classes):
+        assert canonicalize(rep) == (key, sign, rep)
+        assert vector_of(rep) == DiagramVector(rep.degree, {key: sign})
+
+
+def test_copies_of_a_representative_are_canonicalized_afresh(monkeypatch):
+    reps = [rep for k in range(1, 4) for rep in enumerate_jacobi(k)]
+    copies = []
+    for rep in reps:
+        key, sign, _ = canonicalize(rep)
+        copies.append((rep.relabeled(range(rep.nv)), (key, sign, rep)))
+        for v in rep.trivalent:
+            copies.append((flipped(rep, v), (key, -sign, rep)))
+    for d, want in copies:
+        assert canonicalize(d) == want
+    _refuse_search(monkeypatch)
+    for d, _ in copies:
+        with pytest.raises(_SearchRan):
+            canonicalize(d)

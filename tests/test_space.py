@@ -29,6 +29,12 @@ def test_as_sign_identity():
     assert vector_of(flipped(w, v)) == -vector_of(w)
 
 
+def test_as_relators_are_listed_per_trivalent_vertex():
+    for k in (1, 2, 3):
+        want = sum(len(rep.trivalent) for rep in enumerate_jacobi(k))
+        assert len(generate_relations(k).vectors("AS")) == want
+
+
 def test_no_relations_in_degree_zero():
     assert len(generate_relations(0)) == 0
 
