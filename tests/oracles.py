@@ -10,7 +10,8 @@ from itertools import (combinations, combinations_with_replacement, groupby,
 
 from knotweights import canon
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
-from knotweights.jacobi import _colors, _orientation_sign, class_of, make_diagram
+from knotweights.jacobi import (_colors, _orientation_sign, class_of,
+                                make_diagram)
 
 
 def _bcr_local_check(nv, external, edges):

@@ -6,9 +6,9 @@ from knotweights import canon, jacobi
 from knotweights.canon import canonical_form, edge_map_for_perm
 from knotweights.errors import (DegreeOutOfRange, InvalidNumbering, LoopEdge,
                                 VertexTypeViolation)
-from knotweights.jacobi import (JacobiDiagram, _colors, canonicalize, chord_diagram,
-                                class_of, empty_diagram, flipped,
-                                make_diagram, product, single_chord,
+from knotweights.jacobi import (JacobiDiagram, _colors, canonicalize,
+                                chord_diagram, class_of, empty_diagram,
+                                flipped, make_diagram, product, single_chord,
                                 theta_graph, validate_jacobi, wheel)
 from knotweights.enumerate import enumerate_jacobi
 from knotweights.vectors import DiagramVector, vector_of
