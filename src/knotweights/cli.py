@@ -95,8 +95,9 @@ def cmd_dim(args):
 
 
 def cmd_weight(args):
-    vec = vector_of(_read_jacobi(args.diagram))
-    check_degree(vec.degree, args.k_max)
+    d = _read_jacobi(args.diagram)
+    check_degree(d.degree, args.k_max)
+    vec = vector_of(d)
     value = (wc_eval(vec) if args.system == "wc"
              else wc_prime_eval(vec, k_max=args.k_max))
     if args.json:
@@ -240,7 +241,8 @@ def build_parser():
     a.add_argument("--series", type=_natural, metavar="K",
                    help="expand Delta(e^h) to order K")
     a.add_argument("--zbcr", action="store_true",
-                   help="also print the degree-k log coefficients")
+                   help="also print the degree-k log coefficients "
+                        "(needs --series)")
     a.set_defaults(func=cmd_alexander)
     return p
 
@@ -248,6 +250,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "zbcr", False) and args.series is None:
+        parser.error("--zbcr needs --series")
     try:
         return args.func(args)
     except DiagramError as exc:

@@ -4,20 +4,25 @@ Row reduction is exact sparse Gaussian elimination over Fractions with a
 fixed class ordering (canonical keys, lexicographic), so bases and reduced
 coordinates are reproducible.  The degree-k space splits into
 
-  P  classes of connected diagrams with a univalent vertex,
-  N  the span of non-trivial products (plus the empty class in degree 0),
+  P  connected classes with a univalent vertex,
+  N  the empty class and the product classes,
   T  classes with a purely trivalent component,
 
-and the projection onto P along N + T realizes the connected part used by
-the logarithmic weight system.
+read off the class list: products commute in the quotient, so the product
+classes span every product, and interleaved disconnected classes generate
+no summand.  The independent classes of each summand are eliminated once
+more, each row with its own marker column ranked after the basis columns.
+That checks the sum is direct, and a vector reduced by those rows leaves
+minus its coordinates on the markers; the P ones give the projection onto
+P along N + T, the connected part used by the logarithmic weight system.
 """
 
 from fractions import Fraction
 
 from .enumerate import K_MAX, enumerate_jacobi, per_degree
-from .jacobi import canonicalize, product
+from .jacobi import canonicalize
 from .relations import generate_relations
-from .vectors import DiagramVector, vector_of
+from .vectors import DiagramVector
 
 
 class _Eliminator:
@@ -45,9 +50,11 @@ class _Eliminator:
         return terms
 
     def add_row(self, terms):
+        """Reduce a row and keep it; return its lead column, or None when
+        it reduces to zero."""
         terms = self._reduce_terms(terms)
         if not terms:
-            return False
+            return None
         lead = min(terms, key=self.column_rank.get)
         inv = 1 / terms[lead]
         row = {k: c * inv for k, c in terms.items()}
@@ -61,7 +68,7 @@ class _Eliminator:
                     else:
                         other.pop(k2, None)
         self.pivots[lead] = row
-        return True
+        return lead
 
 
 class Quotient:
@@ -82,10 +89,6 @@ class Quotient:
         terms = self._elim._reduce_terms(vec.terms)
         return DiagramVector(self.degree, terms)
 
-    def coords(self, vec):
-        red = self.reduce(vec)
-        return [red.terms.get(k, Fraction(0)) for k in self.basis]
-
 
 @per_degree()
 def quotient_basis(k):
@@ -103,70 +106,62 @@ def quotient_basis(k):
     return Quotient(k, keys, elim)
 
 
-def _independent(quotient, generators):
-    """Select generators with independent reduced coordinates."""
-    rank = {key: i for i, key in enumerate(quotient.basis)}
-    elim = _Eliminator(rank)
+def _independent(quotient, keys):
+    """The keys whose classes are independent of the ones before them."""
+    elim = _Eliminator({key: i for i, key in enumerate(quotient.basis)})
     picked = []
-    for gen, vec in generators:
-        red = quotient.reduce(vec)
-        if elim.add_row(red.terms):
-            picked.append((gen, quotient.coords(vec)))
+    for key in keys:
+        red = quotient.reduce(DiagramVector(quotient.degree, {key: 1}))
+        if elim.add_row(red.terms) is not None:
+            picked.append(key)
     return picked
 
 
+def _summands(k):
+    """The nonvanishing class keys of degree k in P, N and T."""
+    p_keys, n_keys, t_keys = [], [], []
+    for rep in enumerate_jacobi(k, k_max=k):
+        key, sign, _ = canonicalize(rep)
+        if not sign:
+            continue
+        if rep.has_trivalent_component():
+            t_keys.append(key)
+        elif rep.nv == 0 or rep.product_split() is not None:
+            n_keys.append(key)
+        elif rep.is_connected():
+            p_keys.append(key)
+    return p_keys, n_keys, t_keys
+
+
 class Splitting:
-    """The decomposition P + N + T of one degree, with its projector."""
+    """The decomposition P + N + T of one degree, with its projector.
+
+    `p_part`, `n_part` and `t_part` list each summand's generator keys; the
+    marker column of generator j is the integer j.
+    """
 
     def __init__(self, k):
         q = quotient_basis(k, k_max=k)
         self.quotient = q
         self.degree = k
-
-        p_gens, n_gens, t_gens = [], [], []
-        if k == 0:
-            for key in q.basis:
-                n_gens.append((key, DiagramVector(0, {key: 1})))
-        else:
-            for rep in enumerate_jacobi(k, k_max=k):
-                key, sign, _ = canonicalize(rep)
-                if not sign:
-                    continue
-                vec = DiagramVector(k, {key: 1})
-                if rep.has_trivalent_component():
-                    t_gens.append((key, vec))
-                elif rep.is_connected():
-                    p_gens.append((key, vec))
-            for k1 in range(1, k):
-                k2 = k - k1
-                if k1 > k2:
-                    break
-                lefts = [d for d in enumerate_jacobi(k1, k_max=k)
-                         if not d.has_trivalent_component()]
-                rights = [d for d in enumerate_jacobi(k2, k_max=k)
-                          if not d.has_trivalent_component()]
-                for d1 in lefts:
-                    for d2 in rights:
-                        prod = product(d1, d2)
-                        vec = vector_of(prod)
-                        if not vec.is_zero():
-                            n_gens.append(((canonicalize(d1)[0],
-                                            canonicalize(d2)[0]), vec))
-
-        self.p_part = _independent(q, p_gens)
-        self.n_part = _independent(q, n_gens)
-        self.t_part = _independent(q, t_gens)
-        self._check_direct_sum()
-
-    def _check_direct_sum(self):
-        q = self.quotient
-        cols = ([c for _, c in self.p_part] + [c for _, c in self.n_part]
-                + [c for _, c in self.t_part])
-        if len(cols) != q.dim:
+        self.p_part, self.n_part, self.t_part = (
+            _independent(q, keys) for keys in _summands(k))
+        gens = self.p_part + self.n_part + self.t_part
+        n = q.dim
+        rank = {key: i for i, key in enumerate(q.basis)}
+        rank.update((j, n + j) for j in range(len(gens)))
+        self._elim = _Eliminator(rank)
+        for j, key in enumerate(gens):
+            row = q.reduce(DiagramVector(k, {key: 1})).terms
+            row[j] = Fraction(1)
+            if rank[self._elim.add_row(row)] >= n:
+                raise ArithmeticError(
+                    f"splitting of degree {k} is not a direct sum: "
+                    f"generator {j} depends on those before it")
+        if len(gens) != n:
             raise ArithmeticError(
-                f"splitting of degree {self.degree} has total dimension "
-                f"{len(cols)} != {q.dim}")
-        self._solver = _Solver(cols)
+                f"splitting of degree {k} has total dimension "
+                f"{len(gens)} != {n}")
 
     @property
     def dims(self):
@@ -175,37 +170,12 @@ class Splitting:
 
     def project_connected(self, vec):
         """Component in P along N + T, as a vector of P generator classes."""
-        if vec.is_zero():
-            return DiagramVector(self.degree)
-        coeffs = self._solver.solve(self.quotient.coords(vec))
+        left = self._elim._reduce_terms(self.quotient.reduce(vec).terms)
         out = DiagramVector(self.degree)
-        for (gen_key, _), c in zip(self.p_part, coeffs[:len(self.p_part)]):
-            if c:
-                out.add_term(gen_key, c)
+        for j, key in enumerate(self.p_part):
+            if left.get(j):
+                out.add_term(key, -left[j])
         return out
-
-
-class _Solver:
-    """Dense exact solver for the fixed square system of a splitting."""
-
-    def __init__(self, columns):
-        n = len(columns)
-        aug = [[columns[j][i] for j in range(n)] + [Fraction(int(i == j))
-                                                    for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        self.inverse = [row[n:] for row in aug]
-
-    def solve(self, b):
-        return [sum(r * x for r, x in zip(row, b)) for row in self.inverse]
 
 
 @per_degree()

@@ -37,12 +37,6 @@ class RelationSet:
         return len(self.relators)
 
 
-def stu_triple(rep, t, u):
-    """The three diagrams of an STU site, as (S, T, U)."""
-    d1, d2 = stu_expand(rep, t, u)
-    return rep, d1, d2
-
-
 def generate_relations(k, k_max=K_MAX):
     check_degree(k, k_max)
     rels = RelationSet(k)
@@ -52,8 +46,8 @@ def generate_relations(k, k_max=K_MAX):
         for v in rep.trivalent:
             rels.add("AS", (rep, v), DiagramVector.zero(k))
         for (t, u) in stu_sites(rep):
-            s, d1, d2 = stu_triple(rep, t, u)
-            vec = vector_of(s) - vector_of(d1) + vector_of(d2)
+            d1, d2 = stu_expand(rep, t, u)
+            vec = vector_of(rep) - vector_of(d1) + vector_of(d2)
             rels.add("STU", (rep, t, u), vec)
         for e in internal_edges(rep):
             h, x = ihx_terms(rep, e)

@@ -1,8 +1,9 @@
 """Naive generate-and-filter enumerations used to cross-check the fast
-generators, a dense rank for the sparse eliminator, and the canonical
-labeling search without automorphism pruning.  Everything here works by
-exhausting a finite search space and keeping what passes an independently
-coded validity test, or by textbook elimination."""
+generators, a dense rank for the sparse eliminator, the canonical labeling
+search without automorphism pruning, and the P + N + T splitting with N
+spanned by products.  Everything here works by exhausting a finite search
+space and keeping what passes an independently coded validity test, or by
+textbook elimination."""
 
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement, groupby,
@@ -10,8 +11,12 @@ from itertools import (combinations, combinations_with_replacement, groupby,
 
 from knotweights import canon
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
-from knotweights.jacobi import (_colors, _orientation_sign, class_of,
-                                make_diagram)
+from knotweights.enumerate import enumerate_jacobi
+from knotweights.jacobi import (_colors, _orientation_sign, canonicalize,
+                                class_of, make_diagram)
+from knotweights.jacobi import product as diagram_product
+from knotweights.quotient import _Eliminator, quotient_basis
+from knotweights.vectors import DiagramVector, vector_of
 
 
 def _bcr_local_check(nv, external, edges):
@@ -232,3 +237,88 @@ def class_of_all(d):
     key, perms = canonical_form_all(d.nv, _colors(d), entries)
     signs = {_orientation_sign(d, entries, perm) for perm in perms}
     return key, (signs.pop() if len(signs) == 1 else 0), len(perms)
+
+
+class SplittingByProducts:
+    """The P + N + T splitting of degree k with N spanned by the products
+    of every pair of lower-degree classes without trivalent components, and
+    the projection onto P by a dense inverse of the generators' reduced
+    coordinates."""
+
+    def __init__(self, k):
+        q = self.quotient = quotient_basis(k, k_max=k)
+        self.degree = k
+        p_gens, n_gens, t_gens = [], [], []
+        if k == 0:
+            n_gens = [(key, DiagramVector(0, {key: 1})) for key in q.basis]
+        else:
+            for rep in enumerate_jacobi(k, k_max=k):
+                key, sign, _ = canonicalize(rep)
+                if not sign:
+                    continue
+                vec = DiagramVector(k, {key: 1})
+                if rep.has_trivalent_component():
+                    t_gens.append((key, vec))
+                elif rep.is_connected():
+                    p_gens.append((key, vec))
+        for k1 in range(1, k // 2 + 1):
+            lefts = [d for d in enumerate_jacobi(k1, k_max=k)
+                     if not d.has_trivalent_component()]
+            rights = [d for d in enumerate_jacobi(k - k1, k_max=k)
+                      if not d.has_trivalent_component()]
+            for d1 in lefts:
+                for d2 in rights:
+                    vec = vector_of(diagram_product(d1, d2))
+                    if not vec.is_zero():
+                        n_gens.append(((canonicalize(d1)[0],
+                                        canonicalize(d2)[0]), vec))
+        self.p_part = self._independent(p_gens)
+        self.n_part = self._independent(n_gens)
+        self.t_part = self._independent(t_gens)
+        cols = [c for part in (self.p_part, self.n_part, self.t_part)
+                for _, c in part]
+        if len(cols) != q.dim:
+            raise ArithmeticError(f"total dimension {len(cols)} != {q.dim}")
+        self.inverse = _dense_inverse(cols)
+
+    def coords(self, vec):
+        red = self.quotient.reduce(vec)
+        return [red.terms.get(key, Fraction(0)) for key in self.quotient.basis]
+
+    def _independent(self, generators):
+        elim = _Eliminator({key: i for i, key in
+                            enumerate(self.quotient.basis)})
+        return [(gen, self.coords(vec)) for gen, vec in generators
+                if elim.add_row(self.quotient.reduce(vec).terms) is not None]
+
+    @property
+    def dims(self):
+        return (self.quotient.dim, len(self.p_part), len(self.n_part),
+                len(self.t_part))
+
+    def project_connected(self, vec):
+        b = self.coords(vec)
+        out = DiagramVector(self.degree)
+        for (key, _), row in zip(self.p_part, self.inverse):
+            c = sum(r * x for r, x in zip(row, b))
+            if c:
+                out.add_term(key, c)
+        return out
+
+
+def _dense_inverse(columns):
+    """Gauss-Jordan inverse of the square matrix with the given columns;
+    a singular matrix raises StopIteration."""
+    n = len(columns)
+    aug = [[columns[j][i] for j in range(n)]
+           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]

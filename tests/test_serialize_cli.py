@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from knotweights import cli
+from knotweights import canon, cli, jacobi
 from knotweights.bcr import wheel_bcr
 from knotweights.jacobi import JacobiDiagram, class_of, wheel
 from knotweights.serialize import from_json, to_json
@@ -105,6 +105,22 @@ def test_cli_weight_respects_the_cap(tmp_path, monkeypatch, capsys):
     assert _run(tmp_path, monkeypatch, "weight", "--system", "wcp",
                 "--diagram", str(w5), "--k-max", "5") == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_cli_weight_checks_the_cap_before_canonicalizing(tmp_path,
+                                                         monkeypatch, capsys):
+    w5 = tmp_path / "w5.json"
+    w5.write_text(to_json(wheel(5)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_form ran before the degree check")
+
+    monkeypatch.setattr(canon, "canonical_form", refuse)
+    monkeypatch.setattr(jacobi, "canonical_form", refuse)
+    for system in ("wc", "wcp"):
+        assert _run(tmp_path, monkeypatch, "weight", "--system", system,
+                    "--diagram", str(w5)) == 2
+        assert "outside supported range" in capsys.readouterr().err
 
 
 def test_cli_alexander(tmp_path, monkeypatch, capsys):
@@ -255,3 +271,13 @@ def test_cli_series_order_zero_and_negative(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: argument --series" in captured.err
+
+
+def test_cli_zbcr_needs_series(tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, monkeypatch, "alexander", "--pd",
+             str(FIXTURES / "3_1.pd"), "--zbcr")
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --zbcr needs --series" in captured.err

@@ -8,13 +8,14 @@ from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
 from knotweights.errors import DegreeOutOfRange, NonzeroConstantTerm
 from knotweights.jacobi import (empty_diagram, flipped, product,
                                 single_chord, stu_sites, wheel)
+from knotweights import quotient
 from knotweights.quotient import (dims_table, project_pc, quotient_basis,
                                   reduce_vector, splitting)
 from knotweights.relations import generate_relations
 from knotweights.vectors import (DiagramVector, GradedSeries, algebra_product,
                                  graded_exp, unit_series, vector_of)
 
-from oracles import dense_rank_oracle
+from oracles import SplittingByProducts, dense_rank_oracle
 
 
 def test_as_relators_vanish_after_normalization():
@@ -157,6 +158,49 @@ def test_splitting_dimensions_are_consistent():
     for k in (0, 1, 2, 3):
         dim_a, dim_p, dim_n, dim_t = splitting(k).dims
         assert dim_a == dim_p + dim_n + dim_t
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3,
+                               pytest.param(4, marks=pytest.mark.slow)])
+def test_splitting_matches_the_product_loop(k):
+    old = SplittingByProducts(k)
+    assert splitting(k).dims == old.dims
+    for rep in enumerate_jacobi(k):
+        vec = vector_of(rep)
+        if not vec.is_zero():
+            assert project_pc(vec) == old.project_connected(vec)
+
+
+def test_splitting_enumerates_only_its_own_degree(monkeypatch):
+    asked = []
+    inner = quotient.enumerate_jacobi
+
+    def recording(k, *args, **kwargs):
+        asked.append(k)
+        return inner(k, *args, **kwargs)
+
+    monkeypatch.setattr(quotient, "enumerate_jacobi", recording)
+    splitting.cache_clear()
+    quotient_basis.cache_clear()
+    splitting(3)
+    assert asked and set(asked) == {3}
+
+
+def test_direct_sum_check_rejects_a_wrong_classification(monkeypatch):
+    summands = quotient._summands
+    for drop in range(3):
+        monkeypatch.setattr(quotient, "_summands", lambda k: [
+            keys if i != drop else [] for i, keys in enumerate(summands(k))])
+        with pytest.raises(ArithmeticError, match="total dimension"):
+            quotient.Splitting(2)
+
+    def p_also_in_t(k):
+        p_keys, n_keys, t_keys = summands(k)
+        return p_keys, n_keys, t_keys + p_keys
+
+    monkeypatch.setattr(quotient, "_summands", p_also_in_t)
+    with pytest.raises(ArithmeticError, match="not a direct sum"):
+        quotient.Splitting(2)
 
 
 def test_product_commutes_in_the_quotient():
