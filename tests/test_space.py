@@ -189,7 +189,7 @@ def test_splitting_enumerates_only_its_own_degree(monkeypatch):
 def test_direct_sum_check_rejects_a_wrong_classification(monkeypatch):
     summands = quotient._summands
     for drop in range(3):
-        monkeypatch.setattr(quotient, "_summands", lambda k: [
+        monkeypatch.setattr(quotient, "_summands", lambda k, drop=drop: [
             keys if i != drop else [] for i, keys in enumerate(summands(k))])
         with pytest.raises(ArithmeticError, match="total dimension"):
             quotient.Splitting(2)
