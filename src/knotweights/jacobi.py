@@ -55,10 +55,6 @@ class JacobiDiagram:
                 halves.append((i, 1))
         return halves
 
-    def half_vertex(self, half):
-        e, end = half
-        return self.edges[e][end]
-
     def other_end(self, half):
         e, end = half
         return self.edges[e][1 - end]
@@ -79,6 +75,11 @@ class JacobiDiagram:
     def _validate(self):
         if self.nv % 2 != 0:
             raise VertexTypeViolation(self.nv - 1, "odd vertex count")
+        ids = [v for pair in self.edges for v in pair]
+        for v in ids + list(self.univalent_order):
+            if not 0 <= v < self.nv:
+                raise VertexTypeViolation(
+                    v, f"not among the vertex ids 0..{self.nv - 1}")
         uni = self.univalent
         if len(uni) != len(self.univalent_order):
             raise VertexTypeViolation(self.univalent_order[0],
@@ -430,106 +431,61 @@ def _rotate_to(cyc, first):
     return cyc[i:] + cyc[:i]
 
 
-def _rebuild(d, drop_vertices, drop_edges, extra_uni, extra_edges,
-             reattach, order_patch):
-    """Shared constructor for STU-style surgeries.
-
-    drop_vertices/drop_edges are removed; `reattach` maps an old half-edge
-    to a new endpoint vertex (given in old labels or fresh ids from
-    extra_uni); extra_edges are brand-new edges in old labels.  Univalent
-    order is given explicitly by `order_patch` (old labels + fresh ids).
-    """
-    keep_v = [v for v in range(d.nv) if v not in drop_vertices]
-    vmap = {v: i for i, v in enumerate(keep_v)}
-    for v in extra_uni:
-        vmap[v] = len(vmap)
-    nv = len(vmap)
-
-    edges = []
-    for i, (a, b) in enumerate(d.edges):
-        if i in drop_edges:
-            edges.append(None)
-            continue
-        a2 = reattach.get((i, 0), a)
-        b2 = reattach.get((i, 1), b)
-        edges.append((vmap[a2], vmap[b2]))
-    emap = {}
-    new_edges = []
-    for i, e in enumerate(edges):
-        if e is not None:
-            emap[i] = len(new_edges)
-            new_edges.append(e)
-    for (a, b) in extra_edges:
-        new_edges.append((vmap[a], vmap[b]))
-
-    orient = {}
-    for v, cyc in d.orient.items():
-        if v in drop_vertices:
-            continue
-        orient[vmap[v]] = tuple((emap[e], end) for (e, end) in cyc)
-    order = [vmap[v] for v in order_patch]
-    return JacobiDiagram(nv, order, new_edges, orient, validate=False)
+def _moved(d, moves):
+    """d's edges as lists, each half-edge in `moves` re-ended at its vertex."""
+    edges = [list(pair) for pair in d.edges]
+    for (e, end), v in moves:
+        edges[e][end] = v
+    return edges
 
 
 def stu_expand(d, t, u):
     """Resolve trivalent vertex t against its univalent neighbor u.
 
-    Returns (d1, d2) with [d] = [d1] - [d2]: writing the cyclic order at t
-    as (edge-to-u, alpha, beta), d1 attaches alpha to the earlier of the two
-    new line vertices replacing u and beta to the later one; d2 swaps them.
+    Returns (d1, d2) with [d] = [d1] - [d2].  The two new line vertices
+    reuse the labels t (the earlier) and u (the later), and the edge
+    joining t and u is dropped.  Writing the cyclic order at t as
+    (edge-to-u, alpha, beta), d1 keeps alpha at t and moves beta to u; d2
+    keeps beta at t and moves alpha to u.  Both terms share their edge
+    indices.
     """
-    (eu_half,) = [h for h in d.incident(u)]
-    eu = eu_half[0]
-    cyc = _rotate_to(list(d.orient[t]), (eu, 1 - eu_half[1]))
-    alpha, beta = cyc[1], cyc[2]
+    ((eu, end_u),) = d.incident(u)
+    _, alpha, beta = _rotate_to(d.orient[t], (eu, 1 - end_u))
+    i = d.univalent_order.index(u)
+    order = d.univalent_order[:i] + (t,) + d.univalent_order[i:]
+    orient = {v: tuple((e - 1 if e > eu else e, end) for (e, end) in cyc)
+              for v, cyc in d.orient.items() if v != t}
 
-    x, y = d.nv, d.nv + 1
-    i = list(d.univalent_order).index(u)
-    order = list(d.univalent_order[:i]) + [x, y] + list(d.univalent_order[i + 1:])
+    def term(moving):
+        edges = _moved(d, [(moving, u)])
+        del edges[eu]
+        return JacobiDiagram(d.nv, order, edges, orient, validate=False)
 
-    def build(first, second):
-        reattach = {first: x, second: y}
-        return _rebuild(d, {t, u}, {eu}, [x, y], [], reattach, order)
-
-    return build(alpha, beta), build(beta, alpha)
+    return term(beta), term(alpha)
 
 
 def ihx_terms(d, edge_idx):
     """The H and X companions of d at an internal edge (both ends trivalent).
 
-    With the cyclic orders written (g, p, q) at one end and (g, r, s) at the
-    other, the relation [I] - [H] + [X] = 0 holds where H carries (g, q, r)
-    and (g, s, p), and X carries (g, q, s) and (g, r, p).
+    With the cyclic orders written (g, p, q) at one end a and (g, r, s) at
+    the other end b, the relation [I] - [H] + [X] = 0 holds where H moves r
+    to a and p to b, carrying (g, q, r) and (g, s, p), and X moves s to a
+    and p to b, carrying (g, q, s) and (g, r, p).  Every vertex and edge
+    keeps its label.
     """
     a, b = d.edges[edge_idx]
-    cyc_a = _rotate_to(list(d.orient[a]), (edge_idx, 0))
-    cyc_b = _rotate_to(list(d.orient[b]), (edge_idx, 1))
-    g_a, p, q = cyc_a
-    g_b, r, s = cyc_b
+    g_a, p, q = _rotate_to(d.orient[a], (edge_idx, 0))
+    g_b, r, s = _rotate_to(d.orient[b], (edge_idx, 1))
 
-    def rebuilt(cyc_a2, cyc_b2):
-        # Half-edges move between a and b; edges keep their indices.
-        reattach = {}
-        for h in cyc_a2[1:]:
-            if h in (r, s):
-                reattach[h] = a
-        for h in cyc_b2[1:]:
-            if h in (p, q):
-                reattach[h] = b
-        edges = list(d.edges)
-        for (e, end), v in reattach.items():
-            pair = list(edges[e])
-            pair[end] = v
-            edges[e] = tuple(pair)
+    def term(to_a, cyc_a, cyc_b):
         orient = dict(d.orient)
-        orient[a] = tuple(cyc_a2)
-        orient[b] = tuple(cyc_b2)
-        return JacobiDiagram(d.nv, d.univalent_order, edges, orient,
+        orient[a], orient[b] = cyc_a, cyc_b
+        return JacobiDiagram(d.nv, d.univalent_order,
+                             _moved(d, [(to_a, a), (p, b)]), orient,
                              validate=False)
 
-    h_term = rebuilt((g_a, q, r), (g_b, s, p))
-    x_term = rebuilt((g_a, q, s), (g_b, r, p))
-    return h_term, x_term
+    return (term(r, (g_a, q, r), (g_b, s, p)),
+            term(s, (g_a, q, s), (g_b, r, p)))
 
 
 def internal_edges(d):

@@ -206,4 +206,4 @@ def zbcr_series(p, K):
 
 def conway_series(p, K):
     """Coefficients of p(e^h) through order K (exact rationals)."""
-    return {k: exp_substitute(p, K)[k] for k in range(K + 1)}
+    return dict(enumerate(exp_substitute(p, K).coeffs))

@@ -35,9 +35,6 @@ class DiagramVector:
     def items(self):
         return sorted(self.terms.items())
 
-    def support(self):
-        return sorted(self.terms)
-
     def add_term(self, key, coeff):
         c = self.terms.get(key, Fraction(0)) + coeff
         if c:

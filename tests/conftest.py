@@ -3,7 +3,8 @@ import pytest
 
 def pytest_addoption(parser):
     parser.addoption("--slow", action="store_true", default=False,
-                     help="run the degree-4 identity check (takes minutes)")
+                     help="add the degree-4 checks (the whole suite then "
+                          "takes about 1 min on 2 cores)")
 
 
 def pytest_collection_modifyitems(config, items):

@@ -1,9 +1,10 @@
 """Naive generate-and-filter enumerations used to cross-check the fast
 generators, a dense rank for the sparse eliminator, the canonical labeling
-search without automorphism pruning, and the P + N + T splitting with N
-spanned by products.  Everything here works by exhausting a finite search
-space and keeping what passes an independently coded validity test, or by
-textbook elimination."""
+search without automorphism pruning, the P + N + T splitting with N
+spanned by products, and the STU and IHX moves that renumber their terms
+or scan for the moving half-edges.  Everything here works by exhausting a
+finite search space and keeping what passes an independently coded
+validity test, or by textbook elimination."""
 
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement, groupby,
@@ -12,8 +13,9 @@ from itertools import (combinations, combinations_with_replacement, groupby,
 from knotweights import canon
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
 from knotweights.enumerate import enumerate_jacobi
-from knotweights.jacobi import (_colors, _orientation_sign, canonicalize,
-                                class_of, make_diagram)
+from knotweights.jacobi import (JacobiDiagram, _colors, _orientation_sign,
+                                _rotate_to, canonicalize, class_of,
+                                make_diagram)
 from knotweights.jacobi import product as diagram_product
 from knotweights.quotient import _Eliminator, quotient_basis
 from knotweights.vectors import DiagramVector, vector_of
@@ -322,3 +324,95 @@ def _dense_inverse(columns):
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def _rebuild(d, drop_vertices, drop_edges, extra_uni, reattach,
+             order_patch):
+    """Shared constructor for STU-style surgeries.
+
+    drop_vertices/drop_edges are removed; `reattach` maps an old half-edge
+    to a new endpoint vertex (given in old labels or fresh ids from
+    extra_uni).  Univalent order is given explicitly by `order_patch` (old
+    labels + fresh ids).  Surviving vertices and edges are renumbered
+    compactly, and the fresh ids come last.
+    """
+    keep_v = [v for v in range(d.nv) if v not in drop_vertices]
+    vmap = {v: i for i, v in enumerate(keep_v)}
+    for v in extra_uni:
+        vmap[v] = len(vmap)
+    nv = len(vmap)
+
+    edges = []
+    for i, (a, b) in enumerate(d.edges):
+        if i in drop_edges:
+            edges.append(None)
+            continue
+        a2 = reattach.get((i, 0), a)
+        b2 = reattach.get((i, 1), b)
+        edges.append((vmap[a2], vmap[b2]))
+    emap = {}
+    new_edges = []
+    for i, e in enumerate(edges):
+        if e is not None:
+            emap[i] = len(new_edges)
+            new_edges.append(e)
+
+    orient = {}
+    for v, cyc in d.orient.items():
+        if v in drop_vertices:
+            continue
+        orient[vmap[v]] = tuple((emap[e], end) for (e, end) in cyc)
+    order = [vmap[v] for v in order_patch]
+    return JacobiDiagram(nv, order, new_edges, orient, validate=False)
+
+
+def stu_expand_renumbered(d, t, u):
+    """`jacobi.stu_expand` by deleting t and u and appending two fresh line
+    vertices x < y in u's place: d1 attaches alpha to x and beta to y, d2
+    swaps them."""
+    (eu_half,) = [h for h in d.incident(u)]
+    eu = eu_half[0]
+    cyc = _rotate_to(list(d.orient[t]), (eu, 1 - eu_half[1]))
+    alpha, beta = cyc[1], cyc[2]
+
+    x, y = d.nv, d.nv + 1
+    i = list(d.univalent_order).index(u)
+    order = (list(d.univalent_order[:i]) + [x, y]
+             + list(d.univalent_order[i + 1:]))
+
+    def build(first, second):
+        reattach = {first: x, second: y}
+        return _rebuild(d, {t, u}, {eu}, [x, y], reattach, order)
+
+    return build(alpha, beta), build(beta, alpha)
+
+
+def ihx_terms_scanned(d, edge_idx):
+    """`jacobi.ihx_terms` with the moving half-edges found by scanning the
+    new cyclic orders for half-edges that came from the other end."""
+    a, b = d.edges[edge_idx]
+    cyc_a = _rotate_to(list(d.orient[a]), (edge_idx, 0))
+    cyc_b = _rotate_to(list(d.orient[b]), (edge_idx, 1))
+    g_a, p, q = cyc_a
+    g_b, r, s = cyc_b
+
+    def rebuilt(cyc_a2, cyc_b2):
+        reattach = {}
+        for h in cyc_a2[1:]:
+            if h in (r, s):
+                reattach[h] = a
+        for h in cyc_b2[1:]:
+            if h in (p, q):
+                reattach[h] = b
+        edges = list(d.edges)
+        for (e, end), v in reattach.items():
+            pair = list(edges[e])
+            pair[end] = v
+            edges[e] = tuple(pair)
+        orient = dict(d.orient)
+        orient[a] = tuple(cyc_a2)
+        orient[b] = tuple(cyc_b2)
+        return JacobiDiagram(d.nv, d.univalent_order, edges, orient,
+                             validate=False)
+
+    return rebuilt((g_a, q, r), (g_b, s, p)), rebuilt((g_a, q, s), (g_b, r, p))

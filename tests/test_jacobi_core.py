@@ -8,13 +8,16 @@ from knotweights.errors import (DegreeOutOfRange, InvalidNumbering, LoopEdge,
                                 VertexTypeViolation)
 from knotweights.jacobi import (JacobiDiagram, _colors, canonicalize,
                                 chord_diagram, class_of, empty_diagram,
-                                flipped, make_diagram, product, single_chord,
-                                theta_graph, validate_jacobi, wheel)
+                                flipped, ihx_terms, internal_edges,
+                                make_diagram, product, single_chord,
+                                stu_expand, stu_sites, theta_graph,
+                                validate_jacobi, wheel)
 from knotweights.enumerate import enumerate_jacobi
 from knotweights.vectors import DiagramVector, vector_of
 
 from helpers import shuffled_jacobi
-from oracles import class_of_all, group_order
+from oracles import (class_of_all, group_order, ihx_terms_scanned,
+                     stu_expand_renumbered)
 
 
 def test_empty_diagram_is_valid_degree_zero():
@@ -161,6 +164,36 @@ def test_canonical_form_matches_the_unpruned_search(k):
             assert edge_map_for_perm(entries, perm)[0] == list(key[1])
             assert group_order(d.nv, gens) == aut
             assert class_of(d) == (key, sign_all)
+
+
+@pytest.mark.parametrize("k", [
+    1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_local_moves_match_the_renumbering_oracles(k):
+    rng = random.Random(k)
+    for rep in enumerate_jacobi(k):
+        for d in [rep] + [shuffled_jacobi(rep, rng) for _ in range(3)]:
+            for (t, u) in stu_sites(d):
+                got = [canonicalize(x)[:2] for x in stu_expand(d, t, u)]
+                want = [canonicalize(x)[:2]
+                        for x in stu_expand_renumbered(d, t, u)]
+                assert got == want
+            for e in internal_edges(d):
+                got = [canonicalize(x)[:2] for x in ihx_terms(d, e)]
+                want = [canonicalize(x)[:2] for x in ihx_terms_scanned(d, e)]
+                assert got == want
+
+
+def test_stu_terms_keep_the_labels():
+    for k in (1, 2, 3):
+        for rep in enumerate_jacobi(k):
+            for (t, u) in stu_sites(rep):
+                d1, d2 = stu_expand(rep, t, u)
+                for d in (d1, d2):
+                    assert d.nv == rep.nv
+                    i = d.univalent_order.index(t)
+                    assert d.univalent_order[i + 1] == u
+                    validate_jacobi(d)
+                assert len(d1.edges) == len(d2.edges) == len(rep.edges) - 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -260,6 +260,42 @@ def test_cli_malformed_diagram_exits_two(tmp_path, monkeypatch, capsys, argv,
     _assert_input_error(capsys)
 
 
+def _jacobi_text(nv, edges, order):
+    return json.dumps({
+        "kind": "jacobi",
+        "vertices": [{"id": v, "class": "univalent"} for v in range(nv)],
+        "edges": [{"id": i, "from": a, "to": b, "class": "plain"}
+                  for i, (a, b) in enumerate(edges)],
+        "univalent_order": order})
+
+
+_BCR_INTO_MISSING_VERTEX = json.dumps({
+    "kind": "bcr",
+    "vertices": [{"id": 0, "class": "internal"},
+                 {"id": 1, "class": "internal"}],
+    "edges": [{"id": 0, "from": 0, "to": 3, "class": "int"},
+              {"id": 1, "from": 1, "to": 0, "class": "ext"}]})
+
+
+@pytest.mark.parametrize("text, vertex", [
+    (_jacobi_text(2, [(0, 5)], [0, 1]), 5),
+    (_jacobi_text(2, [(0, -1)], [0, 1]), -1),
+    (_jacobi_text(4, [(0, 2), (1, 3)], [0, 1, 2, 3, 42]), 42),
+    (_BCR_INTO_MISSING_VERTEX, 3),
+], ids=["edge_past_the_end", "edge_negative", "line_past_the_end",
+        "bcr_edge_past_the_end"])
+@pytest.mark.parametrize("argv", _DIAGRAM_ARGV)
+def test_cli_vertex_id_out_of_range_exits_two(tmp_path, monkeypatch, capsys,
+                                              argv, text, vertex):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert _run(tmp_path, monkeypatch, *argv, str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: vertex {vertex} ")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_series_order_zero_and_negative(tmp_path, monkeypatch, capsys):
     pd = str(FIXTURES / "3_1.pd")
     assert _run(tmp_path, monkeypatch, "alexander", "--json", "--pd", pd,
