@@ -5,8 +5,11 @@ of the knot group (one generator per arc, one relation per crossing, with
 the derivative rows (1-t, t, -1) at the overstrand, incoming and outgoing
 understrand for positive crossings and the unit-adjusted transpose for
 negative ones), deletes one row and one column, takes the exact
-determinant, and normalizes to the symmetric representative with value 1
-at t = 1.
+determinant over Z[t] by Bareiss's fraction-free elimination [Bareiss,
+Math. Comp. 22 (1968)] in O(n^3) polynomial products, and normalizes to
+the symmetric representative with value 1 at t = 1.  Every Bareiss step
+divides by the previous pivot, and the division is checked to be exact:
+a remainder raises ArithmeticError.
 
 The oracle route resolves crossings through the standard two-term recursion
 (switch and smooth at the first crossing met on its understrand), reaching
@@ -62,34 +65,77 @@ def _alexander_matrix(pd):
     return rows, gens
 
 
+def _coeffs(p):
+    """Coefficient list, lowest power first, of an entry that lies in Z[t]."""
+    if p.is_zero():
+        return []
+    if p.min_exp() < 0 or any(c.denominator != 1 for c in p.coeffs.values()):
+        raise ArithmeticError(f"matrix entry {p} is not in Z[t]")
+    out = [0] * (p.max_exp() + 1)
+    for e, c in p.coeffs.items():
+        out[e] = int(c)
+    return out
+
+
+def _mul_sub(a, b, c, d):
+    """a*b - c*d for coefficient lists, with no zero leading coefficient."""
+    out = [0] * max(len(a) + len(b), len(c) + len(d))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for i, x in enumerate(c):
+        for j, y in enumerate(d):
+            out[i + j] -= x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _div_exact(num, den):
+    """num / den in Z[t]; a remainder raises ArithmeticError."""
+    num = list(num)
+    lead = den[-1]
+    quot = [0] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        q, r = divmod(num[k + len(den) - 1], lead)
+        if r:
+            raise ArithmeticError("Bareiss step is not an exact division")
+        quot[k] = q
+        if q:
+            for i, y in enumerate(den):
+                num[k + i] -= q * y
+    if any(num[:len(den) - 1]):
+        raise ArithmeticError("Bareiss step is not an exact division")
+    return quot
+
+
 def _det(rows):
-    """Exact determinant by expansion with memoized minors."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPolynomial({0: 1})
-    full = (1 << n) - 1
-    memo = {}
+    """Exact determinant over Z[t] by Bareiss's fraction-free elimination.
 
-    def minor(row, cols):
-        if row == n:
-            return LaurentPolynomial({0: 1})
-        got = memo.get((row, cols))
-        if got is not None:
-            return got
-        total = LaurentPolynomial()
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not cols & bit:
-                continue
-            c = rows[row][j]
-            if not c.is_zero():
-                total = total + sign * c * minor(row + 1, cols & ~bit)
+    Step k replaces each entry below and right of the pivot p_k by
+    (p_k a_ij - a_ik a_kj) / p_(k-1), a minor of the input, so the division
+    is exact; a remainder raises ArithmeticError, as does an entry outside
+    Z[t].  A zero pivot swaps in a lower row; a column with no pivot makes
+    the determinant 0.  O(n^3) products of polynomials of degree <= n.
+    """
+    a = [[_coeffs(p) for p in row] for row in rows]
+    n = len(a)
+    sign, prev = 1, [1]
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return LaurentPolynomial()
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        memo[(row, cols)] = total
-        return total
-
-    return minor(0, full)
+        p, row_k = a[k][k], a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            for j in range(k + 1, n):
+                num = _mul_sub(p, row_i[j], row_i[k], row_k[j])
+                row_i[j] = _div_exact(num, prev) if num else num
+        prev = p
+    return LaurentPolynomial({e: sign * c for e, c in enumerate(prev)})
 
 
 def symmetric_normalize(p):
@@ -125,115 +171,100 @@ def alexander_poly(pd):
 # -- skein-recursion oracle ---------------------------------------------------
 
 class _Tangle:
-    """Mutable crossing list for the recursion, with free circles."""
+    """Crossing tuples (under_in, under_out, over_in, over_out, sign) for
+    the recursion, with a count of free circles."""
 
     __slots__ = ("crossings", "free_circles")
 
     def __init__(self, crossings, free_circles=0):
-        # crossing: [under_in, under_out, over_in, over_out, sign]
-        self.crossings = [list(c) for c in crossings]
+        self.crossings = crossings
         self.free_circles = free_circles
 
     @classmethod
     def from_pd(cls, pd):
-        rows = []
-        for x in pd.crossings:
-            o_in, o_out = pd.over_pair(x)
-            rows.append([x.under_in, x.under_out, o_in, o_out, x.sign])
-        return cls(rows)
+        return cls([(x.under_in, x.under_out) + pd.over_pair(x) + (x.sign,)
+                    for x in pd.crossings])
 
-    def successor(self):
+    def walk(self):
+        """(first underpass, component count) in one walk of the arcs.
+
+        Components are walked from their smallest arc, smallest first; the
+        first underpass is the first crossing met on its understrand before
+        it is met on its overstrand.  When there is one, the walk stops
+        there and the count is None.
+        """
         succ = {}
-        for (ui, uo, oi, oo, _s) in self.crossings:
+        enters_under = {}
+        enters_over = {}
+        for ci, (ui, uo, oi, oo, _s) in enumerate(self.crossings):
             succ[ui] = uo
             succ[oi] = oo
-        return succ
-
-    def components(self):
-        succ = self.successor()
+            enters_under[ui] = ci
+            enters_over[oi] = ci
+        passed_over = set()
         seen = set()
-        comps = []
+        n_comp = 0
         for start in sorted(succ):
             if start in seen:
                 continue
-            comp = [start]
-            seen.add(start)
-            arc = succ[start]
-            while arc != start:
-                comp.append(arc)
+            n_comp += 1
+            arc = start
+            while True:
                 seen.add(arc)
+                ci = enters_under.get(arc)
+                if ci is None:
+                    passed_over.add(enters_over[arc])
+                elif ci not in passed_over:
+                    return ci, None
                 arc = succ[arc]
-            comps.append(comp)
-        return comps
+                if arc == start:
+                    break
+        return None, n_comp
 
     def switched(self, i):
-        out = _Tangle(self.crossings, self.free_circles)
-        ui, uo, oi, oo, s = out.crossings[i]
-        out.crossings[i] = [oi, oo, ui, uo, -s]
-        return out
+        crossings = list(self.crossings)
+        ui, uo, oi, oo, s = crossings[i]
+        crossings[i] = (oi, oo, ui, uo, -s)
+        return _Tangle(crossings, self.free_circles)
 
     def smoothed(self, i):
         """Oriented smoothing: under-in joins over-out and vice versa.
 
-        Arcs merge through a union-find; uniting two already-identified
-        arcs closes a free circle.
+        Each join renames the larger of its two arcs to the smaller; a join
+        of an arc with itself closes a free circle.
         """
-        out = _Tangle(self.crossings, self.free_circles)
-        ui, uo, oi, oo, _s = out.crossings.pop(i)
-        parent = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        crossings = list(self.crossings)
+        ui, uo, oi, oo, _s = crossings.pop(i)
+        free = self.free_circles
+        rename = {}
         for (x, y) in ((ui, oo), (oi, uo)):
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                out.free_circles += 1
-            else:
-                parent[max(rx, ry)] = min(rx, ry)
-        for c in out.crossings:
-            for j in range(4):
-                c[j] = find(c[j])
-        return out
-
-    def first_underpass(self):
-        """First crossing met on its understrand in the component walk."""
-        succ = self.successor()
-        enters_under = {}
-        enters_over = {}
-        for ci, (ui, uo, oi, oo, _s) in enumerate(self.crossings):
-            enters_under[ui] = ci
-            enters_over[oi] = ci
-        seen = set()
-        for comp in self.components():
-            for arc in comp:
-                if arc in enters_under:
-                    ci = enters_under[arc]
-                    if ci not in seen:
-                        return ci
-                    continue
-                ci = enters_over[arc]
-                seen.add(ci)
-        return None
+            x, y = rename.get(x, x), rename.get(y, y)
+            if x == y:
+                free += 1
+                continue
+            lo, hi = min(x, y), max(x, y)
+            # only a non-planar code lets the second join meet the first
+            for k, v in rename.items():
+                if v == hi:
+                    rename[k] = lo
+            rename[hi] = lo
+        if rename:
+            crossings = [(rename.get(a, a), rename.get(b, b), rename.get(c, c),
+                          rename.get(d, d), s) for (a, b, c, d, s) in crossings]
+        return _Tangle(crossings, free)
 
 
-def _nabla(tangle, depth=0):
+def _nabla(tangle):
     """Conway polynomial coefficients as {exponent of z: int}."""
     if not tangle.crossings:
-        n_comp = tangle.free_circles
-        return {0: 1} if n_comp == 1 else {}
-    ci = tangle.first_underpass()
+        return {0: 1} if tangle.free_circles == 1 else {}
+    ci, n_comp = tangle.walk()
     if ci is None:
         # descending diagram: an unknot when there is a single component
-        n_comp = len(tangle.components()) + tangle.free_circles
-        return {0: 1} if n_comp == 1 else {}
+        return {0: 1} if n_comp + tangle.free_circles == 1 else {}
     sign = tangle.crossings[ci][4]
-    a = _nabla(tangle.switched(ci), depth + 1)
-    b = _nabla(tangle.smoothed(ci), depth + 1)
+    a = _nabla(tangle.switched(ci))
+    b = _nabla(tangle.smoothed(ci))
     out = dict(a)
     for e, c in b.items():
         out[e + 1] = out.get(e + 1, 0) + sign * c

@@ -73,11 +73,14 @@ def validate_bcr(nv, external, edges):
     """
     if nv == 0:
         raise EmptyGraph("diagram must be non-empty")
-    external = frozenset(external)
-    for v in [v for (a, b, _cls) in edges for v in (a, b)] + list(external):
+    external = list(external)
+    for v in [v for (a, b, _cls) in edges for v in (a, b)] + external:
+        if type(v) is not int:
+            raise VertexTypeViolation(v, "the id is not an integer")
         if not 0 <= v < nv:
             raise VertexTypeViolation(v, f"not among the vertex ids "
                                          f"0..{nv - 1}")
+    external = frozenset(external)
     for i, (a, b, cls) in enumerate(edges):
         if a == b:
             raise LoopEdge(i)

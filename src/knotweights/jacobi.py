@@ -77,6 +77,8 @@ class JacobiDiagram:
             raise VertexTypeViolation(self.nv - 1, "odd vertex count")
         ids = [v for pair in self.edges for v in pair]
         for v in ids + list(self.univalent_order):
+            if type(v) is not int:
+                raise VertexTypeViolation(v, "the id is not an integer")
             if not 0 <= v < self.nv:
                 raise VertexTypeViolation(
                     v, f"not among the vertex ids 0..{self.nv - 1}")

@@ -18,7 +18,7 @@ in the order above, so equal diagrams serialize to equal bytes.
 import json
 
 from .bcr import BCRDiagram, validate_bcr
-from .errors import ParseError
+from .errors import ParseError, VertexTypeViolation
 from .jacobi import JacobiDiagram
 
 
@@ -85,8 +85,9 @@ def _decode(obj):
     vertices = sorted(obj["vertices"], key=lambda r: r["id"])
     edges_rows = sorted(obj["edges"], key=lambda r: r["id"])
     nv = len(vertices)
-    if [r["id"] for r in vertices] != list(range(nv)):
-        raise ParseError(0, "vertices", "ids must cover 0..n-1")
+    ids = [r["id"] for r in vertices]
+    if any(type(v) is not int for v in ids) or ids != list(range(nv)):
+        raise ParseError(0, "vertices", "ids must be the integers 0..n-1")
     if kind == "jacobi":
         edges = [(r["from"], r["to"]) for r in edges_rows]
         orient = {}
@@ -97,13 +98,25 @@ def _decode(obj):
         numbering = None
         if any("number" in r for r in edges_rows):
             numbering = {r["id"]: r["number"] for r in edges_rows}
-        return JacobiDiagram(nv, obj["univalent_order"], edges, orient,
-                             numbering)
+        d = JacobiDiagram(nv, obj["univalent_order"], edges, orient,
+                          numbering)
+        _check_classes(vertices, d.univalent, "univalent", "trivalent")
+        return d
     if kind == "bcr":
         external = [r["id"] for r in vertices if r["class"] == "external"]
+        _check_classes(vertices, external, "external", "internal")
         edges = [(r["from"], r["to"], r["class"]) for r in edges_rows]
         return validate_bcr(nv, external, edges)
     raise ParseError(0, str(kind), "kind must be 'jacobi' or 'bcr'")
+
+
+def _check_classes(vertices, marked, yes, no):
+    """Each vertex's class must be `yes` when it is in `marked`, else `no`."""
+    for r in vertices:
+        want = yes if r["id"] in marked else no
+        if r["class"] != want:
+            raise VertexTypeViolation(r["id"], f"class {r['class']!r}, but "
+                                               f"the diagram makes it {want!r}")
 
 
 def from_json(text):

@@ -1,10 +1,11 @@
 """Naive generate-and-filter enumerations used to cross-check the fast
 generators, a dense rank for the sparse eliminator, the canonical labeling
 search without automorphism pruning, the P + N + T splitting with N
-spanned by products, and the STU and IHX moves that renumber their terms
-or scan for the moving half-edges.  Everything here works by exhausting a
-finite search space and keeping what passes an independently coded
-validity test, or by textbook elimination."""
+spanned by products, the STU and IHX moves that renumber their terms
+or scan for the moving half-edges, the Alexander determinant by expansion
+in minors, and the skein recursion on mutable crossing lists.  Everything
+here works by exhausting a finite search space and keeping what passes an
+independently coded validity test, or by textbook elimination."""
 
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement, groupby,
@@ -18,6 +19,7 @@ from knotweights.jacobi import (JacobiDiagram, _colors, _orientation_sign,
                                 make_diagram)
 from knotweights.jacobi import product as diagram_product
 from knotweights.quotient import _Eliminator, quotient_basis
+from knotweights.series import LaurentPolynomial
 from knotweights.vectors import DiagramVector, vector_of
 
 
@@ -416,3 +418,150 @@ def ihx_terms_scanned(d, edge_idx):
                              validate=False)
 
     return rebuilt((g_a, q, r), (g_b, s, p)), rebuilt((g_a, q, s), (g_b, r, p))
+
+
+def laplace_det(rows):
+    """`alexander._det` by expansion along the first row, with memoized
+    minors: O(n 2^n) products of Laurent polynomials."""
+    n = len(rows)
+    if n == 0:
+        return LaurentPolynomial({0: 1})
+    full = (1 << n) - 1
+    memo = {}
+
+    def minor(row, cols):
+        if row == n:
+            return LaurentPolynomial({0: 1})
+        got = memo.get((row, cols))
+        if got is not None:
+            return got
+        total = LaurentPolynomial()
+        sign = 1
+        for j in range(n):
+            bit = 1 << j
+            if not cols & bit:
+                continue
+            c = rows[row][j]
+            if not c.is_zero():
+                total = total + sign * c * minor(row + 1, cols & ~bit)
+            sign = -sign
+        memo[(row, cols)] = total
+        return total
+
+    return minor(0, full)
+
+
+class _ListTangle:
+    """`alexander._Tangle` with mutable crossing lists, arcs merged by a
+    union-find over every crossing, and the successor map and components
+    recomputed by each query."""
+
+    __slots__ = ("crossings", "free_circles")
+
+    def __init__(self, crossings, free_circles=0):
+        # crossing: [under_in, under_out, over_in, over_out, sign]
+        self.crossings = [list(c) for c in crossings]
+        self.free_circles = free_circles
+
+    @classmethod
+    def from_pd(cls, pd):
+        rows = []
+        for x in pd.crossings:
+            o_in, o_out = pd.over_pair(x)
+            rows.append([x.under_in, x.under_out, o_in, o_out, x.sign])
+        return cls(rows)
+
+    def successor(self):
+        succ = {}
+        for (ui, uo, oi, oo, _s) in self.crossings:
+            succ[ui] = uo
+            succ[oi] = oo
+        return succ
+
+    def components(self):
+        succ = self.successor()
+        seen = set()
+        comps = []
+        for start in sorted(succ):
+            if start in seen:
+                continue
+            comp = [start]
+            seen.add(start)
+            arc = succ[start]
+            while arc != start:
+                comp.append(arc)
+                seen.add(arc)
+                arc = succ[arc]
+            comps.append(comp)
+        return comps
+
+    def switched(self, i):
+        out = _ListTangle(self.crossings, self.free_circles)
+        ui, uo, oi, oo, s = out.crossings[i]
+        out.crossings[i] = [oi, oo, ui, uo, -s]
+        return out
+
+    def smoothed(self, i):
+        out = _ListTangle(self.crossings, self.free_circles)
+        ui, uo, oi, oo, _s = out.crossings.pop(i)
+        parent = {}
+
+        def find(x):
+            parent.setdefault(x, x)
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for (x, y) in ((ui, oo), (oi, uo)):
+            rx, ry = find(x), find(y)
+            if rx == ry:
+                out.free_circles += 1
+            else:
+                parent[max(rx, ry)] = min(rx, ry)
+        for c in out.crossings:
+            for j in range(4):
+                c[j] = find(c[j])
+        return out
+
+    def first_underpass(self):
+        succ = self.successor()
+        enters_under = {}
+        enters_over = {}
+        for ci, (ui, uo, oi, oo, _s) in enumerate(self.crossings):
+            enters_under[ui] = ci
+            enters_over[oi] = ci
+        seen = set()
+        for comp in self.components():
+            for arc in comp:
+                if arc in enters_under:
+                    ci = enters_under[arc]
+                    if ci not in seen:
+                        return ci
+                    continue
+                ci = enters_over[arc]
+                seen.add(ci)
+        return None
+
+
+def _list_nabla(tangle):
+    if not tangle.crossings:
+        return {0: 1} if tangle.free_circles == 1 else {}
+    ci = tangle.first_underpass()
+    if ci is None:
+        n_comp = len(tangle.components()) + tangle.free_circles
+        return {0: 1} if n_comp == 1 else {}
+    sign = tangle.crossings[ci][4]
+    a = _list_nabla(tangle.switched(ci))
+    b = _list_nabla(tangle.smoothed(ci))
+    out = dict(a)
+    for e, c in b.items():
+        out[e + 1] = out.get(e + 1, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def conway_skein_lists(pd):
+    """`alexander.conway_skein` on the mutable crossing lists."""
+    if len(pd) == 0:
+        return {0: 1}
+    return _list_nabla(_ListTangle.from_pd(pd))

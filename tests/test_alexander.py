@@ -1,15 +1,23 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from knotweights.alexander import (alexander_by_skein, alexander_poly,
-                                   conway_skein)
-from knotweights.errors import (ArcCountError, MultiComponentError,
-                                NonUnitConstantTerm, ParseError)
+from knotweights.alexander import (_alexander_matrix, _det, _div_exact,
+                                   _Tangle, alexander_by_skein,
+                                   alexander_poly, conway_skein,
+                                   symmetric_normalize)
+from knotweights.errors import (ArcCountError, DegenerateDiagram,
+                                MultiComponentError, NonUnitConstantTerm,
+                                ParseError)
 from knotweights.pd import format_pd, parse_pd
 from knotweights.series import (LaurentPolynomial, PowerSeries,
                                 conway_series, exp_substitute, zbcr_series)
+
+from helpers import (connected_sum, gauss_pd, random_gauss_knot, torus_knot,
+                     twist_knot)
+from oracles import _ListTangle, conway_skein_lists, laplace_det
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -152,3 +160,162 @@ def test_power_series_log_exp_roundtrip():
         PowerSeries(3, [0, 1]).log()
     with pytest.raises(NonUnitConstantTerm):
         PowerSeries(3, [1, 1]).exp()
+
+
+# -- the Bareiss determinant and the skein recursion against their oracles ----
+
+T = LaurentPolynomial.t_power(1)
+ONE = LaurentPolynomial.one()
+ENTRIES = [LaurentPolynomial(), LaurentPolynomial(), ONE, -ONE, T, -T,
+           ONE - T, T - ONE]
+
+
+def _knot_matrix(pd):
+    rows, gens = _alexander_matrix(pd)
+    return [row[:len(gens) - 1] for row in rows[:-1]]
+
+
+def test_bareiss_matches_laplace_on_random_matrices():
+    rng = random.Random(20261018)
+    singular = zero_lead = 0
+    for _ in range(200):
+        n = rng.randrange(8)
+        rows = [[rng.choice(ENTRIES) for _ in range(n)] for _ in range(n)]
+        want = laplace_det(rows)
+        assert _det(rows) == want
+        singular += want.is_zero()
+        zero_lead += n > 0 and rows[0][0].is_zero()
+    # the draw reaches the zero-column exit and the row swaps
+    assert singular >= 10 and zero_lead >= 20
+
+
+def test_bareiss_matches_laplace_on_the_fixtures():
+    for path in sorted(FIXTURES.glob("*.pd")):
+        pd = parse_pd(path.read_text())
+        if len(pd):
+            rows = _knot_matrix(pd)
+            assert _det(rows) == laplace_det(rows), path.name
+
+
+def test_bareiss_rejects_entries_outside_z_t():
+    with pytest.raises(ArithmeticError, match="not in Z"):
+        _det([[LaurentPolynomial({-1: 1})]])
+    with pytest.raises(ArithmeticError, match="not in Z"):
+        _det([[ONE, T], [LaurentPolynomial({0: Fraction(1, 2)}), ONE]])
+
+
+def test_bareiss_division_must_be_exact():
+    assert _div_exact([-1, 0, 1], [-1, 1]) == [1, 1]    # (t^2 - 1)/(t - 1)
+    assert _div_exact([0, 0, 6], [0, 3]) == [0, 2]
+    for num, den in (([1, 0, 1], [-1, 1]), ([3], [2]), ([1, 1], [0, 1]),
+                     ([1], [1, 1])):
+        with pytest.raises(ArithmeticError, match="not an exact division"):
+            _div_exact(num, den)
+
+
+def test_singular_matrix_is_a_vanishing_determinant():
+    rows = [[ONE - T, T], [ONE - T, T]]
+    assert _det(rows).is_zero() and laplace_det(rows).is_zero()
+    with pytest.raises(DegenerateDiagram, match="vanishing determinant"):
+        symmetric_normalize(_det(rows))
+
+
+def _torus_delta(n):
+    """T(2,n): the sum of (-t)^i for i < n, centered."""
+    return LaurentPolynomial({i - (n - 1) // 2: (-1) ** i for i in range(n)})
+
+
+def _twist_delta(m):
+    """The twist knot with m half-twists: s c (t + 1/t) + 1 - 2 s c with
+    c = ceil(m/2) and s = +1 for odd m, -1 for even m."""
+    c, s = (m + 1) // 2, 1 if m % 2 else -1
+    return LaurentPolynomial({1: s * c, 0: 1 - 2 * s * c, -1: s * c})
+
+
+def _small_knots():
+    """T(2,n), twist knots and connected sums of 3 to 13 crossings, each
+    with its closed-form Delta."""
+    out = [(f"T(2,{n})", torus_knot(n), _torus_delta(n))
+           for n in range(3, 14, 2)]
+    out += [(f"Tw({m})", twist_knot(m), _twist_delta(m))
+            for m in range(1, 12)]
+    for (a, b) in ((3, 3), (3, 5), (5, 7), (3, 9)):
+        out.append((f"T(2,{a})#T(2,{b})",
+                    connected_sum(torus_knot(a), torus_knot(b)),
+                    _torus_delta(a) * _torus_delta(b)))
+    for (a, b) in ((1, 1), (2, 3), (4, 5), (1, 8)):
+        out.append((f"Tw({a})#Tw({b})",
+                    connected_sum(twist_knot(a), twist_knot(b)),
+                    _twist_delta(a) * _twist_delta(b)))
+    for (a, b) in ((3, 2), (5, 6), (9, 2)):
+        out.append((f"T(2,{a})#Tw({b})",
+                    connected_sum(torus_knot(a), twist_knot(b)),
+                    _torus_delta(a) * _twist_delta(b)))
+        out.append((f"Tw({b})#T(2,{a})",
+                    connected_sum(twist_knot(b), torus_knot(a)),
+                    _torus_delta(a) * _twist_delta(b)))
+    return out
+
+
+SMALL_KNOTS = _small_knots()
+
+
+@pytest.mark.parametrize("name, knot, delta", SMALL_KNOTS,
+                         ids=[name for name, _, _ in SMALL_KNOTS])
+def test_generated_knots_match_their_closed_forms(name, knot, delta):
+    pd = gauss_pd(knot)
+    assert len(pd) <= 13
+    for p in (pd, pd.mirror()):
+        assert alexander_poly(p) == delta
+        assert alexander_by_skein(p) == delta
+        rows = _knot_matrix(p)
+        if len(rows) <= 9:
+            assert _det(rows) == laplace_det(rows)
+
+
+def _same_recursion(new, old):
+    """Walk both recursion trees in step: the same crossings, labels and
+    free circles at every node, and the same crossing picked."""
+    assert new.crossings == [tuple(c) for c in old.crossings]
+    assert new.free_circles == old.free_circles
+    if not new.crossings:
+        return
+    ci, n_comp = new.walk()
+    assert ci == old.first_underpass()
+    if ci is None:
+        assert n_comp == len(old.components())
+        return
+    _same_recursion(new.switched(ci), old.switched(ci))
+    _same_recursion(new.smoothed(ci), old.smoothed(ci))
+
+
+def _check_skein_against_lists(pd):
+    for p in (pd, pd.mirror()):
+        assert conway_skein(p) == conway_skein_lists(p)
+        if len(p):
+            _same_recursion(_Tangle.from_pd(p), _ListTangle.from_pd(p))
+
+
+@pytest.mark.parametrize("name, knot, delta", SMALL_KNOTS,
+                         ids=[name for name, _, _ in SMALL_KNOTS])
+def test_skein_matches_the_list_recursion(name, knot, delta):
+    _check_skein_against_lists(gauss_pd(knot))
+
+
+def test_skein_matches_the_list_recursion_on_the_fixtures():
+    for path in sorted(FIXTURES.glob("*.pd")):
+        _check_skein_against_lists(parse_pd(path.read_text()))
+
+
+def test_skein_matches_the_list_recursion_on_virtual_codes():
+    # non-planar codes reach tangles where both joins of a smoothing meet
+    # the same arc, so the second renames the first one's target
+    rng = random.Random(7)
+    for _ in range(60):
+        _check_skein_against_lists(
+            gauss_pd(random_gauss_knot(rng.randrange(1, 8), rng)))
+
+
+def test_torus_knots_up_to_41_crossings():
+    for n in range(3, 42, 2):
+        assert alexander_poly(gauss_pd(torus_knot(n))) == _torus_delta(n)

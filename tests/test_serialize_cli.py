@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from knotweights import canon, cli, jacobi
-from knotweights.bcr import wheel_bcr
+from knotweights.bcr import EXTERNAL, INTERNAL, validate_bcr, wheel_bcr
+from knotweights.errors import VertexTypeViolation
 from knotweights.jacobi import JacobiDiagram, class_of, wheel
 from knotweights.serialize import from_json, to_json
 
@@ -260,10 +261,11 @@ def test_cli_malformed_diagram_exits_two(tmp_path, monkeypatch, capsys, argv,
     _assert_input_error(capsys)
 
 
-def _jacobi_text(nv, edges, order):
+def _jacobi_text(nv, edges, order, classes=None):
+    classes = classes or ["univalent"] * nv
     return json.dumps({
         "kind": "jacobi",
-        "vertices": [{"id": v, "class": "univalent"} for v in range(nv)],
+        "vertices": [{"id": v, "class": c} for v, c in enumerate(classes)],
         "edges": [{"id": i, "from": a, "to": b, "class": "plain"}
                   for i, (a, b) in enumerate(edges)],
         "univalent_order": order})
@@ -294,6 +296,61 @@ def test_cli_vertex_id_out_of_range_exits_two(tmp_path, monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err.startswith(f"error: vertex {vertex} ")
     assert "Traceback" not in captured.err
+
+
+_BOOLEAN_VERTEX_IDS = json.dumps({
+    "kind": "jacobi",
+    "vertices": [{"id": False, "class": "univalent"},
+                 {"id": True, "class": "univalent"}],
+    "edges": [{"id": 0, "from": 0, "to": 1, "class": "plain"}],
+    "univalent_order": [0, 1]})
+
+
+@pytest.mark.parametrize("text, message", [
+    (_jacobi_text(2, [(0, 1)], [0, 1], ["trivalent", "bogus"]),
+     "vertex 0 has no admissible local type: class 'trivalent', but the "
+     "diagram makes it 'univalent'"),
+    (_jacobi_text(2, [(0, 1)], [0, 1], ["univalent", "bogus"]),
+     "vertex 1 has no admissible local type: class 'bogus'"),
+    (_jacobi_text(2, [(0, True)], [False, 1]),
+     "vertex True has no admissible local type: the id is not an integer"),
+    (_jacobi_text(2, [(0, 1)], [False, 1]),
+     "vertex False has no admissible local type: the id is not an integer"),
+    (_BOOLEAN_VERTEX_IDS, "ids must be the integers 0..n-1"),
+], ids=["trivalent_on_the_line", "bogus_class", "boolean_edge_end",
+        "boolean_line_vertex", "boolean_vertex_ids"])
+@pytest.mark.parametrize("argv", _DIAGRAM_ARGV)
+def test_cli_vertex_class_and_id_type_are_checked(tmp_path, monkeypatch,
+                                                  capsys, argv, text,
+                                                  message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert _run(tmp_path, monkeypatch, *argv, str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_bcr_vertex_class_is_checked():
+    obj = json.loads(to_json(wheel_bcr(2)))
+    row = next(r for r in obj["vertices"] if r["class"] == "internal")
+    row["class"] = "bogus"
+    with pytest.raises(VertexTypeViolation, match="class 'bogus'"):
+        from_json(json.dumps(obj))
+
+
+def test_boolean_vertex_ids_are_rejected_by_the_constructors():
+    with pytest.raises(VertexTypeViolation, match="not an integer"):
+        JacobiDiagram(2, [0, 1], [(0, True)], {})
+    with pytest.raises(VertexTypeViolation, match="not an integer"):
+        JacobiDiagram(2, [0, True], [(0, 1)], {})
+    edges = [(0, 1, EXTERNAL), (2, 1, EXTERNAL), (1, 0, INTERNAL)]
+    with pytest.raises(VertexTypeViolation, match="not an integer"):
+        validate_bcr(3, [True], edges)
+    with pytest.raises(VertexTypeViolation, match="not an integer"):
+        validate_bcr(3, [1], [(0, True, EXTERNAL)] + edges[1:])
 
 
 def test_cli_series_order_zero_and_negative(tmp_path, monkeypatch, capsys):
