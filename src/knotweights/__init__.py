@@ -11,7 +11,7 @@ __version__ = "1.0.0"
 
 from .bcr import BCRDiagram, degree_one_bcr, validate_bcr, wheel_bcr
 from .bridge import (epsilon, epsilon2, epsilon3, jacobi_of, orderings,
-                     verify_main, verify_stu, wbcr, wbcr_eval)
+                     verify_main, verify_stu, wbcr)
 from .conway import (count_circles, wc_diagram, wc_eval, wc_prime_diagram,
                      wc_prime_eval)
 from .enumerate import K_MAX, enumerate_bcr, enumerate_jacobi

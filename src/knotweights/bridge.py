@@ -27,8 +27,7 @@ from .canon import canonical_form
 from .enumerate import (K_MAX, check_degree, enumerate_bcr, enumerate_jacobi,
                         per_degree)
 from .errors import AmbiguousIsomorphism, NotIsomorphic
-from .jacobi import (JacobiDiagram, _colors, canonicalize, class_of,
-                     representative)
+from .jacobi import JacobiDiagram, _colors, canonicalize, class_of
 from .vectors import vector_of
 
 ZERO = Fraction(0)
@@ -205,14 +204,6 @@ def wbcr(d, k_max=K_MAX):
     if not total:
         return ZERO
     return Fraction(total, 2 ** (2 * k - len(d.edges)))
-
-
-def wbcr_eval(v, k_max=K_MAX):
-    """Linear extension of the weight to diagram vectors."""
-    total = ZERO
-    for key, c in v.terms.items():
-        total += c * wbcr(representative(key), k_max)
-    return total
 
 
 # -- the ordering scan (test oracle) -----------------------------------------

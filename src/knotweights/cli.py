@@ -15,7 +15,7 @@ from pathlib import Path
 from . import cache  # noqa: F401  (loaded for perfbench's cache.load span)
 from .alexander import alexander_by_skein, alexander_poly
 from .bridge import verify_main, verify_stu, wbcr
-from .conway import wc_eval, wc_prime_eval
+from .conway import wc_diagram, wc_prime_diagram
 from .enumerate import K_MAX, check_degree, enumerate_bcr, enumerate_jacobi
 from .errors import DiagramError
 from .jacobi import JacobiDiagram, key_bytes, wheel
@@ -24,7 +24,6 @@ from .psi import verify_wc_psi
 from .quotient import dims_table
 from .serialize import from_json, jacobi_to_obj, bcr_to_obj
 from .series import conway_series, exp_substitute, zbcr_series
-from .vectors import vector_of
 
 
 def _frac(x):
@@ -97,9 +96,8 @@ def cmd_dim(args):
 def cmd_weight(args):
     d = _read_jacobi(args.diagram)
     check_degree(d.degree, args.k_max)
-    vec = vector_of(d)
-    value = (wc_eval(vec) if args.system == "wc"
-             else wc_prime_eval(vec, k_max=args.k_max))
+    value = (wc_diagram(d) if args.system == "wc"
+             else wc_prime_diagram(d, k_max=args.k_max))
     if args.json:
         _emit({"system": args.system, "value": _frac(value)}, True)
     else:

@@ -3,11 +3,13 @@
 A chord diagram is evaluated by surgering the line along every chord: cut
 at the two endpoints and reconnect crosswise, so the arc before one
 endpoint continues into the arc after its partner.  The diagram weighs 1
-when no closed circle remains and 0 otherwise.  Diagrams with trivalent
-vertices are first rewritten into chord diagrams by resolving, at each
-step, the trivalent vertex attached to the lowest univalent vertex; the
-two resolutions enter with opposite signs.  Diagrams with a purely
-trivalent component weigh 0 outright.
+when no closed circle remains and 0 otherwise.  wc is a weight system,
+so it is evaluated by STU on the diagram's own labels, with no class
+lookup: a diagram with trivalent vertices is rewritten into chord diagrams
+by resolving, at each step, the trivalent vertex attached to the lowest
+univalent vertex, and the two resolutions enter with opposite signs.
+Diagrams with a purely trivalent component weigh 0 outright.  The linear
+extensions to diagram vectors evaluate each class on its representative.
 
 The logarithmic variant wc' is the cumulant of wc over connected
 components: on a diagram D,
@@ -28,7 +30,6 @@ from math import factorial
 from .enumerate import K_MAX, check_degree
 from .errors import VertexTypeViolation
 from .jacobi import representative, stu_expand, stu_sites, sub_diagram
-from .vectors import vector_of
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,38 +70,29 @@ def count_circles(d):
     return circles
 
 
-_wc_memo = {}
-
-
-def _wc_class(key):
-    val = _wc_memo.get(key)
-    if val is not None:
-        return val
-    rep = representative(key)
-    if rep.has_trivalent_component():
-        val = ZERO
-    elif rep.is_chord_diagram():
-        val = ONE if count_circles(rep) == 0 else ZERO
-    else:
-        sites = stu_sites(rep)
-        order = {v: i for i, v in enumerate(rep.univalent_order)}
-        t, u = min(sites, key=lambda site: order[site[1]])
-        d1, d2 = stu_expand(rep, t, u)
-        val = wc_eval(vector_of(d1)) - wc_eval(vector_of(d2))
-    _wc_memo[key] = val
-    return val
-
-
-def wc_eval(v):
-    """Circle-counting weight of a diagram vector (exact rational)."""
-    total = ZERO
-    for key, c in v.terms.items():
-        total += c * _wc_class(key)
-    return total
+def _resolve(d):
+    """wc of a diagram whose every component has a univalent vertex."""
+    if d.is_chord_diagram():
+        return ONE if count_circles(d) == 0 else ZERO
+    t, u = stu_sites(d)[0]  # the site at the lowest univalent vertex
+    d1, d2 = stu_expand(d, t, u)
+    return _resolve(d1) - _resolve(d2)
 
 
 def wc_diagram(d):
-    return wc_eval(vector_of(d))
+    """Circle-counting weight of an oriented diagram (exact rational)."""
+    # STU never creates a purely trivalent component: the two new line
+    # vertices each keep a piece of the resolved component, so one check
+    # here covers the whole recursion.
+    if d.has_trivalent_component():
+        return ZERO
+    return _resolve(d)
+
+
+def wc_eval(v):
+    """Linear extension of wc to diagram vectors."""
+    return sum((c * wc_diagram(representative(key))
+                for key, c in v.terms.items()), ZERO)
 
 
 def _set_partitions(items):
@@ -115,13 +107,14 @@ def _set_partitions(items):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
-def _wc_prime_class(key):
-    rep = representative(key)
-    comps = rep.components()
+def wc_prime_diagram(d, k_max=K_MAX):
+    """Logarithmic variant: the cumulant of wc over d's components."""
+    check_degree(d.degree, k_max)
+    comps = d.components()
     if not comps:
         return ZERO
     if len(comps) == 1:
-        return _wc_class(key)
+        return wc_diagram(d)
     block_wc = {}
     total = ZERO
     for part in _set_partitions(list(range(len(comps)))):
@@ -132,7 +125,7 @@ def _wc_prime_class(key):
             w = block_wc.get(block)
             if w is None:
                 w = wc_diagram(sub_diagram(
-                    rep, [v for i in block for v in comps[i]]))
+                    d, [v for i in block for v in comps[i]]))
                 block_wc[block] = w
             term *= w
             if not term:
@@ -142,13 +135,7 @@ def _wc_prime_class(key):
 
 
 def wc_prime_eval(v, k_max=K_MAX):
-    """Logarithmic variant: the cumulant of wc over connected components."""
+    """Linear extension of wc' to diagram vectors."""
     check_degree(v.degree, k_max)
-    total = ZERO
-    for key, c in v.terms.items():
-        total += c * _wc_prime_class(key)
-    return total
-
-
-def wc_prime_diagram(d, k_max=K_MAX):
-    return wc_prime_eval(vector_of(d), k_max=k_max)
+    return sum((c * wc_prime_diagram(representative(key), k_max)
+                for key, c in v.terms.items()), ZERO)

@@ -6,7 +6,8 @@ the overstrand occupies b and d.  With arcs labeled 1..2n consecutively
 along the knot, the overstrand direction (hence the crossing sign) follows
 from which of b, d is the successor of the other; an explicit trailing
 ``+`` or ``-`` overrides the inference.  Positive means the overstrand runs
-b -> d.
+b -> d.  `parse_pd` accepts only planar codes; a `PDCode` built directly
+may be virtual.
 """
 
 import re
@@ -129,7 +130,38 @@ def parse_pd(text):
                 raise ParseError(ln, raw, "cannot infer the crossing sign; "
                                           "add a +/- suffix")
         crossings.append(Crossing(a, b, c, d, sign))
-    return PDCode(crossings)
+    pd = PDCode(crossings)
+    n_faces = _face_count(pd)
+    if n_faces != len(pd) + 2:
+        raise ParseError(0, "PD code", f"not planar: {n_faces} faces for "
+                                       f"{len(pd)} crossings, where a "
+                                       f"planar code has {len(pd) + 2}")
+    return pd
+
+
+def _face_count(pd):
+    """Faces of the code's ribbon graph.  A face walk steps from corner
+    (x, i) to the other occurrence (y, j) of label x[i], then on to corner
+    (y, j+1 mod 4).  With n crossings and 2n arcs, Euler's formula makes
+    the code planar exactly when there are n + 2 faces."""
+    where = {}
+    for x, c in enumerate(pd.crossings):
+        for i, label in enumerate(c[:4]):
+            where.setdefault(label, []).append((x, i))
+    seen = set()
+    faces = 0
+    for start in ((x, i) for x in range(len(pd)) for i in range(4)):
+        if start in seen:
+            continue
+        faces += 1
+        corner = start
+        while corner not in seen:
+            seen.add(corner)
+            x, i = corner
+            first, second = where[pd.crossings[x][i]]
+            y, j = second if first == corner else first
+            corner = (y, (j + 1) % 4)
+    return faces
 
 
 def format_pd(pd):

@@ -85,9 +85,8 @@ def _decode(obj):
     vertices = sorted(obj["vertices"], key=lambda r: r["id"])
     edges_rows = sorted(obj["edges"], key=lambda r: r["id"])
     nv = len(vertices)
-    ids = [r["id"] for r in vertices]
-    if any(type(v) is not int for v in ids) or ids != list(range(nv)):
-        raise ParseError(0, "vertices", "ids must be the integers 0..n-1")
+    _check_ids(vertices, "vertices", "n")
+    _check_ids(edges_rows, "edges", "m")
     if kind == "jacobi":
         edges = [(r["from"], r["to"]) for r in edges_rows]
         orient = {}
@@ -108,6 +107,13 @@ def _decode(obj):
         edges = [(r["from"], r["to"], r["class"]) for r in edges_rows]
         return validate_bcr(nv, external, edges)
     raise ParseError(0, str(kind), "kind must be 'jacobi' or 'bcr'")
+
+
+def _check_ids(rows, what, n):
+    """Sorted by id, the rows must carry the plain integers 0..len-1."""
+    ids = [r["id"] for r in rows]
+    if any(type(i) is not int for i in ids) or ids != list(range(len(ids))):
+        raise ParseError(0, what, f"ids must be the integers 0..{n}-1")
 
 
 def _check_classes(vertices, marked, yes, no):

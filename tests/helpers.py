@@ -98,7 +98,8 @@ def connected_sum(k1, k2):
 
 def random_gauss_knot(n, rng):
     """A Gauss code with n crossings in random order, over/under and signs;
-    most are virtual (no planar diagram), but every PD check accepts them."""
+    most are virtual (no planar diagram): `PDCode` accepts them, and
+    `parse_pd` rejects them as not planar."""
     ids = [c for c in range(n) for _ in (0, 1)]
     rng.shuffle(ids)
     first_over = {c: rng.random() < 0.5 for c in range(n)}

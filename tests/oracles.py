@@ -2,21 +2,26 @@
 generators, a dense rank for the sparse eliminator, the canonical labeling
 search without automorphism pruning, the P + N + T splitting with N
 spanned by products, the STU and IHX moves that renumber their terms
-or scan for the moving half-edges, the Alexander determinant by expansion
-in minors, and the skein recursion on mutable crossing lists.  Everything
-here works by exhausting a finite search space and keeping what passes an
-independently coded validity test, or by textbook elimination."""
+or scan for the moving half-edges, the circle-counting weight and its
+cumulant by a class-keyed, memoized STU recursion, the Alexander
+determinant by expansion in minors, and the skein recursion on mutable
+crossing lists.  Everything here works by exhausting a finite search space
+and keeping what passes an independently coded validity test, or by
+textbook elimination."""
 
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement, groupby,
                        product)
+from math import factorial
 
 from knotweights import canon
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
+from knotweights.conway import _set_partitions, count_circles
 from knotweights.enumerate import enumerate_jacobi
 from knotweights.jacobi import (JacobiDiagram, _colors, _orientation_sign,
                                 _rotate_to, canonicalize, class_of,
-                                make_diagram)
+                                make_diagram, representative, stu_expand,
+                                stu_sites, sub_diagram)
 from knotweights.jacobi import product as diagram_product
 from knotweights.quotient import _Eliminator, quotient_basis
 from knotweights.series import LaurentPolynomial
@@ -418,6 +423,59 @@ def ihx_terms_scanned(d, edge_idx):
                              validate=False)
 
     return rebuilt((g_a, q, r), (g_b, s, p)), rebuilt((g_a, q, s), (g_b, r, p))
+
+
+class ClassWeights:
+    """wc and wc' by the class-keyed recursion: a diagram is reduced to its
+    canonical classes, each class is resolved by STU on its stored
+    representative at the lowest univalent vertex, each STU term is
+    canonicalized in turn, and the values are memoized per class key in
+    this object only."""
+
+    def __init__(self):
+        self.memo = {}
+
+    def _wc_class(self, key):
+        val = self.memo.get(key)
+        if val is None:
+            rep = representative(key)
+            if rep.has_trivalent_component():
+                val = Fraction(0)
+            elif rep.is_chord_diagram():
+                val = Fraction(1 if count_circles(rep) == 0 else 0)
+            else:
+                order = {v: i for i, v in enumerate(rep.univalent_order)}
+                t, u = min(stu_sites(rep), key=lambda site: order[site[1]])
+                d1, d2 = stu_expand(rep, t, u)
+                val = self._wc_vector(vector_of(d1)) - \
+                    self._wc_vector(vector_of(d2))
+            self.memo[key] = val
+        return val
+
+    def _wc_vector(self, v):
+        return sum((c * self._wc_class(key) for key, c in v.terms.items()),
+                   Fraction(0))
+
+    def wc(self, d):
+        return self._wc_vector(vector_of(d))
+
+    def wc_prime(self, d):
+        """The cumulant of wc over the components of each class's
+        representative, with every block canonicalized."""
+        total = Fraction(0)
+        for key, c in vector_of(d).terms.items():
+            rep = representative(key)
+            comps = rep.components()
+            if not comps:
+                continue  # wc' kills the empty diagram
+            for part in _set_partitions(list(range(len(comps)))):
+                n = len(part)
+                term = Fraction((-1) ** (n - 1) * factorial(n - 1))
+                for block in part:
+                    term *= self.wc(sub_diagram(
+                        rep, [v for i in block for v in comps[i]]))
+                total += c * term
+        return total
 
 
 def laplace_det(rows):

@@ -316,6 +316,42 @@ def test_skein_matches_the_list_recursion_on_virtual_codes():
             gauss_pd(random_gauss_knot(rng.randrange(1, 8), rng)))
 
 
+# a random Gauss code with no planar diagram: its determinant and skein
+# recursion disagree
+NON_PLANAR = """X(12,5,1,4) -
+X(7,7,8,6) -
+X(1,11,2,12) +
+X(2,8,3,9) +
+X(10,10,11,9) -
+X(3,6,4,5) -
+"""
+
+
+def test_parse_accepts_the_generated_planar_codes():
+    codes = [gauss_pd(knot) for _, knot, _ in SMALL_KNOTS]
+    codes += [gauss_pd(torus_knot(n)) for n in range(15, 42, 2)]
+    for pd in codes:
+        for p in (pd, pd.mirror()):
+            assert parse_pd(format_pd(p)).crossings == p.crossings
+
+
+def test_parse_rejects_non_planar_codes():
+    with pytest.raises(ParseError, match="not planar: 4 faces for 6"):
+        parse_pd(NON_PLANAR)
+    rng = random.Random(7)
+    accepted = rejected = 0
+    for _ in range(300):
+        pd = gauss_pd(random_gauss_knot(rng.randrange(1, 8), rng))
+        try:
+            p = parse_pd(format_pd(pd))
+        except ParseError:
+            rejected += 1
+            continue
+        accepted += 1
+        assert alexander_poly(p) == alexander_by_skein(p)
+    assert accepted > 50 and rejected > 50
+
+
 def test_torus_knots_up_to_41_crossings():
     for n in range(3, 42, 2):
         assert alexander_poly(gauss_pd(torus_knot(n))) == _torus_delta(n)

@@ -8,7 +8,7 @@ import pytest
 from knotweights import canon, cli, jacobi
 from knotweights.bcr import EXTERNAL, INTERNAL, validate_bcr, wheel_bcr
 from knotweights.errors import VertexTypeViolation
-from knotweights.jacobi import JacobiDiagram, class_of, wheel
+from knotweights.jacobi import JacobiDiagram, class_of, product, wheel
 from knotweights.serialize import from_json, to_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -124,6 +124,23 @@ def test_cli_weight_checks_the_cap_before_canonicalizing(tmp_path,
         assert "outside supported range" in capsys.readouterr().err
 
 
+def test_cli_weight_never_canonicalizes(tmp_path, monkeypatch, capsys):
+    w4, w2w2 = tmp_path / "w4.json", tmp_path / "w2w2.json"
+    w4.write_text(to_json(wheel(4)))
+    w2w2.write_text(to_json(product(wheel(2), wheel(2))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_form ran")
+
+    monkeypatch.setattr(canon, "canonical_form", refuse)
+    monkeypatch.setattr(jacobi, "canonical_form", refuse)
+    for path, system, want in [(w4, "wc", "-2"), (w4, "wcp", "-2"),
+                               (w2w2, "wc", "4"), (w2w2, "wcp", "0")]:
+        assert _run(tmp_path, monkeypatch, "weight", "--system", system,
+                    "--diagram", str(path)) == 0
+        assert capsys.readouterr().out.strip() == want
+
+
 def test_cli_alexander(tmp_path, monkeypatch, capsys):
     assert _run(tmp_path, monkeypatch, "alexander", "--json",
                 "--pd", str(FIXTURES / "3_1.pd"),
@@ -132,6 +149,17 @@ def test_cli_alexander(tmp_path, monkeypatch, capsys):
     assert data["delta"] == "t - 1 + t^-1"
     assert data["zbcr"]["2"] == "-1"
     assert data["zbcr"]["4"] == "5/12"
+
+
+def test_cli_non_planar_pd_exits_two(tmp_path, monkeypatch, capsys):
+    f = tmp_path / "virtual.pd"
+    f.write_text("X(12,5,1,4) -\nX(7,7,8,6) -\nX(1,11,2,12) +\n"
+                 "X(2,8,3,9) +\nX(10,10,11,9) -\nX(3,6,4,5) -\n")
+    assert _run(tmp_path, monkeypatch, "alexander", "--pd", str(f)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "not planar" in captured.err
 
 
 def test_cli_enumerate_json_stable(tmp_path, monkeypatch, capsys):
@@ -306,6 +334,15 @@ _BOOLEAN_VERTEX_IDS = json.dumps({
     "univalent_order": [0, 1]})
 
 
+def _chord_with_edge_id(edge_id):
+    return json.dumps({
+        "kind": "jacobi",
+        "vertices": [{"id": 0, "class": "univalent"},
+                     {"id": 1, "class": "univalent"}],
+        "edges": [{"id": edge_id, "from": 0, "to": 1, "class": "plain"}],
+        "univalent_order": [0, 1]})
+
+
 @pytest.mark.parametrize("text, message", [
     (_jacobi_text(2, [(0, 1)], [0, 1], ["trivalent", "bogus"]),
      "vertex 0 has no admissible local type: class 'trivalent', but the "
@@ -317,8 +354,12 @@ _BOOLEAN_VERTEX_IDS = json.dumps({
     (_jacobi_text(2, [(0, 1)], [False, 1]),
      "vertex False has no admissible local type: the id is not an integer"),
     (_BOOLEAN_VERTEX_IDS, "ids must be the integers 0..n-1"),
+    (_chord_with_edge_id(7), "cannot parse 'edges' (ids must be the "
+                             "integers 0..m-1)"),
+    (_chord_with_edge_id(True), "ids must be the integers 0..m-1"),
 ], ids=["trivalent_on_the_line", "bogus_class", "boolean_edge_end",
-        "boolean_line_vertex", "boolean_vertex_ids"])
+        "boolean_line_vertex", "boolean_vertex_ids", "edge_id_seven",
+        "boolean_edge_id"])
 @pytest.mark.parametrize("argv", _DIAGRAM_ARGV)
 def test_cli_vertex_class_and_id_type_are_checked(tmp_path, monkeypatch,
                                                   capsys, argv, text,

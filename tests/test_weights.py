@@ -1,18 +1,22 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from knotweights import quotient
+from knotweights import canon, jacobi, quotient
 from knotweights.bridge import verify_main
 from knotweights.conway import (count_circles, wc_diagram, wc_eval,
                                 wc_prime_diagram, wc_prime_eval)
 from knotweights.enumerate import enumerate_jacobi
 from knotweights.errors import DegreeOutOfRange
-from knotweights.jacobi import (chord_diagram, empty_diagram, product,
-                                single_chord, stu_expand, stu_sites,
-                                theta_graph, wheel)
+from knotweights.jacobi import (canonicalize, chord_diagram, empty_diagram,
+                                flipped, product, single_chord, stu_expand,
+                                stu_sites, theta_graph, wheel)
 from knotweights.relations import generate_relations
 from knotweights.vectors import vector_of
+
+from helpers import shuffled_jacobi
+from oracles import ClassWeights
 
 
 def test_circle_counts():
@@ -131,3 +135,55 @@ def test_wc_prime_rejects_degrees_above_the_cap():
     with pytest.raises(DegreeOutOfRange):
         wc_prime_diagram(wheel(3), k_max=2)
     assert wc_prime_diagram(wheel(5), k_max=5) == -1 - (-1) ** 5
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_weights_match_the_class_keyed_oracle(k):
+    rng = random.Random(k)
+    oracle = ClassWeights()
+    vanishing = nonzero = 0
+    for rep in enumerate_jacobi(k):
+        copies = ([rep] + [shuffled_jacobi(rep, rng) for _ in range(3)]
+                  + [flipped(rep, v) for v in rep.trivalent])
+        for d in copies:
+            wc, wcp = wc_diagram(d), wc_prime_diagram(d)
+            assert (wc, wcp) == (oracle.wc(d), oracle.wc_prime(d))
+            if canonicalize(rep)[1] == 0:
+                assert wc == wcp == 0
+            nonzero += wc != 0
+        vanishing += canonicalize(rep)[1] == 0
+    assert k % 2 or nonzero
+    assert k < 3 or vanishing
+
+
+class _SearchRan(Exception):
+    pass
+
+
+def _refuse_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _SearchRan()
+    monkeypatch.setattr(canon, "canonical_form", refuse)
+    monkeypatch.setattr(jacobi, "canonical_form", refuse)
+
+
+def test_weights_are_evaluated_without_canonicalizing(monkeypatch):
+    rng = random.Random(3)
+    shuffled = [shuffled_jacobi(rep, rng) for rep in enumerate_jacobi(3)
+                if rep.trivalent and rep.is_connected()]
+    diagrams = [wheel(3), wheel(4), product(wheel(2), wheel(2)),
+                product(single_chord(), wheel(2))] + shuffled
+    oracle = ClassWeights()
+    want = [(oracle.wc(d), oracle.wc_prime(d)) for d in diagrams]
+    assert any(wc for wc, _ in want) and any(wcp for _, wcp in want)
+    _refuse_search(monkeypatch)
+    assert [(wc_diagram(d), wc_prime_diagram(d)) for d in diagrams] == want
+
+
+def test_verify_main_canonicalizes_nothing_past_the_enumeration(monkeypatch):
+    enumerate_jacobi(3)
+    _refuse_search(monkeypatch)
+    rows = verify_main(3)
+    assert len(rows) == 67
+    assert all(r["equal"] for r in rows)
