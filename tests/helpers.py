@@ -1,8 +1,21 @@
 """Shared test utilities: random relabelings and small constructions."""
 
+from knotweights import canon, jacobi
 from knotweights.bcr import validate_bcr
 from knotweights.jacobi import JacobiDiagram
 from knotweights.pd import Crossing, PDCode
+
+
+class SearchRan(Exception):
+    """Raised by `canonical_form` under `refuse_search`."""
+
+
+def refuse_search(monkeypatch):
+    """Make every canonical labeling search raise `SearchRan`."""
+    def refuse(*args, **kwargs):
+        raise SearchRan()
+    monkeypatch.setattr(canon, "canonical_form", refuse)
+    monkeypatch.setattr(jacobi, "canonical_form", refuse)
 
 
 def shuffled_jacobi(d, rng):

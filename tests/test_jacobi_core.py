@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from knotweights import canon, jacobi
 from knotweights.canon import canonical_form, edge_map_for_perm
 from knotweights.errors import (DegreeOutOfRange, InvalidNumbering, LoopEdge,
                                 VertexTypeViolation)
@@ -15,7 +14,7 @@ from knotweights.jacobi import (JacobiDiagram, _colors, canonicalize,
 from knotweights.enumerate import enumerate_jacobi
 from knotweights.vectors import DiagramVector, vector_of
 
-from helpers import shuffled_jacobi
+from helpers import SearchRan, refuse_search, shuffled_jacobi
 from oracles import (class_of_all, group_order, ihx_terms_scanned,
                      stu_expand_renumbered)
 
@@ -204,21 +203,10 @@ def test_flip_negates_the_sign_at_every_vertex(k):
             assert class_of(flipped(rep, v)) == (key, -sign)
 
 
-class _SearchRan(Exception):
-    pass
-
-
-def _refuse_search(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise _SearchRan()
-    monkeypatch.setattr(canon, "canonical_form", refuse)
-    monkeypatch.setattr(jacobi, "canonical_form", refuse)
-
-
 def test_representatives_carry_their_class(monkeypatch):
     reps = [rep for k in range(4) for rep in enumerate_jacobi(k)]
     classes = [class_of(rep) for rep in reps]
-    _refuse_search(monkeypatch)
+    refuse_search(monkeypatch)
     for rep, (key, sign) in zip(reps, classes):
         assert canonicalize(rep) == (key, sign, rep)
         assert vector_of(rep) == DiagramVector(rep.degree, {key: sign})
@@ -234,7 +222,7 @@ def test_copies_of_a_representative_are_canonicalized_afresh(monkeypatch):
             copies.append((flipped(rep, v), (key, -sign, rep)))
     for d, want in copies:
         assert canonicalize(d) == want
-    _refuse_search(monkeypatch)
+    refuse_search(monkeypatch)
     for d, _ in copies:
-        with pytest.raises(_SearchRan):
+        with pytest.raises(SearchRan):
             canonicalize(d)

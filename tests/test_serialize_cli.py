@@ -11,6 +11,8 @@ from knotweights.errors import VertexTypeViolation
 from knotweights.jacobi import JacobiDiagram, class_of, product, wheel
 from knotweights.serialize import from_json, to_json
 
+from helpers import refuse_search
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -128,12 +130,7 @@ def test_cli_weight_never_canonicalizes(tmp_path, monkeypatch, capsys):
     w4, w2w2 = tmp_path / "w4.json", tmp_path / "w2w2.json"
     w4.write_text(to_json(wheel(4)))
     w2w2.write_text(to_json(product(wheel(2), wheel(2))))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("canonical_form ran")
-
-    monkeypatch.setattr(canon, "canonical_form", refuse)
-    monkeypatch.setattr(jacobi, "canonical_form", refuse)
+    refuse_search(monkeypatch)
     for path, system, want in [(w4, "wc", "-2"), (w4, "wcp", "-2"),
                                (w2w2, "wc", "4"), (w2w2, "wcp", "0")]:
         assert _run(tmp_path, monkeypatch, "weight", "--system", system,
