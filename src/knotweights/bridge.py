@@ -14,15 +14,34 @@ Three signs enter the weight:
 The weight of a Jacobi diagram d sums epsilon * epsilon2 * epsilon3 over
 the ordered, numbered BCR diagrams inducing d, up to isomorphism, and
 divides by 2^(2k - edge count).  Matched onto d, such a source is a BCR
-structure on d's own vertices and edges, ordered by d's line, so `sources`
-builds the sources there and `wbcr` sums their signs.  The test oracle
-`wbcr_by_orderings` scans every ordering of every BCR class instead.
+structure on d's own vertices and edges, ordered by d's line, and `wbcr`
+sums the signs there without building the sources.  Each trivalent vertex
+picks its outgoing edge, its leg and its incoming cycle edge; that fixes
+epsilon3 and the external chains, which run from a type-5 vertex u
+through trivalent vertices to a type-4 vertex x.  The internal edges close
+a ring into one cycle.  The ring holds the chains (u, x) and one element
+per chord a-b, with four options:
+
+  (b, b), (a, a)   a leg into a type-2 head at b or at a, weight -1;
+  (a, b), (b, a)   a step from type 5 to type 4, weight +1.
+
+Summed over the options and the cyclic orders, epsilon2 times these
+weights is a sum over the Hamiltonian cycles of the ring in which each
+step e -> f scores sgn(rank(start f) - rank(end e)); a lone type-2
+element would close a loop, and sgn(0) = 0 drops it.  A subset recursion
+[Bellman, JACM 9 (1962); Held-Karp, SIAM J. 10 (1962)] takes
+O(2^m m^2 16) steps for m elements, where the sources number
+4^c (m-1)! for c chords.  When the chains close up by themselves, the one
+cycle through every trivalent vertex is the only source.  The test
+oracles are `tests/oracles.py:sources`, which lists the sources one by
+one, and `wbcr_by_orderings`, which scans every ordering of every BCR
+class.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 
-from .bcr import EXTERNAL, INTERNAL, bcr_canonical
+from .bcr import EXTERNAL, bcr_canonical
 from .canon import canonical_form
 from .enumerate import (K_MAX, check_degree, enumerate_bcr, enumerate_jacobi,
                         per_degree)
@@ -106,7 +125,7 @@ def epsilon3(target, bcr, rho):
     return sign * t_sign
 
 
-# -- sources on the target ---------------------------------------------------
+# -- the source count on the target -----------------------------------------
 
 def _vertex_roles(d, v, univalent):
     """The (out, leg, cycle-in, epsilon3 factor) choices at trivalent v: the
@@ -121,74 +140,6 @@ def _vertex_roles(d, v, univalent):
     return roles
 
 
-def sources(d):
-    """Every BCR source of `d` built on d's own vertices and edges.
-
-    Yields ``(edges, sign)``: `edges` lists the ``(tail, head, class)``
-    triples, d's edges first in d's order and directed, then the internal
-    edges; d's trivalent vertices are the external vertices; `sign` is
-    epsilon * epsilon2 * epsilon3 with the ordering read off d's line.
-    Each trivalent vertex gets an outgoing edge, a leg from a type-3
-    vertex and an incoming cycle edge; each chord is a leg into type 2 or
-    a step from type 5 to type 4.  The external edges then form chains
-    from type 5 to type 4 (or one closed cycle), and the internal edges
-    close chains and type-2 vertices into one cycle in every order.
-    """
-    if not d.edges or any(a == b for (a, b) in d.edges):
-        return  # the empty diagram and loops have no sources
-    rank = {v: i for i, v in enumerate(d.univalent_order)}
-    tri = [v for v in range(d.nv) if v not in rank]
-    tt = [i for i, (a, b) in enumerate(d.edges)
-          if a not in rank and b not in rank]
-    chords = [i for i, (a, b) in enumerate(d.edges)
-              if a in rank and b in rank]
-    chord_ways = [[(a, b, 2), (b, a, 2), (a, b, 4), (b, a, 4)]
-                  for (a, b) in (d.edges[i] for i in chords)]
-    parity = len(d.edges) + len(tri)
-
-    def far(i, v):
-        a, b = d.edges[i]
-        return b if a == v else a
-
-    for choice in product(*(_vertex_roles(d, v, rank) for v in tri)):
-        # every edge between trivalent vertices leaves exactly one of them
-        if sorted(r[0] for r in choice if r[0] in tt) != tt:
-            continue
-        tails = [None] * len(d.edges)
-        succ, starts, s3 = {}, [], 1
-        for v, (out, leg, c_in, s) in zip(tri, choice):
-            s3 *= s
-            tails[out], succ[v], tails[leg] = v, far(out, v), far(leg, v)
-            if c_in not in tt:
-                tails[c_in] = far(c_in, v)
-                starts.append((tails[c_in], v))
-        chains, seen = [], 0
-        for u, x in starts:  # walk from type 5 through trivalent to type 4
-            while x in succ:
-                x, seen = succ[x], seen + 1
-            chains.append((u, x))
-        for ways in product(*chord_ways):
-            ring = list(chains)
-            for i, (a, b, head_type) in zip(chords, ways):
-                tails[i] = a
-                ring.append((b, b) if head_type == 2 else (a, b))
-            ext = [(t, far(i, t), EXTERNAL) for i, t in enumerate(tails)]
-            n2 = sum(1 for (a, b) in ring if a == b)
-            sign = s3 * (-1 if (parity + n2) % 2 else 1)
-            if seen < len(tri):  # a closed cycle must be the whole cycle
-                if not ring and _orbit_length(succ, tri[0]) == len(tri):
-                    yield ext, sign
-            elif len(ring) > 1 or ring[0][0] != ring[0][1]:  # no loop
-                for perm in permutations(ring[1:]):
-                    order = ring[:1] + list(perm)
-                    internal, s2 = [], sign
-                    for (_, x), (y, _) in zip(order, order[1:] + order[:1]):
-                        internal.append((x, y, INTERNAL))
-                        if rank[y] < rank[x]:
-                            s2 = -s2
-                    yield ext + internal, s2
-
-
 def _orbit_length(succ, v):
     x, n = succ[v], 1
     while x != v:
@@ -196,11 +147,87 @@ def _orbit_length(succ, v):
     return n
 
 
+def _cycle_sum(ring):
+    """The signed sum over the Hamiltonian cycles of the ring.
+
+    `ring` lists each element's options as ``(start, end, weight)`` with
+    line ranks for vertices.  A cycle picks one option per element and a
+    cyclic order, and scores the product of the weights and, over its steps
+    e -> f, of sgn(start of f - end of e).  Held-Karp subset recursion:
+    element 0 opens every cycle; the state is the set of elements visited
+    and the rank at the last one's end (no two elements share a vertex, so
+    that rank names the last element).
+    """
+    others = range(1, len(ring))
+    total = 0
+    for start, end, weight in ring[0]:
+        layer = {(1, end): weight}
+        for _ in range(len(ring) - 1):
+            step = {}
+            for (seen, r), val in layer.items():
+                for j in others:
+                    if seen >> j & 1:
+                        continue
+                    for s, e, w in ring[j]:
+                        if s != r:
+                            key = (seen | 1 << j, e)
+                            step[key] = step.get(key, 0) + (
+                                val * w if s > r else -val * w)
+            layer = step
+        total += sum(val if start > r else -val
+                     for (_, r), val in layer.items() if start != r)
+    return total
+
+
 def wbcr(d, k_max=K_MAX):
-    """The signed, weighted count of ordered numbered sources of `d`."""
+    """The signed, weighted count of ordered numbered sources of `d`.
+
+    For each choice of roles at the trivalent vertices, the external chains
+    and the chords form the ring that the internal edges close, and
+    `_cycle_sum` adds up the signs of every way to close it.
+    """
     k = d.degree
     check_degree(k, k_max)
-    total = sum(sign for _edges, sign in sources(d))
+    if not d.edges or any(a == b for (a, b) in d.edges):
+        return ZERO  # the empty diagram and loops have no sources
+    rank = {v: i for i, v in enumerate(d.univalent_order)}
+    tri = [v for v in range(d.nv) if v not in rank]
+    tt = [i for i, (a, b) in enumerate(d.edges)
+          if a not in rank and b not in rank]
+    # a chord a-b is a leg into type 2 at b or at a (a loop element, -1),
+    # or a step from type 5 to type 4, either way (+1)
+    chords = [((rank[b], rank[b], -1), (rank[a], rank[a], -1),
+               (rank[a], rank[b], 1), (rank[b], rank[a], 1))
+              for (a, b) in d.edges if a in rank and b in rank]
+
+    def far(i, v):
+        a, b = d.edges[i]
+        return b if a == v else a
+
+    total = 0
+    for choice in product(*(_vertex_roles(d, v, rank) for v in tri)):
+        # every edge between trivalent vertices leaves exactly one of them
+        if sorted(r[0] for r in choice if r[0] in tt) != tt:
+            continue
+        succ, ring, s3, seen = {}, [], 1, 0
+        for v, (out, _leg, _c_in, s) in zip(tri, choice):
+            s3 *= s
+            succ[v] = far(out, v)
+        for v, (_out, _leg, c_in, _s) in zip(tri, choice):
+            if c_in in tt:
+                continue
+            x = v  # walk from type 5 through trivalent to type 4
+            while x in succ:
+                x, seen = succ[x], seen + 1
+            ring.append(((rank[far(c_in, v)], rank[x], 1),))
+        if seen < len(tri):  # a closed cycle must be the whole cycle
+            if not ring and not chords \
+                    and _orbit_length(succ, tri[0]) == len(tri):
+                total += s3
+        else:
+            total += s3 * _cycle_sum(ring + chords)
+    if (len(d.edges) + len(tri)) % 2:
+        total = -total
     if not total:
         return ZERO
     return Fraction(total, 2 ** (2 * k - len(d.edges)))

@@ -78,6 +78,13 @@ class ArcCountError(DiagramError):
         super().__init__(f"arc {arc} appears {count} times (expected 2)")
 
 
+class DanglingArc(DiagramError):
+    def __init__(self, arc):
+        self.arc = arc
+        super().__init__(f"arc {arc} has no successor (two strands run "
+                         f"along the same arc)")
+
+
 class MultiComponentError(DiagramError):
     def __init__(self, n_components):
         self.n_components = n_components

@@ -13,7 +13,8 @@ may be virtual.
 import re
 from collections import Counter, namedtuple
 
-from .errors import ArcCountError, MultiComponentError, ParseError
+from .errors import (ArcCountError, DanglingArc, MultiComponentError,
+                     ParseError)
 
 Crossing = namedtuple("Crossing",
                       ["under_in", "over_a", "under_out", "over_b", "sign"])
@@ -61,6 +62,8 @@ class PDCode:
             if n != 2:
                 raise ArcCountError(arc, n)
         succ = self.successor_map()
+        if len(succ) != len(counts):  # two strands leave one arc
+            raise DanglingArc(min(set(counts) - set(succ)))
         start = min(succ)
         seen = {start}
         arc = succ[start]

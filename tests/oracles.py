@@ -3,19 +3,20 @@ generators, a dense rank for the sparse eliminator, the canonical labeling
 search without automorphism pruning, the P + N + T splitting with N
 spanned by products, the STU and IHX moves that renumber their terms
 or scan for the moving half-edges, the circle-counting weight and its
-cumulant by a class-keyed, memoized STU recursion, the Alexander
-determinant by expansion in minors, and the skein recursion on mutable
-crossing lists.  Everything here works by exhausting a finite search space
+cumulant by a class-keyed, memoized STU recursion, the BCR sources of a
+diagram listed one by one, the Alexander determinant by expansion in
+minors, and the skein recursion on mutable crossing lists.  Everything here works by exhausting a finite search space
 and keeping what passes an independently coded validity test, or by
 textbook elimination."""
 
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement, groupby,
-                       product)
+                       permutations, product)
 from math import factorial
 
 from knotweights import canon
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
+from knotweights.bridge import _orbit_length, _vertex_roles
 from knotweights.conway import _set_partitions, count_circles
 from knotweights.enumerate import enumerate_jacobi
 from knotweights.jacobi import (JacobiDiagram, _colors, _orientation_sign,
@@ -476,6 +477,74 @@ class ClassWeights:
                         rep, [v for i in block for v in comps[i]]))
                 total += c * term
         return total
+
+
+def sources(d):
+    """Every BCR source of `d` built on d's own vertices and edges.
+
+    Yields ``(edges, sign)``: `edges` lists the ``(tail, head, class)``
+    triples, d's edges first in d's order and directed, then the internal
+    edges; d's trivalent vertices are the external vertices; `sign` is
+    epsilon * epsilon2 * epsilon3 with the ordering read off d's line.
+    Each trivalent vertex gets an outgoing edge, a leg from a type-3
+    vertex and an incoming cycle edge; each chord is a leg into type 2 or
+    a step from type 5 to type 4.  The external edges then form chains
+    from type 5 to type 4 (or one closed cycle), and the internal edges
+    close chains and type-2 vertices into one cycle in every order.
+    """
+    if not d.edges or any(a == b for (a, b) in d.edges):
+        return  # the empty diagram and loops have no sources
+    rank = {v: i for i, v in enumerate(d.univalent_order)}
+    tri = [v for v in range(d.nv) if v not in rank]
+    tt = [i for i, (a, b) in enumerate(d.edges)
+          if a not in rank and b not in rank]
+    chords = [i for i, (a, b) in enumerate(d.edges)
+              if a in rank and b in rank]
+    chord_ways = [[(a, b, 2), (b, a, 2), (a, b, 4), (b, a, 4)]
+                  for (a, b) in (d.edges[i] for i in chords)]
+    parity = len(d.edges) + len(tri)
+
+    def far(i, v):
+        a, b = d.edges[i]
+        return b if a == v else a
+
+    for choice in product(*(_vertex_roles(d, v, rank) for v in tri)):
+        # every edge between trivalent vertices leaves exactly one of them
+        if sorted(r[0] for r in choice if r[0] in tt) != tt:
+            continue
+        tails = [None] * len(d.edges)
+        succ, starts, s3 = {}, [], 1
+        for v, (out, leg, c_in, s) in zip(tri, choice):
+            s3 *= s
+            tails[out], succ[v], tails[leg] = v, far(out, v), far(leg, v)
+            if c_in not in tt:
+                tails[c_in] = far(c_in, v)
+                starts.append((tails[c_in], v))
+        chains, seen = [], 0
+        for u, x in starts:  # walk from type 5 through trivalent to type 4
+            while x in succ:
+                x, seen = succ[x], seen + 1
+            chains.append((u, x))
+        for ways in product(*chord_ways):
+            ring = list(chains)
+            for i, (a, b, head_type) in zip(chords, ways):
+                tails[i] = a
+                ring.append((b, b) if head_type == 2 else (a, b))
+            ext = [(t, far(i, t), EXTERNAL) for i, t in enumerate(tails)]
+            n2 = sum(1 for (a, b) in ring if a == b)
+            sign = s3 * (-1 if (parity + n2) % 2 else 1)
+            if seen < len(tri):  # a closed cycle must be the whole cycle
+                if not ring and _orbit_length(succ, tri[0]) == len(tri):
+                    yield ext, sign
+            elif len(ring) > 1 or ring[0][0] != ring[0][1]:  # no loop
+                for perm in permutations(ring[1:]):
+                    order = ring[:1] + list(perm)
+                    internal, s2 = [], sign
+                    for (_, x), (y, _) in zip(order, order[1:] + order[:1]):
+                        internal.append((x, y, INTERNAL))
+                        if rank[y] < rank[x]:
+                            s2 = -s2
+                    yield ext + internal, s2
 
 
 def laplace_det(rows):

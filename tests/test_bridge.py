@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -7,8 +8,8 @@ from knotweights import bridge
 from knotweights.bcr import (EXTERNAL, INTERNAL, bcr_canonical, validate_bcr,
                              wheel_bcr)
 from knotweights.bridge import (epsilon, epsilon2, epsilon3, jacobi_of,
-                                orderings, sources, verify_main, verify_stu,
-                                wbcr, wbcr_by_orderings)
+                                orderings, verify_main, verify_stu, wbcr,
+                                wbcr_by_orderings)
 from knotweights.canon import canonical_form
 from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
 from knotweights.errors import DegreeOutOfRange, NotIsomorphic
@@ -18,7 +19,7 @@ from knotweights.jacobi import (JacobiDiagram, class_of, flipped,
 from knotweights.bcr import degree_one_bcr
 
 from helpers import shuffled_jacobi
-from oracles import canonical_form_all, class_of_all
+from oracles import canonical_form_all, class_of_all, sources
 
 
 def _rho_from_ranks(bcr, ranked_vertices):
@@ -149,6 +150,13 @@ def test_verify_main_low_degrees():
         assert all(r["equal"] for r in rows)
 
 
+@pytest.mark.slow
+def test_verify_main_degree_five():
+    # both sides vanish at odd degree, so this checks the cancellation
+    rows = verify_main(5, k_max=5)
+    assert len(rows) == 8018 and all(r["equal"] for r in rows)
+
+
 def test_verify_stu_low_degrees():
     for k in (2, 3):
         rows = verify_stu(k)
@@ -206,6 +214,20 @@ def test_wbcr_matches_the_ordering_scan(k):
         assert wbcr(rep, k) == want
         for _ in range(3):
             assert wbcr(shuffled_jacobi(rep, rng), k) == want
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_wbcr_equals_the_listed_signed_sum(k):
+    # the cycle sum against the sources listed one by one, on each class,
+    # on relabelings of it and on a flip at each of its trivalent vertices
+    rng = random.Random(29 + k)
+    for rep in enumerate_jacobi(k, k_max=k):
+        cases = [rep] + [shuffled_jacobi(rep, rng) for _ in range(3)]
+        cases += [flipped(rep, v) for v in rep.trivalent]
+        for d in cases:
+            total = sum(sign for _edges, sign in sources(d))
+            assert wbcr(d, k) == total / Fraction(2) ** (2 * k - len(d.edges))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

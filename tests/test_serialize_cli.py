@@ -159,6 +159,19 @@ def test_cli_non_planar_pd_exits_two(tmp_path, monkeypatch, capsys):
     assert "not planar" in captured.err
 
 
+@pytest.mark.parametrize("code, arc", [("X(1,1,2,2)", 2), ("X(2,2,1,1)", 1)])
+def test_cli_two_strands_on_one_arc_exit_two(tmp_path, monkeypatch, capsys,
+                                             code, arc):
+    # both strands run along the same arc, so the other arc has no successor
+    f = tmp_path / "dangling.pd"
+    f.write_text(code + "\n")
+    assert _run(tmp_path, monkeypatch, "alexander", "--pd", str(f)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: arc {arc} has no successor (two "
+                            f"strands run along the same arc)\n")
+
+
 def test_cli_enumerate_json_stable(tmp_path, monkeypatch, capsys):
     assert _run(tmp_path, monkeypatch, "enumerate", "jacobi",
                 "--degree", "1", "--json") == 0
