@@ -180,12 +180,8 @@ def _cycle_sum(ring):
 
 
 def wbcr(d, k_max=K_MAX):
-    """The signed, weighted count of ordered numbered sources of `d`.
-
-    For each choice of roles at the trivalent vertices, the external chains
-    and the chords form the ring that the internal edges close, and
-    `_cycle_sum` adds up the signs of every way to close it.
-    """
+    """The signed, weighted count of ordered numbered sources of `d`, as a
+    cycle sum per choice of roles at the trivalent vertices."""
     k = d.degree
     check_degree(k, k_max)
     if not d.edges or any(a == b for (a, b) in d.edges):

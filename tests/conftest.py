@@ -3,8 +3,8 @@ import pytest
 
 def pytest_addoption(parser):
     parser.addoption("--slow", action="store_true", default=False,
-                     help="add the degree-4 checks (the whole suite then "
-                          "takes about 1 min on 2 cores)")
+                     help="add the degree-4 and degree-5 checks (the whole "
+                          "suite then takes about 2 min on 2 cores)")
 
 
 def pytest_collection_modifyitems(config, items):

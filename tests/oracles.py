@@ -5,9 +5,9 @@ spanned by products, the STU and IHX moves that renumber their terms
 or scan for the moving half-edges, the circle-counting weight and its
 cumulant by a class-keyed, memoized STU recursion, the BCR sources of a
 diagram listed one by one, the Alexander determinant by expansion in
-minors, and the skein recursion on mutable crossing lists.  Everything here works by exhausting a finite search space
-and keeping what passes an independently coded validity test, or by
-textbook elimination."""
+minors, and the skein recursion on mutable crossing lists.  Everything
+here works by exhausting a finite search space and keeping what passes an
+independently coded validity test, or by textbook elimination."""
 
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement, groupby,
