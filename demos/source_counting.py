@@ -54,4 +54,4 @@ for k in (1, 2, 3):
           all(r['equal'] for r in rows))
 
 print()
-print("sources per degree:", {k: len(enumerate_bcr(k)) for k in (1, 2, 3, 4)})
+print("source classes per degree:", {k: len(enumerate_bcr(k)) for k in (1, 2, 3, 4)})

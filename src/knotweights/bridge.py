@@ -46,7 +46,7 @@ from .canon import canonical_form
 from .enumerate import (K_MAX, check_degree, enumerate_bcr, enumerate_jacobi,
                         per_degree)
 from .errors import AmbiguousIsomorphism, NotIsomorphic
-from .jacobi import JacobiDiagram, _colors, canonicalize, class_of
+from .jacobi import JacobiDiagram, _colors, class_of
 from .vectors import vector_of
 
 ZERO = Fraction(0)
@@ -293,16 +293,16 @@ def _wbcr_table(k):
 def wbcr_by_orderings(d, k_max=K_MAX):
     """`wbcr` by the test oracle: the degree-wide ordering scan, whose terms
     are divided by |Aut(source)|, times the target's edge automorphisms."""
-    key, sign, rep = canonicalize(d)
+    key, sign = class_of(d)
     if sign == 0:
         return ZERO
-    k = rep.degree
+    k = d.degree
     if k == 0:
         return ZERO
     base = _wbcr_table(k, k_max).get(key, ZERO)
     if not base:
         return ZERO
-    weight = Fraction(_jacobi_edge_aut_order(rep), 2 ** (2 * k - len(rep.edges)))
+    weight = Fraction(_jacobi_edge_aut_order(d), 2 ** (2 * k - len(d.edges)))
     return sign * base * weight
 
 
@@ -314,7 +314,7 @@ def verify_main(k, k_max=K_MAX):
     from .conway import wc_prime_eval
     rows = []
     for rep in enumerate_jacobi(k, k_max=k_max):
-        key, sign, _ = canonicalize(rep)
+        key, sign = class_of(rep)
         lhs = wbcr(rep, k_max)
         rhs = -wc_prime_eval(vector_of(rep), k_max=k_max)
         rows.append({
@@ -332,7 +332,7 @@ def verify_stu(k, k_max=K_MAX):
     from .jacobi import flipped, stu_expand, stu_sites
     rows = []
     for rep in enumerate_jacobi(k, k_max=k_max):
-        key = canonicalize(rep)[0]
+        key = class_of(rep)[0]
         w = wbcr(rep, k_max)
         for (t, u) in stu_sites(rep):
             d1, d2 = stu_expand(rep, t, u)

@@ -14,7 +14,7 @@ from itertools import product as iproduct
 
 from .bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
 from .errors import DegreeOutOfRange
-from .jacobi import canonicalize, empty_diagram, make_diagram
+from .jacobi import canonicalize, make_diagram
 
 K_MAX = 4
 
@@ -163,10 +163,6 @@ def enumerate_jacobi(k):
     Representatives carry the default vertex orientation (ascending
     half-edges).
     """
-    if k == 0:
-        d = empty_diagram()
-        key, _, rep = canonicalize(d)
-        return (rep,)
     found = {}
     for t in range(0, 2 * k + 1):
         u = 2 * k - t
@@ -176,8 +172,6 @@ def enumerate_jacobi(k):
         for edges in _multigraphs(deg_seq, free_start=u):
             d = make_diagram(2 * k, range(u), edges)
             key, _, rep = canonicalize(d)
-            if key in found:
-                continue
-            found[key] = rep
+            found.setdefault(key, rep)
     return tuple(found[key] for key in sorted(found))
 

@@ -10,6 +10,9 @@ two rim edges are parallel.  Loops are excluded: a loop at a trivalent
 vertex admits an orientation-reversing symmetry, so its class vanishes and
 local moves that would create one simply drop the term (see
 :func:`class_of`).
+
+A class is named by its canonical key, from which :func:`representative`
+draws its default-oriented diagram: no per-class state is kept.
 """
 
 from .canon import canonical_form, edge_map_for_perm
@@ -26,8 +29,8 @@ class JacobiDiagram:
                       when the diagram came from a directed construction
       orient          dict trivalent vertex -> cyclic triple of half-edges
       numbering       optional dict edge index -> label in 1..3k
-      record          ``canonicalize``'s result, set only on the interned
-                      class representative
+      record          ``canonicalize``'s ``(key, sign, self)``, set only on
+                      the representative it draws
     """
 
     __slots__ = ("nv", "univalent_order", "edges", "orient", "numbering",
@@ -100,6 +103,9 @@ class JacobiDiagram:
             cyc = self.orient.get(v)
             if cyc is None or sorted(cyc) != sorted(self.incident(v)):
                 raise VertexTypeViolation(v, "bad cyclic orientation")
+        for v in self.orient:
+            if v in uni or v not in range(self.nv):
+                raise VertexTypeViolation(v, "oriented but not trivalent")
         if self.numbering is not None:
             labels = list(self.numbering.values())
             bound = 3 * self.degree
@@ -313,9 +319,6 @@ def flipped(d, v):
 
 # -- canonical classes ------------------------------------------------------
 
-_registry = {}
-
-
 def _colors(d):
     pos = {v: i for i, v in enumerate(d.univalent_order)}
     colors = []
@@ -359,8 +362,11 @@ def class_of(d, with_numbering=False):
     read in one minimizing labeling.  Relabeling by an automorphism
     multiplies it by a character of the automorphism group, so it is 0
     exactly when some generator of that group reverses an odd number of
-    vertices, in which case the class vanishes by antisymmetry.
+    vertices, in which case the class vanishes by antisymmetry.  A
+    representative that carries its record answers without a search.
     """
+    if d.record is not None:
+        return d.record[:2]
     if any(a == b for (a, b) in d.edges):
         return None, 0
     tags = _edge_tags(d, with_numbering)
@@ -374,38 +380,37 @@ def class_of(d, with_numbering=False):
 
 
 def representative(key):
-    """The stored default-oriented representative of a canonical class."""
-    return _registry[key]
+    """A class's default-oriented representative, drawn from its key alone.
+
+    Drawn in canonical labels with its edges in token order, the identity
+    is a minimizing labeling under which its ascending orientation is the
+    class default: its sign is 1 unless the class vanishes."""
+    slot_colors, tokens = key
+    order = [i for i, c in enumerate(slot_colors) if c[0] == "u"]
+    order.sort(key=lambda i: slot_colors[i][1])
+    edges = [(tok[1], tok[0]) for tok in tokens]
+    return JacobiDiagram(len(slot_colors), order, edges,
+                         default_orientation(len(slot_colors), order, edges),
+                         validate=False)
 
 
 def canonicalize(d):
-    """Return ``(key, sign, representative)`` and intern the representative.
+    """Return ``(key, sign, representative)``, the record on the drawing.
 
-    The representative is built even when the class vanishes (sign 0), so
+    The representative is drawn even when the class vanishes (sign 0), so
     enumerations can list it; only loop-carrying diagrams have no class at
-    all and come back as ``(None, 0, None)``.  An interned representative
-    carries its own record, so canonicalizing that same object again runs
-    no search; copies of it, relabeled or flipped, are new objects and
-    are canonicalized afresh.
+    all and come back as ``(None, 0, None)``.  A representative carries
+    its own record, so canonicalizing that same object again runs no
+    search; copies of it, relabeled or flipped, are new objects and are
+    canonicalized afresh.
     """
     if d.record is not None:
         return d.record
     key, sign = class_of(d)
     if key is None:
         return None, 0, None
-    rep = _registry.get(key)
-    if rep is None:
-        slot_colors, tokens = key
-        order = [i for i, c in enumerate(slot_colors) if c[0] == "u"]
-        order.sort(key=lambda i: slot_colors[i][1])
-        edges = [(tok[1], tok[0]) for tok in tokens]
-        rep = make_diagram(len(slot_colors), order, edges)
-        # rep is drawn in canonical labels with its edges in token order, so
-        # the identity is a minimizing labeling under which its ascending
-        # orientation is the class default: its sign is 1 unless the class
-        # vanishes.
-        rep.record = (key, 1 if sign else 0, rep)
-        _registry[key] = rep
+    rep = representative(key)
+    rep.record = (key, 1 if sign else 0, rep)
     return key, sign, rep
 
 

@@ -15,7 +15,7 @@ from itertools import product as iproduct
 
 from .enumerate import K_MAX, enumerate_jacobi
 from .errors import BadSelection
-from .jacobi import JacobiDiagram, canonicalize, representative, single_chord
+from .jacobi import JacobiDiagram, class_of, representative, single_chord
 from .vectors import DiagramVector, vector_of
 
 
@@ -211,7 +211,7 @@ def verify_wc_psi(k, k_max=K_MAX):
         lhs = sum(wc_eval(v) for v in res.parts.values())
         rhs = wc_eval(vector_of(rep))
         rows.append({
-            "key": canonicalize(rep)[0],
+            "key": class_of(rep)[0],
             "lhs": lhs,
             "rhs": rhs,
             "equal": lhs == rhs,

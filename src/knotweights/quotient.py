@@ -20,7 +20,7 @@ P along N + T, the connected part used by the logarithmic weight system.
 from fractions import Fraction
 
 from .enumerate import K_MAX, enumerate_jacobi, per_degree
-from .jacobi import canonicalize
+from .jacobi import class_of
 from .relations import generate_relations
 from .vectors import DiagramVector
 
@@ -94,7 +94,7 @@ class Quotient:
 def quotient_basis(k):
     keys = []
     for rep in enumerate_jacobi(k, k_max=k):
-        key, sign, _ = canonicalize(rep)
+        key, sign = class_of(rep)
         if sign:  # classes killed by antisymmetry never index a column
             keys.append(key)
     keys.sort()
@@ -121,7 +121,7 @@ def _summands(k):
     """The nonvanishing class keys of degree k in P, N and T."""
     p_keys, n_keys, t_keys = [], [], []
     for rep in enumerate_jacobi(k, k_max=k):
-        key, sign, _ = canonicalize(rep)
+        key, sign = class_of(rep)
         if not sign:
             continue
         if rep.has_trivalent_component():

@@ -25,13 +25,13 @@ from .vectors import DiagramVector, vector_of
 class RelationSet:
     def __init__(self, degree):
         self.degree = degree
-        self.relators = []  # (kind, site description, DiagramVector)
+        self.relators = []  # (kind, DiagramVector)
 
-    def add(self, kind, site, vec):
-        self.relators.append((kind, site, vec))
+    def add(self, kind, vec):
+        self.relators.append((kind, vec))
 
     def vectors(self, kind=None):
-        return [v for (k, _s, v) in self.relators if kind is None or k == kind]
+        return [v for (k, v) in self.relators if kind is None or k == kind]
 
     def __len__(self):
         return len(self.relators)
@@ -43,14 +43,14 @@ def generate_relations(k, k_max=K_MAX):
     if k == 0:
         return rels
     for rep in enumerate_jacobi(k, k_max=k):
-        for v in rep.trivalent:
-            rels.add("AS", (rep, v), DiagramVector.zero(k))
+        for _ in rep.trivalent:
+            rels.add("AS", DiagramVector(k))
         for (t, u) in stu_sites(rep):
             d1, d2 = stu_expand(rep, t, u)
             vec = vector_of(rep) - vector_of(d1) + vector_of(d2)
-            rels.add("STU", (rep, t, u), vec)
+            rels.add("STU", vec)
         for e in internal_edges(rep):
             h, x = ihx_terms(rep, e)
             vec = vector_of(rep) - vector_of(h) + vector_of(x)
-            rels.add("IHX", (rep, e), vec)
+            rels.add("IHX", vec)
     return rels

@@ -28,6 +28,9 @@ def _half_id(half):
 
 
 def _half_from_id(h):
+    if type(h) is not int:
+        raise ParseError(0, "orient",
+                         f"half-edge id {json.dumps(h)} is not an integer")
     return (h // 2, h % 2)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import NonzeroConstantTerm
-from .jacobi import canonicalize, empty_diagram, product, representative
+from .jacobi import class_of, empty_diagram, product, representative
 
 
 class DiagramVector:
@@ -24,10 +24,6 @@ class DiagramVector:
                 c = Fraction(c)
                 if c:
                     self.terms[key] = c
-
-    @classmethod
-    def zero(cls, degree):
-        return cls(degree)
 
     def is_zero(self):
         return not self.terms
@@ -79,7 +75,7 @@ class DiagramVector:
 
 def vector_of(d, coeff=1):
     """The class of an oriented diagram as a vector (0 if it vanishes)."""
-    key, sign, _rep = canonicalize(d)
+    key, sign = class_of(d)
     v = DiagramVector(d.degree)
     if sign:
         v.add_term(key, Fraction(coeff) * sign)
@@ -93,7 +89,7 @@ def algebra_product(u, v):
         d1 = representative(k1)
         for k2, c2 in v.terms.items():
             d2 = representative(k2)
-            key, sign, _ = canonicalize(product(d1, d2))
+            key, sign = class_of(product(d1, d2))
             if sign:
                 out.add_term(key, c1 * c2 * sign)
     return out

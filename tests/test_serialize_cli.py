@@ -353,6 +353,12 @@ def _chord_with_edge_id(edge_id):
         "univalent_order": [0, 1]})
 
 
+def _wheel_2_with_orient(vertex, orient):
+    obj = json.loads(to_json(wheel(2)))
+    obj["vertices"][vertex]["orient"] = orient
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("text, message", [
     (_jacobi_text(2, [(0, 1)], [0, 1], ["trivalent", "bogus"]),
      "vertex 0 has no admissible local type: class 'trivalent', but the "
@@ -367,9 +373,14 @@ def _chord_with_edge_id(edge_id):
     (_chord_with_edge_id(7), "cannot parse 'edges' (ids must be the "
                              "integers 0..m-1)"),
     (_chord_with_edge_id(True), "ids must be the integers 0..m-1"),
+    (_wheel_2_with_orient(0, [1]),
+     "vertex 0 has no admissible local type: oriented but not trivalent"),
+    (_wheel_2_with_orient(2, [7, 4, True]),
+     "cannot parse 'orient' (half-edge id true is not an integer)"),
 ], ids=["trivalent_on_the_line", "bogus_class", "boolean_edge_end",
         "boolean_line_vertex", "boolean_vertex_ids", "edge_id_seven",
-        "boolean_edge_id"])
+        "boolean_edge_id", "orient_on_a_line_vertex",
+        "boolean_half_edge_id"])
 @pytest.mark.parametrize("argv", _DIAGRAM_ARGV)
 def test_cli_vertex_class_and_id_type_are_checked(tmp_path, monkeypatch,
                                                   capsys, argv, text,
@@ -390,6 +401,16 @@ def test_bcr_vertex_class_is_checked():
     row["class"] = "bogus"
     with pytest.raises(VertexTypeViolation, match="class 'bogus'"):
         from_json(json.dumps(obj))
+
+
+def test_orientations_off_the_trivalent_vertices_are_rejected():
+    for orient in ({5: ((0, 0),)}, {0: ((0, 0),)}, {True: ((0, 1),)}):
+        with pytest.raises(VertexTypeViolation, match="not trivalent"):
+            JacobiDiagram(2, [0, 1], [(0, 1)], orient)
+    w = wheel(2)
+    with pytest.raises(VertexTypeViolation, match="not trivalent"):
+        JacobiDiagram(w.nv, w.univalent_order, w.edges,
+                      {**w.orient, 1: ((1, 0),)})
 
 
 def test_boolean_vertex_ids_are_rejected_by_the_constructors():
