@@ -271,9 +271,8 @@ def test_vectors_evaluate_by_key_in_a_fresh_process():
     # no class has been canonicalized before the vector-level calls, so
     # each representative must be drawn from its key alone
     src = os.path.dirname(os.path.dirname(knotweights.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", _BY_KEY_IN_A_FRESH_PROCESS],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
