@@ -36,11 +36,14 @@ def _emit(obj, as_json):
 
 
 def _read(path):
-    """The text of an input file; an unreadable path is an input error."""
+    """The text of an input file; an unreadable path or a file that is not
+    UTF-8 is an input error."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DiagramError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DiagramError(f"cannot read {path}: {exc.reason}") from None
 
 
 def _read_jacobi(path):

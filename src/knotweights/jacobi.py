@@ -85,10 +85,10 @@ class JacobiDiagram:
             if not 0 <= v < self.nv:
                 raise VertexTypeViolation(
                     v, f"not among the vertex ids 0..{self.nv - 1}")
-        uni = self.univalent
-        if len(uni) != len(self.univalent_order):
-            raise VertexTypeViolation(self.univalent_order[0],
-                                      "univalent order has repeats")
+        uni, order = self.univalent, self.univalent_order
+        if len(uni) != len(order):
+            repeat = next(v for i, v in enumerate(order) if v in order[:i])
+            raise VertexTypeViolation(repeat, "univalent order has repeats")
         deg = [0] * self.nv
         for i, (a, b) in enumerate(self.edges):
             if a == b:

@@ -112,12 +112,6 @@ def splice(d, assignment):
         l1, l2 = ins.univalent_order
         (h1,) = ins.incident(l1)
         (h2,) = ins.incident(l2)
-        if ins.other_end(h1) == l2:
-            idx = len(edges)
-            edges.append((a, b))
-            host_half[(e, 0)] = (idx, 0)
-            host_half[(e, 1)] = (idx, 1)
-            continue
         base = len(edges)
         lmap = {}
         for v in range(ins.nv):

@@ -1,13 +1,14 @@
 """Naive generate-and-filter enumerations used to cross-check the fast
-generators, a dense rank for the sparse eliminator, the canonical labeling
-search without automorphism pruning, the P + N + T splitting with N
-spanned by products, the STU and IHX moves that renumber their terms
-or scan for the moving half-edges, the circle-counting weight and its
-cumulant by a class-keyed, memoized STU recursion, the BCR sources of a
-diagram listed one by one, the Alexander determinant by expansion in
-minors, and the skein recursion on mutable crossing lists.  Everything
-here works by exhausting a finite search space and keeping what passes an
-independently coded validity test, or by textbook elimination."""
+generators, the relators listed at every local site, a dense rank for the
+sparse eliminator, the canonical labeling search without automorphism
+pruning, the P + N + T splitting with N spanned by products, the STU and
+IHX moves that renumber their terms or scan for the moving half-edges, the
+circle-counting weight and its cumulant by a class-keyed, memoized STU
+recursion, the BCR sources of a diagram listed one by one, the Alexander
+determinant by expansion in minors, and the skein recursion on mutable
+crossing lists.  Everything here works by exhausting a finite search
+space and keeping what passes an independently coded validity test, or by
+textbook elimination."""
 
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement, groupby,
@@ -18,13 +19,15 @@ from knotweights import canon
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
 from knotweights.bridge import _orbit_length, _vertex_roles
 from knotweights.conway import _set_partitions, count_circles
-from knotweights.enumerate import enumerate_jacobi
+from knotweights.enumerate import K_MAX, check_degree, enumerate_jacobi
 from knotweights.jacobi import (JacobiDiagram, _colors, _orientation_sign,
                                 _rotate_to, canonicalize, class_of,
-                                make_diagram, representative, stu_expand,
-                                stu_sites, sub_diagram)
+                                ihx_terms, internal_edges, make_diagram,
+                                representative, stu_expand, stu_sites,
+                                sub_diagram)
 from knotweights.jacobi import product as diagram_product
 from knotweights.quotient import _Eliminator, quotient_basis
+from knotweights.relations import RelationSet
 from knotweights.series import LaurentPolynomial
 from knotweights.vectors import DiagramVector, vector_of
 
@@ -117,6 +120,27 @@ def brute_force_jacobi_keys(k):
             d = make_diagram(nv, range(u), multiset)
             keys.add(class_of(d)[0])
     return keys
+
+
+def relators_everywhere(k, k_max=K_MAX):
+    """AS at every trivalent vertex (as zero vectors), STU at every site
+    and IHX at every internal edge, whatever its component."""
+    check_degree(k, k_max)
+    rels = RelationSet(k)
+    if k == 0:
+        return rels
+    for rep in enumerate_jacobi(k, k_max=k):
+        for _ in rep.trivalent:
+            rels.add("AS", DiagramVector(k))
+        for (t, u) in stu_sites(rep):
+            d1, d2 = stu_expand(rep, t, u)
+            vec = vector_of(rep) - vector_of(d1) + vector_of(d2)
+            rels.add("STU", vec)
+        for e in internal_edges(rep):
+            h, x = ihx_terms(rep, e)
+            vec = vector_of(rep) - vector_of(h) + vector_of(x)
+            rels.add("IHX", vec)
+    return rels
 
 
 def dense_rank_oracle(rows, columns):

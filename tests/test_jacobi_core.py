@@ -45,6 +45,12 @@ def test_bivalent_vertex_rejected():
         make_diagram(2, [0], [(0, 1), (0, 1)])
 
 
+def test_repeated_univalent_vertex_is_named():
+    with pytest.raises(VertexTypeViolation) as exc:
+        JacobiDiagram(4, [1, 2, 2], [(0, 1), (2, 3)], {})
+    assert exc.value.vertex == 2
+
+
 def test_loop_rejected():
     with pytest.raises(LoopEdge):
         JacobiDiagram(2, (0,), [(1, 1), (0, 1)],

@@ -6,21 +6,33 @@ import pytest
 from knotweights.conway import wc_eval
 from knotweights.enumerate import enumerate_jacobi
 from knotweights.errors import BadSelection
-from knotweights.jacobi import (canonicalize, empty_diagram, product,
-                                single_chord, theta_graph, wheel)
+from knotweights.jacobi import (JacobiDiagram, canonicalize, empty_diagram,
+                                product, single_chord, theta_graph,
+                                validate_jacobi, wheel)
 from knotweights.psi import (TwoLegSeries, default_edge_selection,
                              doubled_anomaly_degree_one, psi_apply, splice,
                              verify_wc_psi)
 from knotweights.vectors import vector_of
 
 
+REVERSED_CHORD = JacobiDiagram(2, (0, 1), [(1, 0)], {})
+
+
 def test_chord_series_acts_as_identity():
     gamma = doubled_anomaly_degree_one()
-    for d in [single_chord(), wheel(2), theta_graph(),
+    for d in [single_chord(), REVERSED_CHORD, wheel(2), theta_graph(),
               product(single_chord(), wheel(2))]:
         res = psi_apply(gamma, d, K=d.degree)
         assert not res.dropped
         assert res.vector == vector_of(d)
+
+
+def test_splicing_a_chord_either_way_restores_the_edge():
+    for chord in (single_chord(), REVERSED_CHORD):
+        for d in enumerate_jacobi(2) + enumerate_jacobi(3):
+            for e in range(len(d.edges)):
+                spliced = validate_jacobi(splice(d, {e: chord}))
+                assert vector_of(spliced) == vector_of(d)
 
 
 def test_empty_diagram_fixed():

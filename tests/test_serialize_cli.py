@@ -271,17 +271,21 @@ def _assert_input_error(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    return captured.err
 
 
-@pytest.mark.parametrize("case", ["missing", "directory"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
 @pytest.mark.parametrize("argv", _DIAGRAM_ARGV + [("alexander", "--pd")])
 def test_cli_unreadable_input_exits_two(tmp_path, monkeypatch, capsys, argv,
                                         case):
     path = tmp_path / "input"
     if case == "directory":
         path.mkdir()
+    elif case == "not_utf8":
+        path.write_bytes(b'{"kind": "jacobi"\xff}')
     assert _run(tmp_path, monkeypatch, *argv, str(path)) == 2
-    _assert_input_error(capsys)
+    err = _assert_input_error(capsys)
+    assert err.startswith(f"error: cannot read {path}: ")
 
 
 @pytest.mark.parametrize("text", [

@@ -15,25 +15,14 @@ from knotweights.relations import generate_relations
 from knotweights.vectors import (DiagramVector, GradedSeries, algebra_product,
                                  graded_exp, unit_series, vector_of)
 
-from oracles import SplittingByProducts, dense_rank_oracle
-
-
-def test_as_relators_vanish_after_normalization():
-    rels = generate_relations(2)
-    for vec in rels.vectors("AS"):
-        assert vec.is_zero()
+from oracles import (SplittingByProducts, dense_rank_oracle,
+                     relators_everywhere)
 
 
 def test_as_sign_identity():
     w = wheel(2)
     v = w.trivalent[0]
     assert vector_of(flipped(w, v)) == -vector_of(w)
-
-
-def test_as_relators_are_listed_per_trivalent_vertex():
-    for k in (1, 2, 3):
-        want = sum(len(rep.trivalent) for rep in enumerate_jacobi(k))
-        assert len(generate_relations(k).vectors("AS")) == want
 
 
 def test_no_relations_in_degree_zero():
@@ -65,6 +54,32 @@ def test_relators_reduce_to_zero():
         q = quotient_basis(k)
         for vec in generate_relations(k).vectors():
             assert q.reduce(vec).is_zero()
+
+
+@pytest.mark.parametrize("k, stu, ihx", [
+    (1, 0, 3), (2, 6, 21), (3, 87, 117),
+    pytest.param(4, 1337, 720, marks=pytest.mark.slow)])
+def test_relators_are_stu_everywhere_and_ihx_on_closed_components(k, stu,
+                                                                   ihx):
+    rels = generate_relations(k)
+    assert len(rels.vectors("STU")) == stu
+    assert len(rels.vectors("IHX")) == ihx
+    assert len(rels) == stu + ihx
+
+
+@pytest.mark.parametrize("k", [1, 2, 3,
+                               pytest.param(4, marks=pytest.mark.slow)])
+def test_relators_span_the_relators_at_every_site(k):
+    everywhere = relators_everywhere(k)
+    listed = {frozenset(vec.terms.items()) for vec in everywhere.vectors()}
+    for vec in generate_relations(k).vectors():
+        assert frozenset(vec.terms.items()) in listed
+    q = quotient_basis(k)
+    elim = quotient._Eliminator(q._elim.column_rank)
+    for vec in everywhere.vectors():
+        assert q.reduce(vec).is_zero()
+        elim.add_row(vec.terms)
+    assert elim.pivots == q._elim.pivots
 
 
 def test_dimensions_low_degrees():
