@@ -42,11 +42,10 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .bcr import EXTERNAL, bcr_canonical
-from .canon import canonical_form
 from .enumerate import (K_MAX, check_degree, enumerate_bcr, enumerate_jacobi,
                         per_degree)
 from .errors import AmbiguousIsomorphism, NotIsomorphic
-from .jacobi import JacobiDiagram, _colors, class_of
+from .jacobi import JacobiDiagram, automorphisms, class_of
 from .vectors import vector_of
 
 ZERO = Fraction(0)
@@ -260,9 +259,7 @@ def _group_order(n, gens):
 
 
 def _jacobi_edge_aut_order(rep):
-    entries = [(u, v, 0) for (u, v) in rep.edges]
-    _, _, gens = canonical_form(rep.nv, _colors(rep), entries)
-    return _group_order(rep.nv, gens) * _parallel_factor(rep)
+    return _group_order(rep.nv, automorphisms(rep)) * _parallel_factor(rep)
 
 
 @per_degree(lowest=1)

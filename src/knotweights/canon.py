@@ -70,8 +70,9 @@ def _refine(cells, incidence):
             return cells
 
 
-def _orbits(n, gens):
-    """Orbit labels of the group generated by `gens` on 0..n-1."""
+def orbits(n, gens):
+    """Orbit labels of the group generated by `gens` on 0..n-1 (each a
+    sequence mapping point -> point)."""
     root = list(range(n))
 
     def find(x):
@@ -158,7 +159,7 @@ def canonical_form(n, colors, edges, directed=False):
             if seen_gens != len(gens):
                 seen_gens = len(gens)
                 fixing = [g for g in gens if all(g[w] == w for w in path)]
-                orbit = _orbits(n, fixing) if fixing else None
+                orbit = orbits(n, fixing) if fixing else None
             if orbit is not None and any(orbit[v] == orbit[w] for w in tried):
                 continue
             tried.append(v)

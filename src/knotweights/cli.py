@@ -198,7 +198,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--k-max", type=int, default=K_MAX,
+    common.add_argument("--k-max", type=_natural, default=K_MAX,
                         help=f"largest degree any step may compute, checked "
                              f"before any work (default {K_MAX})")
 

@@ -4,9 +4,12 @@ BCR diagrams are generated from cyclic words over four cycle pieces (the
 two bivalent transition vertices and the two legged trivalent vertices),
 with edge flavors matching around the cycle.  Jacobi diagrams are generated
 as loop-free multigraphs with the prescribed valences, using a first-touch
-symmetry cut on the interchangeable trivalent vertices.  Both enumerations
-are deduplicated through canonical keys, so the output carries one
-representative per class in a deterministic order.
+symmetry cut on the interchangeable trivalent vertices, and a candidate
+that swapping two of them turns into a smaller sorted edge list is skipped
+before its canonical search.  The least labeling of each class passes
+both cuts, so no class is lost.  Both enumerations are deduplicated
+through canonical keys, so the output carries one representative per
+class in a deterministic order.
 """
 
 from functools import lru_cache, wraps
@@ -156,6 +159,33 @@ def _multigraphs(deg_seq, free_start):
     yield from rec()
 
 
+def _swap_beats(edges, free_start, n):
+    """Whether swapping two free vertices gives a smaller sorted edge list.
+
+    `edges` is one of `_multigraphs`' lists, sorted pairs in sorted order.
+    A swap keeps the class; the least labeling of a class passes this test,
+    and it obeys the first-touch rule (were a free vertex first touched
+    before a lower untouched one, swapping the two would lower the list at
+    that touch), so it is among the candidates kept.  The edges away from
+    the two vertices are common to both lists, so the lists compare as the
+    sorted edges at the two vertices do, before and after the swap.
+    """
+    at = [[] for _ in range(n)]
+    for e in edges:
+        for v in e:
+            at[v].append(e)
+    for i in range(free_start, n):
+        for j in range(i + 1, n):
+            touched = sorted(at[i] + [e for e in at[j] if i not in e])
+            p = list(range(n))
+            p[i], p[j] = j, i
+            moved = sorted((p[a], p[b]) if p[a] < p[b] else (p[b], p[a])
+                           for (a, b) in touched)
+            if moved < touched:
+                return True
+    return False
+
+
 @per_degree()
 def enumerate_jacobi(k):
     """All Jacobi diagram classes of degree k, one representative each.
@@ -170,6 +200,8 @@ def enumerate_jacobi(k):
             continue
         deg_seq = [1] * u + [3] * t
         for edges in _multigraphs(deg_seq, free_start=u):
+            if _swap_beats(edges, u, 2 * k):
+                continue
             d = make_diagram(2 * k, range(u), edges)
             key, _, rep = canonicalize(d)
             found.setdefault(key, rep)

@@ -379,6 +379,14 @@ def class_of(d, with_numbering=False):
     return key, sign
 
 
+def automorphisms(d):
+    """Generators of Aut(d): the vertex permutations that keep the line
+    order and the edges with their multiplicities, orientations forgotten.
+    Swaps of parallel edges fix every vertex and are not listed."""
+    entries = [(u, v, 0) for (u, v) in d.edges]
+    return canonical_form(d.nv, _colors(d), entries)[2]
+
+
 def representative(key):
     """A class's default-oriented representative, drawn from its key alone.
 

@@ -1,8 +1,13 @@
 """The quotient space per degree: basis, reduction, and the splitting.
 
 Row reduction is exact sparse Gaussian elimination over Fractions with a
-fixed class ordering (canonical keys, lexicographic), so bases and reduced
-coordinates are reproducible.  The degree-k space splits into
+fixed class ordering (canonical keys, lexicographic), kept fully reduced.
+The fully reduced echelon form of a row space over a fixed column order is
+unique, so bases and reduced coordinates are reproducible whatever order
+the rows come in.  The relators come in by descending rank of their first
+column: a kept row holds no column before its own lead, so a row whose lead
+comes before every kept lead needs no back-substitution, and in this order
+most rows are such rows.  The degree-k space splits into
 
   P  connected classes with a univalent vertex,
   N  the empty class and the product classes,
@@ -31,6 +36,7 @@ class _Eliminator:
     def __init__(self, column_rank):
         self.column_rank = column_rank  # key -> position
         self.pivots = {}                # key -> normalized row (dict)
+        self._first = None              # least rank of a kept lead
 
     def _reduce_terms(self, terms):
         terms = dict(terms)
@@ -58,15 +64,21 @@ class _Eliminator:
         lead = min(terms, key=self.column_rank.get)
         inv = 1 / terms[lead]
         row = {k: c * inv for k, c in terms.items()}
-        for col, other in self.pivots.items():
-            c = other.get(lead)
-            if c:
-                for k2, c2 in row.items():
-                    nc = other.get(k2, Fraction(0)) - c * c2
-                    if nc:
-                        other[k2] = nc
-                    else:
-                        other.pop(k2, None)
+        rank = self.column_rank[lead]
+        if self._first is None or rank < self._first:
+            # a kept row holds no column before its own lead, so none
+            # holds this one: nothing to back-substitute
+            self._first = rank
+        else:
+            for other in self.pivots.values():
+                c = other.get(lead)
+                if c:
+                    for k2, c2 in row.items():
+                        nc = other.get(k2, Fraction(0)) - c * c2
+                        if nc:
+                            other[k2] = nc
+                        else:
+                            other.pop(k2, None)
         self.pivots[lead] = row
         return lead
 
@@ -100,9 +112,14 @@ def quotient_basis(k):
     keys.sort()
     rank = {key: i for i, key in enumerate(keys)}
     elim = _Eliminator(rank)
-    for vec in generate_relations(k, k_max=k).vectors():
-        if not vec.is_zero():
-            elim.add_row(vec.terms)
+    rows = [vec.terms for vec in generate_relations(k, k_max=k).vectors()
+            if not vec.is_zero()]
+    # latest leads first: a row whose lead no kept row reaches needs no
+    # back-substitution, and the reduced form does not depend on the order
+    rows.sort(key=lambda terms: min(map(rank.__getitem__, terms)),
+              reverse=True)
+    for terms in rows:
+        elim.add_row(terms)
     return Quotient(k, keys, elim)
 
 

@@ -1,7 +1,7 @@
 """Naive generate-and-filter enumerations used to cross-check the fast
-generators, the relators listed at every local site, a dense rank for the
-sparse eliminator, the canonical labeling search without automorphism
-pruning, the P + N + T splitting with N spanned by products, the STU and
+generators, the Jacobi enumeration without its swap filter, the relators
+listed at every local site, a dense rank for the sparse eliminator, the
+canonical labeling search without automorphism pruning, the P + N + T splitting with N spanned by products, the STU and
 IHX moves that renumber their terms or scan for the moving half-edges, the
 circle-counting weight and its cumulant by a class-keyed, memoized STU
 recursion, the BCR sources of a diagram listed one by one, the Alexander
@@ -19,7 +19,8 @@ from knotweights import canon
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
 from knotweights.bridge import _orbit_length, _vertex_roles
 from knotweights.conway import _set_partitions, count_circles
-from knotweights.enumerate import K_MAX, check_degree, enumerate_jacobi
+from knotweights.enumerate import (K_MAX, _multigraphs, check_degree,
+                                   enumerate_jacobi)
 from knotweights.jacobi import (JacobiDiagram, _colors, _orientation_sign,
                                 _rotate_to, canonicalize, class_of,
                                 ihx_terms, internal_edges, make_diagram,
@@ -122,24 +123,45 @@ def brute_force_jacobi_keys(k):
     return keys
 
 
+def enumerate_jacobi_unfiltered(k):
+    """Jacobi class representatives by the first-touch multigraph loop alone,
+    every candidate canonicalized, in key order."""
+    found = {}
+    for t in range(0, 2 * k + 1):
+        u = 2 * k - t
+        if (3 * t + u) % 2:
+            continue
+        for edges in _multigraphs([1] * u + [3] * t, free_start=u):
+            key, _, rep = canonicalize(make_diagram(2 * k, range(u), edges))
+            found.setdefault(key, rep)
+    return tuple(found[key] for key in sorted(found))
+
+
+def relators_at_sites(k):
+    """``(representative, kind, site, row)`` for AS at every trivalent
+    vertex (a zero row), STU at every site ``(t, u)`` and IHX at every
+    internal edge, whatever its component or class."""
+    for rep in enumerate_jacobi(k, k_max=k):
+        for v in rep.trivalent:
+            yield rep, "AS", v, DiagramVector(k)
+        for (t, u) in stu_sites(rep):
+            d1, d2 = stu_expand(rep, t, u)
+            vec = vector_of(rep) - vector_of(d1) + vector_of(d2)
+            yield rep, "STU", (t, u), vec
+        for e in internal_edges(rep):
+            h, x = ihx_terms(rep, e)
+            vec = vector_of(rep) - vector_of(h) + vector_of(x)
+            yield rep, "IHX", e, vec
+
+
 def relators_everywhere(k, k_max=K_MAX):
-    """AS at every trivalent vertex (as zero vectors), STU at every site
-    and IHX at every internal edge, whatever its component."""
+    """The rows of `relators_at_sites`, as a relation set."""
     check_degree(k, k_max)
     rels = RelationSet(k)
     if k == 0:
         return rels
-    for rep in enumerate_jacobi(k, k_max=k):
-        for _ in rep.trivalent:
-            rels.add("AS", DiagramVector(k))
-        for (t, u) in stu_sites(rep):
-            d1, d2 = stu_expand(rep, t, u)
-            vec = vector_of(rep) - vector_of(d1) + vector_of(d2)
-            rels.add("STU", vec)
-        for e in internal_edges(rep):
-            h, x = ihx_terms(rep, e)
-            vec = vector_of(rep) - vector_of(h) + vector_of(x)
-            rels.add("IHX", vec)
+    for _, kind, _, vec in relators_at_sites(k):
+        rels.add(kind, vec)
     return rels
 
 

@@ -11,7 +11,8 @@ import knotweights
 from knotweights.canon import canonical_form, edge_map_for_perm
 from knotweights.errors import (DegreeOutOfRange, InvalidNumbering, LoopEdge,
                                 VertexTypeViolation)
-from knotweights.jacobi import (JacobiDiagram, _colors, canonicalize,
+from knotweights.jacobi import (JacobiDiagram, _colors, automorphisms,
+                                canonicalize,
                                 chord_diagram, class_of, empty_diagram,
                                 flipped, ihx_terms, internal_edges,
                                 make_diagram, product, representative,
@@ -21,8 +22,8 @@ from knotweights.enumerate import enumerate_jacobi
 from knotweights.vectors import DiagramVector, vector_of
 
 from helpers import SearchRan, refuse_search, shuffled_jacobi
-from oracles import (class_of_all, group_order, ihx_terms_scanned,
-                     stu_expand_renumbered)
+from oracles import (class_of_all, enumerate_jacobi_unfiltered, group_order,
+                     ihx_terms_scanned, stu_expand_renumbered)
 
 
 def test_empty_diagram_is_valid_degree_zero():
@@ -93,6 +94,17 @@ def test_enumerate_counts_low_degrees():
     assert len(enumerate_jacobi(0)) == 1
     assert len(enumerate_jacobi(1)) == 2
     assert len(enumerate_jacobi(2)) == 10
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_swap_filter_keeps_every_class(k):
+    # the enumeration skips candidates a swap of two trivalent vertices
+    # lowers; the loop that canonicalizes every candidate finds the same
+    # keys in the same order
+    keys = tuple(class_of(d)[0] for d in enumerate_jacobi(k))
+    assert keys == tuple(class_of(d)[0]
+                         for d in enumerate_jacobi_unfiltered(k))
 
 
 def test_enumerate_contains_stock_diagrams():
@@ -174,6 +186,7 @@ def test_canonical_form_matches_the_unpruned_search(k):
             assert key == key_all
             assert edge_map_for_perm(entries, perm)[0] == list(key[1])
             assert group_order(d.nv, gens) == aut
+            assert group_order(d.nv, automorphisms(d)) == aut
             assert class_of(d) == (key, sign_all)
 
 

@@ -206,6 +206,22 @@ def test_cli_usage_error_exits_two(tmp_path, monkeypatch):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("dim", "--degree", "2"),
+    ("enumerate", "jacobi", "--degree", "2"),
+    ("verify", "lemma33", "--degree", "2"),
+])
+def test_cli_negative_k_max_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                             argv):
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, monkeypatch, *argv, "--k-max", "-3")
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--k-max: must be >= 0, got -3" in captured.err
+    assert "range" not in captured.err
+
+
 def test_cli_bad_diagram_file_reports_error(tmp_path, monkeypatch, capsys):
     f = tmp_path / "bad.pd"
     f.write_text("X(1,2,3)\n")

@@ -6,7 +6,7 @@ import pytest
 from knotweights.bridge import _wbcr_table
 from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
 from knotweights.errors import DegreeOutOfRange, NonzeroConstantTerm
-from knotweights.jacobi import (empty_diagram, flipped, product,
+from knotweights.jacobi import (class_of, empty_diagram, flipped, product,
                                 single_chord, stu_sites, wheel)
 from knotweights import quotient
 from knotweights.quotient import (dims_table, project_pc, quotient_basis,
@@ -16,7 +16,7 @@ from knotweights.vectors import (DiagramVector, GradedSeries, algebra_product,
                                  graded_exp, unit_series, vector_of)
 
 from oracles import (SplittingByProducts, dense_rank_oracle,
-                     relators_everywhere)
+                     relators_at_sites, relators_everywhere)
 
 
 def test_as_sign_identity():
@@ -37,9 +37,12 @@ def test_degree_cap_holds_on_a_warm_memo(layer):
 
 
 def test_stu_site_count_matches_site_scan():
+    # STU is listed on the classes that do not vanish
     rels = generate_relations(2)
     scanned = 0
     for rep in enumerate_jacobi(2):
+        if not class_of(rep)[1]:
+            continue
         uni = rep.univalent
         for u in rep.univalent_order:
             (e, end), = rep.incident(u)
@@ -57,8 +60,8 @@ def test_relators_reduce_to_zero():
 
 
 @pytest.mark.parametrize("k, stu, ihx", [
-    (1, 0, 3), (2, 6, 21), (3, 87, 117),
-    pytest.param(4, 1337, 720, marks=pytest.mark.slow)])
+    (1, 0, 1), (2, 5, 5), (3, 77, 31),
+    pytest.param(4, 1215, 214, marks=pytest.mark.slow)])
 def test_relators_are_stu_everywhere_and_ihx_on_closed_components(k, stu,
                                                                    ihx):
     rels = generate_relations(k)
@@ -80,6 +83,47 @@ def test_relators_span_the_relators_at_every_site(k):
         assert q.reduce(vec).is_zero()
         elim.add_row(vec.terms)
     assert elim.pivots == q._elim.pivots
+
+
+@pytest.mark.parametrize("k", [1, 2, 3,
+                               pytest.param(4, marks=pytest.mark.slow)])
+def test_stu_rows_of_vanishing_classes_are_zero(k):
+    checked = 0
+    for rep, kind, _, vec in relators_at_sites(k):
+        if kind == "STU" and not class_of(rep)[1]:
+            assert vec.is_zero()
+            checked += 1
+    assert checked or k < 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3,
+                               pytest.param(4, marks=pytest.mark.slow)])
+def test_ihx_rows_on_closed_components_are_listed_up_to_sign(k):
+    listed = {frozenset(vec.terms.items())
+              for vec in generate_relations(k).vectors("IHX")}
+    checked = 0
+    for rep, kind, e, vec in relators_at_sites(k):
+        if kind != "IHX":
+            continue
+        comp = next(c for c in rep.components() if rep.edges[e][0] in c)
+        if rep.univalent.isdisjoint(comp):
+            assert (frozenset(vec.terms.items()) in listed
+                    or frozenset((-vec).terms.items()) in listed)
+            checked += 1
+    assert checked >= len(listed)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3,
+                               pytest.param(4, marks=pytest.mark.slow)])
+def test_lead_order_and_generation_order_give_equal_pivots(k):
+    q = quotient_basis(k)
+    elim = quotient._Eliminator(q._elim.column_rank)
+    for vec in generate_relations(k).vectors():
+        if not vec.is_zero():
+            elim.add_row(vec.terms)
+    assert elim.pivots == q._elim.pivots
+    assert q.basis == [key for key in q.class_keys
+                       if key not in elim.pivots]
 
 
 def test_dimensions_low_degrees():
