@@ -55,7 +55,11 @@ def _read_jacobi(path):
 
 
 def _natural(text):
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}") from None
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n

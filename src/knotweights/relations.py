@@ -66,10 +66,9 @@ def _ihx_edges(d):
     index = {}
     for e in edges:
         index.setdefault(frozenset(d.edges[e]), len(index))
-    pairs = list(index)
-    moves = [[index[frozenset(g[v] for v in pair)] for pair in pairs]
+    moves = [[index[frozenset(g[v] for v in pair)] for pair in index]
              for g in automorphisms(d)]
-    orbit = orbits(len(pairs), moves)
+    orbit = orbits(len(index), moves)
     seen, out = set(), []
     for e in edges:
         o = orbit[index[frozenset(d.edges[e])]]

@@ -1,14 +1,14 @@
 """Naive generate-and-filter enumerations used to cross-check the fast
 generators, the Jacobi enumeration without its swap filter, the relators
 listed at every local site, a dense rank for the sparse eliminator, the
-canonical labeling search without automorphism pruning, the P + N + T splitting with N spanned by products, the STU and
-IHX moves that renumber their terms or scan for the moving half-edges, the
-circle-counting weight and its cumulant by a class-keyed, memoized STU
-recursion, the BCR sources of a diagram listed one by one, the Alexander
-determinant by expansion in minors, and the skein recursion on mutable
-crossing lists.  Everything here works by exhausting a finite search
-space and keeping what passes an independently coded validity test, or by
-textbook elimination."""
+canonical labeling search without automorphism pruning, the P + N + T
+splitting with N spanned by products, the STU and IHX moves that renumber
+their terms or scan for the moving half-edges, the circle-counting weight
+and its cumulant by a class-keyed, memoized STU recursion, the BCR sources
+of a diagram listed one by one, the Alexander determinant by expansion in
+minors, and the skein recursion on mutable crossing lists.  Everything here
+works by exhausting a finite search space and keeping what passes an
+independently coded validity test, or by textbook elimination."""
 
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement, groupby,
@@ -158,8 +158,6 @@ def relators_everywhere(k, k_max=K_MAX):
     """The rows of `relators_at_sites`, as a relation set."""
     check_degree(k, k_max)
     rels = RelationSet(k)
-    if k == 0:
-        return rels
     for _, kind, _, vec in relators_at_sites(k):
         rels.add(kind, vec)
     return rels

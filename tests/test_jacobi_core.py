@@ -12,12 +12,12 @@ from knotweights.canon import canonical_form, edge_map_for_perm
 from knotweights.errors import (DegreeOutOfRange, InvalidNumbering, LoopEdge,
                                 VertexTypeViolation)
 from knotweights.jacobi import (JacobiDiagram, _colors, automorphisms,
-                                canonicalize,
-                                chord_diagram, class_of, empty_diagram,
-                                flipped, ihx_terms, internal_edges,
-                                make_diagram, product, representative,
-                                single_chord, stu_expand, stu_sites,
-                                theta_graph, validate_jacobi, wheel)
+                                canonicalize, chord_diagram, class_of,
+                                empty_diagram, flipped, ihx_terms,
+                                internal_edges, make_diagram, product,
+                                representative, single_chord, stu_expand,
+                                stu_sites, theta_graph, validate_jacobi,
+                                wheel)
 from knotweights.enumerate import enumerate_jacobi
 from knotweights.vectors import DiagramVector, vector_of
 

@@ -220,6 +220,11 @@ def test_cli_negative_k_max_is_a_usage_error(tmp_path, monkeypatch, capsys,
     assert captured.out == ""
     assert "--k-max: must be >= 0, got -3" in captured.err
     assert "range" not in captured.err
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, monkeypatch, *argv, "--k-max", "four")
+    assert err.value.code == 2
+    assert ("--k-max: must be an integer >= 0, got 'four'"
+            in capsys.readouterr().err)
 
 
 def test_cli_bad_diagram_file_reports_error(tmp_path, monkeypatch, capsys):
