@@ -170,6 +170,60 @@ def alexander_poly(pd):
 
 # -- skein-recursion oracle ---------------------------------------------------
 
+def _joined(crossings, joins, free_circles):
+    """Crossings with each pair of arcs in `joins` merged, and the free
+    circle count.  Each join renames the larger of its two arcs to the
+    smaller, after the joins before it; a join of an arc with itself closes
+    a free circle."""
+    rename = {}
+    for (x, y) in joins:
+        x, y = rename.get(x, x), rename.get(y, y)
+        if x == y:
+            free_circles += 1
+            continue
+        lo, hi = min(x, y), max(x, y)
+        for k, v in rename.items():
+            if v == hi:
+                rename[k] = lo
+        rename[hi] = lo
+    if rename:
+        crossings = [(rename.get(a, a), rename.get(b, b), rename.get(c, c),
+                      rename.get(d, d), s) for (a, b, c, d, s) in crossings]
+    return crossings, free_circles
+
+
+def _reidemeister_move(crossings):
+    """(crossings to drop, arcs to join) of the first Reidemeister I or II
+    move the tangle allows, or None.
+
+    A kink is a crossing whose understrand runs straight into its
+    overstrand (uo == oi) or back (oo == ui); dropping it joins the two
+    other ends, and a crossing that is both is an isolated curl, whose join
+    closes a free circle.  A bigon is a pair i != j of opposite signs where
+    the overstrand leaves i and enters j as the over arc and the
+    understrand joins i and j by one arc, in the same direction (uo_i ==
+    ui_j) or the opposite one (uo_j == ui_i); dropping both joins the ends
+    of each strand.  On a planar code, the opposite signs are what make the
+    two arcs bound a face.
+    """
+    for k, (ui, uo, oi, oo, _s) in enumerate(crossings):
+        if uo == oi:
+            return (k,), ((ui, oo),)
+        if oo == ui:
+            return (k,), ((oi, uo),)
+    over_in = {c[2]: k for k, c in enumerate(crossings)}
+    for i, (ui, uo, oi, oo, s) in enumerate(crossings):
+        j = over_in.get(oo)
+        if j is None or crossings[j][4] != -s:
+            continue
+        uj, uoj, _oij, ooj, _sj = crossings[j]
+        if uj == uo:
+            return (i, j), ((oi, ooj), (ui, uoj))
+        if uoj == ui:
+            return (i, j), ((oi, ooj), (uj, uo))
+    return None
+
+
 class _Tangle:
     """Crossing tuples (under_in, under_out, over_in, over_out, sign) for
     the recursion, with a count of free circles."""
@@ -228,54 +282,65 @@ class _Tangle:
         return _Tangle(crossings, self.free_circles)
 
     def smoothed(self, i):
-        """Oriented smoothing: under-in joins over-out and vice versa.
-
-        Each join renames the larger of its two arcs to the smaller; a join
-        of an arc with itself closes a free circle.
-        """
+        """Oriented smoothing: under-in joins over-out and vice versa."""
         crossings = list(self.crossings)
         ui, uo, oi, oo, _s = crossings.pop(i)
-        free = self.free_circles
-        rename = {}
-        for (x, y) in ((ui, oo), (oi, uo)):
-            x, y = rename.get(x, x), rename.get(y, y)
-            if x == y:
-                free += 1
-                continue
-            lo, hi = min(x, y), max(x, y)
-            # only a non-planar code lets the second join meet the first
-            for k, v in rename.items():
-                if v == hi:
-                    rename[k] = lo
-            rename[hi] = lo
-        if rename:
-            crossings = [(rename.get(a, a), rename.get(b, b), rename.get(c, c),
-                          rename.get(d, d), s) for (a, b, c, d, s) in crossings]
-        return _Tangle(crossings, free)
+        return _Tangle(*_joined(crossings, ((ui, oo), (oi, uo)),
+                                self.free_circles))
+
+    def reduced(self):
+        """The tangle after every Reidemeister I and II move it allows,
+        with its crossings sorted."""
+        crossings, free = self.crossings, self.free_circles
+        while (move := _reidemeister_move(crossings)) is not None:
+            drop, joins = move
+            crossings, free = _joined(
+                [c for k, c in enumerate(crossings) if k not in drop],
+                joins, free)
+        return _Tangle(sorted(crossings), free)
 
 
-def _nabla(tangle):
-    """Conway polynomial coefficients as {exponent of z: int}."""
+def _nabla(tangle, memo):
+    """Conway polynomial coefficients as {exponent of z: int}, memoized in
+    `memo` on the reduced tangle."""
+    tangle = tangle.reduced()
     if not tangle.crossings:
         return {0: 1} if tangle.free_circles == 1 else {}
+    if tangle.free_circles:
+        return {}   # a free circle beside a nonempty diagram: a split link
+    key = (tuple(tangle.crossings), tangle.free_circles)
+    got = memo.get(key)
+    if got is not None:
+        return got
     ci, n_comp = tangle.walk()
     if ci is None:
         # descending diagram: an unknot when there is a single component
-        return {0: 1} if n_comp + tangle.free_circles == 1 else {}
-    sign = tangle.crossings[ci][4]
-    a = _nabla(tangle.switched(ci))
-    b = _nabla(tangle.smoothed(ci))
-    out = dict(a)
-    for e, c in b.items():
-        out[e + 1] = out.get(e + 1, 0) + sign * c
-    return {e: c for e, c in out.items() if c}
+        out = {0: 1} if n_comp == 1 else {}
+    else:
+        sign = tangle.crossings[ci][4]
+        out = dict(_nabla(tangle.switched(ci), memo))
+        for e, c in _nabla(tangle.smoothed(ci), memo).items():
+            out[e + 1] = out.get(e + 1, 0) + sign * c
+        out = {e: c for e, c in out.items() if c}
+    memo[key] = out
+    return out
 
 
 def conway_skein(pd):
-    """Conway polynomial in z by the two-term crossing recursion."""
+    """Conway polynomial in z by the two-term crossing recursion on reduced
+    tangles.
+
+    Every tangle is first reduced by Reidemeister I and II moves; one with
+    crossings and a free circle is split, so its polynomial is 0.  The
+    reduced tangle picks its first underpass and recurses on the switch and
+    the smoothing there, memoized on the exact reduced tangle in a dict
+    that lives for this call only.  The moves keep the link type only on a
+    planar code (one that `parse_pd` accepts); on a virtual code the value
+    may differ from the unreduced recursion.
+    """
     if len(pd) == 0:
         return {0: 1}
-    return _nabla(_Tangle.from_pd(pd))
+    return _nabla(_Tangle.from_pd(pd), {})
 
 
 def nabla_to_alexander(nabla):

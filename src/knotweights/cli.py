@@ -2,11 +2,13 @@
 
 Subcommands: enumerate, dim, weight, wbcr, verify, alexander.  Tables go
 to stdout; --json switches every subcommand to a stable machine format.
-Verification subcommands exit 0 only when every checked identity holds;
-usage errors exit 2.
+Verification subcommands exit 0 only when every checked identity holds,
+and `alexander` exits 1 when its two routes to Delta disagree or one fails
+its own check; usage errors exit 2.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -172,11 +174,16 @@ def cmd_verify(args):
 
 def cmd_alexander(args):
     pd = parse_pd(_read(args.pd))
-    delta = alexander_poly(pd)
-    skein = alexander_by_skein(pd)
+    try:
+        delta = alexander_poly(pd)
+        skein = alexander_by_skein(pd)
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if delta != skein:
-        raise ArithmeticError(
-            f"determinant gives {delta} but the skein recursion gives {skein}")
+        print(f"error: the determinant gives {delta} but the skein "
+              f"recursion gives {skein}", file=sys.stderr)
+        return 1
     out = {"delta": str(delta)}
     if not args.json:
         print(f"Delta(t) = {delta}")
@@ -198,7 +205,10 @@ def cmd_alexander(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than most `alexander` calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")

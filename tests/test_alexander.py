@@ -5,9 +5,9 @@ from pathlib import Path
 import pytest
 
 from knotweights.alexander import (_alexander_matrix, _det, _div_exact,
-                                   _Tangle, alexander_by_skein,
-                                   alexander_poly, conway_skein,
-                                   symmetric_normalize)
+                                   _nabla, _reidemeister_move, _Tangle,
+                                   alexander_by_skein, alexander_poly,
+                                   conway_skein, symmetric_normalize)
 from knotweights.errors import (ArcCountError, DegenerateDiagram,
                                 MultiComponentError, NonUnitConstantTerm,
                                 ParseError)
@@ -17,7 +17,7 @@ from knotweights.series import (LaurentPolynomial, PowerSeries,
 
 from helpers import (connected_sum, gauss_pd, random_gauss_knot, torus_knot,
                      twist_knot)
-from oracles import _ListTangle, conway_skein_lists, laplace_det
+from oracles import _list_nabla, _ListTangle, conway_skein_lists, laplace_det
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -289,11 +289,23 @@ def _same_recursion(new, old):
     _same_recursion(new.smoothed(ci), old.smoothed(ci))
 
 
-def _check_skein_against_lists(pd):
+def _check_skein_against_lists(pd, values=True):
+    """The unreduced recursion steps in lock step with the list recursion;
+    with `values`, for a planar code, the reduced recursion's value equals
+    the list recursion's."""
     for p in (pd, pd.mirror()):
-        assert conway_skein(p) == conway_skein_lists(p)
+        if values:
+            assert conway_skein(p) == conway_skein_lists(p)
         if len(p):
             _same_recursion(_Tangle.from_pd(p), _ListTangle.from_pd(p))
+
+
+def _is_planar(pd):
+    try:
+        parse_pd(format_pd(pd))
+    except ParseError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("name, knot, delta", SMALL_KNOTS,
@@ -309,11 +321,17 @@ def test_skein_matches_the_list_recursion_on_the_fixtures():
 
 def test_skein_matches_the_list_recursion_on_virtual_codes():
     # non-planar codes reach tangles where both joins of a smoothing meet
-    # the same arc, so the second renames the first one's target
+    # the same arc, so the second renames the first one's target.  The
+    # Reidemeister moves keep the link type only on planar codes, and the
+    # descending recursion is no invariant on the others, so the values are
+    # compared on the planar draws alone
     rng = random.Random(7)
+    planar = 0
     for _ in range(60):
-        _check_skein_against_lists(
-            gauss_pd(random_gauss_knot(rng.randrange(1, 8), rng)))
+        pd = gauss_pd(random_gauss_knot(rng.randrange(1, 8), rng))
+        planar += _is_planar(pd)
+        _check_skein_against_lists(pd, values=_is_planar(pd))
+    assert 5 < planar < 55
 
 
 # a random Gauss code with no planar diagram: its determinant and skein
@@ -349,9 +367,162 @@ def test_parse_rejects_non_planar_codes():
             continue
         accepted += 1
         assert alexander_poly(p) == alexander_by_skein(p)
+        assert conway_skein(p) == conway_skein_lists(p)
     assert accepted > 50 and rejected > 50
 
 
 def test_torus_knots_up_to_41_crossings():
     for n in range(3, 42, 2):
         assert alexander_poly(gauss_pd(torus_knot(n))) == _torus_delta(n)
+
+
+@pytest.mark.parametrize("n", range(15, 32, 2))
+def test_skein_matches_the_determinant_on_torus_knots(n):
+    pd = gauss_pd(torus_knot(n))
+    for p in (pd, pd.mirror()):
+        assert alexander_by_skein(p) == alexander_poly(p) == _torus_delta(n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", range(33, 42, 2))
+def test_skein_matches_the_determinant_up_to_41_crossings(n):
+    pd = gauss_pd(torus_knot(n))
+    for p in (pd, pd.mirror()):
+        assert alexander_by_skein(p) == alexander_poly(p) == _torus_delta(n)
+
+
+@pytest.mark.parametrize("a, b, delta", [
+    (torus_knot(13), twist_knot(11), _torus_delta(13) * _twist_delta(11)),
+    (torus_knot(17), torus_knot(19), _torus_delta(17) * _torus_delta(19)),
+], ids=["T(2,13)#Tw(11)", "T(2,17)#T(2,19)"])
+def test_skein_matches_the_determinant_on_large_sums(a, b, delta):
+    pd = gauss_pd(connected_sum(a, b))
+    assert len(pd) in (26, 36)
+    for p in (pd, pd.mirror()):
+        assert alexander_by_skein(p) == alexander_poly(p) == delta
+
+
+def test_skein_recursion_is_polynomial_on_torus_knots(monkeypatch):
+    # the unreduced recursion walks a Fibonacci number of tangles on
+    # T(2,n), about 1.3 million at n = 31; a bigon after each switch keeps
+    # the reduced one near n^2 / 4
+    walks = []
+    walk = _Tangle.walk
+    monkeypatch.setattr(_Tangle, "walk", lambda t: walks.append(1) or walk(t))
+    conway_skein(gauss_pd(torus_knot(31)))
+    assert len(walks) <= 31 * 31
+
+
+# -- the Reidemeister moves of the skein recursion -----------------------------
+#
+# A knot below is a Gauss code (visits, signs) as in `helpers`; each one is
+# checked to be planar before its moves are checked.
+
+TREFOIL = torus_knot(3)[0]
+
+
+def _shifted(visits, by):
+    return [(c + by, over) for c, over in visits]
+
+
+def _planar_pd(visits, signs):
+    pd = gauss_pd((visits, signs))
+    assert _is_planar(pd)
+    return pd
+
+
+def _reduces_to(pd, move_size, n_left, nabla):
+    """The first move drops `move_size` crossings, the reduced root keeps
+    `n_left`, and both skein recursions give `nabla`, on the code and on
+    its mirror image."""
+    for p in (pd, pd.mirror()):
+        tangle = _Tangle.from_pd(p)
+        drop, _joins = _reidemeister_move(tangle.crossings)
+        assert len(drop) == move_size
+        assert len(tangle.reduced().crossings) == n_left
+        assert conway_skein(p) == conway_skein_lists(p) == nabla
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("visits, is_kink", [
+    ([(3, False), (3, True)] + TREFOIL, lambda ui, uo, oi, oo: uo == oi),
+    ([(3, True), (3, False)] + TREFOIL, lambda ui, uo, oi, oo: oo == ui),
+], ids=["under-into-over", "over-into-under"])
+def test_reidemeister_one_drops_a_kink(visits, is_kink, sign):
+    pd = _planar_pd(visits, {0: 1, 1: 1, 2: 1, 3: sign})
+    kink = [c for c in _Tangle.from_pd(pd).crossings if is_kink(*c[:4])]
+    assert len(kink) == 1
+    _reduces_to(pd, 1, 3, {0: 1, 2: 1})
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_isolated_curl_becomes_a_free_circle(sign):
+    pd = _planar_pd([(0, False), (0, True)], {0: sign})
+    ((ui, uo, oi, oo, _s),) = _Tangle.from_pd(pd).crossings
+    assert uo == oi and oo == ui
+    reduced = _Tangle.from_pd(pd).reduced()
+    assert reduced.crossings == [] and reduced.free_circles == 1
+    _reduces_to(pd, 1, 0, {0: 1})
+    # beside a trefoil, the curl leaves a split link
+    rows = _Tangle.from_pd(load("3_1")).crossings + [(21, 22, 22, 21, sign)]
+    reduced = _Tangle(rows).reduced()
+    assert len(reduced.crossings) == 3 and reduced.free_circles == 1
+    assert _nabla(_Tangle(rows), {}) == _list_nabla(_ListTangle(rows)) == {}
+
+
+def test_reidemeister_two_drops_a_parallel_bigon():
+    # the closed two-braid s^4 s^-1: a trefoil, and the last two crossings
+    # bound a bigon whose strands both run from crossing 3 to crossing 4
+    visits = [(0, True), (1, False), (2, True), (3, False), (4, False),
+              (0, False), (1, True), (2, False), (3, True), (4, True)]
+    pd = _planar_pd(visits, {0: 1, 1: 1, 2: 1, 3: 1, 4: -1})
+    for p in (pd, pd.mirror()):
+        tangle = _Tangle.from_pd(p)
+        (i, j), _joins = _reidemeister_move(tangle.crossings)
+        assert tangle.crossings[i][1] == tangle.crossings[j][0]
+    _reduces_to(pd, 2, 3, {0: 1, 2: 1})
+    # two circles, one passing over the other twice: a split link
+    rows = [(2, 3, 1, 6, -1), (3, 2, 6, 1, 1)]
+    reduced = _Tangle(rows).reduced()
+    assert reduced.crossings == [] and reduced.free_circles == 2
+    assert _nabla(_Tangle(rows), {}) == _list_nabla(_ListTangle(rows)) == {}
+
+
+def _two_trefoils_through_a_bigon(s0, s1):
+    """Two trefoil arcs, joined where one strand passes over crossings 0
+    and 1 and the other passes back under 1 and 0."""
+    visits = ([(0, True), (1, True)] + _shifted(TREFOIL, 2)
+              + [(1, False), (0, False)] + _shifted(TREFOIL, 5))
+    signs = {c: 1 for c in range(8)}
+    signs.update({0: s0, 1: s1})
+    return _planar_pd(visits, signs)
+
+
+@pytest.mark.parametrize("s0", [1, -1])
+def test_reidemeister_two_drops_an_antiparallel_bigon(s0):
+    pd = _two_trefoils_through_a_bigon(s0, -s0)
+    for p in (pd, pd.mirror()):
+        tangle = _Tangle.from_pd(p)
+        (i, j), _joins = _reidemeister_move(tangle.crossings)
+        assert tangle.crossings[j][1] == tangle.crossings[i][0]
+    _reduces_to(pd, 2, 6, {0: 1, 2: 2, 4: 1})
+
+
+@pytest.mark.parametrize("s0", [1, -1])
+def test_equal_signs_bound_no_bigon(s0):
+    # with equal signs the two arcs close a loop round one trefoil arc
+    pd = _two_trefoils_through_a_bigon(s0, s0)
+    for p in (pd, pd.mirror()):
+        assert _reidemeister_move(_Tangle.from_pd(p).crossings) is None
+        assert conway_skein(p) == conway_skein_lists(p)
+
+
+def test_split_tangle_is_zero_without_a_walk(monkeypatch):
+    rows = _Tangle.from_pd(load("3_1")).crossings
+    assert _list_nabla(_ListTangle(rows, 1)) == {}
+
+    def refuse(tangle):
+        raise AssertionError("a split tangle was walked")
+
+    monkeypatch.setattr(_Tangle, "walk", refuse)
+    assert _nabla(_Tangle(rows, 1), {}) == {}

@@ -471,3 +471,43 @@ def test_cli_zbcr_needs_series(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: --zbcr needs --series" in captured.err
+
+
+def test_cli_second_call_in_one_process_is_independent(tmp_path, monkeypatch,
+                                                       capsys):
+    # the parser is built once per process; a good call must leave nothing
+    # behind that the next call's checks could see
+    pd = str(FIXTURES / "3_1.pd")
+    assert _run(tmp_path, monkeypatch, "alexander", "--json", "--pd", pd,
+                "--series", "4", "--zbcr") == 0
+    assert json.loads(capsys.readouterr().out)["zbcr"]["2"] == "-1"
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, monkeypatch, "alexander", "--pd", pd, "--zbcr")
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --zbcr needs --series" in captured.err
+    assert _run(tmp_path, monkeypatch, "alexander", "--pd", pd) == 0
+    assert capsys.readouterr().out == "Delta(t) = t - 1 + t^-1\n"
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _fail_bareiss(pd):
+    raise ArithmeticError("Bareiss step is not an exact division")
+
+
+@pytest.mark.parametrize("name, fake, message", [
+    ("alexander_by_skein", lambda pd: cli.alexander_poly(pd) * 2,
+     "error: the determinant gives t - 1 + t^-1 but the skein recursion "
+     "gives 2*t - 2 + 2*t^-1\n"),
+    ("alexander_poly", _fail_bareiss,
+     "error: Bareiss step is not an exact division\n"),
+])
+def test_cli_alexander_failed_check_exits_one(tmp_path, monkeypatch, capsys,
+                                              name, fake, message):
+    monkeypatch.setattr(cli, name, fake)
+    assert _run(tmp_path, monkeypatch, "alexander", "--json",
+                "--pd", str(FIXTURES / "3_1.pd"), "--series", "4") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
