@@ -11,9 +11,16 @@ the symmetric representative with value 1 at t = 1.  Every Bareiss step
 divides by the previous pivot, and the division is checked to be exact:
 a remainder raises ArithmeticError.
 
-The oracle route resolves crossings through the standard two-term recursion
-(switch and smooth at the first crossing met on its understrand), reaching
-descending diagrams, which are unknots or split links; its value at
+The oracle route resolves crossings through Conway's skein relation
+[Conway, An enumeration of knots and links, 1970]: switch and smooth at the
+first crossing met on its understrand, reaching descending diagrams, which
+are unknots or split links.  Before each step the tangle drops its kinks,
+isolated curls and bigons (Reidemeister I and II), and a tangle left with
+both free circles and crossings is split, so its polynomial is 0.  The
+polynomial of each reduced tangle is memoized for the length of one call,
+which makes the recursion polynomial on T(2,n), where the bare recursion
+grows like a Fibonacci sequence.  The moves keep the link type on planar
+codes, the only ones `parse_pd` accepts.  The value at
 z = t^(1/2) - t^(-1/2) is symmetric and equals 1 at t = 1 by construction,
 so the two routes must agree exactly.
 """
@@ -290,14 +297,14 @@ class _Tangle:
 
     def reduced(self):
         """The tangle after every Reidemeister I and II move it allows,
-        with its crossings sorted."""
+        with its crossings as a sorted tuple."""
         crossings, free = self.crossings, self.free_circles
         while (move := _reidemeister_move(crossings)) is not None:
             drop, joins = move
             crossings, free = _joined(
                 [c for k, c in enumerate(crossings) if k not in drop],
                 joins, free)
-        return _Tangle(sorted(crossings), free)
+        return _Tangle(tuple(sorted(crossings)), free)
 
 
 def _nabla(tangle, memo):
@@ -308,7 +315,7 @@ def _nabla(tangle, memo):
         return {0: 1} if tangle.free_circles == 1 else {}
     if tangle.free_circles:
         return {}   # a free circle beside a nonempty diagram: a split link
-    key = (tuple(tangle.crossings), tangle.free_circles)
+    key = (tangle.crossings, tangle.free_circles)
     got = memo.get(key)
     if got is not None:
         return got

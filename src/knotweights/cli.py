@@ -176,10 +176,10 @@ def cmd_alexander(args):
     pd = parse_pd(_read(args.pd))
     try:
         delta = alexander_poly(pd)
-        skein = alexander_by_skein(pd)
-    except ArithmeticError as exc:
+    except ArithmeticError as exc:  # a Bareiss division that is not exact
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    skein = alexander_by_skein(pd)
     if delta != skein:
         print(f"error: the determinant gives {delta} but the skein "
               f"recursion gives {skein}", file=sys.stderr)

@@ -732,7 +732,8 @@ def _list_nabla(tangle):
 
 
 def conway_skein_lists(pd):
-    """`alexander.conway_skein` on the mutable crossing lists."""
+    """The skein recursion of `alexander.conway_skein` without its
+    Reidemeister moves, split zero and memo, on mutable crossing lists."""
     if len(pd) == 0:
         return {0: 1}
     return _list_nabla(_ListTangle.from_pd(pd))
