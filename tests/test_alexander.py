@@ -377,16 +377,9 @@ def test_torus_knots_up_to_41_crossings():
         assert alexander_poly(gauss_pd(torus_knot(n))) == _torus_delta(n)
 
 
-@pytest.mark.parametrize("n", range(15, 32, 2))
+@pytest.mark.parametrize("n", [*range(15, 32, 2)] + [
+    pytest.param(n, marks=pytest.mark.slow) for n in range(33, 42, 2)])
 def test_skein_matches_the_determinant_on_torus_knots(n):
-    pd = gauss_pd(torus_knot(n))
-    for p in (pd, pd.mirror()):
-        assert alexander_by_skein(p) == alexander_poly(p) == _torus_delta(n)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("n", range(33, 42, 2))
-def test_skein_matches_the_determinant_up_to_41_crossings(n):
     pd = gauss_pd(torus_knot(n))
     for p in (pd, pd.mirror()):
         assert alexander_by_skein(p) == alexander_poly(p) == _torus_delta(n)
@@ -414,7 +407,7 @@ def test_skein_recursion_is_polynomial_on_torus_knots(monkeypatch):
     assert len(walks) <= 31 * 31
 
 
-# -- the Reidemeister moves of the skein recursion -----------------------------
+# -- the Reidemeister moves of the skein recursion ----------------------------
 #
 # A knot below is a Gauss code (visits, signs) as in `helpers`; each one is
 # checked to be planar before its moves are checked.
