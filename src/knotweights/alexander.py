@@ -20,7 +20,7 @@ both free circles and crossings is split, so its polynomial is 0.  The
 polynomial of each reduced tangle is memoized for the length of one call,
 which makes the recursion polynomial on T(2,n), where the bare recursion
 grows like a Fibonacci sequence.  The moves keep the link type on planar
-codes, the only ones `parse_pd` accepts.  The value at
+codes, the only ones a `PDCode` holds.  The value at
 z = t^(1/2) - t^(-1/2) is symmetric and equals 1 at t = 1 by construction,
 so the two routes must agree exactly.
 """
@@ -341,9 +341,8 @@ def conway_skein(pd):
     crossings and a free circle is split, so its polynomial is 0.  The
     reduced tangle picks its first underpass and recurses on the switch and
     the smoothing there, memoized on the exact reduced tangle in a dict
-    that lives for this call only.  The moves keep the link type only on a
-    planar code (one that `parse_pd` accepts); on a virtual code the value
-    may differ from the unreduced recursion.
+    that lives for this call only.  The moves keep the link type because a
+    `PDCode` is planar.
     """
     if len(pd) == 0:
         return {0: 1}

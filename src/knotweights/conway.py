@@ -4,12 +4,22 @@ A chord diagram is evaluated by surgering the line along every chord: cut
 at the two endpoints and reconnect crosswise, so the arc before one
 endpoint continues into the arc after its partner.  The diagram weighs 1
 when no closed circle remains and 0 otherwise.  wc is a weight system,
-so it is evaluated by STU on the diagram's own labels, with no class
-lookup: a diagram with trivalent vertices is rewritten into chord diagrams
-by resolving, at each step, the trivalent vertex attached to the lowest
-univalent vertex, and the two resolutions enter with opposite signs.
-Diagrams with a purely trivalent component weigh 0 outright.  The linear
-extensions to diagram vectors evaluate each class on its representative.
+so a diagram with trivalent vertices is evaluated by STU on its own labels
+[Bar-Natan, On the Vassiliev knot invariants, Topology 34 (1995)], with no
+class lookup.
+
+Each connected component is STU-expanded once, on plain arrays edited in
+place and restored on return: a univalent vertex next to a trivalent
+vertex t is resolved, t becomes a line vertex just before it, and the two
+resolutions enter with opposite signs.  The new line vertices all sit
+beside original legs, so an endpoint is named by the key (original line
+position, index among the vertices beside it), and the keys of different
+components interleave exactly as on the line.  A component's expansion is
+a signed set of chord lists, and wc of any union of components is the sum,
+over one chord list per component, of the product of the coefficients
+whenever the merged chord diagram leaves no circle.  A component with no
+univalent vertex makes wc vanish outright.  The linear extensions to
+diagram vectors evaluate each class on its representative.
 
 The logarithmic variant wc' is the cumulant of wc over connected
 components: on a diagram D,
@@ -21,29 +31,27 @@ where D_B keeps the components in block B.  Primitives are spanned by
 connected diagrams, the coproduct splits the set of components, and wc is
 multiplicative, so this equals wc composed with the projection onto the
 connected summand (``quotient.project_pc``, kept as the test oracle).  It
-kills the empty class and every non-trivial product.
+kills the empty class and every non-trivial product, so a diagram whose
+components fall into two groups, one wholly before the other on the line,
+is 0 without an expansion, as is one with a purely trivalent component.
+The block values are shared by the partitions of one call.
 """
 
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
 from .enumerate import K_MAX, check_degree
 from .errors import VertexTypeViolation
-from .jacobi import representative, stu_expand, stu_sites, sub_diagram
+from .jacobi import representative
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def as_chord_diagram(d):
-    if not d.is_chord_diagram():
-        raise VertexTypeViolation(d.trivalent[0], "not a chord diagram")
-    return d
 
 
 def count_circles(d):
     """Circles left after surgering the line along every chord."""
-    as_chord_diagram(d)
+    if not d.is_chord_diagram():
+        raise VertexTypeViolation(d.trivalent[0], "not a chord diagram")
     n = d.nv
     partner = {}
     for (i, j) in d.chords():
@@ -70,23 +78,167 @@ def count_circles(d):
     return circles
 
 
-def _resolve(d):
-    """wc of a diagram whose every component has a univalent vertex."""
-    if d.is_chord_diagram():
-        return ONE if count_circles(d) == 0 else ZERO
-    t, u = stu_sites(d)[0]  # the site at the lowest univalent vertex
-    d1, d2 = stu_expand(d, t, u)
-    return _resolve(d1) - _resolve(d2)
+def _no_circle(chords):
+    """Whether surgery along `chords`, pairs of endpoint keys that sort in
+    line order, leaves no circle.  Arc i ends at point i and continues
+    into the arc after that point's partner; the walk from the first arc
+    reaches the last one, and it covers every arc exactly when no circle
+    is left."""
+    points = sorted([p for chord in chords for p in chord])
+    at = {p: i for i, p in enumerate(points)}
+    partner = [0] * len(points)
+    for a, b in chords:
+        i, j = at[a], at[b]
+        partner[i] = j
+        partner[j] = i
+    n = len(points)
+    arc = steps = 0
+    while arc != n:
+        arc = partner[arc] + 1
+        steps += 1
+    return steps == n
+
+
+class _Expansion:
+    """The components of a diagram on plain arrays, ready to expand.
+
+    Half-edge h = 2 * edge + end sits at vertex ``ends[h]``; ``leg[v]`` is
+    the half-edge at a line vertex v and ``cyc[t]`` the cyclic order at a
+    trivalent vertex t.  ``beside[p]`` lists, in line order, the vertices
+    beside the original leg at line position p, and ``at[v]`` is that p.
+    """
+
+    def __init__(self, d):
+        self.ends = [v for pair in d.edges for v in pair]
+        self.cyc = {t: tuple(2 * e + end for (e, end) in c)
+                    for t, c in d.orient.items()}
+        self.at = [None] * d.nv
+        self.beside = []
+        for p, v in enumerate(d.univalent_order):
+            self.at[v] = p
+            self.beside.append([v])
+        self.leg = {v: h for h, v in enumerate(self.ends)
+                    if self.at[v] is not None}
+        self.width = d.nv + 1
+        self.comps = d.components()
+
+    def legged(self):
+        """Whether every component has a univalent vertex."""
+        at = self.at
+        return all(any(at[v] is not None for v in c) for c in self.comps)
+
+    def splits(self):
+        """Whether the components fall into two non-empty groups with every
+        leg of the first before every leg of the second (all legged)."""
+        last = {}
+        comp_at = []
+        for i, c in enumerate(self.comps):
+            for v in c:
+                p = self.at[v]
+                if p is not None:
+                    last[i] = max(last.get(i, p), p)
+                    comp_at.append((p, i))
+        comp_at.sort()
+        reach = -1
+        for p, i in comp_at[:-1]:
+            reach = max(reach, last[i])
+            if reach == p:
+                return True
+        return False
+
+    def terms(self, comp):
+        """The STU expansion of one legged component: {chords: coefficient},
+        each chord a sorted pair of endpoint keys."""
+        ends, cyc, at, beside, leg = (self.ends, self.cyc, self.at,
+                                      self.beside, self.leg)
+        legs = [v for v in comp if at[v] is not None]
+        spots = sorted(at[v] for v in legs)
+        width = self.width
+        order = self._resolution_order(legs)
+        key = [0] * len(at)
+        out = {}
+
+        def expand(depth, sign):
+            if depth == len(order):
+                for p in spots:
+                    for i, v in enumerate(beside[p], p * width):
+                        key[v] = i
+                chords = []
+                for v in legs:
+                    a, b = key[v], key[ends[leg[v] ^ 1]]
+                    if a < b:
+                        chords.append((a, b))
+                chords = tuple(sorted(chords))
+                out[chords] = out.get(chords, 0) + sign
+                return
+            t = order[depth]
+            c = cyc.pop(t)
+            for i, h in enumerate(c):
+                u = ends[h ^ 1]
+                if at[u] is not None:
+                    break
+            alpha, beta = c[i - 2], c[i - 1]  # (to u, alpha, beta) cyclically
+            to_u = leg[u]
+            line = beside[at[u]]
+            j = line.index(u)
+            line.insert(j, t)
+            at[t] = at[u]
+            legs.append(t)
+            for keep, move, s in ((alpha, beta, sign), (beta, alpha, -sign)):
+                leg[t], leg[u] = keep, move
+                ends[move] = u
+                expand(depth + 1, s)
+                ends[move] = t
+            leg[u] = to_u
+            del leg[t]
+            legs.pop()
+            at[t] = None
+            del line[j]
+            cyc[t] = c
+
+        expand(0, 1)
+        return {chords: c for chords, c in out.items() if c}
+
+    def _resolution_order(self, legs):
+        """The trivalent vertices by distance from the legs.  Resolving a
+        vertex leaves each of its other neighbors next to a line vertex,
+        whichever term is taken, so every vertex in this order has a
+        univalent neighbor when its turn comes."""
+        ends, cyc = self.ends, self.cyc
+        order = []
+        seen = set(legs)
+        frontier = legs
+        while frontier:
+            nxt = []
+            for v in frontier:
+                halves = cyc[v] if v in cyc else (self.leg[v],)
+                for h in halves:
+                    w = ends[h ^ 1]
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            order += nxt
+            frontier = nxt
+        return order
+
+
+def _block_wc(terms):
+    """wc of a union of expanded components: one chord list from each."""
+    if len(terms) == 1:
+        return sum(c for chords, c in terms[0].items() if _no_circle(chords))
+    total = 0
+    for choice in product(*(t.items() for t in terms)):
+        if _no_circle([ch for chords, _ in choice for ch in chords]):
+            total += prod(c for _, c in choice)
+    return total
 
 
 def wc_diagram(d):
     """Circle-counting weight of an oriented diagram (exact rational)."""
-    # STU never creates a purely trivalent component: the two new line
-    # vertices each keep a piece of the resolved component, so one check
-    # here covers the whole recursion.
-    if d.has_trivalent_component():
+    ex = _Expansion(d)
+    if not ex.legged():
         return ZERO
-    return _resolve(d)
+    return Fraction(_block_wc([ex.terms(c) for c in ex.comps]))
 
 
 def wc_eval(v):
@@ -110,28 +262,25 @@ def _set_partitions(items):
 def wc_prime_diagram(d, k_max=K_MAX):
     """Logarithmic variant: the cumulant of wc over d's components."""
     check_degree(d.degree, k_max)
-    comps = d.components()
-    if not comps:
+    ex = _Expansion(d)
+    if not ex.comps or not ex.legged() or ex.splits():
         return ZERO
-    if len(comps) == 1:
-        return wc_diagram(d)
+    terms = [ex.terms(c) for c in ex.comps]
     block_wc = {}
-    total = ZERO
-    for part in _set_partitions(list(range(len(comps)))):
+    total = 0
+    for part in _set_partitions(list(range(len(terms)))):
         n = len(part)
-        term = Fraction((-1) ** (n - 1) * factorial(n - 1))
+        term = (-1) ** (n - 1) * factorial(n - 1)
         for block in part:
             block = tuple(block)
             w = block_wc.get(block)
             if w is None:
-                w = wc_diagram(sub_diagram(
-                    d, [v for i in block for v in comps[i]]))
-                block_wc[block] = w
+                w = block_wc[block] = _block_wc([terms[i] for i in block])
             term *= w
             if not term:
                 break
         total += term
-    return total
+    return Fraction(total)
 
 
 def wc_prime_eval(v, k_max=K_MAX):

@@ -71,6 +71,14 @@ class ParseError(DiagramError):
                          + (f" ({reason})" if reason else ""))
 
 
+class NotPlanar(ParseError):
+    def __init__(self, n_faces, n_crossings):
+        self.n_faces = n_faces
+        super().__init__(0, "PD code", f"not planar: {n_faces} faces for "
+                                       f"{n_crossings} crossings, where a "
+                                       f"planar code has {n_crossings + 2}")
+
+
 class ArcCountError(DiagramError):
     def __init__(self, arc, count):
         self.arc = arc

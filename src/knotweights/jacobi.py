@@ -288,26 +288,6 @@ def product(d1, d2):
     return JacobiDiagram(d1.nv + d2.nv, order, edges, orient, validate=False)
 
 
-def sub_diagram(d, vertices):
-    """The diagram spanned by a union of components of d.
-
-    Keeps the chosen vertices and their edges in their relative order, the
-    cyclic orientations, and the line order of the chosen univalent
-    vertices; the edge numbering is dropped.
-    """
-    vmap = {v: i for i, v in enumerate(sorted(vertices))}
-    emap = {}
-    edges = []
-    for i, (a, b) in enumerate(d.edges):
-        if a in vmap:
-            emap[i] = len(edges)
-            edges.append((vmap[a], vmap[b]))
-    orient = {vmap[v]: tuple((emap[e], end) for (e, end) in cyc)
-              for v, cyc in d.orient.items() if v in vmap}
-    order = [vmap[v] for v in d.univalent_order if v in vmap]
-    return JacobiDiagram(len(vmap), order, edges, orient, validate=False)
-
-
 def flipped(d, v):
     """Reverse the cyclic orientation at trivalent vertex v."""
     orient = dict(d.orient)

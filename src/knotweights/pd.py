@@ -6,22 +6,23 @@ the overstrand occupies b and d.  With arcs labeled 1..2n consecutively
 along the knot, the overstrand direction (hence the crossing sign) follows
 from which of b, d is the successor of the other; an explicit trailing
 ``+`` or ``-`` overrides the inference.  Positive means the overstrand runs
-b -> d.  `parse_pd` accepts only planar codes; a `PDCode` built directly
-may be virtual.
+b -> d.  A `PDCode` is planar, however it is built: a virtual code, one
+that no diagram in the plane realizes, raises `NotPlanar`.
 """
 
 import re
 from collections import Counter, namedtuple
 
 from .errors import (ArcCountError, DanglingArc, MultiComponentError,
-                     ParseError)
+                     NotPlanar, ParseError)
 
 Crossing = namedtuple("Crossing",
                       ["under_in", "over_a", "under_out", "over_b", "sign"])
 
 
 class PDCode:
-    """Validated single-component crossing list (possibly empty: unknot)."""
+    """Validated planar single-component crossing list (possibly empty:
+    unknot)."""
 
     __slots__ = ("crossings",)
 
@@ -82,6 +83,9 @@ class PDCode:
                         break
                     rest.remove(arc)
             raise MultiComponentError(n_comp)
+        n_faces = _face_count(self)
+        if n_faces != len(self) + 2:
+            raise NotPlanar(n_faces, len(self))
 
     def mirror(self):
         """Swap over/under at every crossing (reverses all signs)."""
@@ -133,13 +137,7 @@ def parse_pd(text):
                 raise ParseError(ln, raw, "cannot infer the crossing sign; "
                                           "add a +/- suffix")
         crossings.append(Crossing(a, b, c, d, sign))
-    pd = PDCode(crossings)
-    n_faces = _face_count(pd)
-    if n_faces != len(pd) + 2:
-        raise ParseError(0, "PD code", f"not planar: {n_faces} faces for "
-                                       f"{len(pd)} crossings, where a "
-                                       f"planar code has {len(pd) + 2}")
-    return pd
+    return PDCode(crossings)
 
 
 def _face_count(pd):

@@ -1,9 +1,11 @@
 """Shared test utilities: random relabelings and small constructions."""
 
+from types import SimpleNamespace
+
 from knotweights import canon, jacobi
 from knotweights.bcr import validate_bcr
 from knotweights.jacobi import JacobiDiagram
-from knotweights.pd import Crossing, PDCode
+from knotweights.pd import Crossing, PDCode, format_pd
 
 
 class SearchRan(Exception):
@@ -61,8 +63,9 @@ def shuffled_bcr(d, rng):
 # under, and `signs` maps each crossing to +-1.
 
 
-def gauss_pd(knot):
-    """The PD code of a knot: arc i + 1 leaves the i-th visit."""
+def gauss_crossings(knot):
+    """The crossings of a knot's PD code, planar or not: arc i + 1 leaves
+    the i-th visit."""
     visits, signs = knot
     m = len(visits)
     under, over = {}, {}
@@ -75,7 +78,17 @@ def gauss_pd(knot):
             crossings.append(Crossing(ui, oi, uo, oo, 1))
         else:
             crossings.append(Crossing(ui, oo, uo, oi, -1))
-    return PDCode(crossings)
+    return crossings
+
+
+def gauss_pd(knot):
+    """The PD code of a knot; a virtual Gauss code raises `NotPlanar`."""
+    return PDCode(gauss_crossings(knot))
+
+
+def gauss_text(knot):
+    """The PD text of a knot's code, planar or not, for `parse_pd`."""
+    return format_pd(SimpleNamespace(crossings=gauss_crossings(knot)))
 
 
 def _alternating(ids):
@@ -111,8 +124,8 @@ def connected_sum(k1, k2):
 
 def random_gauss_knot(n, rng):
     """A Gauss code with n crossings in random order, over/under and signs;
-    most are virtual (no planar diagram): `PDCode` accepts them, and
-    `parse_pd` rejects them as not planar."""
+    most are virtual (no planar diagram), and `PDCode` rejects them as not
+    planar."""
     ids = [c for c in range(n) for _ in (0, 1)]
     rng.shuffle(ids)
     first_over = {c: rng.random() < 0.5 for c in range(n)}

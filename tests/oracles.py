@@ -4,7 +4,8 @@ listed at every local site, a dense rank for the sparse eliminator, the
 canonical labeling search without automorphism pruning, the P + N + T
 splitting with N spanned by products, the STU and IHX moves that renumber
 their terms or scan for the moving half-edges, the circle-counting weight
-and its cumulant by a class-keyed, memoized STU recursion, the BCR sources
+and its cumulant by a class-keyed, memoized STU recursion and by STU on whole
+diagrams with every block of the cumulant rebuilt, the BCR sources
 of a diagram listed one by one, the Alexander determinant by expansion in
 minors, and the skein recursion on mutable crossing lists.  Everything here
 works by exhausting a finite search space and keeping what passes an
@@ -24,8 +25,7 @@ from knotweights.enumerate import (K_MAX, _multigraphs, check_degree,
 from knotweights.jacobi import (JacobiDiagram, _colors, _orientation_sign,
                                 _rotate_to, canonicalize, class_of,
                                 ihx_terms, internal_edges, make_diagram,
-                                representative, stu_expand, stu_sites,
-                                sub_diagram)
+                                representative, stu_expand, stu_sites)
 from knotweights.jacobi import product as diagram_product
 from knotweights.quotient import _Eliminator, quotient_basis
 from knotweights.relations import RelationSet
@@ -523,6 +523,68 @@ class ClassWeights:
         return total
 
 
+def sub_diagram(d, vertices):
+    """The diagram spanned by a union of components of d.
+
+    Keeps the chosen vertices and their edges in their relative order, the
+    cyclic orientations, and the line order of the chosen univalent
+    vertices; the edge numbering is dropped.
+    """
+    vmap = {v: i for i, v in enumerate(sorted(vertices))}
+    emap = {}
+    edges = []
+    for i, (a, b) in enumerate(d.edges):
+        if a in vmap:
+            emap[i] = len(edges)
+            edges.append((vmap[a], vmap[b]))
+    orient = {vmap[v]: tuple((emap[e], end) for (e, end) in cyc)
+              for v, cyc in d.orient.items() if v in vmap}
+    order = [vmap[v] for v in d.univalent_order if v in vmap]
+    return JacobiDiagram(len(vmap), order, edges, orient, validate=False)
+
+
+
+
+def _resolve(d):
+    """wc of a diagram whose every component has a univalent vertex."""
+    if d.is_chord_diagram():
+        return Fraction(1 if count_circles(d) == 0 else 0)
+    t, u = stu_sites(d)[0]  # the site at the lowest univalent vertex
+    d1, d2 = stu_expand(d, t, u)
+    return _resolve(d1) - _resolve(d2)
+
+
+def wc_resolved(d):
+    """wc by STU on the whole diagram: each step resolves the trivalent
+    vertex at the lowest univalent vertex and builds both terms as new
+    diagrams, down to the chord diagrams."""
+    if d.has_trivalent_component():
+        return Fraction(0)
+    return _resolve(d)
+
+
+def wc_prime_resolved(d, k_max=K_MAX):
+    """The cumulant of wc over d's components, each block rebuilt by
+    `sub_diagram` and resolved from scratch by `wc_resolved`."""
+    check_degree(d.degree, k_max)
+    comps = d.components()
+    if not comps:
+        return Fraction(0)
+    block_wc = {}
+    total = Fraction(0)
+    for part in _set_partitions(list(range(len(comps)))):
+        n = len(part)
+        term = Fraction((-1) ** (n - 1) * factorial(n - 1))
+        for block in part:
+            block = tuple(block)
+            if block not in block_wc:
+                block_wc[block] = wc_resolved(sub_diagram(
+                    d, [v for i in block for v in comps[i]]))
+            term *= block_wc[block]
+        total += term
+    return total
+
+
 def sources(d):
     """Every BCR source of `d` built on d's own vertices and edges.
 
@@ -636,9 +698,15 @@ class _ListTangle:
 
     @classmethod
     def from_pd(cls, pd):
+        return cls.from_crossings(pd.crossings)
+
+    @classmethod
+    def from_crossings(cls, crossings):
+        """From `pd.Crossing`s that need not form a planar code."""
         rows = []
-        for x in pd.crossings:
-            o_in, o_out = pd.over_pair(x)
+        for x in crossings:
+            o_in, o_out = ((x.over_a, x.over_b) if x.sign > 0
+                           else (x.over_b, x.over_a))
             rows.append([x.under_in, x.under_out, o_in, o_out, x.sign])
         return cls(rows)
 

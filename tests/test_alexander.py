@@ -9,14 +9,14 @@ from knotweights.alexander import (_alexander_matrix, _det, _div_exact,
                                    alexander_by_skein, alexander_poly,
                                    conway_skein, symmetric_normalize)
 from knotweights.errors import (ArcCountError, DegenerateDiagram,
-                                MultiComponentError, NonUnitConstantTerm,
-                                ParseError)
-from knotweights.pd import format_pd, parse_pd
+                                DiagramError, MultiComponentError,
+                                NonUnitConstantTerm, NotPlanar, ParseError)
+from knotweights.pd import Crossing, PDCode, format_pd, parse_pd
 from knotweights.series import (LaurentPolynomial, PowerSeries,
                                 conway_series, exp_substitute, zbcr_series)
 
-from helpers import (connected_sum, gauss_pd, random_gauss_knot, torus_knot,
-                     twist_knot)
+from helpers import (connected_sum, gauss_crossings, gauss_pd, gauss_text,
+                     random_gauss_knot, torus_knot, twist_knot)
 from oracles import _list_nabla, _ListTangle, conway_skein_lists, laplace_det
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -289,23 +289,19 @@ def _same_recursion(new, old):
     _same_recursion(new.smoothed(ci), old.smoothed(ci))
 
 
-def _check_skein_against_lists(pd, values=True):
-    """The unreduced recursion steps in lock step with the list recursion;
-    with `values`, for a planar code, the reduced recursion's value equals
-    the list recursion's."""
+def _check_skein_against_lists(pd):
+    """The unreduced recursion steps in lock step with the list recursion,
+    and the reduced recursion's value equals the list recursion's."""
     for p in (pd, pd.mirror()):
-        if values:
-            assert conway_skein(p) == conway_skein_lists(p)
+        assert conway_skein(p) == conway_skein_lists(p)
         if len(p):
             _same_recursion(_Tangle.from_pd(p), _ListTangle.from_pd(p))
 
 
-def _is_planar(pd):
-    try:
-        parse_pd(format_pd(pd))
-    except ParseError:
-        return False
-    return True
+def _mirrored(crossings):
+    """The crossings of `PDCode.mirror`, for codes no `PDCode` holds."""
+    return [x._replace(over_a=x.over_b, over_b=x.over_a, sign=-x.sign)
+            for x in crossings]
 
 
 @pytest.mark.parametrize("name, knot, delta", SMALL_KNOTS,
@@ -321,17 +317,25 @@ def test_skein_matches_the_list_recursion_on_the_fixtures():
 
 def test_skein_matches_the_list_recursion_on_virtual_codes():
     # non-planar codes reach tangles where both joins of a smoothing meet
-    # the same arc, so the second renames the first one's target.  The
-    # Reidemeister moves keep the link type only on planar codes, and the
-    # descending recursion is no invariant on the others, so the values are
-    # compared on the planar draws alone
+    # the same arc, so the second renames the first one's target.  No
+    # `PDCode` holds such a code, so its tangles are built from its
+    # crossings on the oracle side; the descending recursion is no
+    # invariant there, so only the steps are compared
     rng = random.Random(7)
     planar = 0
     for _ in range(60):
-        pd = gauss_pd(random_gauss_knot(rng.randrange(1, 8), rng))
-        is_planar = _is_planar(pd)
-        planar += is_planar
-        _check_skein_against_lists(pd, values=is_planar)
+        knot = random_gauss_knot(rng.randrange(1, 8), rng)
+        try:
+            pd = gauss_pd(knot)
+        except NotPlanar:
+            crossings = gauss_crossings(knot)
+            for cs in (crossings, _mirrored(crossings)):
+                old = _ListTangle.from_crossings(cs)
+                _same_recursion(_Tangle([tuple(c) for c in old.crossings]),
+                                old)
+            continue
+        planar += 1
+        _check_skein_against_lists(pd)
     assert 5 < planar < 55
 
 
@@ -360,16 +364,29 @@ def test_parse_rejects_non_planar_codes():
     rng = random.Random(7)
     accepted = rejected = 0
     for _ in range(300):
-        pd = gauss_pd(random_gauss_knot(rng.randrange(1, 8), rng))
+        knot = random_gauss_knot(rng.randrange(1, 8), rng)
         try:
-            p = parse_pd(format_pd(pd))
+            p = parse_pd(gauss_text(knot))
         except ParseError:
             rejected += 1
+            with pytest.raises(NotPlanar):
+                gauss_pd(knot)
             continue
         accepted += 1
+        assert p.crossings == gauss_pd(knot).crossings
         assert alexander_poly(p) == alexander_by_skein(p)
         assert conway_skein(p) == conway_skein_lists(p)
     assert accepted > 50 and rejected > 50
+
+
+def test_no_virtual_code_reaches_the_skein():
+    # built directly, this code once reached the skein recursion, whose
+    # moves keep the link type only on planar codes
+    crossings = [Crossing(12, 5, 1, 4, -1), Crossing(7, 7, 8, 6, -1),
+                 Crossing(1, 11, 2, 12, 1), Crossing(2, 8, 3, 9, 1),
+                 Crossing(10, 10, 11, 9, -1), Crossing(3, 6, 4, 5, -1)]
+    with pytest.raises(DiagramError, match="not planar: 4 faces for 6"):
+        alexander_by_skein(PDCode(crossings))
 
 
 def test_torus_knots_up_to_41_crossings():
@@ -420,8 +437,8 @@ def _shifted(visits, by):
 
 
 def _planar_pd(visits, signs):
-    pd = gauss_pd((visits, signs))
-    assert _is_planar(pd)
+    pd = gauss_pd((visits, signs))  # a virtual code raises NotPlanar
+    assert parse_pd(format_pd(pd)).crossings == pd.crossings
     return pd
 
 

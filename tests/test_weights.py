@@ -3,19 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from knotweights import quotient
-from knotweights.bridge import verify_main
+from knotweights import cli, quotient
+from knotweights.bridge import verify_main, wbcr
 from knotweights.conway import (count_circles, wc_diagram, wc_eval,
                                 wc_prime_diagram, wc_prime_eval)
 from knotweights.enumerate import enumerate_jacobi
 from knotweights.errors import DegreeOutOfRange
-from knotweights.jacobi import (canonicalize, chord_diagram, empty_diagram,
-                                flipped, product, single_chord, stu_expand,
-                                stu_sites, theta_graph, wheel)
+from knotweights.jacobi import (canonicalize, chord_diagram, class_of,
+                                empty_diagram, flipped, make_diagram,
+                                product, representative, single_chord,
+                                stu_expand, stu_sites, theta_graph, wheel)
+from knotweights.serialize import to_json
 from knotweights.vectors import vector_of
 
 from helpers import refuse_search, shuffled_jacobi
-from oracles import ClassWeights, relators_everywhere
+from oracles import (ClassWeights, relators_everywhere, wc_prime_resolved,
+                     wc_resolved)
 
 
 def test_circle_counts():
@@ -176,3 +179,110 @@ def test_verify_main_canonicalizes_nothing_past_the_enumeration(monkeypatch):
     rows = verify_main(3)
     assert len(rows) == 67
     assert all(r["equal"] for r in rows)
+
+
+# -- the per-component expansion against STU on whole diagrams -------------
+
+def _assert_kernel_matches_the_oracle(diagrams, k_max=4):
+    for d in diagrams:
+        assert wc_diagram(d) == wc_resolved(d)
+        assert wc_prime_diagram(d, k_max) == wc_prime_resolved(d, k_max)
+
+
+def _wc_prime_nonzero_at_degree_four():
+    # chosen by wbcr, which Prop 3.2 equates with -wc', not by either side
+    return [rep for rep in enumerate_jacobi(4) if wbcr(rep)]
+
+
+def test_kernel_matches_the_oracle_on_every_class_through_degree_three():
+    for k in range(4):
+        _assert_kernel_matches_the_oracle(enumerate_jacobi(k))
+
+
+def test_kernel_matches_the_oracle_where_wc_prime_is_nonzero():
+    reps = _wc_prime_nonzero_at_degree_four()
+    assert len(reps) == 29
+    _assert_kernel_matches_the_oracle(reps)
+    assert all(wc_prime_diagram(rep) == -wbcr(rep) for rep in reps)
+
+
+def test_exact_zeros_match_the_oracle_at_degree_four():
+    reps = enumerate_jacobi(4)
+    products = [rep for rep in reps if rep.product_split()]
+    trivalent = [rep for rep in reps if rep.has_trivalent_component()]
+    assert (len(products), len(trivalent)) == (117, 108)
+    _assert_kernel_matches_the_oracle(products + trivalent)
+    assert not any(wc_prime_diagram(rep) for rep in products + trivalent)
+    assert any(wc_diagram(rep) for rep in products)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k, n_classes", [(4, 545), (5, 7115)])
+def test_kernel_matches_the_oracle_on_every_class(k, n_classes):
+    reps = [rep for rep in enumerate_jacobi(k, k_max=k)
+            if canonicalize(rep)[1]]
+    assert len(reps) == n_classes
+    _assert_kernel_matches_the_oracle(reps, k_max=k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_values_follow_the_orientation_sign_under_relabeling(k):
+    rng = random.Random(20 + k)
+    reps = enumerate_jacobi(k) if k < 4 else _wc_prime_nonzero_at_degree_four()
+    signs = set()
+    for rep in reps:
+        copies = []
+        for _ in range(2):
+            d = shuffled_jacobi(rep, rng)
+            copies += [d] + [flipped(d, v) for v in d.trivalent[:1]]
+        for d in copies:
+            key, sign = class_of(d)
+            drawn = representative(key)
+            assert wc_diagram(d) == sign * wc_diagram(drawn)
+            assert wc_prime_diagram(d) == sign * wc_prime_diagram(drawn)
+            if wc_diagram(drawn):
+                signs.add(sign)
+    assert k % 2 or signs == {1, -1}
+
+
+# hand-made diagrams with parallel edges: wheel_2 in other labels, two
+# interleaved wheel_2's, and a connected one whose double edge joins two
+# trivalent vertices that carry two legs each
+PARALLEL = [
+    make_diagram(4, [3, 0], [(2, 1), (1, 2), (1, 3), (2, 0)]),
+    make_diagram(8, range(4), [(4, 5), (4, 5), (4, 0), (5, 2), (6, 7),
+                               (6, 7), (6, 1), (7, 3)]),
+    make_diagram(8, range(4), [(4, 5), (4, 5), (4, 6), (5, 7), (6, 0),
+                               (6, 2), (7, 1), (7, 3)]),
+]
+
+
+def _weight(tmp_path, capsys, system, text):
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    status = cli.main(["weight", "--system", system, "--diagram", str(path)])
+    return status, capsys.readouterr()
+
+
+def test_cli_weights_on_parallel_edges_match_the_oracle(tmp_path, capsys):
+    got = []
+    for d in PARALLEL:
+        for system, oracle in (("wc", wc_resolved),
+                               ("wcp", wc_prime_resolved)):
+            status, out = _weight(tmp_path, capsys, system, to_json(d))
+            assert status == 0 and out.out.strip() == str(oracle(d))
+            got.append((system, oracle(d)))
+    assert ("wc", 4) in got and ("wcp", 2) in got
+
+
+def test_cli_weights_reject_a_trivalent_self_loop(tmp_path, capsys):
+    # vertex 1 carries a loop and a leg to vertex 0
+    text = ('{"kind":"jacobi","vertices":[{"id":0,"class":"univalent"},'
+            '{"id":1,"class":"trivalent","orient":[0,1,2]}],'
+            '"edges":[{"id":0,"from":1,"to":1,"class":"plain"},'
+            '{"id":1,"from":1,"to":0,"class":"plain"}],'
+            '"univalent_order":[0]}')
+    for system in ("wc", "wcp"):
+        status, out = _weight(tmp_path, capsys, system, text)
+        assert status == 2 and out.out == ""
+        assert "joins a vertex to itself" in out.err
