@@ -380,8 +380,8 @@ def test_parse_rejects_non_planar_codes():
 
 
 def test_no_virtual_code_reaches_the_skein():
-    # built directly, this code once reached the skein recursion, whose
-    # moves keep the link type only on planar codes
+    # the skein moves keep the link type only on planar codes, so a code
+    # built directly must not reach them when it is virtual
     crossings = [Crossing(12, 5, 1, 4, -1), Crossing(7, 7, 8, 6, -1),
                  Crossing(1, 11, 2, 12, 1), Crossing(2, 8, 3, 9, 1),
                  Crossing(10, 10, 11, 9, -1), Crossing(3, 6, 4, 5, -1)]
