@@ -2,27 +2,41 @@
 
 Every diagram handled by this package has at most ~16 vertices, so canonical
 forms are computed exactly: a color-respecting relabeling minimizing the
-sorted edge list is found by depth-first search with prefix pruning, after a
-Weisfeiler-Leman style refinement of the color classes.  The search also
-collects generators of the automorphism group and prunes with them
-[McKay-Piperno, *Practical graph isomorphism II*, JSC 60 (2014)]: a child
-in the same orbit as an earlier sibling, under the generators found so far
-that fix the current prefix pointwise, roots a subtree with the same edge
-lists, so it is skipped.  Each further leaf reaching the best edge list is
-one generator, and the search jumps back to where that leaf's path leaves
-the best one, since the generator maps the rest of that subtree onto
-explored ground.  Every skipped minimal leaf is the image of an earlier one
-under the group found so far, so that group is all of Aut.
+sorted edge list, after a Weisfeiler-Leman style refinement of the color
+classes.  When the refinement leaves every cell a single vertex there is
+one relabeling and no automorphism, so no search runs.  Otherwise a
+depth-first search assigns the slots in order, one vertex of the slot's
+cell at a time.
 
 Edges are triples ``(u, v, tag)``; parallel edges are simply repeated
-entries.  Edge tokens are keyed by the larger endpoint first so that the
-edges inside an assigned prefix of slots form a prefix of the final sorted
-token list, which is what makes the pruning sound.  That prefix is also
-complete: every later token has a larger first entry, so a prefix that
-stops short of the best list's tokens on the same slots already loses.
+entries.  Edge tokens are keyed by the larger endpoint first, so a leaf's
+sorted token list is the concatenation of its levels: level ``s`` holds
+the tokens whose larger endpoint is slot ``s``, and which vertex takes
+slot ``s`` fixes level ``s``.  Ended by a sentinel above every token, the
+levels compare as the leaves below them do.  Three cuts follow.
+
+* Least children.  A node visits only the vertices whose level is the
+  least among its children; a larger level roots only leaves that lose to
+  a sibling's, so every minimal leaf stays in the tree.
+* Automorphisms [McKay-Piperno, *Practical graph isomorphism II*, JSC 60
+  (2014)].  A child in the same orbit as an earlier sibling, under the
+  generators found so far that fix the current prefix pointwise, roots a
+  subtree with the same token lists, so it is skipped.  Each further leaf
+  reaching the best token list is one generator, and the search jumps back
+  to where that leaf's path leaves the best one, since the generator maps
+  the rest of that subtree onto explored ground.  Every skipped minimal
+  leaf is the image of an earlier one under the group found so far, so
+  that group is all of Aut.
+* The bound.  A node compares its level with the best leaf's level only
+  while its prefix equals the best's: a smaller prefix stays smaller, and a
+  larger level loses.  A new best found below a node runs through it, so
+  the node's prefix equals the best's from then on.
+
+None of the cuts drops a minimal leaf, and the visited nodes keep their
+depth-first order, so the first minimal leaf reached, which gives ``perm``,
+is the first in depth-first order of the uncut tree.
 """
 
-from bisect import bisect_left
 from itertools import groupby
 
 
@@ -116,78 +130,119 @@ def canonical_form(n, colors, edges, directed=False):
     cells = [list(g) for _, g in groupby(order, key=lambda v: colors[v])]
     cells = _refine(cells, incidence)
 
+    if len(cells) == n:
+        # a discrete partition leaves one leaf, and no automorphism
+        perm = [0] * n
+        for s, (v,) in enumerate(cells):
+            perm[v] = s
+        tokens = sorted(_edge_token(perm[u], perm[v], tag, directed)
+                        for (u, v, tag) in edges)
+        return (slot_colors, tuple(tokens)), tuple(perm), []
+
     # Slot ranges follow the refined cell order; all vertices in one cell
     # share a color, so any assignment keeps slot_colors fixed.
     slot_cell = []
     for cell in cells:
         slot_cell.extend([sorted(cell)] * len(cell))
 
-    edges_at = [[] for _ in range(n)]
+    # A token at level s (larger endpoint slot s) is kept as (lo, rest):
+    # rest is (tag,), or (flip, tag) if directed, as seen from the vertex
+    # taking slot s.  adj[w] lists (x, rest) for the tokens that w's slot
+    # gives x, sorted so that each x receives its tokens in order.
+    adj = [[] for _ in range(n)]
+    loops = [[] for _ in range(n)]
     for (u, v, tag) in edges:
-        edges_at[u].append((u, v, tag))
-        if u != v:
-            edges_at[v].append((u, v, tag))
+        if u == v:
+            loops[u].append((1, tag) if directed else (tag,))
+        else:
+            adj[u].append((v, (0, tag) if directed else (tag,)))
+            adj[v].append((u, (1, tag) if directed else (tag,)))
+    for lst in adj + loops:
+        lst.sort()
 
+    end = (n,)  # sorts after every token
+    # vertex -> its level tokens if it took the next slot, ended by `end`;
+    # slots are assigned in increasing order, so appending keeps them sorted
+    pending = [[end] for _ in range(n)]
     assign = [-1] * n  # vertex -> slot
     path = []          # slot -> vertex, for the assigned prefix
-    best = None        # (tokens, perm, path) of the least leaf so far
-    end = [(n,)]       # sorts after every token
+    levels = []        # slot -> its level tokens, for the assigned prefix
+    best = None        # (levels, perm, path) of the least leaf so far
     gens = []
 
-    def dfs(s, tokens):
-        """Search below the prefix `path`; return the level to resume at
-        (``s`` to go on with the siblings, less to jump back)."""
+    def level_tokens(v, s):
+        if not loops[v]:
+            return pending[v]
+        return pending[v][:-1] + [(s, rest) for rest in loops[v]] + [end]
+
+    def dfs(s, eq, fixing):
+        """Search below the prefix `path`, whose levels equal the best
+        leaf's if `eq` and are smaller (or there is no best yet) if not;
+        `fixing` holds the generators found so far that fix `path`
+        pointwise.  Return the level to resume at (``s`` to go on with the
+        siblings, less to jump back)."""
         nonlocal best
         if s == n:
-            if best is None or tokens < best[0]:
-                best = (tokens, tuple(assign), list(path))
+            if not eq:
+                best = ([lst[:] for lst in levels], tuple(assign), list(path))
                 return s
-            # tokens equal the best (anything larger was pruned): the map
-            # carrying this leaf onto the best leaf is an automorphism
+            # equal to the best leaf: the map carrying this leaf onto it
+            # is an automorphism, and it fixes the common prefix
             best_path = best[2]
             gens.append(tuple(best_path[assign[v]] for v in range(n)))
             c = 0
             while path[c] == best_path[c]:
                 c += 1
             return c
+        children = [(level_tokens(v, s), v)
+                    for v in slot_cell[s] if assign[v] == -1]
+        least = min(t for t, _ in children)
+        if eq:
+            if least > best[0][s]:
+                return s
+            eq = least == best[0][s]
         tried = []
-        seen_gens = 0
         orbit = None
-        for v in slot_cell[s]:
-            if assign[v] != -1:
+        seen_gens = len(gens)
+        for t, v in children:
+            if t != least:
                 continue
-            if seen_gens != len(gens):
-                seen_gens = len(gens)
-                fixing = [g for g in gens if all(g[w] == w for w in path)]
-                orbit = orbits(n, fixing) if fixing else None
-            if orbit is not None and any(orbit[v] == orbit[w] for w in tried):
-                continue
+            if tried and fixing:
+                if orbit is None:
+                    orbit = orbits(n, fixing)
+                if any(orbit[v] == orbit[w] for w in tried):
+                    continue
             tried.append(v)
             assign[v] = s
             path.append(v)
-            new_tokens = []
-            for (a, b, tag) in edges_at[v]:
-                if assign[a] != -1 and assign[b] != -1:
-                    new_tokens.append(
-                        _edge_token(assign[a], assign[b], tag, directed))
-            # every new token has the largest slot s, so it sorts last, and
-            # merged holds every token with hi <= s of any leaf below: a
-            # leaf there loses to the best if merged, ended by a sentinel,
-            # is larger than the best's tokens with hi <= s
-            new_tokens.sort()
-            merged = tokens + new_tokens
-            back = s
-            if best is None or not merged + end > (
-                    best[0][:bisect_left(best[0], (s + 1,))] + end):
-                back = dfs(s + 1, merged)
+            levels.append(t)
+            for x, rest in adj[v]:
+                if assign[x] == -1:
+                    pending[x].insert(-1, (s, rest))
+            before = best
+            back = dfs(s + 1, eq, [g for g in fixing if g[v] == v])
+            for x, rest in adj[v]:
+                if assign[x] == -1:
+                    del pending[x][-2]
+            levels.pop()
             path.pop()
             assign[v] = -1
             if back < s:
                 return back
+            if best is not before:
+                # the new best runs through this node and `least`
+                eq = True
+            if seen_gens != len(gens):
+                # generators found below fix every prefix still open
+                fixing = fixing + gens[seen_gens:]
+                seen_gens = len(gens)
+                orbit = None
         return s
 
-    dfs(0, [])
-    return (slot_colors, tuple(best[0])), best[1], gens
+    dfs(0, False, [])
+    tokens = tuple((s, lo) + rest for s, level in enumerate(best[0])
+                   for (lo, rest) in level[:-1])
+    return (slot_colors, tokens), best[1], gens
 
 
 def edge_map_for_perm(edges, perm, directed=False):

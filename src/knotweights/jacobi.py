@@ -16,7 +16,8 @@ draws its default-oriented diagram: no per-class state is kept.
 """
 
 from .canon import canonical_form, edge_map_for_perm
-from .errors import InvalidNumbering, LoopEdge, VertexTypeViolation
+from .errors import (DiagramError, InvalidNumbering, LoopEdge,
+                     VertexTypeViolation)
 
 
 class JacobiDiagram:
@@ -262,7 +263,7 @@ def wheel(k):
     orientation the cycle-with-legs construction induces on its sources.
     """
     if k < 2:
-        raise VertexTypeViolation(0, "wheels need k >= 2")
+        raise DiagramError(f"no wheel of degree {k}: wheels need k >= 2")
     uni = list(range(k))
     tri = list(range(k, 2 * k))
     edges = [(uni[i], tri[i]) for i in range(k)]            # spokes 0..k-1

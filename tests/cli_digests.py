@@ -39,6 +39,8 @@ def _commands():
     for what in ("stu", "wcpsi"):
         out.append((["verify", what, "--degree", "3", "--json"], False))
     out.append((["verify", "lemma33", "--degree", "4", "--json"], True))
+    for argv in (["enumerate", "jacobi"], ["dim"]):
+        out.append((argv + ["--degree", "5", "--k-max", "5", "--json"], True))
     return out
 
 

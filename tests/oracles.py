@@ -1,16 +1,18 @@
 """Naive generate-and-filter enumerations used to cross-check the fast
 generators, the Jacobi enumeration without its swap filter, the relators
 listed at every local site, a dense rank for the sparse eliminator, the
-canonical labeling search without automorphism pruning, the P + N + T
-splitting with N spanned by products, the STU and IHX moves that renumber
-their terms or scan for the moving half-edges, the circle-counting weight
-and its cumulant by a class-keyed, memoized STU recursion and by STU on whole
-diagrams with every block of the cumulant rebuilt, the BCR sources
-of a diagram listed one by one, the Alexander determinant by expansion in
-minors, and the skein recursion on mutable crossing lists.  Everything here
+canonical labeling search without automorphism pruning and with it but
+without the least-sibling cut, the P + N + T splitting with N spanned by
+products, the STU and IHX moves that renumber their terms or scan for the
+moving half-edges, the circle-counting weight and its cumulant by a
+class-keyed, memoized STU recursion and by STU on whole diagrams with every
+block of the cumulant rebuilt, the BCR sources of a diagram listed one by
+one, the Alexander determinant by expansion in minors, and the skein
+recursion on mutable crossing lists.  Everything here
 works by exhausting a finite search space and keeping what passes an
 independently coded validity test, or by textbook elimination."""
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement, groupby,
                        permutations, product)
@@ -263,6 +265,92 @@ def canonical_form_all(n, colors, edges, directed=False):
 
     dfs(0, 0, 0, [])
     return (slot_colors, tuple(best_tokens)), best_perms
+
+
+def canonical_form_dfs(n, colors, edges, directed=False):
+    """`canon.canonical_form` by the plain pruned search: every child of a
+    node is tried in cell order, skipped only by the orbits of the
+    generators that fix the path, and each node's whole token list is
+    compared with the best leaf's tokens on the same slots."""
+    if n == 0:
+        return ((), ()), (), []
+    order = sorted(range(n), key=lambda v: (colors[v], v))
+    slot_colors = tuple(colors[v] for v in order)
+
+    incidence = [[] for _ in range(n)]
+    for (u, v, tag) in edges:
+        if directed:
+            incidence[u].append((v, tag, 1))
+            incidence[v].append((u, tag, -1))
+        else:
+            incidence[u].append((v, tag, 0))
+            incidence[v].append((u, tag, 0))
+
+    cells = [list(g) for _, g in groupby(order, key=lambda v: colors[v])]
+    cells = canon._refine(cells, incidence)
+
+    slot_cell = []
+    for cell in cells:
+        slot_cell.extend([sorted(cell)] * len(cell))
+
+    edges_at = [[] for _ in range(n)]
+    for (u, v, tag) in edges:
+        edges_at[u].append((u, v, tag))
+        if u != v:
+            edges_at[v].append((u, v, tag))
+
+    assign = [-1] * n  # vertex -> slot
+    path = []          # slot -> vertex, for the assigned prefix
+    best = None        # (tokens, perm, path) of the least leaf so far
+    end = [(n,)]       # sorts after every token
+    gens = []
+
+    def dfs(s, tokens):
+        nonlocal best
+        if s == n:
+            if best is None or tokens < best[0]:
+                best = (tokens, tuple(assign), list(path))
+                return s
+            best_path = best[2]
+            gens.append(tuple(best_path[assign[v]] for v in range(n)))
+            c = 0
+            while path[c] == best_path[c]:
+                c += 1
+            return c
+        tried = []
+        seen_gens = 0
+        orbit = None
+        for v in slot_cell[s]:
+            if assign[v] != -1:
+                continue
+            if seen_gens != len(gens):
+                seen_gens = len(gens)
+                fixing = [g for g in gens if all(g[w] == w for w in path)]
+                orbit = canon.orbits(n, fixing) if fixing else None
+            if orbit is not None and any(orbit[v] == orbit[w] for w in tried):
+                continue
+            tried.append(v)
+            assign[v] = s
+            path.append(v)
+            new_tokens = []
+            for (a, b, tag) in edges_at[v]:
+                if assign[a] != -1 and assign[b] != -1:
+                    new_tokens.append(
+                        canon._edge_token(assign[a], assign[b], tag, directed))
+            new_tokens.sort()
+            merged = tokens + new_tokens
+            back = s
+            if best is None or not merged + end > (
+                    best[0][:bisect_left(best[0], (s + 1,))] + end):
+                back = dfs(s + 1, merged)
+            path.pop()
+            assign[v] = -1
+            if back < s:
+                return back
+        return s
+
+    dfs(0, [])
+    return (slot_colors, tuple(best[0])), best[1], gens
 
 
 def group_order(n, gens):

@@ -1,0 +1,90 @@
+"""The canonical labeling search against its oracles: the search without
+the least-sibling cut (`canonical_form_dfs`) and the unpruned search
+(`canonical_form_all`)."""
+
+import random
+
+import pytest
+
+from knotweights import bcr, canon, jacobi
+from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
+from knotweights.jacobi import _colors
+from knotweights.relations import generate_relations
+
+from helpers import shuffled_jacobi
+from oracles import canonical_form_all, canonical_form_dfs, group_order
+
+
+def _recorded_calls(monkeypatch, k):
+    """Every `canonical_form` call that enumerating and relating degree k
+    makes, as argument tuples."""
+    calls = []
+    search = canon.canonical_form
+
+    def record(n, colors, edges, directed=False):
+        calls.append((n, list(colors), list(edges), directed))
+        return search(n, colors, edges, directed)
+
+    for module in (canon, jacobi, bcr):
+        monkeypatch.setattr(module, "canonical_form", record)
+    # the enumerations are memoised per degree: call their bodies
+    enumerate_jacobi.__wrapped__(k)
+    if k:
+        enumerate_bcr.__wrapped__(k)
+    generate_relations(k)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_search_matches_the_uncut_search_on_every_call(monkeypatch, k):
+    calls = _recorded_calls(monkeypatch, k)
+    assert calls
+    for n, colors, edges, directed in calls:
+        key, perm, gens = canon.canonical_form(n, colors, edges, directed)
+        key_dfs, perm_dfs, gens_dfs = canonical_form_dfs(n, colors, edges,
+                                                         directed)
+        assert (key, perm) == (key_dfs, perm_dfs)
+        assert group_order(n, gens) == group_order(n, gens_dfs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_closed_classes_match_the_unpruned_search(k):
+    """The closed (all-trivalent) classes are single cells after refinement,
+    where the search has the most to cut."""
+    rng = random.Random(k)
+    closed = [rep for rep in enumerate_jacobi(k) if not rep.univalent_order]
+    assert closed
+    for rep in closed:
+        for d in [rep] + [shuffled_jacobi(rep, rng) for _ in range(2)]:
+            entries = [(u, v, 0) for (u, v) in d.edges]
+            key, perm, gens = canon.canonical_form(d.nv, _colors(d), entries)
+            key_all, perms = canonical_form_all(d.nv, _colors(d), entries)
+            assert key == key_all
+            assert perm in perms
+            assert group_order(d.nv, gens) == len(perms)
+
+
+def _random_multigraph(rng, directed):
+    n = rng.randint(1, 7)
+    colors = [rng.choice("ab") for _ in range(n)]
+    edges = [(rng.randrange(n), rng.randrange(n), rng.choice((0, 1)))
+             for _ in range(rng.randint(0, 2 * n))]
+    return n, colors, edges, directed
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_loops_parallel_edges_and_tags(directed):
+    """Self-loops, parallel edges and mixed tags, which no diagram of the
+    package has, against both oracles."""
+    rng = random.Random(5 + directed)
+    for _ in range(300):
+        n, colors, edges, directed = _random_multigraph(rng, directed)
+        key, perm, gens = canon.canonical_form(n, colors, edges, directed)
+        assert (key, perm) == canonical_form_dfs(n, colors, edges,
+                                                 directed)[:2]
+        key_all, perms = canonical_form_all(n, colors, edges, directed)
+        assert key == key_all
+        assert perm in perms
+        assert group_order(n, gens) == len(perms)

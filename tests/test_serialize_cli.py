@@ -7,7 +7,7 @@ import pytest
 
 from knotweights import canon, cli, jacobi
 from knotweights.bcr import EXTERNAL, INTERNAL, validate_bcr, wheel_bcr
-from knotweights.errors import VertexTypeViolation
+from knotweights.errors import DiagramError, VertexTypeViolation
 from knotweights.jacobi import JacobiDiagram, class_of, product, wheel
 from knotweights.serialize import from_json, to_json
 
@@ -281,6 +281,29 @@ def test_cli_verify_lemma33_past_the_default_cap(tmp_path, monkeypatch,
     assert _run(tmp_path, monkeypatch, "verify", "lemma33", "--degree", "6",
                 "--k-max", "6") == 0
     assert "wbcr(wheel_6) = 2" in capsys.readouterr().out
+
+
+def test_cli_verify_lemma33_checks_the_cap_before_the_wheel(
+        tmp_path, monkeypatch, capsys):
+    # wheel validation is quadratic: wheel(100000) alone runs for minutes
+    def refuse(k):
+        raise AssertionError("wheel built before the degree check")
+    monkeypatch.setattr(cli, "wheel", refuse)
+    assert _run(tmp_path, monkeypatch,
+                "verify", "lemma33", "--degree", "100000") == 2
+    assert ("degree 100000 outside supported range [0, 4]"
+            in _assert_input_error(capsys))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_cli_verify_lemma33_names_a_degree_without_a_wheel(
+        tmp_path, monkeypatch, capsys, k):
+    with pytest.raises(DiagramError, match=f"no wheel of degree {k}"):
+        wheel(k)
+    assert _run(tmp_path, monkeypatch,
+                "verify", "lemma33", "--degree", str(k)) == 2
+    assert (f"no wheel of degree {k}: wheels need k >= 2"
+            in _assert_input_error(capsys))
 
 
 _DIAGRAM_ARGV = [("wbcr", "--diagram"),
