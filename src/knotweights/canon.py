@@ -196,7 +196,7 @@ def canonical_form(n, colors, edges, directed=False):
             return c
         children = [(level_tokens(v, s), v)
                     for v in slot_cell[s] if assign[v] == -1]
-        least = min(t for t, _ in children)
+        least = min(children)[0]
         if eq:
             if least > best[0][s]:
                 return s
