@@ -8,9 +8,9 @@ moving half-edges, the circle-counting weight and its cumulant by a
 class-keyed, memoized STU recursion and by STU on whole diagrams with every
 block of the cumulant rebuilt, the BCR sources of a diagram listed one by
 one, the Alexander determinant by expansion in minors, and the skein
-recursion on mutable crossing lists.  Everything here
-works by exhausting a finite search space and keeping what passes an
-independently coded validity test, or by textbook elimination."""
+recursion on mutable crossing lists.  Everything here works by exhausting a
+finite search space and keeping what passes an independently coded validity
+test, or by textbook elimination."""
 
 from bisect import bisect_left
 from fractions import Fraction
