@@ -5,8 +5,8 @@ Run:  python demos/weight_systems.py
 """
 
 from knotweights import (chord_diagram, count_circles, dims_table,
-                         generate_relations, product, project_pc,
-                         single_chord, vector_of, wc_eval, wheel)
+                         empty_diagram, generate_relations, product,
+                         single_chord, wc_eval, wheel)
 from knotweights.conway import wc_diagram, wc_prime_diagram
 
 # On a chord diagram the weight is decided by surgery: cut the line at the
@@ -42,11 +42,11 @@ for k in range(0, 4):
 
 # The logarithmic variant is the cumulant of wc over connected components;
 # it agrees with wc after projecting onto the connected summand, so
-# products and the empty class die:
+# products and the empty class die, though wc is 1 on the empty class:
 seq = product(single_chord(), single_chord())
 print()
 print("wc(chord x chord) =", wc_diagram(seq),
       "   wc'(chord x chord) =", wc_prime_diagram(seq))
 print("wc'(wheel_2) =", wc_prime_diagram(wheel(2)))
-print("projection of the product class is zero:",
-      project_pc(vector_of(seq)).is_zero())
+print("wc(empty) =", wc_diagram(empty_diagram()),
+      "   wc'(empty) =", wc_prime_diagram(empty_diagram()))

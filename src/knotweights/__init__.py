@@ -18,7 +18,7 @@ from .enumerate import K_MAX, enumerate_bcr, enumerate_jacobi
 from .jacobi import (JacobiDiagram, canonicalize, chord_diagram,
                      empty_diagram, key_bytes, make_diagram, product,
                      single_chord, theta_graph, validate_jacobi, wheel)
-from .quotient import dims_table, project_pc, quotient_basis, reduce_vector
+from .quotient import dims_table, quotient_basis
 from .relations import generate_relations
 from .vectors import DiagramVector, GradedSeries, algebra_product, graded_exp, vector_of
 

@@ -33,8 +33,8 @@ element would close a loop, and sgn(0) = 0 drops it.  A subset recursion
 O(2^m m^2 16) steps for m elements, where the sources number
 4^c (m-1)! for c chords.  When the chains close up by themselves, the one
 cycle through every trivalent vertex is the only source.  The test
-oracles are `tests/oracles.py:sources`, which lists the sources one by
-one, and `wbcr_by_orderings`, which scans every ordering of every BCR
+oracles in `tests/oracles.py` are `sources`, which lists the sources one
+by one, and `wbcr_by_orderings`, which scans every ordering of every BCR
 class.
 """
 
@@ -45,7 +45,7 @@ from .bcr import EXTERNAL, bcr_canonical
 from .enumerate import (K_MAX, check_degree, enumerate_bcr, enumerate_jacobi,
                         per_degree)
 from .errors import AmbiguousIsomorphism, NotIsomorphic
-from .jacobi import JacobiDiagram, automorphisms, class_of
+from .jacobi import JacobiDiagram, class_of
 from .vectors import vector_of
 
 ZERO = Fraction(0)
@@ -230,24 +230,9 @@ def wbcr(d, k_max=K_MAX):
 
 # -- the ordering scan (test oracle) -----------------------------------------
 
-def _parallel_factor(rep):
-    """Number of edge bijections per vertex automorphism (parallel swaps)."""
-    counts = {}
-    for (a, b) in rep.edges:
-        pair = (min(a, b), max(a, b))
-        counts[pair] = counts.get(pair, 0) + 1
-    out = 1
-    for m in counts.values():
-        f = 1
-        for i in range(2, m + 1):
-            f *= i
-        out *= f
-    return out
-
-
 def _group_order(n, gens):
     """Order of the group generated by vertex permutations `gens`, by
-    closure: only the oracle below needs |Aut|, the program never does."""
+    closure: only the ordering scan and the tests need |Aut|."""
     seen = {tuple(range(n))}
     frontier = list(seen)
     while frontier:
@@ -258,14 +243,13 @@ def _group_order(n, gens):
     return len(seen)
 
 
-def _jacobi_edge_aut_order(rep):
-    return _group_order(rep.nv, automorphisms(rep)) * _parallel_factor(rep)
-
-
 @per_degree(lowest=1)
 def _wbcr_table(k):
     """Base sums keyed by induced class: sum of eps*eps2*sign over all
-    (representative, ordering) pairs, each divided by |Aut| of its source."""
+    (representative, ordering) pairs, each divided by |Aut| of its source.
+    Only `tests/oracles.py:wbcr_by_orderings` reads it; it stays here while
+    the benchmark's tracer test (perfbench/test_perfbench.py) expects every
+    traced layer function to exist."""
     table = {}
     for bcr in enumerate_bcr(k, k_max=k):
         aut = _group_order(bcr.nv, bcr_canonical(bcr)[2])
@@ -285,22 +269,6 @@ def _wbcr_table(k):
             term = Fraction(eps * epsilon2(bcr, rho) * sign, aut)
             table[key] = table.get(key, ZERO) + term
     return table
-
-
-def wbcr_by_orderings(d, k_max=K_MAX):
-    """`wbcr` by the test oracle: the degree-wide ordering scan, whose terms
-    are divided by |Aut(source)|, times the target's edge automorphisms."""
-    key, sign = class_of(d)
-    if sign == 0:
-        return ZERO
-    k = d.degree
-    if k == 0:
-        return ZERO
-    base = _wbcr_table(k, k_max).get(key, ZERO)
-    if not base:
-        return ZERO
-    weight = Fraction(_jacobi_edge_aut_order(d), 2 ** (2 * k - len(d.edges)))
-    return sign * base * weight
 
 
 # -- verification reports ---------------------------------------------------

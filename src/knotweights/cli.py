@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from . import cache  # noqa: F401  (loaded for perfbench's cache.load span)
@@ -33,8 +34,14 @@ def _frac(x):
 
 
 def _emit(obj, as_json):
+    """Print obj as indented JSON, written in blocks of encoder chunks: the
+    whole document joined at once holds millions of chunk strings for a
+    degree-5 enumeration."""
     if as_json:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+        while block := "".join(islice(chunks, 8192)):
+            sys.stdout.write(block)
+        sys.stdout.write("\n")
 
 
 def _read(path):

@@ -30,7 +30,8 @@ components: on a diagram D,
 where D_B keeps the components in block B.  Primitives are spanned by
 connected diagrams, the coproduct splits the set of components, and wc is
 multiplicative, so this equals wc composed with the projection onto the
-connected summand (``quotient.project_pc``, kept as the test oracle).  It
+connected summand (the test oracle
+``tests/oracles.py:SplittingByProducts.project_connected``).  It
 kills the empty class and every non-trivial product, so a diagram whose
 components fall into two groups, one wholly before the other on the line,
 is 0 without an expansion, as is one with a purely trivalent component.

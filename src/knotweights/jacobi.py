@@ -59,10 +59,6 @@ class JacobiDiagram:
                 halves.append((i, 1))
         return halves
 
-    def other_end(self, half):
-        e, end = half
-        return self.edges[e][1 - end]
-
     @property
     def univalent(self):
         return set(self.univalent_order)

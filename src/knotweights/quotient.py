@@ -1,4 +1,4 @@
-"""The quotient space per degree: basis, reduction, and the splitting.
+"""The quotient space per degree: basis, reduction, and dimensions.
 
 Row reduction is exact sparse Gaussian elimination over Fractions with a
 fixed class ordering (canonical keys, lexicographic), kept fully reduced.
@@ -15,11 +15,13 @@ most rows are such rows.  The degree-k space splits into
 
 read off the class list: products commute in the quotient, so the product
 classes span every product, and interleaved disconnected classes generate
-no summand.  The independent classes of each summand are eliminated once
-more, each row with its own marker column ranked after the basis columns.
-That checks the sum is direct, and a vector reduced by those rows leaves
-minus its coordinates on the markers; the P ones give the projection onto
-P along N + T, the connected part used by the logarithmic weight system.
+no summand.  The independent classes of each summand give its dimension,
+and one more elimination over all of them checks that the sum is direct.
+
+`project_pc`, the projection onto P along N + T, serves only the tests
+(the program takes wc' as a cumulant over components instead); it stays
+here while the benchmark's tracer test (perfbench/test_perfbench.py)
+expects every traced layer function to exist.
 """
 
 from fractions import Fraction
@@ -150,68 +152,60 @@ def _summands(k):
     return p_keys, n_keys, t_keys
 
 
-class Splitting:
-    """The decomposition P + N + T of one degree, with its projector.
-
-    `p_part`, `n_part` and `t_part` list each summand's generator keys; the
-    marker column of generator j is the integer j.
-    """
-
-    def __init__(self, k):
-        q = quotient_basis(k, k_max=k)
-        self.quotient = q
-        self.degree = k
-        self.p_part, self.n_part, self.t_part = (
-            _independent(q, keys) for keys in _summands(k))
-        gens = self.p_part + self.n_part + self.t_part
-        n = q.dim
-        rank = {key: i for i, key in enumerate(q.basis)}
-        rank.update((j, n + j) for j in range(len(gens)))
-        self._elim = _Eliminator(rank)
-        for j, key in enumerate(gens):
-            row = q.reduce(DiagramVector(k, {key: 1})).terms
-            row[j] = Fraction(1)
-            if rank[self._elim.add_row(row)] >= n:
-                raise ArithmeticError(
-                    f"splitting of degree {k} is not a direct sum: "
-                    f"generator {j} depends on those before it")
-        if len(gens) != n:
-            raise ArithmeticError(
-                f"splitting of degree {k} has total dimension "
-                f"{len(gens)} != {n}")
-
-    @property
-    def dims(self):
-        return (self.quotient.dim, len(self.p_part), len(self.n_part),
-                len(self.t_part))
-
-    def project_connected(self, vec):
-        """Component in P along N + T, as a vector of P generator classes."""
-        left = self._elim._reduce_terms(self.quotient.reduce(vec).terms)
-        out = DiagramVector(self.degree)
-        for j, key in enumerate(self.p_part):
-            if left.get(j):
-                out.add_term(key, -left[j])
-        return out
-
-
 @per_degree()
 def splitting(k):
-    return Splitting(k)
-
-
-def project_pc(vec, k_max=K_MAX):
-    """Projection onto connected-with-univalent classes (p^c)."""
-    return splitting(vec.degree, k_max).project_connected(vec)
-
-
-def reduce_vector(vec, k_max=K_MAX):
-    return quotient_basis(vec.degree, k_max).reduce(vec)
+    """The independent generator keys of P, N and T in degree k, checked to
+    make up a basis of the quotient together."""
+    q = quotient_basis(k, k_max=k)
+    parts = tuple(_independent(q, keys) for keys in _summands(k))
+    gens = [key for part in parts for key in part]
+    picked = _independent(q, gens)
+    if picked != gens:
+        j = next(j for j, (a, b) in enumerate(zip(gens, picked + [None]))
+                 if a != b)
+        raise ArithmeticError(
+            f"splitting of degree {k} is not a direct sum: "
+            f"generator {j} depends on those before it")
+    if len(gens) != q.dim:
+        raise ArithmeticError(
+            f"splitting of degree {k} has total dimension "
+            f"{len(gens)} != {q.dim}")
+    return parts
 
 
 def dims_table(k, k_max=K_MAX):
-    s = splitting(k, k_max)
-    dim_a, dim_p, dim_n, dim_t = s.dims
-    return {"degree": k, "dim_A": dim_a, "dim_P": dim_p,
+    dim_p, dim_n, dim_t = map(len, splitting(k, k_max))
+    return {"degree": k, "dim_A": dim_p + dim_n + dim_t, "dim_P": dim_p,
             "dim_N": dim_n, "dim_T": dim_t}
 
+
+# -- the projection onto P (only the tests call it) --------------------------
+
+@per_degree()
+def _projector(k):
+    """The splitting's generators eliminated with marker column j on
+    generator j, ranked after the basis columns."""
+    q = quotient_basis(k, k_max=k)
+    gens = [key for part in splitting(k, k_max=k) for key in part]
+    rank = {key: i for i, key in enumerate(q.basis)}
+    rank.update((j, q.dim + j) for j in range(len(gens)))
+    elim = _Eliminator(rank)
+    for j, key in enumerate(gens):
+        row = q.reduce(DiagramVector(k, {key: 1})).terms
+        row[j] = Fraction(1)
+        elim.add_row(row)
+    return elim
+
+
+def project_pc(vec, k_max=K_MAX):
+    """Component in P along N + T, as a vector of P generator classes: a
+    vector reduced by the projector's rows leaves minus its coordinates on
+    the markers."""
+    k = vec.degree
+    left = _projector(k, k_max)._reduce_terms(
+        quotient_basis(k, k_max).reduce(vec).terms)
+    out = DiagramVector(k)
+    for j, key in enumerate(splitting(k, k_max)[0]):
+        if left.get(j):
+            out.add_term(key, -left[j])
+    return out

@@ -3,12 +3,14 @@ generators, the Jacobi enumeration without its swap filter, the relators
 listed at every local site, a dense rank for the sparse eliminator, the
 canonical labeling search without automorphism pruning and with it but
 without the least-sibling cut, the P + N + T splitting with N spanned by
-products, the STU and IHX moves that renumber their terms or scan for the
-moving half-edges, the circle-counting weight and its cumulant by a
-class-keyed, memoized STU recursion and by STU on whole diagrams with every
-block of the cumulant rebuilt, the BCR sources of a diagram listed one by
-one, the Alexander determinant by expansion in minors, and the skein
-recursion on mutable crossing lists.  Everything here works by exhausting a
+products and its projection onto the connected summand P, the STU and IHX
+moves that renumber their terms or scan for the moving half-edges, the
+circle-counting weight and its cumulant by a class-keyed, memoized STU
+recursion and by STU on whole diagrams with every block of the cumulant
+rebuilt, the BCR sources of a diagram listed one by one, the weighted
+source count by a scan over every ordering of every BCR class, the
+Alexander determinant by expansion in minors, and the skein recursion on
+mutable crossing lists.  Everything here works by exhausting a
 finite search space and keeping what passes an independently coded validity
 test, or by textbook elimination."""
 
@@ -16,18 +18,20 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement, groupby,
                        permutations, product)
-from math import factorial
+from math import factorial, prod
 
 from knotweights import canon
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
-from knotweights.bridge import _orbit_length, _vertex_roles
+from knotweights.bridge import _group_order as group_order
+from knotweights.bridge import _orbit_length, _vertex_roles, _wbcr_table
 from knotweights.conway import _set_partitions, count_circles
 from knotweights.enumerate import (K_MAX, _multigraphs, check_degree,
                                    enumerate_jacobi)
 from knotweights.jacobi import (JacobiDiagram, _colors, _orientation_sign,
-                                _rotate_to, canonicalize, class_of,
-                                ihx_terms, internal_edges, make_diagram,
-                                representative, stu_expand, stu_sites)
+                                _rotate_to, automorphisms, canonicalize,
+                                class_of, ihx_terms, internal_edges,
+                                make_diagram, representative, stu_expand,
+                                stu_sites)
 from knotweights.jacobi import product as diagram_product
 from knotweights.quotient import _Eliminator, quotient_basis
 from knotweights.relations import RelationSet
@@ -351,24 +355,6 @@ def canonical_form_dfs(n, colors, edges, directed=False):
 
     dfs(0, [])
     return (slot_colors, tuple(best[0])), best[1], gens
-
-
-def group_order(n, gens):
-    """Order of the permutation group on 0..n-1 generated by `gens`, by
-    closing the identity under right multiplication by the generators."""
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(g[x] for x in p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return len(seen)
 
 
 def class_of_all(d):
@@ -739,6 +725,34 @@ def sources(d):
                         if rank[y] < rank[x]:
                             s2 = -s2
                     yield ext + internal, s2
+
+
+def _parallel_factor(rep):
+    """Number of edge bijections per vertex automorphism (parallel swaps)."""
+    counts = {}
+    for (a, b) in rep.edges:
+        pair = (min(a, b), max(a, b))
+        counts[pair] = counts.get(pair, 0) + 1
+    return prod(factorial(m) for m in counts.values())
+
+
+def _jacobi_edge_aut_order(rep):
+    return group_order(rep.nv, automorphisms(rep)) * _parallel_factor(rep)
+
+
+def wbcr_by_orderings(d, k_max=K_MAX):
+    """`bridge.wbcr` by the degree-wide ordering scan `bridge._wbcr_table`,
+    whose terms are divided by |Aut(source)|, times the target's edge
+    automorphisms."""
+    key, sign = class_of(d)
+    if sign == 0 or d.degree == 0:
+        return Fraction(0)
+    k = d.degree
+    base = _wbcr_table(k, k_max).get(key, Fraction(0))
+    if not base:
+        return Fraction(0)
+    weight = Fraction(_jacobi_edge_aut_order(d), 2 ** (2 * k - len(d.edges)))
+    return sign * base * weight
 
 
 def laplace_det(rows):

@@ -8,8 +8,7 @@ from knotweights import bridge
 from knotweights.bcr import (EXTERNAL, INTERNAL, bcr_canonical, validate_bcr,
                              wheel_bcr)
 from knotweights.bridge import (epsilon, epsilon2, epsilon3, jacobi_of,
-                                orderings, verify_main, verify_stu, wbcr,
-                                wbcr_by_orderings)
+                                orderings, verify_main, verify_stu, wbcr)
 from knotweights.canon import canonical_form
 from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
 from knotweights.errors import DegreeOutOfRange, NotIsomorphic
@@ -19,7 +18,9 @@ from knotweights.jacobi import (JacobiDiagram, class_of, flipped,
 from knotweights.bcr import degree_one_bcr
 
 from helpers import shuffled_jacobi
-from oracles import canonical_form_all, class_of_all, sources
+import oracles
+from oracles import (canonical_form_all, class_of_all, sources,
+                     wbcr_by_orderings)
 
 
 def _rho_from_ranks(bcr, ranked_vertices):
@@ -235,8 +236,8 @@ def test_oracle_group_orders_match_the_unpruned_search(k):
     # the ordering scan weighs its terms by |Aut|, which it now closes
     # from the generators the pruned search returns
     for rep in enumerate_jacobi(k):
-        assert bridge._jacobi_edge_aut_order(rep) == (
-            class_of_all(rep)[2] * bridge._parallel_factor(rep))
+        assert oracles._jacobi_edge_aut_order(rep) == (
+            class_of_all(rep)[2] * oracles._parallel_factor(rep))
     for d in enumerate_bcr(k):
         colors = [("e",) if v in d.external else ("i",) for v in range(d.nv)]
         perms = canonical_form_all(d.nv, colors, list(d.edges),

@@ -7,9 +7,10 @@ import pytest
 
 from knotweights import canon, cli, jacobi
 from knotweights.bcr import EXTERNAL, INTERNAL, validate_bcr, wheel_bcr
+from knotweights.enumerate import enumerate_jacobi
 from knotweights.errors import DiagramError, VertexTypeViolation
 from knotweights.jacobi import JacobiDiagram, class_of, product, wheel
-from knotweights.serialize import from_json, to_json
+from knotweights.serialize import from_json, jacobi_to_obj, to_json
 
 from helpers import refuse_search
 
@@ -181,6 +182,28 @@ def test_cli_enumerate_json_stable(tmp_path, monkeypatch, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["count"] == 2
+
+
+def _assert_emit_is_one_dumps(obj, capsys):
+    cli._emit(obj, True)
+    assert capsys.readouterr().out == json.dumps(
+        obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_writes_the_bytes_of_one_dumps(capsys):
+    _assert_emit_is_one_dumps(
+        {"b": [1, 2.5, None, True], "a": {"z": "\u00e9", "y": []}}, capsys)
+    cli._emit({"a": 1}, False)
+    assert capsys.readouterr().out == ""
+
+
+def test_emit_of_a_degree_four_enumeration_spans_several_blocks(capsys):
+    diagrams = [jacobi_to_obj(d) for d in enumerate_jacobi(4)]
+    obj = {"kind": "jacobi", "degree": 4, "count": len(diagrams),
+           "diagrams": diagrams}
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    assert sum(1 for _ in chunks) > 8192
+    _assert_emit_is_one_dumps(obj, capsys)
 
 
 def test_cli_ignores_and_never_writes_planted_cache_files(tmp_path,

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -10,7 +11,7 @@ from knotweights.jacobi import (class_of, empty_diagram, flipped, product,
                                 single_chord, stu_sites, wheel)
 from knotweights import quotient
 from knotweights.quotient import (dims_table, project_pc, quotient_basis,
-                                  reduce_vector, splitting)
+                                  splitting)
 from knotweights.relations import generate_relations
 from knotweights.vectors import (DiagramVector, GradedSeries, algebra_product,
                                  graded_exp, unit_series, vector_of)
@@ -172,6 +173,10 @@ def _random_vector(k, rng):
     return vec
 
 
+def _reduce(vec):
+    return quotient_basis(vec.degree).reduce(vec)
+
+
 def test_reduce_is_idempotent():
     rng = random.Random(2024)
     for k in (1, 2, 3):
@@ -182,26 +187,34 @@ def test_reduce_is_idempotent():
             assert q.reduce(once) == once
 
 
+# p^c, the projection onto P along N + T, is checked on the oracle, which
+# spans N by products; `quotient.project_pc` is compared with it below.
+
+@cache
+def _project(k):
+    return SplittingByProducts(k).project_connected
+
+
 def test_project_keeps_connected_classes():
     v = vector_of(wheel(2))
-    assert project_pc(v) == v
+    assert _project(2)(v) == v
 
 
 def test_project_kills_products_and_trivalent():
     prod = vector_of(product(single_chord(), single_chord()))
-    assert project_pc(prod).is_zero()
+    assert _project(2)(prod).is_zero()
     emp = vector_of(empty_diagram())
-    assert project_pc(emp).is_zero()
+    assert _project(0)(emp).is_zero()
     for k in (1, 2, 3):
         for rep in enumerate_jacobi(k):
             vec = vector_of(rep)
             if vec.is_zero():
                 continue
             if rep.has_trivalent_component():
-                assert project_pc(vec).is_zero()
+                assert _project(k)(vec).is_zero()
             split = rep.product_split()
             if split:
-                assert project_pc(vec).is_zero()
+                assert _project(k)(vec).is_zero()
 
 
 def test_project_is_idempotent():
@@ -209,21 +222,29 @@ def test_project_is_idempotent():
     for k in (1, 2, 3):
         for _ in range(25):
             v = _random_vector(k, rng)
-            once = project_pc(v)
-            assert project_pc(once) == once
+            once = _project(k)(v)
+            assert _project(k)(once) == once
 
 
 def test_splitting_dimensions_are_consistent():
     for k in (0, 1, 2, 3):
-        dim_a, dim_p, dim_n, dim_t = splitting(k).dims
-        assert dim_a == dim_p + dim_n + dim_t
+        t = dims_table(k)
+        assert t["dim_A"] == quotient_basis(k).dim == (
+            t["dim_P"] + t["dim_N"] + t["dim_T"])
+
+
+def test_dims_table_checks_the_cap():
+    dims_table(3)
+    with pytest.raises(DegreeOutOfRange):
+        dims_table(3, k_max=2)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3,
                                pytest.param(4, marks=pytest.mark.slow)])
 def test_splitting_matches_the_product_loop(k):
     old = SplittingByProducts(k)
-    assert splitting(k).dims == old.dims
+    t = dims_table(k)
+    assert (t["dim_A"], t["dim_P"], t["dim_N"], t["dim_T"]) == old.dims
     for rep in enumerate_jacobi(k):
         vec = vector_of(rep)
         if not vec.is_zero():
@@ -241,7 +262,7 @@ def test_splitting_enumerates_only_its_own_degree(monkeypatch):
     monkeypatch.setattr(quotient, "enumerate_jacobi", recording)
     splitting.cache_clear()
     quotient_basis.cache_clear()
-    splitting(3)
+    dims_table(3)
     assert asked and set(asked) == {3}
 
 
@@ -250,16 +271,18 @@ def test_direct_sum_check_rejects_a_wrong_classification(monkeypatch):
     for drop in range(3):
         monkeypatch.setattr(quotient, "_summands", lambda k, drop=drop: [
             keys if i != drop else [] for i, keys in enumerate(summands(k))])
+        splitting.cache_clear()
         with pytest.raises(ArithmeticError, match="total dimension"):
-            quotient.Splitting(2)
+            dims_table(2)
 
     def p_also_in_t(k):
         p_keys, n_keys, t_keys = summands(k)
         return p_keys, n_keys, t_keys + p_keys
 
     monkeypatch.setattr(quotient, "_summands", p_also_in_t)
+    splitting.cache_clear()
     with pytest.raises(ArithmeticError, match="not a direct sum"):
-        quotient.Splitting(2)
+        dims_table(2)
 
 
 def test_product_commutes_in_the_quotient():
@@ -267,8 +290,8 @@ def test_product_commutes_in_the_quotient():
         for a in enumerate_jacobi(k1):
             for b in enumerate_jacobi(k2):
                 u, v = vector_of(a), vector_of(b)
-                lhs = reduce_vector(algebra_product(u, v))
-                rhs = reduce_vector(algebra_product(v, u))
+                lhs = _reduce(algebra_product(u, v))
+                rhs = _reduce(algebra_product(v, u))
                 assert lhs == rhs
 
 
@@ -277,8 +300,8 @@ def test_product_commutes_in_the_quotient_degree_four():
     for a in enumerate_jacobi(2):
         for b in enumerate_jacobi(2):
             u, v = vector_of(a), vector_of(b)
-            assert reduce_vector(algebra_product(u, v)) == \
-                reduce_vector(algebra_product(v, u))
+            assert _reduce(algebra_product(u, v)) == \
+                _reduce(algebra_product(v, u))
 
 
 @pytest.mark.slow
@@ -288,7 +311,7 @@ def test_project_kills_products_and_trivalent_degree_four():
         if vec.is_zero():
             continue
         if rep.has_trivalent_component() or rep.product_split():
-            assert project_pc(vec).is_zero()
+            assert _project(4)(vec).is_zero()
 
 
 def test_algebra_product_unit():
@@ -325,4 +348,4 @@ def test_graded_exp_is_multiplicative():
         lhs = graded_exp(s + t)
         rhs = graded_exp(s) * graded_exp(t)
         for k in range(K + 1):
-            assert reduce_vector(lhs.part(k)) == reduce_vector(rhs.part(k))
+            assert _reduce(lhs.part(k)) == _reduce(rhs.part(k))

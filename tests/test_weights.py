@@ -17,8 +17,8 @@ from knotweights.serialize import to_json
 from knotweights.vectors import vector_of
 
 from helpers import refuse_search, shuffled_jacobi
-from oracles import (ClassWeights, relators_everywhere, wc_prime_resolved,
-                     wc_resolved)
+from oracles import (ClassWeights, SplittingByProducts, relators_everywhere,
+                     wc_prime_resolved, wc_resolved)
 
 
 def test_circle_counts():
@@ -105,9 +105,10 @@ def test_values_are_exact_fractions():
 
 
 def _assert_cumulant_matches_projection(k):
+    split = SplittingByProducts(k)
     for rep in enumerate_jacobi(k):
         v = vector_of(rep)
-        assert wc_prime_eval(v) == wc_eval(quotient.project_pc(v))
+        assert wc_prime_eval(v) == wc_eval(split.project_connected(v))
 
 
 def test_wc_prime_matches_projection_oracle():
@@ -124,7 +125,7 @@ def test_verify_main_never_reaches_the_quotient(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the quotient was built")
 
-    for name in ("project_pc", "quotient_basis", "splitting"):
+    for name in ("quotient_basis", "splitting", "dims_table", "project_pc"):
         monkeypatch.setattr(quotient, name, forbidden)
     rows = verify_main(3)
     assert len(rows) == 67
