@@ -244,21 +244,3 @@ def canonical_form(n, colors, edges, directed=False):
                    for (lo, rest) in level[:-1])
     return (slot_colors, tokens), best[1], gens
 
-
-def edge_map_for_perm(edges, perm, directed=False):
-    """Map original edge indices to canonical edge slots under `perm`.
-
-    Parallel edges are tied in ascending original order (a fixed convention;
-    any other choice differs by an even reorientation at both endpoints, so
-    downstream signs do not depend on it).  Returns ``(tokens, edge_map)``
-    with ``tokens`` the sorted canonical edge list and ``edge_map[i]`` the
-    slot of original edge ``i``.
-    """
-    tagged = []
-    for idx, (u, v, tag) in enumerate(edges):
-        tagged.append((_edge_token(perm[u], perm[v], tag, directed), idx))
-    tagged.sort()
-    edge_map = [-1] * len(edges)
-    for slot, (_tok, idx) in enumerate(tagged):
-        edge_map[idx] = slot
-    return [tok for tok, _ in tagged], edge_map

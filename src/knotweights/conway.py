@@ -3,10 +3,11 @@
 A chord diagram is evaluated by surgering the line along every chord: cut
 at the two endpoints and reconnect crosswise, so the arc before one
 endpoint continues into the arc after its partner.  The diagram weighs 1
-when no closed circle remains and 0 otherwise.  wc is a weight system,
-so a diagram with trivalent vertices is evaluated by STU on its own labels
-[Bar-Natan, On the Vassiliev knot invariants, Topology 34 (1995)], with no
-class lookup.
+when no closed circle remains and 0 otherwise; counting circles and
+testing a merged chord list for none walk one partner array.  wc is a
+weight system, so a diagram with trivalent vertices is evaluated by STU on
+its own labels [Bar-Natan, On the Vassiliev knot invariants, Topology 34
+(1995)], with no class lookup.
 
 Each connected component is STU-expanded once, on plain arrays edited in
 place and restored on return: a univalent vertex next to a trivalent
@@ -18,8 +19,9 @@ components interleave exactly as on the line.  A component's expansion is
 a signed set of chord lists, and wc of any union of components is the sum,
 over one chord list per component, of the product of the coefficients
 whenever the merged chord diagram leaves no circle.  A component with no
-univalent vertex makes wc vanish outright.  The linear extensions to
-diagram vectors evaluate each class on its representative.
+univalent vertex (``JacobiDiagram.has_trivalent_component``) makes wc
+vanish outright.  The linear extensions to diagram vectors evaluate each
+class on its representative.
 
 The logarithmic variant wc' is the cumulant of wc over connected
 components: on a diagram D,
@@ -33,9 +35,10 @@ multiplicative, so this equals wc composed with the projection onto the
 connected summand (the test oracle
 ``tests/oracles.py:SplittingByProducts.project_connected``).  It
 kills the empty class and every non-trivial product, so a diagram whose
-components fall into two groups, one wholly before the other on the line,
-is 0 without an expansion, as is one with a purely trivalent component.
-The block values are shared by the partitions of one call.
+components fall into two groups, one wholly before the other on the line
+(``JacobiDiagram.product_split``), is 0 without an expansion, as is one
+with a purely trivalent component.  The block values are shared by the
+partitions of one call.
 """
 
 from fractions import Fraction
@@ -49,42 +52,9 @@ from .jacobi import representative
 ZERO = Fraction(0)
 
 
-def count_circles(d):
-    """Circles left after surgering the line along every chord."""
-    if not d.is_chord_diagram():
-        raise VertexTypeViolation(d.trivalent[0], "not a chord diagram")
-    n = d.nv
-    partner = {}
-    for (i, j) in d.chords():
-        partner[i] = j
-        partner[j] = i
-    # arcs 0..n: arc p-1 ends at point p and continues into the arc after
-    # the partner of p
-    succ = {p - 1: partner[p] for p in range(1, n + 1)}
-    visited = set()
-    arc = 0
-    while arc in succ:  # the line component, from the -infinity arc
-        visited.add(arc)
-        arc = succ[arc]
-    visited.add(arc)
-    circles = 0
-    for start in range(n + 1):
-        if start in visited:
-            continue
-        circles += 1
-        arc = start
-        while arc not in visited:
-            visited.add(arc)
-            arc = succ[arc]
-    return circles
-
-
-def _no_circle(chords):
-    """Whether surgery along `chords`, pairs of endpoint keys that sort in
-    line order, leaves no circle.  Arc i ends at point i and continues
-    into the arc after that point's partner; the walk from the first arc
-    reaches the last one, and it covers every arc exactly when no circle
-    is left."""
+def _partners(chords):
+    """Each endpoint's partner, for `chords` given as pairs of endpoint
+    keys that sort in line order; endpoints are numbered by that order."""
     points = sorted([p for chord in chords for p in chord])
     at = {p: i for i, p in enumerate(points)}
     partner = [0] * len(points)
@@ -92,7 +62,35 @@ def _no_circle(chords):
         i, j = at[a], at[b]
         partner[i] = j
         partner[j] = i
-    n = len(points)
+    return partner
+
+
+def count_circles(d):
+    """Circles left after surgering the line along every chord.  Closing
+    the line, its last arc into its first, makes it one more cycle of the
+    arc walk that `_no_circle` takes."""
+    if not d.is_chord_diagram():
+        raise VertexTypeViolation(d.trivalent[0], "not a chord diagram")
+    succ = [p + 1 for p in _partners(d.chords())] + [0]
+    seen = [False] * len(succ)
+    cycles = 0
+    for start in range(len(succ)):
+        if not seen[start]:
+            cycles += 1
+            arc = start
+            while not seen[arc]:
+                seen[arc] = True
+                arc = succ[arc]
+    return cycles - 1
+
+
+def _no_circle(chords):
+    """Whether surgery along `chords` leaves no circle.  Arc i ends at
+    point i and continues into the arc after that point's partner; the
+    walk from the first arc reaches the last one, and it covers every arc
+    exactly when no circle is left."""
+    partner = _partners(chords)
+    n = len(partner)
     arc = steps = 0
     while arc != n:
         arc = partner[arc] + 1
@@ -122,30 +120,6 @@ class _Expansion:
                     if self.at[v] is not None}
         self.width = d.nv + 1
         self.comps = d.components()
-
-    def legged(self):
-        """Whether every component has a univalent vertex."""
-        at = self.at
-        return all(any(at[v] is not None for v in c) for c in self.comps)
-
-    def splits(self):
-        """Whether the components fall into two non-empty groups with every
-        leg of the first before every leg of the second (all legged)."""
-        last = {}
-        comp_at = []
-        for i, c in enumerate(self.comps):
-            for v in c:
-                p = self.at[v]
-                if p is not None:
-                    last[i] = max(last.get(i, p), p)
-                    comp_at.append((p, i))
-        comp_at.sort()
-        reach = -1
-        for p, i in comp_at[:-1]:
-            reach = max(reach, last[i])
-            if reach == p:
-                return True
-        return False
 
     def terms(self, comp):
         """The STU expansion of one legged component: {chords: coefficient},
@@ -236,9 +210,9 @@ def _block_wc(terms):
 
 def wc_diagram(d):
     """Circle-counting weight of an oriented diagram (exact rational)."""
-    ex = _Expansion(d)
-    if not ex.legged():
+    if d.has_trivalent_component():
         return ZERO
+    ex = _Expansion(d)
     return Fraction(_block_wc([ex.terms(c) for c in ex.comps]))
 
 
@@ -263,9 +237,10 @@ def _set_partitions(items):
 def wc_prime_diagram(d, k_max=K_MAX):
     """Logarithmic variant: the cumulant of wc over d's components."""
     check_degree(d.degree, k_max)
-    ex = _Expansion(d)
-    if not ex.comps or not ex.legged() or ex.splits():
+    if (d.nv == 0 or d.has_trivalent_component()
+            or d.product_split() is not None):
         return ZERO
+    ex = _Expansion(d)
     terms = [ex.terms(c) for c in ex.comps]
     block_wc = {}
     total = 0

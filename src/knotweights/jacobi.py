@@ -12,10 +12,13 @@ local moves that would create one simply drop the term (see
 :func:`class_of`).
 
 A class is named by its canonical key, from which :func:`representative`
-draws its default-oriented diagram: no per-class state is kept.
+draws its default-oriented diagram: no per-class state is kept.  The
+orientation sign is read off the labeling, with no edge map.  Products and
+purely trivalent components, on which wc' vanishes, are decided here alone
+(:meth:`JacobiDiagram.product_split`, ``has_trivalent_component``).
 """
 
-from .canon import canonical_form, edge_map_for_perm
+from .canon import canonical_form
 from .errors import (DiagramError, InvalidNumbering, LoopEdge,
                      VertexTypeViolation)
 
@@ -84,21 +87,25 @@ class JacobiDiagram:
                     v, f"not among the vertex ids 0..{self.nv - 1}")
         uni, order = self.univalent, self.univalent_order
         if len(uni) != len(order):
-            repeat = next(v for i, v in enumerate(order) if v in order[:i])
-            raise VertexTypeViolation(repeat, "univalent order has repeats")
-        deg = [0] * self.nv
+            seen = set()
+            for v in order:
+                if v in seen:
+                    raise VertexTypeViolation(v, "univalent order has repeats")
+                seen.add(v)
+        halves = [[] for _ in range(self.nv)]
         for i, (a, b) in enumerate(self.edges):
             if a == b:
                 raise LoopEdge(i)
-            deg[a] += 1
-            deg[b] += 1
+            halves[a].append((i, 0))
+            halves[b].append((i, 1))
         for v in range(self.nv):
             want = 1 if v in uni else 3
-            if deg[v] != want:
-                raise VertexTypeViolation(v, f"valence {deg[v]} != {want}")
+            if len(halves[v]) != want:
+                raise VertexTypeViolation(
+                    v, f"valence {len(halves[v])} != {want}")
         for v in self.trivalent:
             cyc = self.orient.get(v)
-            if cyc is None or sorted(cyc) != sorted(self.incident(v)):
+            if cyc is None or sorted(cyc) != halves[v]:
                 raise VertexTypeViolation(v, "bad cyclic orientation")
         for v in self.orient:
             if v in uni or v not in range(self.nv):
@@ -133,6 +140,15 @@ class JacobiDiagram:
             comps.setdefault(find(v), []).append(v)
         return sorted(comps.values())
 
+    def component_map(self):
+        """The components and, for each vertex, its component's index."""
+        comps = self.components()
+        comp_of = [0] * self.nv
+        for i, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = i
+        return comps, comp_of
+
     def is_connected(self):
         return self.nv == 0 or len(self.components()) == 1
 
@@ -153,51 +169,23 @@ class JacobiDiagram:
 
         A diagram is a non-trivial product when its components can be
         grouped into two non-empty diagrams with all univalent vertices of
-        the first before all of the second.  Testing the first connected
-        group against every cut position is enough because products are
-        associative.
+        the first before all of the second; a purely trivalent component
+        spoils every split.  The cut falls after the first line position,
+        short of the last, that no component met so far reaches past; the
+        first group suffices because products are associative.
         """
-        if self.nv == 0:
+        comps, comp_of = self.component_map()
+        last = {comp_of[v]: p for p, v in enumerate(self.univalent_order)}
+        if len(last) < len(comps):
             return None
-        comps = self.components()
-        if len(comps) < 2:
-            return None
-        pos = {v: i for i, v in enumerate(self.univalent_order)}
-        nu = len(self.univalent_order)
-        for cut in range(nu + 1):
-            left, right = [], []
-            ok = True
-            for comp in comps:
-                ps = sorted(pos[v] for v in comp if v in pos)
-                if not ps:
-                    ok = False  # trivalent components spoil the split here
-                    break
-                if ps[-1] < cut:
-                    left.append(comp)
-                elif ps[0] >= cut:
-                    right.append(comp)
-                else:
-                    ok = False
-                    break
-            if ok and left and right:
-                return (sorted(sum(left, [])), sorted(sum(right, [])))
+        reach = -1
+        for p, v in enumerate(self.univalent_order[:-1]):
+            reach = max(reach, last[comp_of[v]])
+            if reach == p:
+                left = [w for w in range(self.nv) if last[comp_of[w]] <= p]
+                right = [w for w in range(self.nv) if last[comp_of[w]] > p]
+                return left, right
         return None
-
-    # -- rebuilding helpers --------------------------------------------------
-
-    def relabeled(self, perm, edge_order=None):
-        """Apply a vertex relabeling (and optional edge reordering)."""
-        edge_idxs = edge_order if edge_order is not None else range(len(self.edges))
-        old2new = {old: new for new, old in enumerate(edge_idxs)}
-        edges = [(perm[self.edges[i][0]], perm[self.edges[i][1]]) for i in edge_idxs]
-        orient = {}
-        for v, cyc in self.orient.items():
-            orient[perm[v]] = tuple((old2new[e], end) for (e, end) in cyc)
-        numbering = None
-        if self.numbering is not None:
-            numbering = {old2new[e]: n for e, n in self.numbering.items()}
-        return JacobiDiagram(self.nv, [perm[v] for v in self.univalent_order],
-                             edges, orient, numbering, validate=False)
 
 
 def default_orientation(nv, univalent_order, edges):
@@ -317,15 +305,16 @@ def _cyclic_parity(triple):
     return -1
 
 
-def _orientation_sign(d, entries, perm):
-    """Sign of d's orientation against the default in the labels `perm`."""
-    _, emap = edge_map_for_perm(entries, perm)
+def _orientation_sign(d, tags, perm):
+    """Sign of d's orientation against the default in the labels `perm`.
+    The default lists a vertex's edges in canonical slot order; they all
+    have the vertex's slot at one end, so they sort by the other end's
+    slot, then by tag, parallel edges by edge index."""
+    edges = d.edges
     s = 1
-    for v, cyc in d.orient.items():
-        moved = tuple((emap[e], 0 if perm[d.edges[e][end]] == max(
-            perm[d.edges[e][0]], perm[d.edges[e][1]]) else 1)
-            for (e, end) in cyc)
-        s *= _cyclic_parity(moved)
+    for cyc in d.orient.values():
+        s *= _cyclic_parity([(perm[edges[e][1 - end]], tags[e], e)
+                             for (e, end) in cyc])
     return s
 
 
@@ -349,9 +338,9 @@ def class_of(d, with_numbering=False):
     tags = _edge_tags(d, with_numbering)
     entries = [(u, v, tags[i]) for i, (u, v) in enumerate(d.edges)]
     key, perm, gens = canonical_form(d.nv, _colors(d), entries)
-    sign = _orientation_sign(d, entries, perm)
+    sign = _orientation_sign(d, tags, perm)
     for g in gens:
-        if _orientation_sign(d, entries, [perm[w] for w in g]) != sign:
+        if _orientation_sign(d, tags, [perm[w] for w in g]) != sign:
             return key, 0
     return key, sign
 

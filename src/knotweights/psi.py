@@ -56,27 +56,21 @@ def doubled_anomaly_degree_one():
 
 def default_edge_selection(d):
     """Lowest edge indices per component, one per unit of its degree."""
-    comp_of = {}
-    for ci, comp in enumerate(d.components()):
-        for v in comp:
-            comp_of[v] = ci
-    per_comp = {}
-    for i, (a, b) in enumerate(d.edges):
-        per_comp.setdefault(comp_of[a], []).append(i)
-    chosen = []
-    for ci, comp in enumerate(d.components()):
-        need = len(comp) // 2
-        chosen.extend(sorted(per_comp.get(ci, []))[:need])
-    return sorted(chosen)
+    comps, comp_of = d.component_map()
+    per_comp = [[] for _ in comps]
+    for i, (a, _b) in enumerate(d.edges):
+        per_comp[comp_of[a]].append(i)
+    return sorted(i for comp, edges in zip(comps, per_comp)
+                  for i in edges[:len(comp) // 2])
 
 
 def _check_selection(d, X):
-    comps = d.components()
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    counts = {ci: 0 for ci in range(len(comps))}
+    if (any(type(e) is not int or not 0 <= e < len(d.edges) for e in X)
+            or len(set(X)) != len(X)):
+        raise BadSelection(f"{list(X)} must list distinct edge indices "
+                           f"among 0..{len(d.edges) - 1}")
+    comps, comp_of = d.component_map()
+    counts = [0] * len(comps)
     for e in X:
         counts[comp_of[d.edges[e][0]]] += 1
     for ci, comp in enumerate(comps):

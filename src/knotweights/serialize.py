@@ -105,7 +105,7 @@ def _decode(obj):
         _check_classes(vertices, d.univalent, "univalent", "trivalent")
         return d
     if kind == "bcr":
-        external = [r["id"] for r in vertices if r["class"] == "external"]
+        external = {r["id"] for r in vertices if r["class"] == "external"}
         _check_classes(vertices, external, "external", "internal")
         edges = [(r["from"], r["to"], r["class"]) for r in edges_rows]
         return validate_bcr(nv, external, edges)

@@ -2,17 +2,19 @@
 generators, the Jacobi enumeration without its swap filter, the relators
 listed at every local site, a dense rank for the sparse eliminator, the
 canonical labeling search without automorphism pruning and with it but
-without the least-sibling cut, the P + N + T splitting with N spanned by
-products and its projection onto the connected summand P, the STU and IHX
-moves that renumber their terms or scan for the moving half-edges, the
-circle-counting weight and its cumulant by a class-keyed, memoized STU
-recursion and by STU on whole diagrams with every block of the cumulant
-rebuilt, the BCR sources of a diagram listed one by one, the weighted
-source count by a scan over every ordering of every BCR class, the
-Alexander determinant by expansion in minors, and the skein recursion on
-mutable crossing lists.  Everything here works by exhausting a
-finite search space and keeping what passes an independently coded validity
-test, or by textbook elimination."""
+without the least-sibling cut, the orientation sign read through a sorted
+edge map, the product split by a scan over every cut of the line, the
+P + N + T splitting with N spanned by products and its projection onto
+the connected summand P, the STU and IHX moves that renumber their terms
+or scan for the moving half-edges, the surgery circle count by a walk
+over a successor dict, the circle-counting weight and its cumulant by a
+class-keyed, memoized STU recursion and by STU on whole diagrams with
+every block of the cumulant rebuilt, the BCR sources of a diagram listed
+one by one, the weighted source count by a scan over every ordering of
+every BCR class, the Alexander determinant by expansion in minors, and
+the skein recursion on mutable crossing lists.  Everything here works by
+exhausting a finite search space and keeping what passes an
+independently coded validity test, or by textbook elimination."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -24,14 +26,14 @@ from knotweights import canon
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
 from knotweights.bridge import _group_order as group_order
 from knotweights.bridge import _orbit_length, _vertex_roles, _wbcr_table
-from knotweights.conway import _set_partitions, count_circles
+from knotweights.conway import _set_partitions
 from knotweights.enumerate import (K_MAX, _multigraphs, check_degree,
                                    enumerate_jacobi)
-from knotweights.jacobi import (JacobiDiagram, _colors, _orientation_sign,
-                                _rotate_to, automorphisms, canonicalize,
-                                class_of, ihx_terms, internal_edges,
-                                make_diagram, representative, stu_expand,
-                                stu_sites)
+from knotweights.jacobi import (JacobiDiagram, _colors, _cyclic_parity,
+                                _edge_tags, _rotate_to, automorphisms,
+                                canonicalize, class_of, ihx_terms,
+                                internal_edges, make_diagram, representative,
+                                stu_expand, stu_sites)
 from knotweights.jacobi import product as diagram_product
 from knotweights.quotient import _Eliminator, quotient_basis
 from knotweights.relations import RelationSet
@@ -357,14 +359,88 @@ def canonical_form_dfs(n, colors, edges, directed=False):
     return (slot_colors, tuple(best[0])), best[1], gens
 
 
+def edge_map_for_perm(edges, perm, directed=False):
+    """Map original edge indices to canonical edge slots under `perm`.
+
+    Parallel edges are tied in ascending original order (a fixed convention;
+    any other choice differs by an even reorientation at both endpoints, so
+    downstream signs do not depend on it).  Returns ``(tokens, edge_map)``
+    with ``tokens`` the sorted canonical edge list and ``edge_map[i]`` the
+    slot of original edge ``i``.
+    """
+    tagged = []
+    for idx, (u, v, tag) in enumerate(edges):
+        tagged.append((canon._edge_token(perm[u], perm[v], tag, directed),
+                       idx))
+    tagged.sort()
+    edge_map = [-1] * len(edges)
+    for slot, (_tok, idx) in enumerate(tagged):
+        edge_map[idx] = slot
+    return [tok for tok, _ in tagged], edge_map
+
+
+def orientation_sign_by_edge_map(d, entries, perm):
+    """`jacobi._orientation_sign` by sorting every edge token into its
+    canonical slot and reading each vertex's cyclic order in slots and
+    ends."""
+    _, emap = edge_map_for_perm(entries, perm)
+    s = 1
+    for v, cyc in d.orient.items():
+        moved = tuple((emap[e], 0 if perm[d.edges[e][end]] == max(
+            perm[d.edges[e][0]], perm[d.edges[e][1]]) else 1)
+            for (e, end) in cyc)
+        s *= _cyclic_parity(moved)
+    return s
+
+
+def class_of_by_edge_map(d, with_numbering=False):
+    """`jacobi.class_of` with every sign read through the edge map."""
+    tags = _edge_tags(d, with_numbering)
+    entries = [(u, v, tags[i]) for i, (u, v) in enumerate(d.edges)]
+    key, perm, gens = canon.canonical_form(d.nv, _colors(d), entries)
+    signs = {orientation_sign_by_edge_map(d, entries, p)
+             for p in [perm] + [[perm[w] for w in g] for g in gens]}
+    return key, (signs.pop() if len(signs) == 1 else 0)
+
+
 def class_of_all(d):
     """`jacobi.class_of` by the unpruned search, as ``(key, sign, |Aut|)``:
-    the sign is read in every minimizing relabeling and is 0 unless they
-    all agree."""
+    the sign is read through the edge map in every minimizing relabeling
+    and is 0 unless they all agree."""
     entries = [(u, v, 0) for (u, v) in d.edges]
     key, perms = canonical_form_all(d.nv, _colors(d), entries)
-    signs = {_orientation_sign(d, entries, perm) for perm in perms}
+    signs = {orientation_sign_by_edge_map(d, entries, perm) for perm in perms}
     return key, (signs.pop() if len(signs) == 1 else 0), len(perms)
+
+
+def product_split_by_cuts(d):
+    """`JacobiDiagram.product_split` by trying every cut of the line in
+    turn against every component."""
+    if d.nv == 0:
+        return None
+    comps = d.components()
+    if len(comps) < 2:
+        return None
+    pos = {v: i for i, v in enumerate(d.univalent_order)}
+    nu = len(d.univalent_order)
+    for cut in range(nu + 1):
+        left, right = [], []
+        ok = True
+        for comp in comps:
+            ps = sorted(pos[v] for v in comp if v in pos)
+            if not ps:
+                ok = False  # trivalent components spoil the split here
+                break
+            if ps[-1] < cut:
+                left.append(comp)
+            elif ps[0] >= cut:
+                right.append(comp)
+            else:
+                ok = False
+                break
+        if ok and left and right:
+            return (sorted(sum(left, [])), sorted(sum(right, [])))
+    return None
 
 
 class SplittingByProducts:
@@ -544,6 +620,33 @@ def ihx_terms_scanned(d, edge_idx):
     return rebuilt((g_a, q, r), (g_b, s, p)), rebuilt((g_a, q, s), (g_b, r, p))
 
 
+def count_circles_by_successors(d):
+    """`conway.count_circles` by a walk over a successor dict: arc p-1
+    ends at point p and continues into the arc after the partner of p."""
+    n = d.nv
+    partner = {}
+    for (i, j) in d.chords():
+        partner[i] = j
+        partner[j] = i
+    succ = {p - 1: partner[p] for p in range(1, n + 1)}
+    visited = set()
+    arc = 0
+    while arc in succ:  # the line component, from the -infinity arc
+        visited.add(arc)
+        arc = succ[arc]
+    visited.add(arc)
+    circles = 0
+    for start in range(n + 1):
+        if start in visited:
+            continue
+        circles += 1
+        arc = start
+        while arc not in visited:
+            visited.add(arc)
+            arc = succ[arc]
+    return circles
+
+
 class ClassWeights:
     """wc and wc' by the class-keyed recursion: a diagram is reduced to its
     canonical classes, each class is resolved by STU on its stored
@@ -561,7 +664,8 @@ class ClassWeights:
             if rep.has_trivalent_component():
                 val = Fraction(0)
             elif rep.is_chord_diagram():
-                val = Fraction(1 if count_circles(rep) == 0 else 0)
+                val = Fraction(
+                    1 if count_circles_by_successors(rep) == 0 else 0)
             else:
                 order = {v: i for i, v in enumerate(rep.univalent_order)}
                 t, u = min(stu_sites(rep), key=lambda site: order[site[1]])
@@ -622,7 +726,7 @@ def sub_diagram(d, vertices):
 def _resolve(d):
     """wc of a diagram whose every component has a univalent vertex."""
     if d.is_chord_diagram():
-        return Fraction(1 if count_circles(d) == 0 else 0)
+        return Fraction(1 if count_circles_by_successors(d) == 0 else 0)
     t, u = stu_sites(d)[0]  # the site at the lowest univalent vertex
     d1, d2 = stu_expand(d, t, u)
     return _resolve(d1) - _resolve(d2)

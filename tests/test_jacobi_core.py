@@ -8,22 +8,23 @@ import textwrap
 import pytest
 
 import knotweights
-from knotweights.canon import canonical_form, edge_map_for_perm
+from knotweights.canon import canonical_form
 from knotweights.errors import (DegreeOutOfRange, InvalidNumbering, LoopEdge,
                                 VertexTypeViolation)
-from knotweights.jacobi import (JacobiDiagram, _colors, automorphisms,
-                                canonicalize, chord_diagram, class_of,
-                                empty_diagram, flipped, ihx_terms,
+from knotweights.jacobi import (JacobiDiagram, _colors, _orientation_sign,
+                                automorphisms, canonicalize, chord_diagram,
+                                class_of, empty_diagram, flipped, ihx_terms,
                                 internal_edges, make_diagram, product,
                                 representative, single_chord, stu_expand,
-                                stu_sites, theta_graph, validate_jacobi,
-                                wheel)
+                                stu_sites, theta_graph, validate_jacobi, wheel)
 from knotweights.enumerate import enumerate_jacobi
 from knotweights.vectors import DiagramVector, vector_of
 
 from helpers import SearchRan, refuse_search, shuffled_jacobi
-from oracles import (class_of_all, enumerate_jacobi_unfiltered, group_order,
-                     ihx_terms_scanned, stu_expand_renumbered)
+from oracles import (class_of_all, class_of_by_edge_map, edge_map_for_perm,
+                     enumerate_jacobi_unfiltered, group_order,
+                     ihx_terms_scanned, orientation_sign_by_edge_map,
+                     product_split_by_cuts, stu_expand_renumbered)
 
 
 def test_empty_diagram_is_valid_degree_zero():
@@ -191,6 +192,37 @@ def test_canonical_form_matches_the_unpruned_search(k):
 
 
 @pytest.mark.parametrize("k", [
+    0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_sign_and_product_split_match_the_oracles(k):
+    rng = random.Random(k)
+    for rep in enumerate_jacobi(k):
+        for d in [rep] + [shuffled_jacobi(rep, rng) for _ in range(3)]:
+            entries = [(u, v, 0) for (u, v) in d.edges]
+            _, perm, gens = canonical_form(d.nv, _colors(d), entries)
+            perms = [perm] + [[perm[w] for w in g] for g in gens]
+            perms += [rng.sample(range(d.nv), d.nv) for _ in range(3)]
+            for p in perms:
+                assert (_orientation_sign(d, [0] * len(d.edges), p)
+                        == orientation_sign_by_edge_map(d, entries, p))
+            assert d.product_split() == product_split_by_cuts(d)
+
+
+def test_numbered_signs_match_the_edge_map_oracle():
+    # theta and the degree-2 wheel have parallel edges
+    rng = random.Random(11)
+    diagrams = [theta_graph(), wheel(2)]
+    diagrams += [rep for k in (1, 2, 3) for rep in enumerate_jacobi(k)]
+    for d in diagrams:
+        for _ in range(3):
+            labels = rng.sample(range(1, 3 * d.degree + 1), len(d.edges))
+            numbered = JacobiDiagram(d.nv, d.univalent_order, d.edges,
+                                     d.orient, dict(enumerate(labels)))
+            for x in (numbered, shuffled_jacobi(numbered, rng)):
+                assert (class_of(x, with_numbering=True)
+                        == class_of_by_edge_map(x, with_numbering=True))
+
+
+@pytest.mark.parametrize("k", [
     1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_local_moves_match_the_renumbering_oracles(k):
     rng = random.Random(k)
@@ -242,7 +274,8 @@ def test_copies_of_a_representative_are_canonicalized_afresh(monkeypatch):
     copies = []
     for rep in reps:
         key, sign, _ = canonicalize(rep)
-        copies.append((rep.relabeled(range(rep.nv)), (key, sign)))
+        copies.append((JacobiDiagram(rep.nv, rep.univalent_order, rep.edges,
+                                     rep.orient), (key, sign)))
         for v in rep.trivalent:
             copies.append((flipped(rep, v), (key, -sign)))
     for d, want in copies:

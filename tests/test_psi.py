@@ -59,6 +59,14 @@ def test_bad_selection_rejected():
         TwoLegSeries({2: vector_of(wheel(2))})  # no degree-1 part
 
 
+@pytest.mark.parametrize("X", [[0, -1], [0, 0], [0, 7], [0, 1.0], [0, True]])
+def test_bad_edge_indices_rejected(X):
+    # negative, repeated, out-of-range and non-integer indices on a
+    # one-component diagram that needs two edges
+    with pytest.raises(BadSelection):
+        psi_apply(doubled_anomaly_degree_one(), wheel(2), K=2, X=X)
+
+
 def test_default_selection_sizes():
     d = product(single_chord(), wheel(2))
     X = default_edge_selection(d)

@@ -17,7 +17,8 @@ from knotweights.serialize import to_json
 from knotweights.vectors import vector_of
 
 from helpers import refuse_search, shuffled_jacobi
-from oracles import (ClassWeights, SplittingByProducts, relators_everywhere,
+from oracles import (ClassWeights, SplittingByProducts,
+                     count_circles_by_successors, relators_everywhere,
                      wc_prime_resolved, wc_resolved)
 
 
@@ -27,6 +28,16 @@ def test_circle_counts():
     assert count_circles(chord_diagram([(1, 3), (2, 4)])) == 0
     assert count_circles(chord_diagram([(1, 2), (3, 4)])) == 2
     assert count_circles(chord_diagram([(1, 4), (2, 3)])) == 2
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_circle_counts_match_the_successor_walk(k):
+    rng = random.Random(k)
+    for rep in enumerate_jacobi(k):
+        if rep.is_chord_diagram():
+            for d in [rep] + [shuffled_jacobi(rep, rng) for _ in range(3)]:
+                assert count_circles(d) == count_circles_by_successors(d)
 
 
 def test_wc_on_empty_and_degree_one():
