@@ -15,7 +15,10 @@ Together with connectedness these force the shape "directed cycle plus
 legs": every vertex has out-degree one, legs are single external edges from
 univalent vertices into the trivalent cycle vertices, and transitions
 between the internal and external parts of the cycle pair up the type-4 and
-type-5 vertices.
+type-5 vertices.  So a diagram is fixed by its cycle's edge flavors, and
+:func:`cycle_with_legs` builds every diagram the program makes from them;
+an isomorphism is a rotation of the cycle, so a class is a cyclic flavor
+word up to rotation.
 """
 
 from .canon import canonical_form
@@ -25,19 +28,26 @@ from .errors import (CycleStructureViolation, Disconnected, EmptyGraph,
 INTERNAL = "int"
 EXTERNAL = "ext"
 
+# the internal types 2-5 by (internal in, external in, internal out,
+# external out) edge counts
+_INTERNAL_TYPES = {(1, 1, 1, 0): 2, (0, 0, 0, 1): 3, (0, 1, 1, 0): 4,
+                   (1, 0, 0, 1): 5}
+
 
 class BCRDiagram:
     """Validated diagram; construct through :func:`validate_bcr`."""
 
-    __slots__ = ("nv", "external", "edges", "type_of", "cycle", "legs")
+    __slots__ = ("nv", "external", "edges", "type_of", "cycle", "legs",
+                 "out_edge")
 
-    def __init__(self, nv, external, edges, type_of, cycle, legs):
+    def __init__(self, nv, external, edges, type_of, cycle, legs, out_edge):
         self.nv = nv
         self.external = frozenset(external)
         self.edges = tuple(edges)
         self.type_of = dict(type_of)
         self.cycle = tuple(cycle)
         self.legs = dict(legs)
+        self.out_edge = tuple(out_edge)
 
     @property
     def degree(self):
@@ -58,18 +68,22 @@ class BCRDiagram:
 
     def leg_edges(self):
         """Edge index of each leg, keyed by its trivalent target."""
-        out = {}
-        for i, (a, b, cls) in enumerate(self.edges):
-            if cls == EXTERNAL and self.type_of[a] == 3:
-                out[b] = i
-        return out
+        return {v: self.out_edge[u] for v, u in self.legs.items()}
 
 
 def validate_bcr(nv, external, edges):
     """Check the five local patterns and the cycle/leg decomposition.
 
     `edges` lists (tail, head, cls) triples.  Returns a BCRDiagram carrying
-    the per-vertex type tags and the decomposition.
+    the per-vertex type tags, the decomposition and each vertex's one
+    outgoing edge (`out_edge[v]`).
+
+    Once the patterns, connectedness and the decomposition hold, the
+    counts need no check of their own.  Every pattern has one outgoing
+    edge, so there are as many edges as vertices.  Every trivalent vertex
+    has exactly one leg.  Types 4 and 5 are the switches from external to
+    internal and back around the cycle, so they alternate and pair up, and
+    with t trivalent vertices nv = 2 (t + n4) is even.
     """
     if nv == 0:
         raise EmptyGraph("diagram must be non-empty")
@@ -85,10 +99,8 @@ def validate_bcr(nv, external, edges):
         if a == b:
             raise LoopEdge(i)
 
-    in_int = {v: [] for v in range(nv)}
-    in_ext = {v: [] for v in range(nv)}
-    out_int = {v: [] for v in range(nv)}
-    out_ext = {v: [] for v in range(nv)}
+    in_int, in_ext, out_int, out_ext = ([[] for _ in range(nv)]
+                                        for _ in range(4))
     seen_pairs = set()
     for i, (a, b, cls) in enumerate(edges):
         if (a, b) in seen_pairs:
@@ -96,82 +108,63 @@ def validate_bcr(nv, external, edges):
         seen_pairs.add((a, b))
         (out_int if cls == INTERNAL else out_ext)[a].append(i)
         (in_int if cls == INTERNAL else in_ext)[b].append(i)
-
-    def degree(v):
-        return (len(in_int[v]) + len(in_ext[v])
-                + len(out_int[v]) + len(out_ext[v]))
+    degree = [len(in_int[v]) + len(in_ext[v]) + len(out_int[v])
+              + len(out_ext[v]) for v in range(nv)]
 
     type_of = {}
     for v in range(nv):
-        ii, ie, oi, oe = (len(in_int[v]), len(in_ext[v]),
-                          len(out_int[v]), len(out_ext[v]))
+        sig = (len(in_int[v]), len(in_ext[v]), len(out_int[v]),
+               len(out_ext[v]))
+        from_uni = sum(degree[edges[i][0]] == 1 for i in in_ext[v])
         if v in external:
-            if (ii, ie, oi, oe) != (0, 2, 0, 1):
+            if sig != (0, 2, 0, 1):
                 raise VertexTypeViolation(v, "external vertices need two "
                                              "external in, one external out")
-            from_uni = [i for i in in_ext[v] if degree(edges[i][0]) == 1]
-            if len(from_uni) != 1:
+            if from_uni != 1:
                 raise VertexTypeViolation(
                     v, "exactly one incoming edge must come from a "
                        "univalent vertex")
             type_of[v] = 1
-        elif (ii, ie, oi, oe) == (1, 1, 1, 0):
-            src = edges[in_ext[v][0]][0]
-            if degree(src) != 1:
-                raise VertexTypeViolation(v, "the external edge into an "
-                                             "internal trivalent vertex "
-                                             "must come from a univalent "
-                                             "vertex")
-            type_of[v] = 2
-        elif (ii, ie, oi, oe) == (0, 0, 0, 1):
-            type_of[v] = 3
-        elif (ii, ie, oi, oe) == (0, 1, 1, 0):
-            type_of[v] = 4
-        elif (ii, ie, oi, oe) == (1, 0, 0, 1):
-            type_of[v] = 5
-        else:
+        elif sig not in _INTERNAL_TYPES:
             raise VertexTypeViolation(v)
+        elif sig == (1, 1, 1, 0) and from_uni != 1:
+            raise VertexTypeViolation(v, "the external edge into an "
+                                         "internal trivalent vertex "
+                                         "must come from a univalent "
+                                         "vertex")
+        else:
+            type_of[v] = _INTERNAL_TYPES[sig]
+    out_edge = [(out_int[v] + out_ext[v])[0] for v in range(nv)]
+    succ = [edges[i][1] for i in out_edge]
 
     # connectivity, ignoring directions
-    adj = {v: set() for v in range(nv)}
+    adj = [set() for _ in range(nv)]
     for (a, b, _cls) in edges:
         adj[a].add(b)
         adj[b].add(a)
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+        for w in adj[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
     if len(seen) != nv:
         raise Disconnected(min(set(range(nv)) - seen))
 
     # one directed cycle with legs attached
-    succ = {}
-    for (a, b, cls) in edges:
-        succ[a] = b
-    v = 0
-    trail = {}
+    v, trail = 0, set()
     while v not in trail:
-        trail[v] = len(trail)
+        trail.add(v)
         v = succ[v]
-    cycle_start = v
     cycle = [v]
-    v = succ[v]
-    while v != cycle_start:
-        cycle.append(v)
-        v = succ[v]
-    m = min(cycle)
-    i = cycle.index(m)
+    while succ[cycle[-1]] != v:
+        cycle.append(succ[cycle[-1]])
+    i = cycle.index(min(cycle))
     cycle = cycle[i:] + cycle[:i]
 
     on_cycle = set(cycle)
     legs = {}
     for v in range(nv):
-        t = type_of[v]
-        if t == 3:
+        if type_of[v] == 3:
             target = succ[v]
             if type_of[target] not in (1, 2) or target not in on_cycle:
                 raise CycleStructureViolation(v, "leg must land on a "
@@ -179,14 +172,7 @@ def validate_bcr(nv, external, edges):
             legs[target] = v
         elif v not in on_cycle:
             raise CycleStructureViolation(v, "non-leg vertex off the cycle")
-    n4 = sum(1 for t in type_of.values() if t == 4)
-    n5 = sum(1 for t in type_of.values() if t == 5)
-    if n4 != n5:
-        raise CycleStructureViolation(cycle[0], "unbalanced transition "
-                                                "vertices")
-    if nv % 2 != 0 or nv != len(edges):
-        raise CycleStructureViolation(cycle[0], "vertex/edge count mismatch")
-    return BCRDiagram(nv, external, edges, type_of, cycle, legs)
+    return BCRDiagram(nv, external, edges, type_of, cycle, legs, out_edge)
 
 
 def bcr_canonical(d):
@@ -201,15 +187,27 @@ def bcr_key(d):
     return bcr_canonical(d)[0]
 
 
+def cycle_with_legs(flavors):
+    """The diagram whose cycle edge i runs from vertex i to i + 1 (mod the
+    length) with flavor flavors[i].  A vertex whose two cycle edges share a
+    flavor gets a leg, numbered after the cycle in cycle order, and is
+    external when that flavor is."""
+    edges = [(i, (i + 1) % len(flavors), cls)
+             for i, cls in enumerate(flavors)]
+    external = []
+    for i, cls in enumerate(flavors):
+        if flavors[i - 1] == cls:
+            edges.append((len(edges), i, EXTERNAL))
+            if cls == EXTERNAL:
+                external.append(i)
+    return validate_bcr(len(edges), external, edges)
+
+
 def degree_one_bcr():
     """The unique degree-1 diagram: v -> w internal, w -> v external."""
-    return validate_bcr(2, [], [(0, 1, INTERNAL), (1, 0, EXTERNAL)])
+    return cycle_with_legs([INTERNAL, EXTERNAL])
 
 
 def wheel_bcr(k):
     """Directed external k-cycle, each vertex fed by a leg."""
-    ext = list(range(k))
-    uni = list(range(k, 2 * k))
-    edges = [(ext[i], ext[(i + 1) % k], EXTERNAL) for i in range(k)]
-    edges += [(uni[i], ext[i], EXTERNAL) for i in range(k)]
-    return validate_bcr(2 * k, ext, edges)
+    return cycle_with_legs([EXTERNAL] * k)

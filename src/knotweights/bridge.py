@@ -41,7 +41,7 @@ class.
 from fractions import Fraction
 from itertools import permutations, product
 
-from .bcr import EXTERNAL, bcr_canonical
+from .bcr import bcr_canonical
 from .enumerate import (K_MAX, check_degree, enumerate_bcr, enumerate_jacobi,
                         per_degree)
 from .errors import AmbiguousIsomorphism, NotIsomorphic
@@ -63,30 +63,21 @@ def jacobi_of(bcr, rho, sigma=None):
 
     Edges are the external edges of `bcr`, stored tail-to-head so the
     construction's edge directions stay readable; univalent vertices are
-    the internal vertices in rank order.
+    the internal vertices in rank order.  An external vertex is oriented
+    by the out-edges of its cycle predecessor, itself and its leg.
     """
     ext_edges = bcr.external_edges()
     new_idx = {e: i for i, e in enumerate(ext_edges)}
     edges = [(bcr.edges[e][0], bcr.edges[e][1]) for e in ext_edges]
     order = sorted(bcr.internal_vertices, key=lambda v: rho[v])
 
-    legs = bcr.leg_edges()
+    out, cycle = bcr.out_edge, bcr.cycle
     orient = {}
-    cyc_in = {}
-    cyc_out = {}
-    for i, e in enumerate(bcr.edges):
-        a, b, cls = e
-        if cls != EXTERNAL:
-            continue
-        if bcr.type_of[a] != 3 and b in bcr.external:
-            cyc_in[b] = i
-        if a in bcr.external:
-            cyc_out[a] = i
-    for v in bcr.external:
-        e_in = new_idx[cyc_in[v]]
-        leg = new_idx[legs[v]]
-        f_out = new_idx[cyc_out[v]]
-        orient[v] = ((e_in, 1), (f_out, 0), (leg, 1))
+    for i, v in enumerate(cycle):
+        if v in bcr.external:
+            orient[v] = ((new_idx[out[cycle[i - 1]]], 1),
+                         (new_idx[out[v]], 0),
+                         (new_idx[out[bcr.legs[v]]], 1))
 
     numbering = None
     if sigma is not None:

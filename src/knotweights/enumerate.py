@@ -1,21 +1,24 @@
 """Exhaustive enumeration of diagram isomorphism classes per degree.
 
-BCR diagrams are generated from cyclic words over four cycle pieces (the
-two bivalent transition vertices and the two legged trivalent vertices),
-with edge flavors matching around the cycle.  Jacobi diagrams are generated
+A BCR diagram is fixed by the flavors of its cycle edges, and its class
+by that flavor word up to rotation (see `bcr`).  The legs sit where two
+neighbouring flavors agree, one per cycle vertex at most, so a cycle of
+length L carries 2k - L legs and k <= L <= 2k.  Each class is drawn
+once, from the rotation whose word of cycle pieces is least, and the
+classes are sorted by canonical key.  Jacobi diagrams are generated
 as loop-free multigraphs with the prescribed valences, using a first-touch
 symmetry cut on the interchangeable trivalent vertices, and a candidate
 that swapping two of them turns into a smaller sorted edge list is skipped
 before its canonical search.  The least labeling of each class passes
-both cuts, so no class is lost.  Both enumerations are deduplicated
-through canonical keys, so the output carries one representative per
-class in a deterministic order.
+both cuts, so no class is lost.  They are deduplicated through canonical
+keys, so each enumeration carries one representative per class in a
+deterministic order.
 """
 
 from functools import lru_cache, wraps
 from itertools import product as iproduct
 
-from .bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
+from .bcr import EXTERNAL, INTERNAL, bcr_key, cycle_with_legs
 from .errors import DegreeOutOfRange
 from .jacobi import canonicalize, make_diagram
 
@@ -53,60 +56,24 @@ def per_degree(lowest=0):
     return decorate
 
 
-# cycle pieces: (incoming flavor, outgoing flavor, has leg, external vertex)
-_PIECES = {
-    "b4": (EXTERNAL, INTERNAL, False, False),
-    "b5": (INTERNAL, EXTERNAL, False, False),
-    "t1": (EXTERNAL, EXTERNAL, True, True),
-    "t2": (INTERNAL, INTERNAL, True, False),
-}
-
-
-def _word_ok(word):
-    for i, w in enumerate(word):
-        nxt = word[(i + 1) % len(word)]
-        if _PIECES[w][1] != _PIECES[nxt][0]:
-            return False
-    return True
-
-
-def _min_rotation(word):
-    return min(tuple(word[i:] + word[:i]) for i in range(len(word)))
-
-
-def _diagram_from_word(word):
-    length = len(word)
-    external = [i for i, w in enumerate(word) if _PIECES[w][3]]
-    edges = []
-    for i, w in enumerate(word):
-        cls = _PIECES[w][1]
-        edges.append((i, (i + 1) % length, cls))
-    next_id = length
-    for i, w in enumerate(word):
-        if _PIECES[w][2]:
-            edges.append((next_id, i, EXTERNAL))
-            next_id += 1
-    return validate_bcr(next_id, external, edges)
-
-
 @per_degree(lowest=1)
 def enumerate_bcr(k):
-    """All BCR diagram classes of degree k, one representative each."""
-    found = {}
-    for length in range(2, 2 * k + 1):
-        legs = 2 * k - length
-        for word in iproduct(_PIECES, repeat=length):
-            if sum(1 for w in word if _PIECES[w][2]) != legs:
-                continue
-            if word != _min_rotation(list(word)):
-                continue
-            if not _word_ok(word):
-                continue
-            d = _diagram_from_word(list(word))
-            key = bcr_key(d)
-            if key not in found:
-                found[key] = d
-    return tuple(found[key] for key in sorted(found))
+    """All BCR diagram classes of degree k, one representative each.
+
+    The cycle vertex with flavors a in and b out is the piece ranked
+    2 (a == b) + (a == INTERNAL): b4 (external in, internal out) < b5
+    < t1 (both external) < t2 (both internal).
+    """
+    reps = []
+    for length in range(max(2, k), 2 * k + 1):
+        for flavors in iproduct((EXTERNAL, INTERNAL), repeat=length):
+            word = [2 * (flavors[i - 1] == b) + (flavors[i - 1] == INTERNAL)
+                    for i, b in enumerate(flavors)]
+            if (sum(p >= 2 for p in word) == 2 * k - length
+                    and word == min(word[i:] + word[:i]
+                                    for i in range(length))):
+                reps.append(cycle_with_legs(flavors))
+    return tuple(sorted(reps, key=bcr_key))
 
 
 def _multigraphs(deg_seq, free_start):

@@ -46,7 +46,7 @@ class JacobiDiagram:
         self.univalent_order = tuple(univalent_order)
         self.edges = tuple((u, v) for (u, v) in edges)
         self.orient = {v: tuple(c) for v, c in orient.items()}
-        self.numbering = dict(numbering) if numbering else None
+        self.numbering = None if numbering is None else dict(numbering)
         self.record = None
         if validate:
             self._validate()
@@ -111,13 +111,15 @@ class JacobiDiagram:
             if v in uni or v not in range(self.nv):
                 raise VertexTypeViolation(v, "oriented but not trivalent")
         if self.numbering is not None:
-            labels = list(self.numbering.values())
+            keys, labels = list(self.numbering), list(self.numbering.values())
             bound = 3 * self.degree
-            if (len(self.numbering) != len(self.edges)
+            if (any(type(x) is not int for x in keys + labels)
+                    or sorted(keys) != list(range(len(self.edges)))
                     or len(set(labels)) != len(labels)
                     or any(not (1 <= x <= bound) for x in labels)):
                 raise InvalidNumbering(
-                    f"numbering must inject edges into 1..{bound}")
+                    f"numbering must inject the edges 0..{len(self.edges) - 1}"
+                    f" into the integers 1..{bound}")
 
     # -- components and shape ----------------------------------------------
 

@@ -9,15 +9,16 @@ Schema (both kinds):
    "univalent_order": [int, ...]?}
 
 Vertex classes are "univalent"/"trivalent" or "internal"/"external"; edge
-classes are "plain" for Jacobi diagrams and "internal"/"external" for BCR
-diagrams.  A half-edge id is 2*edge_id + end, with end 0 on the "from"
-side.  Vertices and edges are listed by ascending id and keys are written
-in the order above, so equal diagrams serialize to equal bytes.
+classes are "plain" for Jacobi diagrams and "int"/"ext" for BCR diagrams,
+and a file with any other edge class is refused.  A half-edge id is
+2*edge_id + end, with end 0 on the "from" side.  Vertices and edges are
+listed by ascending id and keys are written in the order above, so equal
+diagrams serialize to equal bytes.
 """
 
 import json
 
-from .bcr import BCRDiagram, validate_bcr
+from .bcr import EXTERNAL, INTERNAL, BCRDiagram, validate_bcr
 from .errors import ParseError, VertexTypeViolation
 from .jacobi import JacobiDiagram
 
@@ -91,6 +92,7 @@ def _decode(obj):
     _check_ids(vertices, "vertices", "n")
     _check_ids(edges_rows, "edges", "m")
     if kind == "jacobi":
+        _check_edge_classes(edges_rows, ("plain",))
         edges = [(r["from"], r["to"]) for r in edges_rows]
         orient = {}
         for r in vertices:
@@ -107,6 +109,7 @@ def _decode(obj):
     if kind == "bcr":
         external = {r["id"] for r in vertices if r["class"] == "external"}
         _check_classes(vertices, external, "external", "internal")
+        _check_edge_classes(edges_rows, (INTERNAL, EXTERNAL))
         edges = [(r["from"], r["to"], r["class"]) for r in edges_rows]
         return validate_bcr(nv, external, edges)
     raise ParseError(0, str(kind), "kind must be 'jacobi' or 'bcr'")
@@ -126,6 +129,14 @@ def _check_classes(vertices, marked, yes, no):
         if r["class"] != want:
             raise VertexTypeViolation(r["id"], f"class {r['class']!r}, but "
                                                f"the diagram makes it {want!r}")
+
+
+def _check_edge_classes(rows, allowed):
+    for r in rows:
+        if r["class"] not in allowed:
+            raise ParseError(0, "edges", f"edge {r['id']} has class "
+                                         f"{json.dumps(r['class'])}, not one "
+                                         f"of {', '.join(allowed)}")
 
 
 def from_json(text):

@@ -41,6 +41,9 @@ def _commands():
     out.append((["verify", "lemma33", "--degree", "4", "--json"], True))
     for argv in (["enumerate", "jacobi"], ["dim"]):
         out.append((argv + ["--degree", "5", "--k-max", "5", "--json"], True))
+    for k in ("5", "6"):
+        out.append((["enumerate", "bcr", "--degree", k, "--k-max", k,
+                     "--json"], True))
     return out
 
 

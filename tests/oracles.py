@@ -1,20 +1,23 @@
 """Naive generate-and-filter enumerations used to cross-check the fast
-generators, the Jacobi enumeration without its swap filter, the relators
-listed at every local site, a dense rank for the sparse eliminator, the
-canonical labeling search without automorphism pruning and with it but
-without the least-sibling cut, the orientation sign read through a sorted
-edge map, the product split by a scan over every cut of the line, the
-P + N + T splitting with N spanned by products and its projection onto
-the connected summand P, the STU and IHX moves that renumber their terms
-or scan for the moving half-edges, the surgery circle count by a walk
-over a successor dict, the circle-counting weight and its cumulant by a
-class-keyed, memoized STU recursion and by STU on whole diagrams with
-every block of the cumulant rebuilt, the BCR sources of a diagram listed
-one by one, the weighted source count by a scan over every ordering of
-every BCR class, the Alexander determinant by expansion in minors, and
-the skein recursion on mutable crossing lists.  Everything here works by
-exhausting a finite search space and keeping what passes an
-independently coded validity test, or by textbook elimination."""
+generators, the BCR classes by a scan over words of four cycle pieces, the
+wheel and degree-one BCR diagrams written out edge by edge, the legs and
+the Jacobi diagram an ordering induces by scans over every edge, the
+Jacobi enumeration without its swap filter, the relators listed at every
+local site, a dense rank for the sparse eliminator, the canonical labeling
+search without automorphism pruning and with it but without the
+least-sibling cut, the orientation sign read through a sorted edge map,
+the product split by a scan over every cut of the line, the P + N + T
+splitting with N spanned by products and its projection onto the connected
+summand P, the STU and IHX moves that renumber their terms or scan for the
+moving half-edges, the surgery circle count by a walk over a successor
+dict, the circle-counting weight and its cumulant by a class-keyed,
+memoized STU recursion and by STU on whole diagrams with every block of
+the cumulant rebuilt, the BCR sources of a diagram listed one by one, the
+weighted source count by a scan over every ordering of every BCR class,
+the Alexander determinant by expansion in minors, and the skein recursion
+on mutable crossing lists.  Everything here works by exhausting a finite
+search space and keeping what passes an independently coded validity test,
+or by textbook elimination."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -88,21 +91,138 @@ def _bcr_local_check(nv, external, edges):
     return len(seen) == nv
 
 
+def bcr_inputs(nv, m):
+    """Every (external, edges) on nv vertices with m loop-free, pairwise
+    distinct directed edges in either flavor."""
+    pairs = [(a, b) for a in range(nv) for b in range(nv) if a != b]
+    for chosen in combinations(pairs, m):
+        for classes in product((INTERNAL, EXTERNAL), repeat=m):
+            edges = [(a, b, cls) for (a, b), cls in zip(chosen, classes)]
+            for ext_bits in range(1 << nv):
+                yield [v for v in range(nv) if ext_bits >> v & 1], edges
+
+
 def brute_force_bcr_keys(k):
     """Canonical keys of all valid diagrams on 2k vertices, by exhaustion."""
     nv = 2 * k
-    pairs = [(a, b) for a in range(nv) for b in range(nv) if a != b]
     keys = set()
-    for chosen in combinations(pairs, nv):
-        for classes in product((INTERNAL, EXTERNAL), repeat=nv):
-            edges = [(a, b, cls) for (a, b), cls in zip(chosen, classes)]
-            for ext_bits in range(1 << nv):
-                external = [v for v in range(nv) if ext_bits >> v & 1]
-                if not _bcr_local_check(nv, set(external), edges):
-                    continue
-                d = validate_bcr(nv, external, edges)
-                keys.add(bcr_key(d))
+    for external, edges in bcr_inputs(nv, nv):
+        if _bcr_local_check(nv, set(external), edges):
+            keys.add(bcr_key(validate_bcr(nv, external, edges)))
     return keys
+
+
+# cycle pieces: (incoming flavor, outgoing flavor, has leg, external vertex)
+_PIECES = {
+    "b4": (EXTERNAL, INTERNAL, False, False),
+    "b5": (INTERNAL, EXTERNAL, False, False),
+    "t1": (EXTERNAL, EXTERNAL, True, True),
+    "t2": (INTERNAL, INTERNAL, True, False),
+}
+
+
+def _word_ok(word):
+    for i, w in enumerate(word):
+        nxt = word[(i + 1) % len(word)]
+        if _PIECES[w][1] != _PIECES[nxt][0]:
+            return False
+    return True
+
+
+def _min_rotation(word):
+    return min(tuple(word[i:] + word[:i]) for i in range(len(word)))
+
+
+def _diagram_from_word(word):
+    length = len(word)
+    external = [i for i, w in enumerate(word) if _PIECES[w][3]]
+    edges = []
+    for i, w in enumerate(word):
+        cls = _PIECES[w][1]
+        edges.append((i, (i + 1) % length, cls))
+    next_id = length
+    for i, w in enumerate(word):
+        if _PIECES[w][2]:
+            edges.append((next_id, i, EXTERNAL))
+            next_id += 1
+    return validate_bcr(next_id, external, edges)
+
+
+def enumerate_bcr_by_pieces(k):
+    """`enumerate.enumerate_bcr` by a scan over all 4^L words of cycle
+    pieces, keeping the least rotations whose edge flavors match around
+    the cycle and deduplicating through canonical keys."""
+    found = {}
+    for length in range(2, 2 * k + 1):
+        legs = 2 * k - length
+        for word in product(_PIECES, repeat=length):
+            if sum(1 for w in word if _PIECES[w][2]) != legs:
+                continue
+            if word != _min_rotation(list(word)):
+                continue
+            if not _word_ok(word):
+                continue
+            d = _diagram_from_word(list(word))
+            key = bcr_key(d)
+            if key not in found:
+                found[key] = d
+    return tuple(found[key] for key in sorted(found))
+
+
+def degree_one_bcr_explicit():
+    """`bcr.degree_one_bcr` written out: v -> w internal, w -> v external."""
+    return validate_bcr(2, [], [(0, 1, INTERNAL), (1, 0, EXTERNAL)])
+
+
+def wheel_bcr_explicit(k):
+    """`bcr.wheel_bcr` written out: the external k-cycle, then the legs."""
+    ext = list(range(k))
+    uni = list(range(k, 2 * k))
+    edges = [(ext[i], ext[(i + 1) % k], EXTERNAL) for i in range(k)]
+    edges += [(uni[i], ext[i], EXTERNAL) for i in range(k)]
+    return validate_bcr(2 * k, ext, edges)
+
+
+def leg_edges_by_scan(bcr):
+    """`BCRDiagram.leg_edges` by a scan over every edge."""
+    out = {}
+    for i, (a, b, cls) in enumerate(bcr.edges):
+        if cls == EXTERNAL and bcr.type_of[a] == 3:
+            out[b] = i
+    return out
+
+
+def jacobi_of_by_edge_scan(bcr, rho, sigma=None):
+    """`bridge.jacobi_of` with each external vertex's cycle edges and leg
+    found by a scan over every edge."""
+    ext_edges = bcr.external_edges()
+    new_idx = {e: i for i, e in enumerate(ext_edges)}
+    edges = [(bcr.edges[e][0], bcr.edges[e][1]) for e in ext_edges]
+    order = sorted(bcr.internal_vertices, key=lambda v: rho[v])
+
+    legs = leg_edges_by_scan(bcr)
+    orient = {}
+    cyc_in = {}
+    cyc_out = {}
+    for i, e in enumerate(bcr.edges):
+        a, b, cls = e
+        if cls != EXTERNAL:
+            continue
+        if bcr.type_of[a] != 3 and b in bcr.external:
+            cyc_in[b] = i
+        if a in bcr.external:
+            cyc_out[a] = i
+    for v in bcr.external:
+        e_in = new_idx[cyc_in[v]]
+        leg = new_idx[legs[v]]
+        f_out = new_idx[cyc_out[v]]
+        orient[v] = ((e_in, 1), (f_out, 0), (leg, 1))
+
+    numbering = None
+    if sigma is not None:
+        numbering = {new_idx[e]: sigma[e] for e in ext_edges}
+    return JacobiDiagram(bcr.nv, order, edges, orient, numbering,
+                         validate=False)
 
 
 def brute_force_jacobi_keys(k):

@@ -2,14 +2,17 @@ import random
 
 import pytest
 
-from knotweights.bcr import (EXTERNAL, INTERNAL, bcr_canonical, bcr_key,
-                             degree_one_bcr, validate_bcr, wheel_bcr)
+from knotweights.bcr import (EXTERNAL, INTERNAL, BCRDiagram, bcr_canonical,
+                             bcr_key, cycle_with_legs, degree_one_bcr,
+                             validate_bcr, wheel_bcr)
 from knotweights.enumerate import enumerate_bcr
-from knotweights.errors import (DegreeOutOfRange, Disconnected, EmptyGraph,
-                                LoopEdge, VertexTypeViolation)
+from knotweights.errors import (DegreeOutOfRange, DiagramError, Disconnected,
+                                EmptyGraph, LoopEdge, VertexTypeViolation)
+from knotweights.serialize import bcr_to_obj
 
 from helpers import shuffled_bcr
-from oracles import canonical_form_all, group_order
+from oracles import (bcr_inputs, canonical_form_all, degree_one_bcr_explicit,
+                     enumerate_bcr_by_pieces, group_order, wheel_bcr_explicit)
 
 
 def test_degree_one_diagram():
@@ -57,6 +60,54 @@ def test_wheel_bcr_valid():
         assert len(d.external) == k
         assert len(d.legs) == k
         assert all(d.type_of[v] == 1 for v in d.external)
+
+
+def _fields(d):
+    return {name: getattr(d, name) for name in BCRDiagram.__slots__}
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_wheel_matches_the_explicit_construction(k):
+    assert _fields(wheel_bcr(k)) == _fields(wheel_bcr_explicit(k))
+
+
+def test_degree_one_matches_the_explicit_construction():
+    assert _fields(degree_one_bcr()) == _fields(degree_one_bcr_explicit())
+
+
+def test_cycle_with_legs_numbers_the_legs_in_cycle_order():
+    d = cycle_with_legs([INTERNAL, INTERNAL, EXTERNAL, EXTERNAL, INTERNAL])
+    assert d.edges == ((0, 1, INTERNAL), (1, 2, INTERNAL), (2, 3, EXTERNAL),
+                       (3, 4, EXTERNAL), (4, 0, INTERNAL), (5, 0, EXTERNAL),
+                       (6, 1, EXTERNAL), (7, 3, EXTERNAL))
+    assert d.external == {3}
+    assert d.type_of == {0: 2, 1: 2, 2: 5, 3: 1, 4: 4, 5: 3, 6: 3, 7: 3}
+    assert d.out_edge == tuple(range(8))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4,
+                               pytest.param(5, marks=pytest.mark.slow)])
+def test_enumeration_matches_the_piece_word_scan(k):
+    assert ([bcr_to_obj(d) for d in enumerate_bcr(k, k_max=k)]
+            == [bcr_to_obj(d) for d in enumerate_bcr_by_pieces(k)])
+
+
+@pytest.mark.parametrize("nv, m, accepted", [
+    (2, 1, 0), (2, 2, 2), (3, 2, 0), (3, 3, 0), (3, 4, 0), (4, 3, 0),
+    (4, 4, 84), pytest.param(4, 5, 0, marks=pytest.mark.slow)])
+def test_accepted_diagrams_have_balanced_even_counts(nv, m, accepted):
+    # validate_bcr checks neither count; its docstring says why both hold
+    seen = 0
+    for external, edges in bcr_inputs(nv, m):
+        try:
+            d = validate_bcr(nv, external, edges)
+        except DiagramError:
+            continue
+        seen += 1
+        types = list(d.type_of.values())
+        assert types.count(4) == types.count(5)
+        assert d.nv % 2 == 0 and d.nv == len(d.edges)
+    assert seen == accepted
 
 
 def test_type_tags_cover_five_cases():

@@ -19,12 +19,28 @@ from knotweights.bcr import degree_one_bcr
 
 from helpers import shuffled_jacobi
 import oracles
-from oracles import (canonical_form_all, class_of_all, sources,
+from oracles import (canonical_form_all, class_of_all,
+                     jacobi_of_by_edge_scan, leg_edges_by_scan, sources,
                      wbcr_by_orderings)
 
 
 def _rho_from_ranks(bcr, ranked_vertices):
     return {v: i + 1 for i, v in enumerate(ranked_vertices)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3,
+                               pytest.param(4, marks=pytest.mark.slow)])
+def test_jacobi_of_matches_the_edge_scan(k):
+    for bcr in enumerate_bcr(k):
+        assert bcr.leg_edges() == leg_edges_by_scan(bcr)
+        sigma = {e: e + 1 for e in range(len(bcr.edges))}
+        for rho in orderings(bcr):
+            got = jacobi_of(bcr, rho, sigma)
+            want = jacobi_of_by_edge_scan(bcr, rho, sigma)
+            assert got.edges == want.edges
+            assert got.univalent_order == want.univalent_order
+            assert got.orient == want.orient
+            assert got.numbering == want.numbering
 
 
 def test_jacobi_of_degree_one_is_single_chord():

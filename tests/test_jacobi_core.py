@@ -69,6 +69,17 @@ def test_numbering_must_inject():
     assert ok.numbering == {0: 3}
 
 
+@pytest.mark.parametrize("numbering", [
+    {}, {5: 1}, {0: 1, 1: 2}, {True: 1}, {0: True}, {0: 1.0}, {0: "x"}],
+    ids=["no_key", "key_past_the_end", "extra_key", "boolean_key",
+         "boolean_label", "float_label", "string_label"])
+def test_numbering_keys_are_the_edges_and_labels_plain_ints(numbering):
+    d = single_chord()
+    with pytest.raises(InvalidNumbering, match="inject the edges 0..0"):
+        JacobiDiagram(d.nv, d.univalent_order, d.edges, d.orient,
+                      numbering=numbering)
+
+
 def test_product_unit_and_degree():
     w = wheel(2)
     lhs = canonicalize(product(w, empty_diagram()))

@@ -8,8 +8,9 @@ import pytest
 from knotweights import canon, cli, jacobi
 from knotweights.bcr import EXTERNAL, INTERNAL, validate_bcr, wheel_bcr
 from knotweights.enumerate import enumerate_jacobi
-from knotweights.errors import DiagramError, VertexTypeViolation
-from knotweights.jacobi import JacobiDiagram, class_of, product, wheel
+from knotweights.errors import DiagramError, ParseError, VertexTypeViolation
+from knotweights.jacobi import (JacobiDiagram, class_of, product,
+                                single_chord, wheel)
 from knotweights.serialize import from_json, jacobi_to_obj, to_json
 
 from helpers import refuse_search
@@ -48,7 +49,6 @@ def test_serialization_is_deterministic():
 
 
 def test_golden_bytes_single_chord():
-    from knotweights.jacobi import single_chord
     assert to_json(single_chord()) == (
         '{"kind":"jacobi",'
         '"vertices":[{"id":0,"class":"univalent"},'
@@ -424,6 +424,18 @@ def _chord_with_edge_id(edge_id):
         "univalent_order": [0, 1]})
 
 
+def _chord_with_edge_row(**row):
+    obj = json.loads(to_json(single_chord()))
+    obj["edges"][0].update(row)
+    return json.dumps(obj)
+
+
+def _chord_without_edge_class():
+    obj = json.loads(to_json(single_chord()))
+    del obj["edges"][0]["class"]
+    return json.dumps(obj)
+
+
 def _wheel_2_with_orient(vertex, orient):
     obj = json.loads(to_json(wheel(2)))
     obj["vertices"][vertex]["orient"] = orient
@@ -448,10 +460,17 @@ def _wheel_2_with_orient(vertex, orient):
      "vertex 0 has no admissible local type: oriented but not trivalent"),
     (_wheel_2_with_orient(2, [7, 4, True]),
      "cannot parse 'orient' (half-edge id true is not an integer)"),
+    (_chord_with_edge_row(number="x"), "numbering must inject the edges"),
+    (_chord_with_edge_row(number=True), "numbering must inject the edges"),
+    (_chord_with_edge_row(number=1.0), "numbering must inject the edges"),
+    (_chord_with_edge_row(**{"class": "weird"}),
+     "cannot parse 'edges' (edge 0 has class \"weird\", not one of plain)"),
+    (_chord_without_edge_class(), "missing field 'class'"),
 ], ids=["trivalent_on_the_line", "bogus_class", "boolean_edge_end",
         "boolean_line_vertex", "boolean_vertex_ids", "edge_id_seven",
         "boolean_edge_id", "orient_on_a_line_vertex",
-        "boolean_half_edge_id"])
+        "boolean_half_edge_id", "string_number", "boolean_number",
+        "float_number", "weird_edge_class", "no_edge_class"])
 @pytest.mark.parametrize("argv", _DIAGRAM_ARGV)
 def test_cli_vertex_class_and_id_type_are_checked(tmp_path, monkeypatch,
                                                   capsys, argv, text,
@@ -471,6 +490,14 @@ def test_bcr_vertex_class_is_checked():
     row = next(r for r in obj["vertices"] if r["class"] == "internal")
     row["class"] = "bogus"
     with pytest.raises(VertexTypeViolation, match="class 'bogus'"):
+        from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("value", ["weird", "internal", None])
+def test_bcr_edge_class_is_checked(value):
+    obj = json.loads(to_json(wheel_bcr(2)))
+    obj["edges"][0]["class"] = value
+    with pytest.raises(ParseError, match="edge 0 has class"):
         from_json(json.dumps(obj))
 
 
