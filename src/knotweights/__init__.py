@@ -20,7 +20,7 @@ from .jacobi import (JacobiDiagram, canonicalize, chord_diagram,
                      single_chord, theta_graph, validate_jacobi, wheel)
 from .quotient import dims_table, quotient_basis
 from .relations import generate_relations
-from .vectors import DiagramVector, GradedSeries, algebra_product, graded_exp, vector_of
+from .vectors import DiagramVector, vector_of
 
 from .bcr import bcr_key as _bcr_key
 from .jacobi import class_of as _class_of

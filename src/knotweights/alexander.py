@@ -9,7 +9,11 @@ determinant over Z[t] by Bareiss's fraction-free elimination [Bareiss,
 Math. Comp. 22 (1968)] in O(n^3) polynomial products, and normalizes to
 the symmetric representative with value 1 at t = 1.  Every Bareiss step
 divides by the previous pivot, and the division is checked to be exact:
-a remainder raises ArithmeticError.
+a remainder raises ArithmeticError.  From the matrix entries to the
+normalized polynomial, an element of Z[t] is a list of integer
+coefficients, lowest power first, with no zero top coefficient and [] for
+0; each route builds one `LaurentPolynomial`, centered on t^0, at its
+end.
 
 The oracle route resolves crossings through Conway's skein relation
 [Conway, An enumeration of knots and links, 1970]: switch and smooth at the
@@ -24,6 +28,8 @@ codes, the only ones a `PDCode` holds.  The value at
 z = t^(1/2) - t^(-1/2) is symmetric and equals 1 at t = 1 by construction,
 so the two routes must agree exactly.
 """
+
+from math import comb
 
 from .errors import DegenerateDiagram
 from .series import LaurentPolynomial
@@ -48,40 +54,36 @@ def _arc_classes(pd):
     return {label: find(label) for label in pd.arcs()}
 
 
+# the entries c0 + c1 t of a crossing's row at its over-in, under-in and
+# under-out arcs: relation out = over * in * over^-1 at a positive
+# crossing, and out = over^-1 * in * over (times the unit t) at a negative
+# one
+_POSITIVE_ROW = ((1, -1), (0, 1), (-1, 0))
+_NEGATIVE_ROW = ((-1, 1), (1, 0), (0, -1))
+
+
+def _trimmed(coeffs):
+    """`coeffs` without its zero top coefficients."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
 def _alexander_matrix(pd):
     cls = _arc_classes(pd)
     gens = sorted(set(cls.values()))
     idx = {g: i for i, g in enumerate(gens)}
-    one = LaurentPolynomial({0: 1})
-    t = LaurentPolynomial({1: 1})
     rows = []
     for x in pd.crossings:
-        row = [LaurentPolynomial() for _ in gens]
-        o_in, _ = pd.over_pair(x)
-        if x.sign > 0:
-            # relation:  out = over * in * over^-1
-            row[idx[cls[o_in]]] += one - t
-            row[idx[cls[x.under_in]]] += t
-            row[idx[cls[x.under_out]]] += -one
-        else:
-            # relation:  out = over^-1 * in * over  (times the unit t)
-            row[idx[cls[o_in]]] += t - one
-            row[idx[cls[x.under_in]]] += one
-            row[idx[cls[x.under_out]]] += -t
-        rows.append(row)
+        row = [[0, 0] for _ in gens]
+        arcs = (pd.over_pair(x)[0], x.under_in, x.under_out)
+        entries = _POSITIVE_ROW if x.sign > 0 else _NEGATIVE_ROW
+        for arc, (c0, c1) in zip(arcs, entries):
+            entry = row[idx[cls[arc]]]
+            entry[0] += c0
+            entry[1] += c1
+        rows.append([_trimmed(entry) for entry in row])
     return rows, gens
-
-
-def _coeffs(p):
-    """Coefficient list, lowest power first, of an entry that lies in Z[t]."""
-    if p.is_zero():
-        return []
-    if p.min_exp() < 0 or any(c.denominator != 1 for c in p.coeffs.values()):
-        raise ArithmeticError(f"matrix entry {p} is not in Z[t]")
-    out = [0] * (p.max_exp() + 1)
-    for e, c in p.coeffs.items():
-        out[e] = int(c)
-    return out
 
 
 def _mul_sub(a, b, c, d):
@@ -93,9 +95,7 @@ def _mul_sub(a, b, c, d):
     for i, x in enumerate(c):
         for j, y in enumerate(d):
             out[i + j] -= x * y
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _trimmed(out)
 
 
 def _div_exact(num, den):
@@ -119,19 +119,21 @@ def _div_exact(num, den):
 def _det(rows):
     """Exact determinant over Z[t] by Bareiss's fraction-free elimination.
 
-    Step k replaces each entry below and right of the pivot p_k by
+    Entries and the result are coefficient lists, lowest power first, with
+    no zero top coefficient; [] is 0, and the empty matrix has determinant
+    [1].  Step k replaces each entry below and right of the pivot p_k by
     (p_k a_ij - a_ik a_kj) / p_(k-1), a minor of the input, so the division
-    is exact; a remainder raises ArithmeticError, as does an entry outside
-    Z[t].  A zero pivot swaps in a lower row; a column with no pivot makes
-    the determinant 0.  O(n^3) products of polynomials of degree <= n.
+    is exact; a remainder raises ArithmeticError.  A zero pivot swaps in a
+    lower row; a column with no pivot makes the determinant 0.  O(n^3)
+    products of polynomials of degree <= n.
     """
-    a = [[_coeffs(p) for p in row] for row in rows]
+    a = [list(row) for row in rows]
     n = len(a)
     sign, prev = 1, [1]
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
-            return LaurentPolynomial()
+            return []
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
@@ -142,37 +144,42 @@ def _det(rows):
                 num = _mul_sub(p, row_i[j], row_i[k], row_k[j])
                 row_i[j] = _div_exact(num, prev) if num else num
         prev = p
-    return LaurentPolynomial({e: sign * c for e, c in enumerate(prev)})
+    return [sign * c for c in prev]
 
 
-def symmetric_normalize(p):
-    """Unit-adjust a determinant to the symmetric form with value 1 at 1."""
-    if p.is_zero():
+def symmetric_normalize(coeffs):
+    """Unit-adjust a determinant, given as a coefficient list with no zero
+    top coefficient, to the symmetric form with value 1 at 1: the list
+    from its lowest nonzero power up, read as centered on t^0."""
+    low = next((i for i, c in enumerate(coeffs) if c), None)
+    if low is None:
         raise DegenerateDiagram("vanishing determinant")
-    span = p.max_exp() + p.min_exp()
-    if span % 2:
+    q = coeffs[low:]
+    if len(q) % 2 == 0:
         # balance by the frame shift t^(1/2); knots always allow it
         raise DegenerateDiagram("odd exponent span cannot be symmetrized")
-    q = p.shift(-span // 2)
-    if q != q.invert_variable():
+    if q != q[::-1]:
         raise DegenerateDiagram("determinant is not symmetric up to units")
-    at_one = q(1)
+    at_one = sum(q)
     if at_one == 1:
         return q
     if at_one == -1:
-        return -q
+        return [-c for c in q]
     raise DegenerateDiagram(f"value {at_one} at t=1; expected a unit")
+
+
+def _centered(coeffs):
+    """The Laurent polynomial of an odd-length coefficient list whose
+    middle entry is the coefficient of t^0."""
+    mid = len(coeffs) // 2
+    return LaurentPolynomial({i - mid: c for i, c in enumerate(coeffs)})
 
 
 def alexander_poly(pd):
     """Symmetric Alexander polynomial with value 1 at t = 1."""
-    if len(pd) == 0:
-        return LaurentPolynomial.one()
     rows, gens = _alexander_matrix(pd)
-    if len(gens) == 1:
-        return LaurentPolynomial.one()
     sub = [row[:len(gens) - 1] for row in rows[:-1]]
-    return symmetric_normalize(_det(sub))
+    return _centered(symmetric_normalize(_det(sub)))
 
 
 # -- skein-recursion oracle ---------------------------------------------------
@@ -351,16 +358,16 @@ def conway_skein(pd):
 
 def nabla_to_alexander(nabla):
     """Substitute z^2 = t - 2 + 1/t (knots have even powers only)."""
-    zsq = LaurentPolynomial({1: 1, 0: -2, -1: 1})
-    out = LaurentPolynomial()
+    if any(e % 2 for e in nabla):
+        raise DegenerateDiagram("odd z power; not a knot polynomial")
+    half = max(nabla, default=0) // 2
+    out = [0] * (2 * half + 1)
     for e, c in nabla.items():
-        if e % 2:
-            raise DegenerateDiagram("odd z power; not a knot polynomial")
-        term = LaurentPolynomial({0: c})
-        for _ in range(e // 2):
-            term = term * zsq
-        out = out + term
-    return out
+        m = e // 2
+        # t^m z^(2m) = (t - 1)^(2m)
+        for i in range(2 * m + 1):
+            out[half - m + i] += (-1) ** i * comb(2 * m, i) * c
+    return _centered(out)
 
 
 def alexander_by_skein(pd):

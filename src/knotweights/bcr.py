@@ -21,9 +21,11 @@ an isomorphism is a rotation of the cycle, so a class is a cyclic flavor
 word up to rotation.
 """
 
+import json
+
 from .canon import canonical_form
 from .errors import (CycleStructureViolation, Disconnected, EmptyGraph,
-                     LoopEdge, VertexTypeViolation)
+                     LoopEdge, ParseError, VertexTypeViolation)
 
 INTERNAL = "int"
 EXTERNAL = "ext"
@@ -84,7 +86,15 @@ def validate_bcr(nv, external, edges):
     has exactly one leg.  Types 4 and 5 are the switches from external to
     internal and back around the cycle, so they alternate and pair up, and
     with t trivalent vertices nv = 2 (t + n4) is even.
+
+    An edge class other than INTERNAL and EXTERNAL is a ParseError, before
+    any other check.
     """
+    for i, (_a, _b, cls) in enumerate(edges):
+        if cls not in (INTERNAL, EXTERNAL):
+            raise ParseError(0, "edges", f"edge {i} has class "
+                                         f"{json.dumps(cls, default=repr)}, "
+                                         f"not one of {INTERNAL}, {EXTERNAL}")
     if nv == 0:
         raise EmptyGraph("diagram must be non-empty")
     external = list(external)

@@ -47,10 +47,6 @@ class DegreeOutOfRange(DiagramError):
             f"degree {degree} outside supported range [{lowest}, {k_max}]")
 
 
-class NonzeroConstantTerm(DiagramError):
-    pass
-
-
 class NotIsomorphic(DiagramError):
     pass
 

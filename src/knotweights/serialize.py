@@ -18,7 +18,7 @@ diagrams serialize to equal bytes.
 
 import json
 
-from .bcr import EXTERNAL, INTERNAL, BCRDiagram, validate_bcr
+from .bcr import BCRDiagram, validate_bcr
 from .errors import ParseError, VertexTypeViolation
 from .jacobi import JacobiDiagram
 
@@ -109,7 +109,6 @@ def _decode(obj):
     if kind == "bcr":
         external = {r["id"] for r in vertices if r["class"] == "external"}
         _check_classes(vertices, external, "external", "internal")
-        _check_edge_classes(edges_rows, (INTERNAL, EXTERNAL))
         edges = [(r["from"], r["to"], r["class"]) for r in edges_rows]
         return validate_bcr(nv, external, edges)
     raise ParseError(0, str(kind), "kind must be 'jacobi' or 'bcr'")

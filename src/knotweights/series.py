@@ -26,21 +26,6 @@ class LaurentPolynomial:
     def one(cls):
         return cls({0: 1})
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPolynomial(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return LaurentPolynomial(
@@ -61,21 +46,12 @@ class LaurentPolynomial:
     def __hash__(self):
         return hash(tuple(sorted(self.coeffs.items())))
 
-    def shift(self, k):
-        return LaurentPolynomial({e + k: c for e, c in self.coeffs.items()})
-
     def invert_variable(self):
         return LaurentPolynomial({-e: c for e, c in self.coeffs.items()})
 
     def __call__(self, value):
         return sum((c * Fraction(value) ** e for e, c in self.coeffs.items()),
                    Fraction(0))
-
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else 0
-
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else 0
 
     def __str__(self):
         if not self.coeffs:

@@ -7,10 +7,8 @@ classes killed by an orientation-reversing symmetry never appear.
 """
 
 from fractions import Fraction
-from math import factorial
 
-from .errors import NonzeroConstantTerm
-from .jacobi import class_of, empty_diagram, product, representative
+from .jacobi import class_of
 
 
 class DiagramVector:
@@ -51,20 +49,10 @@ class DiagramVector:
         return DiagramVector(self.degree,
                              {k: -c for k, c in self.terms.items()})
 
-    def scale(self, s):
-        s = Fraction(s)
-        if not s:
-            return DiagramVector(self.degree)
-        return DiagramVector(self.degree,
-                             {k: c * s for k, c in self.terms.items()})
-
     def __eq__(self, other):
         return (isinstance(other, DiagramVector)
                 and self.degree == other.degree
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.degree, tuple(self.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -80,78 +68,3 @@ def vector_of(d, coeff=1):
     if sign:
         v.add_term(key, Fraction(coeff) * sign)
     return v
-
-
-def algebra_product(u, v):
-    """Bilinear extension of the diagram product (not reduced)."""
-    out = DiagramVector(u.degree + v.degree)
-    for k1, c1 in u.terms.items():
-        d1 = representative(k1)
-        for k2, c2 in v.terms.items():
-            d2 = representative(k2)
-            key, sign = class_of(product(d1, d2))
-            if sign:
-                out.add_term(key, c1 * c2 * sign)
-    return out
-
-
-class GradedSeries:
-    """Degree-indexed vectors, truncated above degree K."""
-
-    __slots__ = ("K", "parts")
-
-    def __init__(self, K, parts=None):
-        self.K = K
-        self.parts = {}
-        for d, vec in (parts or {}).items():
-            if d <= K and not vec.is_zero():
-                if vec.degree != d:
-                    raise ValueError(f"degree {vec.degree} vector at slot {d}")
-                self.parts[d] = vec
-
-    def part(self, d):
-        return self.parts.get(d, DiagramVector(d))
-
-    def __add__(self, other):
-        K = min(self.K, other.K)
-        out = {}
-        for d in range(K + 1):
-            out[d] = self.part(d) + other.part(d)
-        return GradedSeries(K, out)
-
-    def __mul__(self, other):
-        K = min(self.K, other.K)
-        out = {d: DiagramVector(d) for d in range(K + 1)}
-        for d1, v1 in self.parts.items():
-            for d2, v2 in other.parts.items():
-                if d1 + d2 <= K:
-                    out[d1 + d2] = out[d1 + d2] + algebra_product(v1, v2)
-        return GradedSeries(K, out)
-
-    def scale(self, s):
-        return GradedSeries(self.K,
-                            {d: v.scale(s) for d, v in self.parts.items()})
-
-    def __eq__(self, other):
-        return (self.K == other.K
-                and all(self.part(d) == other.part(d)
-                        for d in range(self.K + 1)))
-
-    def __hash__(self):
-        return hash((self.K, tuple(sorted(self.parts))))
-
-
-def unit_series(K):
-    return GradedSeries(K, {0: vector_of(empty_diagram())})
-
-
-def graded_exp(s):
-    """exp of a graded series with vanishing degree-0 part, truncated."""
-    if not s.part(0).is_zero():
-        raise NonzeroConstantTerm("exp needs a zero constant term")
-    acc = unit_series(s.K)
-    power = unit_series(s.K)
-    for m in range(1, s.K + 1):
-        power = power * s
-        acc = acc + power.scale(Fraction(1, factorial(m)))
-    return acc

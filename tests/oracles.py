@@ -40,7 +40,6 @@ from knotweights.jacobi import (JacobiDiagram, _colors, _cyclic_parity,
 from knotweights.jacobi import product as diagram_product
 from knotweights.quotient import _Eliminator, quotient_basis
 from knotweights.relations import RelationSet
-from knotweights.series import LaurentPolynomial
 from knotweights.vectors import DiagramVector, vector_of
 
 
@@ -979,35 +978,49 @@ def wbcr_by_orderings(d, k_max=K_MAX):
     return sign * base * weight
 
 
+def _list_add(a, b):
+    """a + b for coefficient lists, lowest power first."""
+    out = [x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _list_mul(a, b):
+    """a * b for coefficient lists, lowest power first."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def laplace_det(rows):
     """`alexander._det` by expansion along the first row, with memoized
-    minors: O(n 2^n) products of Laurent polynomials."""
+    minors: O(n 2^n) products of coefficient lists."""
     n = len(rows)
-    if n == 0:
-        return LaurentPolynomial({0: 1})
-    full = (1 << n) - 1
     memo = {}
 
     def minor(row, cols):
         if row == n:
-            return LaurentPolynomial({0: 1})
+            return [1]
         got = memo.get((row, cols))
         if got is not None:
             return got
-        total = LaurentPolynomial()
+        total = []
         sign = 1
         for j in range(n):
             bit = 1 << j
             if not cols & bit:
                 continue
-            c = rows[row][j]
-            if not c.is_zero():
-                total = total + sign * c * minor(row + 1, cols & ~bit)
+            if rows[row][j]:
+                term = _list_mul(rows[row][j], minor(row + 1, cols & ~bit))
+                total = _list_add(total, [sign * c for c in term])
             sign = -sign
         memo[(row, cols)] = total
         return total
 
-    return minor(0, full)
+    return minor(0, (1 << n) - 1)
 
 
 class _ListTangle:

@@ -7,7 +7,8 @@ import pytest
 from knotweights.alexander import (_alexander_matrix, _det, _div_exact,
                                    _nabla, _reidemeister_move, _Tangle,
                                    alexander_by_skein, alexander_poly,
-                                   conway_skein, symmetric_normalize)
+                                   conway_skein, nabla_to_alexander,
+                                   symmetric_normalize)
 from knotweights.errors import (ArcCountError, DegenerateDiagram,
                                 DiagramError, MultiComponentError,
                                 NonUnitConstantTerm, NotPlanar, ParseError)
@@ -92,6 +93,17 @@ def test_skein_oracle_agrees():
         assert conway_skein(pd) == NABLAS[name]
 
 
+def test_nabla_to_alexander_substitutes_z_squared():
+    assert nabla_to_alexander({}) == LaurentPolynomial()
+    assert nabla_to_alexander({0: 1, 2: 1}) == \
+        LaurentPolynomial({1: 1, 0: -1, -1: 1})
+    # (t - 2 + 1/t)^2 - 3 (t - 2 + 1/t)
+    assert nabla_to_alexander({4: 1, 2: -3}) == \
+        LaurentPolynomial({2: 1, 1: -7, 0: 12, -1: -7, -2: 1})
+    with pytest.raises(DegenerateDiagram, match="odd z power"):
+        nabla_to_alexander({0: 1, 3: 1})
+
+
 def test_symmetry_and_normalization():
     for name in CORPUS:
         p = alexander_poly(load(name))
@@ -164,10 +176,9 @@ def test_power_series_log_exp_roundtrip():
 
 # -- the Bareiss determinant and the skein recursion against their oracles ----
 
-T = LaurentPolynomial.t_power(1)
-ONE = LaurentPolynomial.one()
-ENTRIES = [LaurentPolynomial(), LaurentPolynomial(), ONE, -ONE, T, -T,
-           ONE - T, T - ONE]
+# the entries of a Wirtinger row, as coefficient lists: 0, +-1, +-t and
+# +-(1 - t)
+ENTRIES = [[], [], [1], [-1], [0, 1], [0, -1], [1, -1], [-1, 1]]
 
 
 def _knot_matrix(pd):
@@ -177,16 +188,18 @@ def _knot_matrix(pd):
 
 def test_bareiss_matches_laplace_on_random_matrices():
     rng = random.Random(20261018)
-    singular = zero_lead = 0
+    singular = swapped = 0
     for _ in range(200):
         n = rng.randrange(8)
         rows = [[rng.choice(ENTRIES) for _ in range(n)] for _ in range(n)]
         want = laplace_det(rows)
         assert _det(rows) == want
-        singular += want.is_zero()
-        zero_lead += n > 0 and rows[0][0].is_zero()
+        singular += not want
+        # a zero corner of a nonsingular matrix makes the first step swap
+        swapped += bool(want) and n > 0 and not rows[0][0]
     # the draw reaches the zero-column exit and the row swaps
-    assert singular >= 10 and zero_lead >= 20
+    assert singular >= 10 and swapped >= 10
+    assert _det([]) == laplace_det([]) == [1]
 
 
 def test_bareiss_matches_laplace_on_the_fixtures():
@@ -195,13 +208,6 @@ def test_bareiss_matches_laplace_on_the_fixtures():
         if len(pd):
             rows = _knot_matrix(pd)
             assert _det(rows) == laplace_det(rows), path.name
-
-
-def test_bareiss_rejects_entries_outside_z_t():
-    with pytest.raises(ArithmeticError, match="not in Z"):
-        _det([[LaurentPolynomial({-1: 1})]])
-    with pytest.raises(ArithmeticError, match="not in Z"):
-        _det([[ONE, T], [LaurentPolynomial({0: Fraction(1, 2)}), ONE]])
 
 
 def test_bareiss_division_must_be_exact():
@@ -214,10 +220,25 @@ def test_bareiss_division_must_be_exact():
 
 
 def test_singular_matrix_is_a_vanishing_determinant():
-    rows = [[ONE - T, T], [ONE - T, T]]
-    assert _det(rows).is_zero() and laplace_det(rows).is_zero()
+    rows = [[[1, -1], [0, 1]], [[1, -1], [0, 1]]]
+    assert _det(rows) == laplace_det(rows) == []
     with pytest.raises(DegenerateDiagram, match="vanishing determinant"):
         symmetric_normalize(_det(rows))
+
+
+def test_symmetric_normalize():
+    # low zeros are a unit t^i, and a sum of -1 is the unit -1
+    assert symmetric_normalize([1, -1, 1]) == [1, -1, 1]
+    assert symmetric_normalize([0, 0, -1, 1, -1]) == [1, -1, 1]
+    assert symmetric_normalize([0, 1, -3, 1]) == [-1, 3, -1]
+    assert symmetric_normalize([-1]) == [1]
+    for coeffs, message in (([], "vanishing determinant"),
+                            ([0, 1, -2], "odd exponent span"),
+                            ([2, -3, 1], "not symmetric up to units"),
+                            ([1, 1, 1], "value 3 at t=1; expected a unit"),
+                            ([1, -4, 1], "value -2 at t=1")):
+        with pytest.raises(DegenerateDiagram, match=message):
+            symmetric_normalize(coeffs)
 
 
 def _torus_delta(n):
@@ -474,6 +495,9 @@ def test_isolated_curl_becomes_a_free_circle(sign):
     reduced = _Tangle.from_pd(pd).reduced()
     assert not reduced.crossings and reduced.free_circles == 1
     _reduces_to(pd, 1, 0, {0: 1})
+    # one generator: the determinant of the empty matrix
+    assert alexander_poly(pd) == alexander_poly(pd.mirror()) == \
+        LaurentPolynomial.one()
     # beside a trefoil, the curl leaves a split link
     rows = _Tangle.from_pd(load("3_1")).crossings + [(21, 22, 22, 21, sign)]
     reduced = _Tangle(rows).reduced()

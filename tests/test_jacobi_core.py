@@ -313,16 +313,17 @@ _BY_KEY_IN_A_FRESH_PROCESS = textwrap.dedent("""
     import json
     from knotweights.conway import (wc_diagram, wc_eval, wc_prime_diagram,
                                     wc_prime_eval)
-    from knotweights.jacobi import class_of, product, wheel
-    from knotweights.vectors import DiagramVector, algebra_product, vector_of
+    from knotweights.jacobi import class_of, product, representative, wheel
+    from knotweights.vectors import DiagramVector, vector_of
 
     wheels = {k: wheel(k) for k in (2, 3)}
     by_key = {}
     for k, w in wheels.items():
         key, sign = class_of(w)
         v = DiagramVector(k, {key: sign})
+        rep = representative(key)
         by_key[k] = [str(wc_eval(v)), str(wc_prime_eval(v)),
-                     repr(algebra_product(v, v).items())]
+                     repr(vector_of(product(rep, rep)).items())]
     by_diagram = {k: [str(wc_diagram(w)), str(wc_prime_diagram(w)),
                       repr(vector_of(product(w, w)).items())]
                   for k, w in wheels.items()}

@@ -501,6 +501,34 @@ def test_bcr_edge_class_is_checked(value):
         from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("value", ["weird", "internal", None])
+def test_validate_bcr_checks_the_edge_class(value):
+    # the class is read before any other check, so a loop on no vertices
+    # reports it too
+    message = (f"cannot parse 'edges' (edge 1 has class {json.dumps(value)}, "
+               f"not one of int, ext)")
+    for nv, edges in ((2, [(0, 1, INTERNAL), (1, 0, value)]),
+                      (0, [(0, 1, INTERNAL), (0, 0, value)])):
+        with pytest.raises(ParseError) as info:
+            validate_bcr(nv, [], edges)
+        assert str(info.value) == "line 0: " + message
+
+
+def test_cli_wbcr_refuses_the_long_edge_class_names(tmp_path, monkeypatch,
+                                                    capsys):
+    obj = json.loads(to_json(wheel_bcr(2)))
+    for row in obj["edges"]:
+        row["class"] = {INTERNAL: "internal", EXTERNAL: "external"}[
+            row["class"]]
+    path = tmp_path / "wheel_bcr.json"
+    path.write_text(json.dumps(obj))
+    assert _run(tmp_path, monkeypatch, "wbcr", "--diagram", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: line 0: cannot parse 'edges' (edge 0 has "
+                            "class \"external\", not one of int, ext)\n")
+
+
 def test_orientations_off_the_trivalent_vertices_are_rejected():
     for orient in ({5: ((0, 0),)}, {0: ((0, 0),)}, {True: ((0, 1),)}):
         with pytest.raises(VertexTypeViolation, match="not trivalent"):

@@ -1,20 +1,18 @@
 import random
-from fractions import Fraction
 from functools import cache
 
 import pytest
 
 from knotweights.bridge import _wbcr_table
 from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
-from knotweights.errors import DegreeOutOfRange, NonzeroConstantTerm
+from knotweights.errors import DegreeOutOfRange
 from knotweights.jacobi import (class_of, empty_diagram, flipped, product,
                                 single_chord, stu_sites, wheel)
 from knotweights import quotient
 from knotweights.quotient import (dims_table, project_pc, quotient_basis,
                                   splitting)
 from knotweights.relations import generate_relations
-from knotweights.vectors import (DiagramVector, GradedSeries, algebra_product,
-                                 graded_exp, unit_series, vector_of)
+from knotweights.vectors import DiagramVector, vector_of
 
 from oracles import (SplittingByProducts, dense_rank_oracle,
                      relators_at_sites, relators_everywhere)
@@ -289,9 +287,8 @@ def test_product_commutes_in_the_quotient():
     for k1, k2 in [(1, 1), (1, 2)]:
         for a in enumerate_jacobi(k1):
             for b in enumerate_jacobi(k2):
-                u, v = vector_of(a), vector_of(b)
-                lhs = _reduce(algebra_product(u, v))
-                rhs = _reduce(algebra_product(v, u))
+                lhs = _reduce(vector_of(product(a, b)))
+                rhs = _reduce(vector_of(product(b, a)))
                 assert lhs == rhs
 
 
@@ -299,9 +296,8 @@ def test_product_commutes_in_the_quotient():
 def test_product_commutes_in_the_quotient_degree_four():
     for a in enumerate_jacobi(2):
         for b in enumerate_jacobi(2):
-            u, v = vector_of(a), vector_of(b)
-            assert _reduce(algebra_product(u, v)) == \
-                _reduce(algebra_product(v, u))
+            assert _reduce(vector_of(product(a, b))) == \
+                _reduce(vector_of(product(b, a)))
 
 
 @pytest.mark.slow
@@ -315,37 +311,6 @@ def test_project_kills_products_and_trivalent_degree_four():
 
 
 def test_algebra_product_unit():
-    one = vector_of(empty_diagram())
-    v = vector_of(wheel(2))
-    assert algebra_product(v, one) == v
-
-
-def test_graded_exp_basics():
-    K = 3
-    zero = GradedSeries(K)
-    assert graded_exp(zero) == unit_series(K)
-    s = GradedSeries(K, {1: vector_of(single_chord())})
-    e = graded_exp(s)
-    assert e.part(0) == vector_of(empty_diagram())
-    assert e.part(1) == s.part(1)
-    sq = algebra_product(s.part(1), s.part(1))
-    assert e.part(2) == sq.scale(Fraction(1, 2))
-
-
-def test_graded_exp_rejects_constant_term():
-    K = 2
-    s = GradedSeries(K, {0: vector_of(empty_diagram())})
-    with pytest.raises(NonzeroConstantTerm):
-        graded_exp(s)
-
-
-def test_graded_exp_is_multiplicative():
-    K = 3
-    rng = random.Random(99)
-    for _ in range(3):
-        s = GradedSeries(K, {k: _random_vector(k, rng) for k in (1, 2)})
-        t = GradedSeries(K, {k: _random_vector(k, rng) for k in (1, 3)})
-        lhs = graded_exp(s + t)
-        rhs = graded_exp(s) * graded_exp(t)
-        for k in range(K + 1):
-            assert _reduce(lhs.part(k)) == _reduce(rhs.part(k))
+    w = wheel(2)
+    assert vector_of(product(w, empty_diagram())) == vector_of(w)
+    assert vector_of(product(empty_diagram(), w)) == vector_of(w)
