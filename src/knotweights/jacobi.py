@@ -15,7 +15,9 @@ A class is named by its canonical key, from which :func:`representative`
 draws its default-oriented diagram: no per-class state is kept.  The
 orientation sign is read off the labeling, with no edge map.  Products and
 purely trivalent components, on which wc' vanishes, are decided here alone
-(:meth:`JacobiDiagram.product_split`, ``has_trivalent_component``).
+(:meth:`JacobiDiagram.product_split`, ``has_trivalent_component``), and
+so are the line part's trivalent vertices, which choose the STU sites
+(``line_trivalent_count``).
 """
 
 from .canon import canonical_form
@@ -160,6 +162,13 @@ class JacobiDiagram:
     def has_trivalent_component(self):
         uni = self.univalent
         return any(not (set(c) & uni) for c in self.components())
+
+    def line_trivalent_count(self):
+        """Trivalent vertices on the line part: the components that touch
+        the line."""
+        uni = self.univalent
+        return sum(len(c) for c in self.components()
+                   if not uni.isdisjoint(c)) - len(uni)
 
     def chords(self):
         """Chord endpoints as 1-based line positions (chord diagrams only)."""

@@ -1,22 +1,50 @@
 """Relator vectors spanning the quotient of the diagram span.
 
-Relators are emitted per class representative and local site:
+The line part of a diagram is its components that touch the line; the
+rest are closed (purely trivalent) components.  Relators are emitted per
+class representative and local site:
 
-  STU  [G] - [G1] + [G2]           every edge joining a trivalent vertex
-                                   to a univalent one, on a class that
-                                   does not vanish
-  IHX  [I] - [H] + [X]             one edge per automorphism orbit of the
-                                   edges with two trivalent ends on a
-                                   component with no univalent vertex
+  STU  [G] - [G1] + [G2]           on a class that does not vanish, at
+                                   every edge joining a trivalent vertex
+                                   to a univalent one when the line part
+                                   has one trivalent vertex (a Y with
+                                   three legs), at the first such edge
+                                   when it has more
+  IHX  [I] - [H] + [X]             on a class whose line part is a chord
+                                   diagram, one internal edge per
+                                   automorphism orbit (every internal edge
+                                   lies on a closed component)
 
-These span all AS, STU and IHX relators.  Orientation signs are folded in
-on insertion, so an AS relator is the zero vector: flipping one vertex
-keeps the class and negates its sign (a test checks this at every vertex
-through degree 3).  On a component that touches the line, IHX follows
-from STU [Bar-Natan, On the Vassiliev knot invariants, Topology 34 (1995),
-Thm 6]; on a closed trivalent component it is the only relation.
+Orientation signs are folded in on insertion, so an AS relator is the
+zero vector: flipping one vertex keeps the class and negates its sign (a
+test checks this at every vertex through degree 3).  The AS, STU and IHX
+relators are spanned by STU at every site and IHX at every internal edge;
+on a component that touches the line IHX follows from STU [Bar-Natan, On
+the Vassiliev knot invariants, Topology 34 (1995), Thm 6], and on a
+closed component it is the only relation.
 
-The rows left out are zero or repeat a listed row up to sign:
+The listed rows span that every-site set.  An automorphism keeps the line
+fixed, so it keeps the line part and the closed part apart: the class of
+G is the product of the classes of its two parts, and it vanishes exactly
+when one of them does.  The classes therefore span L (x) C, with L the
+span of line-part classes and C that of closed classes, and the every-site
+rows span S (x) C + L (x) I, with S spanned by STU on line parts and I by
+IHX on closed parts.  Let x be any of those rows.  Take the classes with
+n >= 1 line-part trivalent vertices from the largest n down, and subtract
+from x each one's coefficient times its listed first-site row, which is
+the class itself plus classes with n - 1.  What is left, y, is a
+combination of chord-line classes (line part a chord diagram), and x - y
+is in the span of the listed rows.  By Thm 6, STU expansion to chord
+diagrams is well defined modulo 4T, so chord diagrams modulo 4T map onto
+L / S isomorphically; y is a combination of chord-line classes that is
+zero in (L / S) (x) (C / I), so it lies in 4T (x) C + (chords) (x) I.  A
+4T relation is the difference of the STU rows at two sites of a Y, so 4T
+beside a closed class is the difference of two listed rows (both zero on
+a vanishing class, below); chords beside an IHX row are listed up to
+sign, below.  So y, and x, are in the span of the listed rows, which are
+themselves every-site rows: the row space is the same.
+
+The rows left out:
 
   STU on a vanishing class.  Some automorphism s of G reverses an odd
   number of vertices.  It fixes every line vertex, so it fixes t, u and
@@ -25,6 +53,9 @@ The rows left out are zero or repeat a listed row up to sign:
   character, so both vanish.  If s swaps them, it reverses t, hence an
   even number of the other vertices, and carries G1 onto G2, where t is
   a line vertex: [G1] = [G2].  Either way the row is 0 - [G1] + [G2] = 0.
+  STU past the first site when the line part has two or more trivalent
+  vertices, and IHX beside a line part that is not a chord diagram: they
+  are in the span of the listed rows, as above.
   IHX at s(e) for an automorphism s.  The move commutes with relabeling,
   and reversing one vertex maps the row at an edge to +- itself (at an
   end of the edge, H and X trade places), so the row at s(e) is +- the
@@ -56,11 +87,9 @@ class RelationSet:
 
 
 def _ihx_edges(d):
-    """The internal edges of d's closed components, one per orbit of Aut(d)
-    on the vertex pairs they join, in edge order."""
-    uni = d.univalent
-    closed = {v for c in d.components() if uni.isdisjoint(c) for v in c}
-    edges = [e for e in internal_edges(d) if d.edges[e][0] in closed]
+    """The internal edges of d, one per orbit of Aut(d) on the vertex
+    pairs they join, in edge order."""
+    edges = internal_edges(d)
     if not edges:
         return []
     index = {}
@@ -84,13 +113,16 @@ def generate_relations(k, k_max=K_MAX):
     if k == 0:
         return rels
     for rep in enumerate_jacobi(k, k_max=k):
-        if class_of(rep)[1]:
-            for (t, u) in stu_sites(rep):
+        line_trivalents = rep.line_trivalent_count()
+        if line_trivalents == 0:
+            for e in _ihx_edges(rep):
+                h, x = ihx_terms(rep, e)
+                vec = vector_of(rep) - vector_of(h) + vector_of(x)
+                rels.add("IHX", vec)
+        elif class_of(rep)[1]:
+            sites = stu_sites(rep)
+            for (t, u) in sites if line_trivalents == 1 else sites[:1]:
                 d1, d2 = stu_expand(rep, t, u)
                 vec = vector_of(rep) - vector_of(d1) + vector_of(d2)
                 rels.add("STU", vec)
-        for e in _ihx_edges(rep):
-            h, x = ihx_terms(rep, e)
-            vec = vector_of(rep) - vector_of(h) + vector_of(x)
-            rels.add("IHX", vec)
     return rels

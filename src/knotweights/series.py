@@ -19,10 +19,6 @@ class LaurentPolynomial:
                 self.coeffs[int(e)] = c
 
     @classmethod
-    def t_power(cls, e, c=1):
-        return cls({e: c})
-
-    @classmethod
     def one(cls):
         return cls({0: 1})
 
@@ -45,13 +41,6 @@ class LaurentPolynomial:
 
     def __hash__(self):
         return hash(tuple(sorted(self.coeffs.items())))
-
-    def invert_variable(self):
-        return LaurentPolynomial({-e: c for e, c in self.coeffs.items()})
-
-    def __call__(self, value):
-        return sum((c * Fraction(value) ** e for e, c in self.coeffs.items()),
-                   Fraction(0))
 
     def __str__(self):
         if not self.coeffs:

@@ -106,9 +106,9 @@ def test_nabla_to_alexander_substitutes_z_squared():
 
 def test_symmetry_and_normalization():
     for name in CORPUS:
-        p = alexander_poly(load(name))
-        assert p == p.invert_variable()
-        assert p(1) == 1
+        coeffs = alexander_poly(load(name)).coeffs
+        assert coeffs == {-e: c for e, c in coeffs.items()}
+        assert sum(coeffs.values()) == 1
 
 
 def test_mirror_invariance():
@@ -120,7 +120,7 @@ def test_mirror_invariance():
 def test_exp_substitute_basics():
     one = LaurentPolynomial.one()
     assert exp_substitute(one, 5) == PowerSeries(5, [1])
-    t = LaurentPolynomial.t_power(1)
+    t = LaurentPolynomial({1: 1})
     s = exp_substitute(t, 4)
     assert [s[i] for i in range(5)] == [1, 1, Fraction(1, 2),
                                         Fraction(1, 6), Fraction(1, 24)]

@@ -9,15 +9,17 @@ import pytest
 from knotweights import bcr, canon, jacobi
 from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
 from knotweights.jacobi import _colors
-from knotweights.relations import generate_relations
 
 from helpers import shuffled_jacobi
-from oracles import canonical_form_all, canonical_form_dfs, group_order
+from oracles import (canonical_form_all, canonical_form_dfs, group_order,
+                     relators_everywhere)
 
 
 def _recorded_calls(monkeypatch, k):
-    """Every `canonical_form` call that enumerating and relating degree k
-    makes, as argument tuples."""
+    """Every `canonical_form` call that enumerating degree k and relating
+    it at every site makes, with the automorphism search of every class,
+    as argument tuples: a superset of the calls that `generate_relations`
+    makes."""
     calls = []
     search = canon.canonical_form
 
@@ -31,7 +33,9 @@ def _recorded_calls(monkeypatch, k):
     enumerate_jacobi.__wrapped__(k)
     if k:
         enumerate_bcr.__wrapped__(k)
-    generate_relations(k)
+    relators_everywhere(k)
+    for rep in enumerate_jacobi(k):
+        jacobi.automorphisms(rep)
     monkeypatch.undo()
     return calls
 

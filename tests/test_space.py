@@ -7,7 +7,7 @@ from knotweights.bridge import _wbcr_table
 from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
 from knotweights.errors import DegreeOutOfRange
 from knotweights.jacobi import (class_of, empty_diagram, flipped, product,
-                                single_chord, stu_sites, wheel)
+                                single_chord, stu_expand, stu_sites, wheel)
 from knotweights import quotient
 from knotweights.quotient import (dims_table, project_pc, quotient_basis,
                                   splitting)
@@ -35,19 +35,44 @@ def test_degree_cap_holds_on_a_warm_memo(layer):
         layer(3, k_max=2)
 
 
+def _line_trivalents(rep):
+    """The trivalent vertices reached from the line, by a walk over the
+    edge list."""
+    uni = rep.univalent
+    seen, todo = set(uni), list(uni)
+    while todo:
+        v = todo.pop()
+        for pair in rep.edges:
+            if v in pair:
+                w = pair[1] if pair[0] == v else pair[0]
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+    return len(seen - uni)
+
+
 def test_stu_site_count_matches_site_scan():
-    # STU is listed on the classes that do not vanish
-    rels = generate_relations(2)
-    scanned = 0
-    for rep in enumerate_jacobi(2):
-        if not class_of(rep)[1]:
-            continue
-        uni = rep.univalent
-        for u in rep.univalent_order:
-            (e, end), = rep.incident(u)
-            if rep.edges[e][1 - end] not in uni:
-                scanned += 1
-    assert len(rels.vectors("STU")) == scanned
+    # STU is listed on the classes that do not vanish: at every site of a
+    # line part with one trivalent vertex, at the first site of one with
+    # more
+    for k in (2, 3):
+        rows = []
+        for rep in enumerate_jacobi(k):
+            if not class_of(rep)[1]:
+                continue
+            uni = rep.univalent
+            sites = []
+            for u in rep.univalent_order:
+                (e, end), = rep.incident(u)
+                t = rep.edges[e][1 - end]
+                if t not in uni:
+                    sites.append((t, u))
+            if _line_trivalents(rep) > 1:
+                sites = sites[:1]
+            for (t, u) in sites:
+                d1, d2 = stu_expand(rep, t, u)
+                rows.append(vector_of(rep) - vector_of(d1) + vector_of(d2))
+        assert generate_relations(k).vectors("STU") == rows
     assert len(stu_sites(wheel(2))) == 2
 
 
@@ -59,10 +84,10 @@ def test_relators_reduce_to_zero():
 
 
 @pytest.mark.parametrize("k, stu, ihx", [
-    (1, 0, 1), (2, 5, 5), (3, 77, 31),
-    pytest.param(4, 1215, 214, marks=pytest.mark.slow)])
-def test_relators_are_stu_everywhere_and_ihx_on_closed_components(k, stu,
-                                                                   ihx):
+    (1, 0, 1), (2, 4, 5), (3, 50, 28),
+    pytest.param(4, 621, 168, marks=pytest.mark.slow)])
+def test_relators_are_stu_at_spanning_sites_and_ihx_beside_chords(k, stu,
+                                                                  ihx):
     rels = generate_relations(k)
     assert len(rels.vectors("STU")) == stu
     assert len(rels.vectors("IHX")) == ihx
@@ -98,14 +123,15 @@ def test_stu_rows_of_vanishing_classes_are_zero(k):
 @pytest.mark.parametrize("k", [1, 2, 3,
                                pytest.param(4, marks=pytest.mark.slow)])
 def test_ihx_rows_on_closed_components_are_listed_up_to_sign(k):
+    # beside a chord line part, where every internal edge is on a closed
+    # component
     listed = {frozenset(vec.terms.items())
               for vec in generate_relations(k).vectors("IHX")}
     checked = 0
     for rep, kind, e, vec in relators_at_sites(k):
         if kind != "IHX":
             continue
-        comp = next(c for c in rep.components() if rep.edges[e][0] in c)
-        if rep.univalent.isdisjoint(comp):
+        if not _line_trivalents(rep):
             assert (frozenset(vec.terms.items()) in listed
                     or frozenset((-vec).terms.items()) in listed)
             checked += 1
