@@ -13,7 +13,11 @@ entries.  Edge tokens are keyed by the larger endpoint first, so a leaf's
 sorted token list is the concatenation of its levels: level ``s`` holds
 the tokens whose larger endpoint is slot ``s``, and which vertex takes
 slot ``s`` fixes level ``s``.  Ended by a sentinel above every token, the
-levels compare as the leaves below them do.  Three cuts follow.
+levels compare as the leaves below them do.  The search codes a level's
+token ``(lo, rest)`` as the int ``lo * R + rank(rest)``, with the ``R``
+rests of the call ranked in order, and the sentinel as ``n * R``: the ints
+order as the tokens do, so the search is unchanged, and the least leaf's
+levels are decoded to tuples at the end.  Three cuts follow.
 
 * Least children.  A node visits only the vertices whose level is the
   least among its children; a larger level roots only leaves that lose to
@@ -145,22 +149,34 @@ def canonical_form(n, colors, edges, directed=False):
     for cell in cells:
         slot_cell.extend([sorted(cell)] * len(cell))
 
-    # A token at level s (larger endpoint slot s) is kept as (lo, rest):
-    # rest is (tag,), or (flip, tag) if directed, as seen from the vertex
-    # taking slot s.  adj[w] lists (x, rest) for the tokens that w's slot
-    # gives x, sorted so that each x receives its tokens in order.
+    # A token at level s (larger endpoint slot s) is (lo, rest): rest is
+    # (tag,), or (flip, tag) if directed, as seen from the vertex taking
+    # slot s.  It is kept as the int lo * R + rank(rest), where rank(rest)
+    # is the tag's rank among the call's T tags, plus T if the flip is 1.
+    # adj[w] lists (x, rank) for the tokens that w's slot gives x, sorted
+    # so that each x receives its tokens in order.
+    tags = sorted({tag for (_, _, tag) in edges})
+    tag_rank = {tag: r for r, tag in enumerate(tags)}
+    if directed:
+        rests = [(flip, tag) for flip in (0, 1) for tag in tags]
+        flipped = len(tags)
+    else:
+        rests = [(tag,) for tag in tags]
+        flipped = 0
+    R = len(rests)
     adj = [[] for _ in range(n)]
     loops = [[] for _ in range(n)]
     for (u, v, tag) in edges:
+        r = tag_rank[tag]
         if u == v:
-            loops[u].append((1, tag) if directed else (tag,))
+            loops[u].append(r + flipped)
         else:
-            adj[u].append((v, (0, tag) if directed else (tag,)))
-            adj[v].append((u, (1, tag) if directed else (tag,)))
+            adj[u].append((v, r))
+            adj[v].append((u, r + flipped))
     for lst in adj + loops:
         lst.sort()
 
-    end = (n,)  # sorts after every token
+    end = n * R  # above every token, since lo < n
     # vertex -> its level tokens if it took the next slot, ended by `end`;
     # slots are assigned in increasing order, so appending keeps them sorted
     pending = [[end] for _ in range(n)]
@@ -170,10 +186,9 @@ def canonical_form(n, colors, edges, directed=False):
     best = None        # (levels, perm, path) of the least leaf so far
     gens = []
 
-    def level_tokens(v, s):
-        if not loops[v]:
-            return pending[v]
-        return pending[v][:-1] + [(s, rest) for rest in loops[v]] + [end]
+    def with_loops(v, s):
+        """v's level tokens if it took slot s, its loops included."""
+        return pending[v][:-1] + [s * R + r for r in loops[v]] + [end]
 
     def dfs(s, eq, fixing):
         """Search below the prefix `path`, whose levels equal the best
@@ -194,7 +209,7 @@ def canonical_form(n, colors, edges, directed=False):
             while path[c] == best_path[c]:
                 c += 1
             return c
-        children = [(level_tokens(v, s), v)
+        children = [(with_loops(v, s) if loops[v] else pending[v], v)
                     for v in slot_cell[s] if assign[v] == -1]
         least = min(children)[0]
         if eq:
@@ -216,12 +231,13 @@ def canonical_form(n, colors, edges, directed=False):
             assign[v] = s
             path.append(v)
             levels.append(t)
-            for x, rest in adj[v]:
+            base = s * R
+            for x, r in adj[v]:
                 if assign[x] == -1:
-                    pending[x].insert(-1, (s, rest))
+                    pending[x].insert(-1, base + r)
             before = best
             back = dfs(s + 1, eq, [g for g in fixing if g[v] == v])
-            for x, rest in adj[v]:
+            for x, _ in adj[v]:
                 if assign[x] == -1:
                     del pending[x][-2]
             levels.pop()
@@ -240,7 +256,7 @@ def canonical_form(n, colors, edges, directed=False):
         return s
 
     dfs(0, False, [])
-    tokens = tuple((s, lo) + rest for s, level in enumerate(best[0])
-                   for (lo, rest) in level[:-1])
+    tokens = tuple((s, code // R) + rests[code % R]
+                   for s, level in enumerate(best[0]) for code in level[:-1])
     return (slot_colors, tokens), best[1], gens
 

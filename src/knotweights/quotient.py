@@ -1,13 +1,16 @@
 """The quotient space per degree: basis, reduction, and dimensions.
 
-Row reduction is exact sparse Gaussian elimination over Fractions with a
-fixed class ordering (canonical keys, lexicographic), kept fully reduced.
-The fully reduced echelon form of a row space over a fixed column order is
-unique, so bases and reduced coordinates are reproducible whatever order
-the rows come in.  The relators come in by descending rank of their first
-column: a kept row holds no column before its own lead, so a row whose lead
-comes before every kept lead needs no back-substitution, and in this order
-most rows are such rows.  The degree-k space splits into
+Row reduction is exact sparse Gaussian elimination with a fixed class
+ordering (canonical keys, lexicographic), kept fully reduced.  The relators
+have integer coefficients, and a row whose lead is +-1 is normalized by its
+sign, so rows stay Python ints; a `Fraction` enters only through a lead of
+any other value.  The fully reduced echelon form of a row space over a
+fixed column order is unique, so bases and reduced coordinates are
+reproducible whatever order the rows come in.  The relators come in by
+descending rank of their first column: a kept row holds no column before
+its own lead, so a row whose lead comes before every kept lead needs no
+back-substitution, and in this order most rows are such rows.  The degree-k
+space splits into
 
   P  connected classes with a univalent vertex,
   N  the empty class and the product classes,
@@ -50,7 +53,7 @@ class _Eliminator:
             if row is None:
                 continue
             for k2, c2 in row.items():
-                nc = terms.get(k2, Fraction(0)) - c * c2
+                nc = terms.get(k2, 0) - c * c2
                 if nc:
                     terms[k2] = nc
                 else:
@@ -64,8 +67,14 @@ class _Eliminator:
         if not terms:
             return None
         lead = min(terms, key=self.column_rank.get)
-        inv = 1 / terms[lead]
-        row = {k: c * inv for k, c in terms.items()}
+        c = terms[lead]
+        if c == 1:
+            row = terms
+        elif c == -1:
+            row = {k: -c2 for k, c2 in terms.items()}
+        else:
+            inv = Fraction(1, c)
+            row = {k: c2 * inv for k, c2 in terms.items()}
         rank = self.column_rank[lead]
         if self._first is None or rank < self._first:
             # a kept row holds no column before its own lead, so none
@@ -76,7 +85,7 @@ class _Eliminator:
                 c = other.get(lead)
                 if c:
                     for k2, c2 in row.items():
-                        nc = other.get(k2, Fraction(0)) - c * c2
+                        nc = other.get(k2, 0) - c * c2
                         if nc:
                             other[k2] = nc
                         else:
@@ -192,7 +201,7 @@ def _projector(k):
     elim = _Eliminator(rank)
     for j, key in enumerate(gens):
         row = q.reduce(DiagramVector(k, {key: 1})).terms
-        row[j] = Fraction(1)
+        row[j] = 1
         elim.add_row(row)
     return elim
 

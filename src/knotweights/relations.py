@@ -68,7 +68,7 @@ from .canon import orbits
 from .enumerate import K_MAX, check_degree, enumerate_jacobi
 from .jacobi import (automorphisms, class_of, ihx_terms, internal_edges,
                      stu_expand, stu_sites)
-from .vectors import vector_of
+from .vectors import DiagramVector
 
 
 class RelationSet:
@@ -107,6 +107,16 @@ def _ihx_edges(d):
     return out
 
 
+def _row(k, first, second, third):
+    """The vector [first] - [second] + [third]."""
+    vec = DiagramVector(k)
+    for d, coeff in ((first, 1), (second, -1), (third, 1)):
+        key, sign = class_of(d)
+        if sign:
+            vec.add_term(key, coeff * sign)
+    return vec
+
+
 def generate_relations(k, k_max=K_MAX):
     check_degree(k, k_max)
     rels = RelationSet(k)
@@ -116,13 +126,9 @@ def generate_relations(k, k_max=K_MAX):
         line_trivalents = rep.line_trivalent_count()
         if line_trivalents == 0:
             for e in _ihx_edges(rep):
-                h, x = ihx_terms(rep, e)
-                vec = vector_of(rep) - vector_of(h) + vector_of(x)
-                rels.add("IHX", vec)
+                rels.add("IHX", _row(k, rep, *ihx_terms(rep, e)))
         elif class_of(rep)[1]:
             sites = stu_sites(rep)
             for (t, u) in sites if line_trivalents == 1 else sites[:1]:
-                d1, d2 = stu_expand(rep, t, u)
-                vec = vector_of(rep) - vector_of(d1) + vector_of(d2)
-                rels.add("STU", vec)
+                rels.add("STU", _row(k, rep, *stu_expand(rep, t, u)))
     return rels

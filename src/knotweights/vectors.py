@@ -1,14 +1,26 @@
 """Formal rational combinations of Jacobi diagram classes.
 
-Coefficients are exact `fractions.Fraction` values throughout.  Inserting a
-diagram folds its orientation into the coefficient via the antisymmetry
-sign, so no two stored terms differ only by trivalent orientations and
-classes killed by an orientation-reversing symmetry never appear.
+Coefficients are exact: a Python `int` while the value is integral, a
+`fractions.Fraction` only when it is not, and any other type (a float, say)
+raises `TypeError`.  Relators and class vectors have integer coefficients,
+so the line quotient's rows stay in ints.  Inserting a diagram folds its
+orientation into the coefficient via the antisymmetry sign, so no two
+stored terms differ only by trivalent orientations and classes killed by an
+orientation-reversing symmetry never appear.
 """
 
 from fractions import Fraction
 
 from .jacobi import class_of
+
+
+def _exact(c):
+    """`c` as an int when it is integral, else as a Fraction."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
 class DiagramVector:
@@ -19,7 +31,7 @@ class DiagramVector:
         self.terms = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     self.terms[key] = c
 
@@ -30,7 +42,7 @@ class DiagramVector:
         return sorted(self.terms.items())
 
     def add_term(self, key, coeff):
-        c = self.terms.get(key, Fraction(0)) + coeff
+        c = _exact(self.terms.get(key, 0) + coeff)
         if c:
             self.terms[key] = c
         else:
@@ -66,5 +78,5 @@ def vector_of(d, coeff=1):
     key, sign = class_of(d)
     v = DiagramVector(d.degree)
     if sign:
-        v.add_term(key, Fraction(coeff) * sign)
+        v.add_term(key, coeff * sign)
     return v

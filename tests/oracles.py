@@ -3,7 +3,8 @@ generators, the BCR classes by a scan over words of four cycle pieces, the
 wheel and degree-one BCR diagrams written out edge by edge, the legs and
 the Jacobi diagram an ordering induces by scans over every edge, the
 Jacobi enumeration without its swap filter, the relators listed at every
-local site, a dense rank for the sparse eliminator, the canonical labeling
+local site, a dense rank for the sparse eliminator and the sparse
+eliminator normalizing every row in Fractions, the canonical labeling
 search without automorphism pruning and with it but without the
 least-sibling cut, the orientation sign read through a sorted edge map,
 the product split by a scan over every cut of the line, the P + N + T
@@ -313,6 +314,61 @@ def dense_rank_oracle(rows, columns):
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+class FractionEliminator:
+    """`quotient._Eliminator` over Fractions: every sum starts at
+    Fraction(0) and every kept row is scaled by 1 / lead, so rows must come
+    in with Fraction coefficients (1 / lead on an int is a float)."""
+
+    def __init__(self, column_rank):
+        self.column_rank = column_rank  # key -> position
+        self.pivots = {}                # key -> normalized row (dict)
+        self._first = None              # least rank of a kept lead
+
+    def _reduce_terms(self, terms):
+        terms = dict(terms)
+        for col in sorted(terms, key=self.column_rank.get):
+            c = terms.get(col)
+            if not c:
+                continue
+            row = self.pivots.get(col)
+            if row is None:
+                continue
+            for k2, c2 in row.items():
+                nc = terms.get(k2, Fraction(0)) - c * c2
+                if nc:
+                    terms[k2] = nc
+                else:
+                    terms.pop(k2, None)
+        return terms
+
+    def add_row(self, terms):
+        """Reduce a row and keep it; return its lead column, or None when
+        it reduces to zero."""
+        terms = self._reduce_terms(terms)
+        if not terms:
+            return None
+        lead = min(terms, key=self.column_rank.get)
+        inv = 1 / terms[lead]
+        row = {k: c * inv for k, c in terms.items()}
+        rank = self.column_rank[lead]
+        if self._first is None or rank < self._first:
+            # a kept row holds no column before its own lead, so none
+            # holds this one: nothing to back-substitute
+            self._first = rank
+        else:
+            for other in self.pivots.values():
+                c = other.get(lead)
+                if c:
+                    for k2, c2 in row.items():
+                        nc = other.get(k2, Fraction(0)) - c * c2
+                        if nc:
+                            other[k2] = nc
+                        else:
+                            other.pop(k2, None)
+        self.pivots[lead] = row
+        return lead
 
 
 def canonical_form_all(n, colors, edges, directed=False):
@@ -638,7 +694,7 @@ def _dense_inverse(columns):
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col])
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
+        inv = Fraction(1, aug[col][col])
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:

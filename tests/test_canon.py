@@ -70,21 +70,42 @@ def test_closed_classes_match_the_unpruned_search(k):
             assert group_order(d.nv, gens) == len(perms)
 
 
+def _tags(rng):
+    # like edge numbering labels, a few per graph so that some graphs keep
+    # automorphisms: the ranks of the rests are not the tags
+    return rng.sample((0, 1, 2, 5, 9), rng.randint(1, 3))
+
+
 def _random_multigraph(rng, directed):
     n = rng.randint(1, 7)
     colors = [rng.choice("ab") for _ in range(n)]
-    edges = [(rng.randrange(n), rng.randrange(n), rng.choice((0, 1)))
+    tags = _tags(rng)
+    edges = [(rng.randrange(n), rng.randrange(n), rng.choice(tags))
              for _ in range(rng.randint(0, 2 * n))]
     return n, colors, edges, directed
+
+
+def _circulant(rng, directed):
+    """A few edges closed under the rotation v -> v + 1 mod n: one cell
+    after refinement, so the search compares levels of every length."""
+    n = rng.randint(2, 7)
+    tags = _tags(rng)
+    base = [(0, rng.randrange(n), rng.choice(tags))
+            for _ in range(rng.randint(1, 3))]
+    edges = [((u + i) % n, (v + i) % n, tag) for (u, v, tag) in base
+             for i in range(n)]
+    return n, ["a"] * n, edges, directed
 
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_loops_parallel_edges_and_tags(directed):
     """Self-loops, parallel edges and mixed tags, which no diagram of the
-    package has, against both oracles."""
+    package has, against both oracles: the int coding of level tokens
+    ranks the rests (tags, with flips if directed) and the loops of each
+    call."""
     rng = random.Random(5 + directed)
-    for _ in range(300):
-        n, colors, edges, directed = _random_multigraph(rng, directed)
+    for draw in [_random_multigraph, _circulant] * 300:
+        n, colors, edges, directed = draw(rng, directed)
         key, perm, gens = canon.canonical_form(n, colors, edges, directed)
         assert (key, perm) == canonical_form_dfs(n, colors, edges,
                                                  directed)[:2]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -14,14 +15,36 @@ from knotweights.quotient import (dims_table, project_pc, quotient_basis,
 from knotweights.relations import generate_relations
 from knotweights.vectors import DiagramVector, vector_of
 
-from oracles import (SplittingByProducts, dense_rank_oracle,
-                     relators_at_sites, relators_everywhere)
+from oracles import (FractionEliminator, SplittingByProducts,
+                     dense_rank_oracle, relators_at_sites,
+                     relators_everywhere)
 
 
 def test_as_sign_identity():
     w = wheel(2)
     v = w.trivalent[0]
     assert vector_of(flipped(w, v)) == -vector_of(w)
+
+
+def test_coefficients_are_ints_or_fractions():
+    chord = single_chord()
+    key = class_of(chord)[0]
+    with pytest.raises(TypeError):
+        DiagramVector(1, {key: 0.5})
+    with pytest.raises(TypeError):
+        DiagramVector(1).add_term(key, 0.5)
+    with pytest.raises(TypeError):
+        vector_of(chord, 0.5)
+    vec = DiagramVector(1, {key: Fraction(4, 2)})
+    assert type(vec.terms[key]) is int
+    vec.add_term(key, Fraction(-1, 2))
+    assert vec.terms == {key: Fraction(3, 2)}
+    vec.add_term(key, Fraction(1, 2))
+    assert vec.terms == {key: 2} and type(vec.terms[key]) is int
+    vec.add_term(key, -2)
+    assert vec.is_zero()
+    assert vector_of(chord, Fraction(2, 3)) - vector_of(chord, 2) == \
+        DiagramVector(1, {key: Fraction(-4, 3)})
 
 
 def test_no_relations_in_degree_zero():
@@ -149,6 +172,21 @@ def test_lead_order_and_generation_order_give_equal_pivots(k):
     assert elim.pivots == q._elim.pivots
     assert q.basis == [key for key in q.class_keys
                        if key not in elim.pivots]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3,
+                               pytest.param(4, marks=pytest.mark.slow)])
+def test_integer_pivots_match_the_fraction_eliminator(k):
+    # the relators are integer rows, and eliminating them in ints leaves
+    # the pivots that elimination over Fractions, in generation order,
+    # leaves
+    q = quotient_basis(k)
+    oracle = FractionEliminator(q._elim.column_rank)
+    for vec in generate_relations(k).vectors():
+        assert all(type(c) is int for c in vec.terms.values())
+        if not vec.is_zero():
+            oracle.add_row({key: Fraction(c) for key, c in vec.terms.items()})
+    assert oracle.pivots == q._elim.pivots
 
 
 def test_dimensions_low_degrees():
