@@ -29,17 +29,24 @@ Summed over the options and the cyclic orders, epsilon2 times these
 weights is a sum over the Hamiltonian cycles of the ring in which each
 step e -> f scores sgn(rank(start f) - rank(end e)); a lone type-2
 element would close a loop, and sgn(0) = 0 drops it.  A subset recursion
-[Bellman, JACM 9 (1962); Held-Karp, SIAM J. 10 (1962)] takes
-O(2^m m^2 16) steps for m elements, where the sources number
-4^c (m-1)! for c chords.  When the chains close up by themselves, the one
-cycle through every trivalent vertex is the only source.  The test
-oracles in `tests/oracles.py` are `sources`, which lists the sources one
-by one, and `wbcr_by_orderings`, which scans every ordering of every BCR
-class.
+[Bellman, JACM 9 (1962); Held-Karp, SIAM J. 10 (1962)] over bitmasks of
+the elements visited keeps, per mask, the signed sums by the rank the
+path ends at, and extends a mask by all of an element's options at one
+start with a single fold over those ends: O(2^m m^2) steps for m
+elements, where the sources number 4^c (m-1)! for c chords.  When the
+chains close up by themselves, the one cycle through every trivalent
+vertex is the only source.  The roles are chosen by a product over the
+trivalent vertices, and a choice is kept when the edges between
+trivalent vertices, one bit each, are each the out-edge of exactly one
+end.  The test oracles in `tests/oracles.py` are `sources`, which lists
+the sources one by one, `wbcr_by_orderings`, which scans every ordering
+of every BCR class, and `cycle_sum_by_layers`, the cycle sum with one
+state per (visited set, end rank) stepping by each option on its own.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import groupby, permutations, product
+from operator import itemgetter
 
 from .bcr import bcr_canonical
 from .enumerate import (K_MAX, check_degree, enumerate_bcr, enumerate_jacobi,
@@ -123,10 +130,12 @@ def _vertex_roles(d, v, univalent):
     (cycle-in, out, leg) is a rotation of v's cyclic order."""
     cyc = [e for (e, _end) in d.orient[v]]
     roles = []
-    for out, leg, c_in in permutations(cyc):
-        if any(x in univalent for x in d.edges[leg]):
-            turn = (cyc.index(out) - cyc.index(c_in)) % 3
-            roles.append((out, leg, c_in, 1 if turn == 1 else -1))
+    for i, leg in enumerate(cyc):
+        a, b = d.edges[leg]
+        if a in univalent or b in univalent:
+            after, last = cyc[i - 2], cyc[i - 1]  # (leg, after, last)
+            roles.append((last, leg, after, 1))
+            roles.append((after, leg, last, -1))
     return roles
 
 
@@ -144,28 +153,53 @@ def _cycle_sum(ring):
     line ranks for vertices.  A cycle picks one option per element and a
     cyclic order, and scores the product of the weights and, over its steps
     e -> f, of sgn(start of f - end of e).  Held-Karp subset recursion:
-    element 0 opens every cycle; the state is the set of elements visited
-    and the rank at the last one's end (no two elements share a vertex, so
-    that rank names the last element).
+    element 0 opens every cycle, once per start rank of its options.  The
+    state is the set of elements visited, as a bitmask, and the rank at the
+    last one's end (no two elements share a vertex, so that rank names the
+    last element): ``sums[mask]`` maps each end rank to the signed sum of
+    the paths through `mask`.  Masks are taken in increasing order, so a
+    mask is complete before it is extended, and dropped once it is.  An
+    option of element j extends every end of a mask at once: its start s
+    folds the ends into sum over r of sgn(s - r) * value, and the options
+    listed together with the same start share one fold.  With m elements
+    that is O(2^m m^2) fold steps per opening start.
     """
-    others = range(1, len(ring))
+    full = (1 << len(ring)) - 1
     total = 0
-    for start, end, weight in ring[0]:
-        layer = {(1, end): weight}
-        for _ in range(len(ring) - 1):
-            step = {}
-            for (seen, r), val in layer.items():
-                for j in others:
-                    if seen >> j & 1:
-                        continue
-                    for s, e, w in ring[j]:
-                        if s != r:
-                            key = (seen | 1 << j, e)
-                            step[key] = step.get(key, 0) + (
-                                val * w if s > r else -val * w)
-            layer = step
-        total += sum(val if start > r else -val
-                     for (_, r), val in layer.items() if start != r)
+    for start, opening in groupby(ring[0], key=itemgetter(0)):
+        sums = [None] * (full + 1)
+        sums[1] = first = {}
+        for _, end, weight in opening:
+            first[end] = first.get(end, 0) + weight
+        for mask in range(1, full, 2):
+            ends = sums[mask]
+            if not ends:
+                continue
+            sums[mask] = None
+            ends = ends.items()
+            free = full ^ mask
+            while free:
+                bit = free & -free
+                free ^= bit
+                step = sums[mask | bit]
+                if step is None:
+                    step = sums[mask | bit] = {}
+                at = None
+                for s, e, w in ring[bit.bit_length() - 1]:
+                    if s != at:
+                        at, fold = s, 0
+                        for r, val in ends:
+                            if r < s:
+                                fold += val
+                            elif r > s:
+                                fold -= val
+                    if fold:
+                        step[e] = step.get(e, 0) + w * fold
+        for r, val in (sums[full] or {}).items():
+            if start > r:
+                total += val
+            elif start < r:
+                total -= val
     return total
 
 
@@ -181,31 +215,45 @@ def wbcr(d, k_max=K_MAX):
     tt = [i for i, (a, b) in enumerate(d.edges)
           if a not in rank and b not in rank]
     # a chord a-b is a leg into type 2 at b or at a (a loop element, -1),
-    # or a step from type 5 to type 4, either way (+1)
-    chords = [((rank[b], rank[b], -1), (rank[a], rank[a], -1),
-               (rank[a], rank[b], 1), (rank[b], rank[a], 1))
+    # or a step from type 5 to type 4, either way (+1); listed by start,
+    # so each start's two options share one fold in the cycle sum
+    chords = [((rank[b], rank[b], -1), (rank[b], rank[a], 1),
+               (rank[a], rank[a], -1), (rank[a], rank[b], 1))
               for (a, b) in d.edges if a in rank and b in rank]
 
     def far(i, v):
         a, b = d.edges[i]
         return b if a == v else a
 
+    # per role: the bit of its out-edge if that joins two trivalent
+    # vertices, the vertex it leads to, the rank its chain starts from (None
+    # when its cycle-in edge joins two trivalent vertices) and its sign
+    bit = {e: 1 << i for i, e in enumerate(tt)}
+    full = (1 << len(tt)) - 1
+    options = [[(bit.get(out, 0), far(out, v),
+                 None if c_in in bit else rank[far(c_in, v)], s)
+                for out, _leg, c_in, s in _vertex_roles(d, v, rank)]
+               for v in tri]
     total = 0
-    for choice in product(*(_vertex_roles(d, v, rank) for v in tri)):
+    for choice in product(*options):
         # every edge between trivalent vertices leaves exactly one of them
-        if sorted(r[0] for r in choice if r[0] in tt) != tt:
+        used = outs = 0
+        for b, _, _, _ in choice:
+            used |= b
+            outs += b
+        if used != full or outs != full:
             continue
         succ, ring, s3, seen = {}, [], 1, 0
-        for v, (out, _leg, _c_in, s) in zip(tri, choice):
+        for v, (_, w, _, s) in zip(tri, choice):
             s3 *= s
-            succ[v] = far(out, v)
-        for v, (_out, _leg, c_in, _s) in zip(tri, choice):
-            if c_in in tt:
+            succ[v] = w
+        for v, (_, _, start, _) in zip(tri, choice):
+            if start is None:
                 continue
             x = v  # walk from type 5 through trivalent to type 4
             while x in succ:
                 x, seen = succ[x], seen + 1
-            ring.append(((rank[far(c_in, v)], rank[x], 1),))
+            ring.append(((start, rank[x], 1),))
         if seen < len(tri):  # a closed cycle must be the whole cycle
             if not ring and not chords \
                     and _orbit_length(succ, tri[0]) == len(tri):

@@ -36,14 +36,18 @@ connected summand (the test oracle
 ``tests/oracles.py:SplittingByProducts.project_connected``).  It
 kills the empty class and every non-trivial product, so a diagram whose
 components fall into two groups, one wholly before the other on the line
-(``JacobiDiagram.product_split``), is 0 without an expansion, as is one
-with a purely trivalent component.  The block values are shared by the
-partitions of one call.
+(the cut of ``JacobiDiagram.product_split``), is 0 without an expansion,
+as is one with a purely trivalent component; one walk over the
+components finds both and feeds the expansion.  One component is its own
+cumulant, wc.  Otherwise the sum over partitions is taken by the subset
+recursion on bitmasks of components (see `_cumulant`), which gives the
+same integers from one value per subset holding the first component;
+``tests/oracles.py:cumulant_by_partitions`` sums the partitions.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import prod
 
 from .enumerate import K_MAX, check_degree
 from .errors import VertexTypeViolation
@@ -119,11 +123,11 @@ class _Expansion:
         self.leg = {v: h for h, v in enumerate(self.ends)
                     if self.at[v] is not None}
         self.width = d.nv + 1
-        self.comps = d.components()
 
     def terms(self, comp):
         """The STU expansion of one legged component: {chords: coefficient},
-        each chord a sorted pair of endpoint keys."""
+        each chord a sorted pair of endpoint keys, listed in the line order
+        of their first endpoints."""
         ends, cyc, at, beside, leg = (self.ends, self.cyc, self.at,
                                       self.beside, self.leg)
         legs = [v for v in comp if at[v] is not None]
@@ -139,11 +143,12 @@ class _Expansion:
                     for i, v in enumerate(beside[p], p * width):
                         key[v] = i
                 chords = []
-                for v in legs:
-                    a, b = key[v], key[ends[leg[v] ^ 1]]
-                    if a < b:
-                        chords.append((a, b))
-                chords = tuple(sorted(chords))
+                for p in spots:
+                    for v in beside[p]:
+                        a, b = key[v], key[ends[leg[v] ^ 1]]
+                        if a < b:
+                            chords.append((a, b))
+                chords = tuple(chords)
                 out[chords] = out.get(chords, 0) + sign
                 return
             t = order[depth]
@@ -158,7 +163,6 @@ class _Expansion:
             j = line.index(u)
             line.insert(j, t)
             at[t] = at[u]
-            legs.append(t)
             for keep, move, s in ((alpha, beta, sign), (beta, alpha, -sign)):
                 leg[t], leg[u] = keep, move
                 ends[move] = u
@@ -166,7 +170,6 @@ class _Expansion:
                 ends[move] = t
             leg[u] = to_u
             del leg[t]
-            legs.pop()
             at[t] = None
             del line[j]
             cyc[t] = c
@@ -213,7 +216,7 @@ def wc_diagram(d):
     if d.has_trivalent_component():
         return ZERO
     ex = _Expansion(d)
-    return Fraction(_block_wc([ex.terms(c) for c in ex.comps]))
+    return Fraction(_block_wc([ex.terms(c) for c in d.components()]))
 
 
 def wc_eval(v):
@@ -222,41 +225,59 @@ def wc_eval(v):
                 for key, c in v.terms.items()), ZERO)
 
 
-def _set_partitions(items):
-    """Every set partition of a list, each as a list of blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield [[first]] + part
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+def _cumulant(terms):
+    """The cumulant of wc over the expanded components `terms`, by the
+    subset recursion on bitmasks of components
+
+      c(S) = w(S) - sum over T with min S in T, T a proper subset of S,
+             of c(T) w(S - T),
+
+    where w is wc of a union of components.  Only sets holding component 0
+    need c; they are taken in increasing order, so c(T) is there when S
+    needs it, and w(S - T) is evaluated, once per set, only when c(T) is
+    not 0.  c of the whole set is the cumulant."""
+    w = {}
+
+    def wc_of(mask):
+        val = w.get(mask)
+        if val is None:
+            val = w[mask] = _block_wc([t for i, t in enumerate(terms)
+                                       if mask >> i & 1])
+        return val
+
+    c = {}
+    for mask in range(1, 1 << len(terms), 2):
+        total = wc_of(mask)
+        rest = sub = mask ^ 1
+        while sub:
+            sub = (sub - 1) & rest
+            if c[sub | 1]:
+                total -= c[sub | 1] * wc_of(rest ^ sub)
+        c[mask] = total
+    return total
 
 
 def wc_prime_diagram(d, k_max=K_MAX):
-    """Logarithmic variant: the cumulant of wc over d's components."""
+    """Logarithmic variant: the cumulant of wc over d's components.  One
+    walk over the components gives the exact zeros and the expansion."""
     check_degree(d.degree, k_max)
-    if (d.nv == 0 or d.has_trivalent_component()
-            or d.product_split() is not None):
+    if d.nv == 0:
         return ZERO
+    comps, comp_of = d.component_map()
+    last = {comp_of[v]: p for p, v in enumerate(d.univalent_order)}
+    if len(last) < len(comps):
+        return ZERO  # a purely trivalent component
+    if len(comps) > 1:
+        reach = -1
+        for p, v in enumerate(d.univalent_order[:-1]):
+            reach = max(reach, last[comp_of[v]])
+            if reach == p:
+                return ZERO  # a product, cut as in JacobiDiagram.product_split
     ex = _Expansion(d)
-    terms = [ex.terms(c) for c in ex.comps]
-    block_wc = {}
-    total = 0
-    for part in _set_partitions(list(range(len(terms)))):
-        n = len(part)
-        term = (-1) ** (n - 1) * factorial(n - 1)
-        for block in part:
-            block = tuple(block)
-            w = block_wc.get(block)
-            if w is None:
-                w = block_wc[block] = _block_wc([terms[i] for i in block])
-            term *= w
-            if not term:
-                break
-        total += term
-    return Fraction(total)
+    terms = [ex.terms(c) for c in comps]
+    if len(terms) == 1:
+        return Fraction(_block_wc(terms))
+    return Fraction(_cumulant(terms))
 
 
 def wc_prime_eval(v, k_max=K_MAX):

@@ -8,11 +8,12 @@ once, from the rotation whose word of cycle pieces is least, and the
 classes are sorted by canonical key.  Jacobi diagrams are generated
 as loop-free multigraphs with the prescribed valences, using a first-touch
 symmetry cut on the interchangeable trivalent vertices, and a candidate
-that swapping two of them turns into a smaller sorted edge list is skipped
-before its canonical search.  The least labeling of each class passes
-both cuts, so no class is lost.  They are deduplicated through canonical
-keys, so each enumeration carries one representative per class in a
-deterministic order.
+that swapping two of them turns into a smaller sorted edge list, read off
+the two vertices' neighbours, is skipped before its canonical search.
+The least labeling of each class passes both cuts, so no class is lost.
+The candidates are built unvalidated and deduplicated through canonical
+keys, with a representative drawn only for a new key, so each enumeration
+carries one representative per class in a deterministic order.
 """
 
 from functools import lru_cache, wraps
@@ -20,7 +21,8 @@ from itertools import product as iproduct
 
 from .bcr import EXTERNAL, INTERNAL, bcr_key, cycle_with_legs
 from .errors import DegreeOutOfRange
-from .jacobi import canonicalize, make_diagram
+from .jacobi import (JacobiDiagram, class_of, default_orientation,
+                     representative)
 
 K_MAX = 4
 
@@ -133,44 +135,61 @@ def _swap_beats(edges, free_start, n):
     A swap keeps the class; the least labeling of a class passes this test,
     and it obeys the first-touch rule (were a free vertex first touched
     before a lower untouched one, swapping the two would lower the list at
-    that touch), so it is among the candidates kept.  The edges away from
-    the two vertices are common to both lists, so the lists compare as the
-    sorted edges at the two vertices do, before and after the swap.
+    that touch), so it is among the candidates kept.
+
+    The edges away from the two vertices i < j, the edges between them and
+    one edge each to a neighbour they share are common to both lists.  Of
+    the rest, an edge from i to x becomes one from j to x, which sorts
+    later, and one from j to y becomes one from i to y, which sorts
+    earlier; the edges at i sort as their far ends do.  So the swap lowers
+    the list exactly when the least neighbour only j has is below the least
+    one only i has: when j's neighbours, i aside, sort below i's, j aside.
     """
-    at = [[] for _ in range(n)]
-    for e in edges:
-        for v in e:
-            at[v].append(e)
+    around = [[] for _ in range(n)]
+    for a, b in edges:
+        around[a].append(b)
+        around[b].append(a)
+    for v in around:
+        v.sort()
     for i in range(free_start, n):
         for j in range(i + 1, n):
-            touched = sorted(at[i] + [e for e in at[j] if i not in e])
-            p = list(range(n))
-            p[i], p[j] = j, i
-            moved = sorted((p[a], p[b]) if p[a] < p[b] else (p[b], p[a])
-                           for (a, b) in touched)
-            if moved < touched:
+            if ([y for y in around[j] if y != i]
+                    < [x for x in around[i] if x != j]):
                 return True
     return False
+
+
+def _candidates(k):
+    """The degree-k multigraphs that pass the swap test, as diagrams with
+    the default vertex orientation.  `_multigraphs` gives each one loop-free
+    with the right valences, so it is built unvalidated."""
+    for t in range(0, 2 * k + 1):
+        u = 2 * k - t
+        if (3 * t + u) % 2:
+            continue
+        for edges in _multigraphs([1] * u + [3] * t, free_start=u):
+            if not _swap_beats(edges, u, 2 * k):
+                yield JacobiDiagram(
+                    2 * k, range(u), edges,
+                    default_orientation(2 * k, range(u), edges),
+                    validate=False)
 
 
 @per_degree()
 def enumerate_jacobi(k):
     """All Jacobi diagram classes of degree k, one representative each.
 
-    Representatives carry the default vertex orientation (ascending
-    half-edges).
+    Each candidate is canonically labeled, and the representative of its
+    class, with the default vertex orientation (ascending half-edges), is
+    drawn from the key only the first time the key is seen.  It carries
+    the record `canonicalize` would give it, so its class is known without
+    a search.
     """
     found = {}
-    for t in range(0, 2 * k + 1):
-        u = 2 * k - t
-        if (3 * t + u) % 2:
-            continue
-        deg_seq = [1] * u + [3] * t
-        for edges in _multigraphs(deg_seq, free_start=u):
-            if _swap_beats(edges, u, 2 * k):
-                continue
-            d = make_diagram(2 * k, range(u), edges)
-            key, _, rep = canonicalize(d)
-            found.setdefault(key, rep)
+    for d in _candidates(k):
+        key, sign = class_of(d)
+        if key not in found:
+            rep = representative(key)
+            rep.record = (key, 1 if sign else 0, rep)
+            found[key] = rep
     return tuple(found[key] for key in sorted(found))
-

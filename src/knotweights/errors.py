@@ -43,8 +43,13 @@ class DegreeOutOfRange(DiagramError):
     def __init__(self, degree, k_max, lowest=0):
         self.degree = degree
         self.k_max = k_max
-        super().__init__(
-            f"degree {degree} outside supported range [{lowest}, {k_max}]")
+        if k_max < lowest:  # the range [lowest, k_max] is empty
+            super().__init__(
+                f"degree {degree} outside supported range: the cap --k-max "
+                f"{k_max} admits no degree, as the lowest is {lowest}")
+        else:
+            super().__init__(
+                f"degree {degree} outside supported range [{lowest}, {k_max}]")
 
 
 class NotIsomorphic(DiagramError):

@@ -36,7 +36,8 @@ class JacobiDiagram:
       orient          dict trivalent vertex -> cyclic triple of half-edges
       numbering       optional dict edge index -> label in 1..3k
       record          ``canonicalize``'s ``(key, sign, self)``, set only on
-                      the representative it draws
+                      a representative drawn from its key (by
+                      ``canonicalize`` or ``enumerate_jacobi``)
     """
 
     __slots__ = ("nv", "univalent_order", "edges", "orient", "numbering",

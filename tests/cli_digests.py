@@ -39,7 +39,7 @@ def _commands():
     for what in ("stu", "wcpsi"):
         out.append((["verify", what, "--degree", "3", "--json"], False))
     out.append((["verify", "lemma33", "--degree", "4", "--json"], True))
-    for argv in (["enumerate", "jacobi"], ["dim"]):
+    for argv in (["enumerate", "jacobi"], ["dim"], ["verify", "prop32"]):
         out.append((argv + ["--degree", "5", "--k-max", "5", "--json"], True))
     for k in ("5", "6"):
         out.append((["enumerate", "bcr", "--degree", k, "--k-max", k,

@@ -2,8 +2,9 @@
 generators, the BCR classes by a scan over words of four cycle pieces, the
 wheel and degree-one BCR diagrams written out edge by edge, the legs and
 the Jacobi diagram an ordering induces by scans over every edge, the
-Jacobi enumeration without its swap filter, the relators listed at every
-local site, a dense rank for the sparse eliminator and the sparse
+Jacobi enumeration without its swap filter and the swap filter by a
+relabeling array per swap, the relators listed at every local site, a
+dense rank for the sparse eliminator and the sparse
 eliminator normalizing every row in Fractions, the canonical labeling
 search without automorphism pruning and with it but without the
 least-sibling cut, the orientation sign read through a sorted edge map,
@@ -13,9 +14,11 @@ summand P, the STU and IHX moves that renumber their terms or scan for the
 moving half-edges, the surgery circle count by a walk over a successor
 dict, the circle-counting weight and its cumulant by a class-keyed,
 memoized STU recursion and by STU on whole diagrams with every block of
-the cumulant rebuilt, the BCR sources of a diagram listed one by one, the
-weighted source count by a scan over every ordering of every BCR class,
-the Alexander determinant by expansion in minors, and the skein recursion
+the cumulant rebuilt, the cumulant as a sum over set partitions, the BCR
+sources of a diagram listed one by one, their cycle sum by a recursion
+with one dict per layer, the weighted source count by a scan over every
+ordering of every BCR class, the Alexander determinant by expansion in
+minors, and the skein recursion
 on mutable crossing lists.  Everything here works by exhausting a finite
 search space and keeping what passes an independently coded validity test,
 or by textbook elimination."""
@@ -30,7 +33,7 @@ from knotweights import canon
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
 from knotweights.bridge import _group_order as group_order
 from knotweights.bridge import _orbit_length, _vertex_roles, _wbcr_table
-from knotweights.conway import _set_partitions
+from knotweights.conway import _block_wc
 from knotweights.enumerate import (K_MAX, _multigraphs, check_degree,
                                    enumerate_jacobi)
 from knotweights.jacobi import (JacobiDiagram, _colors, _cyclic_parity,
@@ -263,6 +266,25 @@ def enumerate_jacobi_unfiltered(k):
             key, _, rep = canonicalize(make_diagram(2 * k, range(u), edges))
             found.setdefault(key, rep)
     return tuple(found[key] for key in sorted(found))
+
+
+def swap_beats_by_relabeling(edges, free_start, n):
+    """`enumerate._swap_beats` with a relabeling array built per swap: the
+    sorted edges at the two vertices against their images under it."""
+    at = [[] for _ in range(n)]
+    for e in edges:
+        for v in e:
+            at[v].append(e)
+    for i in range(free_start, n):
+        for j in range(i + 1, n):
+            touched = sorted(at[i] + [e for e in at[j] if i not in e])
+            p = list(range(n))
+            p[i], p[j] = j, i
+            moved = sorted((p[a], p[b]) if p[a] < p[b] else (p[b], p[a])
+                           for (a, b) in touched)
+            if moved < touched:
+                return True
+    return False
 
 
 def relators_at_sites(k):
@@ -822,6 +844,39 @@ def count_circles_by_successors(d):
     return circles
 
 
+def _set_partitions(items):
+    """Every set partition of a list, each as a list of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def cumulant_by_partitions(terms):
+    """`conway._cumulant` as a sum over the set partitions of the expanded
+    components `terms`: (-1)^(|pi|-1) (|pi|-1)! times the product of wc
+    over the blocks, each block's wc computed once."""
+    block_wc = {}
+    total = 0
+    for part in _set_partitions(list(range(len(terms)))):
+        n = len(part)
+        term = (-1) ** (n - 1) * factorial(n - 1)
+        for block in part:
+            block = tuple(block)
+            w = block_wc.get(block)
+            if w is None:
+                w = block_wc[block] = _block_wc([terms[i] for i in block])
+            term *= w
+            if not term:
+                break
+        total += term
+    return total
+
+
 class ClassWeights:
     """wc and wc' by the class-keyed recursion: a diagram is reduced to its
     canonical classes, each class is resolved by STU on its stored
@@ -1017,6 +1072,31 @@ def _parallel_factor(rep):
 
 def _jacobi_edge_aut_order(rep):
     return group_order(rep.nv, automorphisms(rep)) * _parallel_factor(rep)
+
+
+def cycle_sum_by_layers(ring):
+    """`bridge._cycle_sum` with one dict per layer keyed by (visited set,
+    end rank), each option of element 0 opening its own recursion and each
+    option stepping from each state on its own."""
+    others = range(1, len(ring))
+    total = 0
+    for start, end, weight in ring[0]:
+        layer = {(1, end): weight}
+        for _ in range(len(ring) - 1):
+            step = {}
+            for (seen, r), val in layer.items():
+                for j in others:
+                    if seen >> j & 1:
+                        continue
+                    for s, e, w in ring[j]:
+                        if s != r:
+                            key = (seen | 1 << j, e)
+                            step[key] = step.get(key, 0) + (
+                                val * w if s > r else -val * w)
+            layer = step
+        total += sum(val if start > r else -val
+                     for (_, r), val in layer.items() if start != r)
+    return total
 
 
 def wbcr_by_orderings(d, k_max=K_MAX):

@@ -19,7 +19,7 @@ from knotweights.bcr import degree_one_bcr
 
 from helpers import shuffled_jacobi
 import oracles
-from oracles import (canonical_form_all, class_of_all,
+from oracles import (canonical_form_all, class_of_all, cycle_sum_by_layers,
                      jacobi_of_by_edge_scan, leg_edges_by_scan, sources,
                      wbcr_by_orderings)
 
@@ -245,6 +245,47 @@ def test_wbcr_equals_the_listed_signed_sum(k):
         for d in cases:
             total = sum(sign for _edges, sign in sources(d))
             assert wbcr(d, k) == total / Fraction(2) ** (2 * k - len(d.edges))
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_cycle_sum_matches_the_layered_oracle(k, monkeypatch):
+    # every ring the weight sums over, on every class
+    rings = []
+    cycle_sum = bridge._cycle_sum
+
+    def record(ring):
+        rings.append(ring)
+        return cycle_sum(ring)
+
+    monkeypatch.setattr(bridge, "_cycle_sum", record)
+    for rep in enumerate_jacobi(k, k_max=k):
+        wbcr(rep, k)
+    assert bool(rings) == (k > 0)
+    assert any(cycle_sum(ring) for ring in rings) == (k > 1)
+    for ring in rings:
+        assert cycle_sum(ring) == cycle_sum_by_layers(ring)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cycle_sum_on_random_rings(seed):
+    # options in any order, with repeated starts and ends; the last seeds
+    # let elements share ranks, which the weight's rings never do, so even
+    # a step to an equal rank scores 0 on both sides
+    rng = random.Random(seed)
+    for _ in range(40):
+        m = rng.randint(1, 6)
+        if seed < 4:
+            ranks = rng.sample(range(4 * m), 2 * m)
+        else:
+            ranks = [rng.randrange(m + 1) for _ in range(2 * m)]
+        ring = []
+        for i in range(m):
+            a, b = ranks[2 * i], ranks[2 * i + 1]
+            ring.append(tuple((rng.choice((a, b)), rng.choice((a, b)),
+                               rng.choice((-2, -1, 1, 3)))
+                              for _ in range(rng.randint(1, 4))))
+        assert bridge._cycle_sum(ring) == cycle_sum_by_layers(ring)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -17,14 +17,16 @@ from knotweights.jacobi import (JacobiDiagram, _colors, _orientation_sign,
                                 internal_edges, make_diagram, product,
                                 representative, single_chord, stu_expand,
                                 stu_sites, theta_graph, validate_jacobi, wheel)
-from knotweights.enumerate import enumerate_jacobi
+from knotweights.enumerate import (_candidates, _multigraphs, _swap_beats,
+                                   enumerate_jacobi)
 from knotweights.vectors import DiagramVector, vector_of
 
 from helpers import SearchRan, refuse_search, shuffled_jacobi
 from oracles import (class_of_all, class_of_by_edge_map, edge_map_for_perm,
                      enumerate_jacobi_unfiltered, group_order,
                      ihx_terms_scanned, orientation_sign_by_edge_map,
-                     product_split_by_cuts, stu_expand_renumbered)
+                     product_split_by_cuts, stu_expand_renumbered,
+                     swap_beats_by_relabeling)
 
 
 def test_empty_diagram_is_valid_degree_zero():
@@ -117,6 +119,30 @@ def test_swap_filter_keeps_every_class(k):
     keys = tuple(class_of(d)[0] for d in enumerate_jacobi(k))
     assert keys == tuple(class_of(d)[0]
                          for d in enumerate_jacobi_unfiltered(k))
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_swap_test_matches_the_relabeling_oracle(k):
+    beaten = 0
+    for t in range(0, 2 * k + 1):
+        u = 2 * k - t
+        if (3 * t + u) % 2:
+            continue
+        for edges in _multigraphs([1] * u + [3] * t, free_start=u):
+            got = _swap_beats(edges, u, 2 * k)
+            assert got == swap_beats_by_relabeling(edges, u, 2 * k)
+            beaten += got
+    assert beaten or k < 2
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_unvalidated_candidates_are_valid(k):
+    for d in _candidates(k):
+        checked = validate_jacobi(d)
+        assert (checked.univalent_order, checked.edges, checked.orient) == (
+            d.univalent_order, d.edges, d.orient)
 
 
 def test_enumerate_contains_stock_diagrams():

@@ -291,6 +291,22 @@ def test_cli_degree_cap_holds_on_a_warm_cache(tmp_path, monkeypatch, capsys,
     assert "outside supported range" in captured.err
 
 
+def test_cli_cap_below_the_lowest_degree_admits_none(tmp_path, monkeypatch,
+                                                     capsys):
+    # BCR diagrams start at degree 1, so --k-max 0 leaves no degree at all
+    for degree in ("1", "0"):
+        assert _run(tmp_path, monkeypatch, "enumerate", "bcr",
+                    "--degree", degree, "--k-max", "0") == 2
+        err = _assert_input_error(capsys)
+        assert (f"degree {degree} outside supported range: the cap --k-max 0 "
+                "admits no degree, as the lowest is 1") in err
+        assert "[1, 0]" not in err
+    assert _run(tmp_path, monkeypatch, "enumerate", "bcr",
+                "--degree", "2", "--k-max", "1") == 2
+    assert ("degree 2 outside supported range [1, 1]"
+            in _assert_input_error(capsys))
+
+
 def test_cli_verify_lemma33_respects_the_cap(tmp_path, monkeypatch, capsys):
     assert _run(tmp_path, monkeypatch,
                 "verify", "lemma33", "--degree", "5") == 2

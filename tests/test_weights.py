@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotweights import cli, quotient
+from knotweights import cli, conway, quotient
 from knotweights.bridge import verify_main, wbcr
 from knotweights.conway import (count_circles, wc_diagram, wc_eval,
                                 wc_prime_diagram, wc_prime_eval)
@@ -18,8 +18,8 @@ from knotweights.vectors import vector_of
 
 from helpers import refuse_search, shuffled_jacobi
 from oracles import (ClassWeights, SplittingByProducts,
-                     count_circles_by_successors, relators_everywhere,
-                     wc_prime_resolved, wc_resolved)
+                     count_circles_by_successors, cumulant_by_partitions,
+                     relators_everywhere, wc_prime_resolved, wc_resolved)
 
 
 def test_circle_counts():
@@ -199,6 +199,46 @@ def _assert_kernel_matches_the_oracle(diagrams, k_max=4):
     for d in diagrams:
         assert wc_diagram(d) == wc_resolved(d)
         assert wc_prime_diagram(d, k_max) == wc_prime_resolved(d, k_max)
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_cumulant_matches_the_partition_oracle(k):
+    # on every class with legs on every component, products included, where
+    # the blocks' values cancel
+    several = 0
+    for rep in enumerate_jacobi(k, k_max=k):
+        if rep.nv == 0 or rep.has_trivalent_component():
+            continue
+        ex = conway._Expansion(rep)
+        terms = [ex.terms(c) for c in rep.components()]
+        several += len(terms) > 1
+        assert conway._cumulant(terms) == cumulant_by_partitions(terms)
+    assert several or k < 2
+
+
+class ExpansionRan(Exception):
+    pass
+
+
+def test_exact_zeros_expand_nothing(monkeypatch):
+    # the one walk over the components finds exactly the empty diagram,
+    # purely trivalent components and products, and expands nothing there
+    reps = [rep for k in range(5) for rep in enumerate_jacobi(k)]
+    zero = [rep.nv == 0 or rep.has_trivalent_component()
+            or rep.product_split() is not None for rep in reps]
+    assert 0 < sum(zero) < len(reps)
+
+    def refuse(d):
+        raise ExpansionRan()
+
+    monkeypatch.setattr(conway, "_Expansion", refuse)
+    for rep, vanishes in zip(reps, zero):
+        if vanishes:
+            assert wc_prime_diagram(rep) == 0
+        else:
+            with pytest.raises(ExpansionRan):
+                wc_prime_diagram(rep)
 
 
 def _wc_prime_nonzero_at_degree_four():
