@@ -53,7 +53,6 @@ from .enumerate import (K_MAX, check_degree, enumerate_bcr, enumerate_jacobi,
                         per_degree)
 from .errors import AmbiguousIsomorphism, NotIsomorphic
 from .jacobi import JacobiDiagram, class_of
-from .vectors import vector_of
 
 ZERO = Fraction(0)
 
@@ -320,7 +319,7 @@ def verify_main(k, k_max=K_MAX):
     for rep in enumerate_jacobi(k, k_max=k_max):
         key, sign = class_of(rep)
         lhs = wbcr(rep, k_max)
-        rhs = -wc_prime_eval(vector_of(rep), k_max=k_max)
+        rhs = -wc_prime_eval(rep, k_max=k_max)
         rows.append({
             "key": key,
             "degenerate": sign == 0,

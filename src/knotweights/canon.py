@@ -44,16 +44,6 @@ is the first in depth-first order of the uncut tree.
 from itertools import groupby
 
 
-def _edge_token(a, b, tag, directed):
-    if a < b:
-        lo, hi, flip = a, b, 0
-    else:
-        lo, hi, flip = b, a, 1
-    if directed:
-        return (hi, lo, flip, tag)
-    return (hi, lo, tag)
-
-
 def _refine(cells, incidence):
     """Split cells by iterated neighborhood signatures.
 
@@ -61,8 +51,8 @@ def _refine(cells, incidence):
     subcells is determined by the (relabeling-invariant) signature values, so
     refinement commutes with isomorphism.
     """
+    cell_of = [0] * len(incidence)
     while True:
-        cell_of = {}
         for ci, cell in enumerate(cells):
             for v in cell:
                 cell_of[v] = ci
@@ -119,7 +109,7 @@ def canonical_form(n, colors, edges, directed=False):
     """
     if n == 0:
         return ((), ()), (), []
-    order = sorted(range(n), key=lambda v: (colors[v], v))
+    order = sorted(range(n), key=colors.__getitem__)  # stable: ties by v
     slot_colors = tuple(colors[v] for v in order)
 
     incidence = [[] for _ in range(n)]
@@ -131,7 +121,7 @@ def canonical_form(n, colors, edges, directed=False):
             incidence[u].append((v, tag, 0))
             incidence[v].append((u, tag, 0))
 
-    cells = [list(g) for _, g in groupby(order, key=lambda v: colors[v])]
+    cells = [list(g) for _, g in groupby(order, key=colors.__getitem__)]
     cells = _refine(cells, incidence)
 
     if len(cells) == n:
@@ -139,8 +129,15 @@ def canonical_form(n, colors, edges, directed=False):
         perm = [0] * n
         for s, (v,) in enumerate(cells):
             perm[v] = s
-        tokens = sorted(_edge_token(perm[u], perm[v], tag, directed)
-                        for (u, v, tag) in edges)
+        # the token (hi, lo, tag), or (hi, lo, flip, tag) if directed
+        tokens = []
+        for (u, v, tag) in edges:
+            a, b = perm[u], perm[v]
+            if directed:
+                tokens.append((b, a, 0, tag) if a < b else (a, b, 1, tag))
+            else:
+                tokens.append((b, a, tag) if a < b else (a, b, tag))
+        tokens.sort()
         return (slot_colors, tuple(tokens)), tuple(perm), []
 
     # Slot ranges follow the refined cell order; all vertices in one cell

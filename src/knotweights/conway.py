@@ -18,10 +18,13 @@ position, index among the vertices beside it), and the keys of different
 components interleave exactly as on the line.  A component's expansion is
 a signed set of chord lists, and wc of any union of components is the sum,
 over one chord list per component, of the product of the coefficients
-whenever the merged chord diagram leaves no circle.  A component with no
-univalent vertex (``JacobiDiagram.has_trivalent_component``) makes wc
-vanish outright.  The linear extensions to diagram vectors evaluate each
-class on its representative.
+whenever the merged chord diagram leaves no circle.  The chord lists of
+one component share their endpoint keys, so a union's endpoints are sorted
+and numbered once (`_block_wc`).  A component with no univalent vertex
+(``JacobiDiagram.has_trivalent_component``) makes wc vanish outright.  The
+linear extensions to diagram vectors evaluate each class on its
+representative; `wc_prime_eval` also takes a diagram, standing for its
+class, so `verify prop32` evaluates the representative it holds.
 
 The logarithmic variant wc' is the cumulant of wc over connected
 components: on a diagram D,
@@ -51,7 +54,7 @@ from math import prod
 
 from .enumerate import K_MAX, check_degree
 from .errors import VertexTypeViolation
-from .jacobi import representative
+from .jacobi import JacobiDiagram, class_of, representative
 
 ZERO = Fraction(0)
 
@@ -88,12 +91,11 @@ def count_circles(d):
     return cycles - 1
 
 
-def _no_circle(chords):
-    """Whether surgery along `chords` leaves no circle.  Arc i ends at
-    point i and continues into the arc after that point's partner; the
-    walk from the first arc reaches the last one, and it covers every arc
-    exactly when no circle is left."""
-    partner = _partners(chords)
+def _no_circle(partner):
+    """Whether surgery along the chords of `partner` leaves no circle.  Arc
+    i ends at point i and continues into the arc after that point's
+    partner; the walk from the first arc reaches the last one, and it
+    covers every arc exactly when no circle is left."""
     n = len(partner)
     arc = steps = 0
     while arc != n:
@@ -201,12 +203,29 @@ class _Expansion:
 
 
 def _block_wc(terms):
-    """wc of a union of expanded components: one chord list from each."""
-    if len(terms) == 1:
-        return sum(c for chords, c in terms[0].items() if _no_circle(chords))
+    """wc of a union of expanded components: one chord list from each.
+
+    Every chord list of a component has the same endpoint keys (each
+    resolved vertex joins the line beside the same leg in every term), so
+    the block's merged endpoints are sorted once, and each chord list is
+    renumbered on them once; a choice then writes its partner array
+    directly.  A component whose expansion cancels leaves nothing to
+    choose, and the block is 0."""
+    if not all(terms):
+        return 0
+    points = sorted([p for t in terms for chord in next(iter(t))
+                     for p in chord])
+    at = {p: i for i, p in enumerate(points)}
+    options = [[([(at[a], at[b]) for a, b in chords], c)
+                for chords, c in t.items()] for t in terms]
+    partner = [0] * len(points)
     total = 0
-    for choice in product(*(t.items() for t in terms)):
-        if _no_circle([ch for chords, _ in choice for ch in chords]):
+    for choice in product(*options):
+        for pairs, _ in choice:
+            for i, j in pairs:
+                partner[i] = j
+                partner[j] = i
+        if _no_circle(partner):
             total += prod(c for _, c in choice)
     return total
 
@@ -281,7 +300,13 @@ def wc_prime_diagram(d, k_max=K_MAX):
 
 
 def wc_prime_eval(v, k_max=K_MAX):
-    """Linear extension of wc' to diagram vectors."""
+    """Linear extension of wc' to diagram vectors.  A diagram in place of
+    a vector stands for its class, such as a representative in hand, which
+    knows its class without a search: a weight system takes the same
+    value on a diagram and on its class, and a vanishing class is 0
+    without an expansion."""
     check_degree(v.degree, k_max)
+    if isinstance(v, JacobiDiagram):
+        return wc_prime_diagram(v, k_max) if class_of(v)[1] else ZERO
     return sum((c * wc_prime_diagram(representative(key), k_max)
                 for key, c in v.terms.items()), ZERO)

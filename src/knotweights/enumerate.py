@@ -11,9 +11,13 @@ symmetry cut on the interchangeable trivalent vertices, and a candidate
 that swapping two of them turns into a smaller sorted edge list, read off
 the two vertices' neighbours, is skipped before its canonical search.
 The least labeling of each class passes both cuts, so no class is lost.
-The candidates are built unvalidated and deduplicated through canonical
-keys, with a representative drawn only for a new key, so each enumeration
-carries one representative per class in a deterministic order.
+The multigraphs grow one edge list in place, and a candidate stays an
+edge list: its class, with the default orientation, is read off the list
+by the sign routine `class_of` uses (`jacobi.class_of_edges`).  A diagram
+is drawn only for a new key, as the representative of its class, and it
+keeps the record and the automorphism generators that search found, so
+each enumeration carries one representative per class in a deterministic
+order.
 """
 
 from functools import lru_cache, wraps
@@ -21,8 +25,7 @@ from itertools import product as iproduct
 
 from .bcr import EXTERNAL, INTERNAL, bcr_key, cycle_with_legs
 from .errors import DegreeOutOfRange
-from .jacobi import (JacobiDiagram, class_of, default_orientation,
-                     representative)
+from .jacobi import class_of_edges, drawn
 
 K_MAX = 4
 
@@ -83,11 +86,16 @@ def _multigraphs(deg_seq, free_start):
 
     Vertices with index >= free_start are treated as interchangeable: they
     may only be first touched in increasing order, which prunes most of the
-    relabeling redundancy before the canonical dedup.
+    relabeling redundancy before the canonical dedup.  The pivot, the least
+    vertex with stubs left, is joined to partners j in ascending order, a
+    multi-edge by taking j again; then the next pivot.  The search keeps
+    one edge list, grown and shrunk in place, on an explicit stack, and
+    yields a copy of it at each leaf.
     """
     deg = list(deg_seq)
     n = len(deg)
     orig = tuple(deg_seq)
+    edges = []
 
     def first_untouched():
         for j in range(free_start, n):
@@ -95,37 +103,50 @@ def _multigraphs(deg_seq, free_start):
                 return j
         return None
 
-    def rec():
-        pivot = None
-        for v in range(n):
-            if deg[v] > 0:
-                pivot = v
-                break
-        if pivot is None:
-            yield []
-            return
+    def opened(pivot):
+        """The frame of the next pivot from `pivot` on, its stubs taken
+        off, or None when every stub is used."""
+        while pivot < n and not deg[pivot]:
+            pivot += 1
+        if pivot == n:
+            return None
         need = deg[pivot]
         deg[pivot] = 0
+        return [pivot, need, 0, first_untouched(), need]
 
-        def stubs(remaining, min_j, acc):
-            if remaining == 0:
-                for rest in rec():
-                    yield acc + rest
-                return
-            fu = first_untouched()
-            for j in range(min_j, n):
-                if j == pivot or deg[j] == 0:
-                    continue
-                if j >= free_start and deg[j] == orig[j] and j != fu:
-                    continue
-                deg[j] -= 1
-                yield from stubs(remaining - 1, j, acc + [(pivot, j)])
-                deg[j] += 1
-
-        yield from stubs(need, 0, [])
-        deg[pivot] = need
-
-    yield from rec()
+    # a frame chooses the partner of one stub: [pivot, stubs left, next
+    # partner to try, the first untouched free vertex, and the pivot's
+    # degree to restore when the frame opened the pivot, else 0]
+    frame = opened(0)
+    if frame is None:
+        yield []
+        return
+    frames = [frame]
+    while frames:
+        frame = frames[-1]
+        pivot, left, j, fu, need = frame
+        while j < n and (j == pivot or not deg[j] or (
+                j >= free_start and deg[j] == orig[j] and j != fu)):
+            j += 1
+        if j == n:
+            frames.pop()
+            if need:
+                deg[pivot] = need
+            if frames:  # undo the choice that led here
+                deg[edges.pop()[1]] += 1
+            continue
+        frame[2] = j + 1
+        deg[j] -= 1
+        edges.append((pivot, j))
+        if left > 1:
+            frames.append([pivot, left - 1, j, first_untouched(), 0])
+            continue
+        frame = opened(pivot + 1)
+        if frame is None:
+            yield edges[:]
+            deg[edges.pop()[1]] += 1
+        else:
+            frames.append(frame)
 
 
 def _swap_beats(edges, free_start, n):
@@ -144,52 +165,52 @@ def _swap_beats(edges, free_start, n):
     earlier; the edges at i sort as their far ends do.  So the swap lowers
     the list exactly when the least neighbour only j has is below the least
     one only i has: when j's neighbours, i aside, sort below i's, j aside.
+    Read off the sorted edge list, each vertex's neighbours come sorted.
     """
     around = [[] for _ in range(n)]
     for a, b in edges:
         around[a].append(b)
         around[b].append(a)
-    for v in around:
-        v.sort()
     for i in range(free_start, n):
+        at_i = around[i]
         for j in range(i + 1, n):
-            if ([y for y in around[j] if y != i]
-                    < [x for x in around[i] if x != j]):
+            at_j = around[j]
+            if i in at_j:
+                if ([y for y in at_j if y != i]
+                        < [x for x in at_i if x != j]):
+                    return True
+            elif at_j < at_i:
                 return True
     return False
 
 
 def _candidates(k):
-    """The degree-k multigraphs that pass the swap test, as diagrams with
-    the default vertex orientation.  `_multigraphs` gives each one loop-free
-    with the right valences, so it is built unvalidated."""
+    """The degree-k multigraphs that pass the swap test, as ``(u, edges)``
+    with line vertices 0..u-1.  `_multigraphs` gives each one loop-free
+    with the right valences."""
     for t in range(0, 2 * k + 1):
         u = 2 * k - t
         if (3 * t + u) % 2:
             continue
         for edges in _multigraphs([1] * u + [3] * t, free_start=u):
             if not _swap_beats(edges, u, 2 * k):
-                yield JacobiDiagram(
-                    2 * k, range(u), edges,
-                    default_orientation(2 * k, range(u), edges),
-                    validate=False)
+                yield u, edges
 
 
 @per_degree()
 def enumerate_jacobi(k):
     """All Jacobi diagram classes of degree k, one representative each.
 
-    Each candidate is canonically labeled, and the representative of its
-    class, with the default vertex orientation (ascending half-edges), is
-    drawn from the key only the first time the key is seen.  It carries
-    the record `canonicalize` would give it, so its class is known without
-    a search.
+    Each candidate's class is read off its edge list with the default
+    vertex orientation (ascending half-edges), and the representative of
+    the class is drawn from the key only the first time the key is seen.
+    It carries the record `canonicalize` would give it and the generators
+    of its automorphism group, so neither needs another search.
     """
+    n = 2 * k
     found = {}
-    for d in _candidates(k):
-        key, sign = class_of(d)
+    for u, edges in _candidates(k):
+        key, sign, perm, gens = class_of_edges(n, u, edges)
         if key not in found:
-            rep = representative(key)
-            rep.record = (key, 1 if sign else 0, rep)
-            found[key] = rep
+            found[key] = drawn(key, sign, perm, gens)
     return tuple(found[key] for key in sorted(found))

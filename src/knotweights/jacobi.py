@@ -12,7 +12,9 @@ local moves that would create one simply drop the term (see
 :func:`class_of`).
 
 A class is named by its canonical key, from which :func:`representative`
-draws its default-oriented diagram: no per-class state is kept.  The
+draws its default-oriented diagram: no per-class state is kept beyond the
+record and the automorphism generators that a representative drawn by a
+search carries (:func:`drawn`).  The
 orientation sign is read off the labeling, with no edge map.  Products and
 purely trivalent components, on which wc' vanishes, are decided here alone
 (:meth:`JacobiDiagram.product_split`, ``has_trivalent_component``), and
@@ -36,12 +38,13 @@ class JacobiDiagram:
       orient          dict trivalent vertex -> cyclic triple of half-edges
       numbering       optional dict edge index -> label in 1..3k
       record          ``canonicalize``'s ``(key, sign, self)``, set only on
-                      a representative drawn from its key (by
+                      a representative drawn from its key by a search (in
                       ``canonicalize`` or ``enumerate_jacobi``)
+      aut             generators of Aut(self), set with ``record``
     """
 
     __slots__ = ("nv", "univalent_order", "edges", "orient", "numbering",
-                 "record")
+                 "record", "aut")
 
     def __init__(self, nv, univalent_order, edges, orient, numbering=None,
                  validate=True):
@@ -50,7 +53,7 @@ class JacobiDiagram:
         self.edges = tuple((u, v) for (u, v) in edges)
         self.orient = {v: tuple(c) for v, c in orient.items()}
         self.numbering = None if numbering is None else dict(numbering)
-        self.record = None
+        self.record = self.aut = None
         if validate:
             self._validate()
 
@@ -317,17 +320,41 @@ def _cyclic_parity(triple):
     return -1
 
 
-def _orientation_sign(d, tags, perm):
-    """Sign of d's orientation against the default in the labels `perm`.
-    The default lists a vertex's edges in canonical slot order; they all
-    have the vertex's slot at one end, so they sort by the other end's
-    slot, then by tag, parallel edges by edge index."""
-    edges = d.edges
+def _cycles_sign(edges, cycles, tags, perm):
+    """Sign of the cyclic orders `cycles`, one half-edge triple per
+    trivalent vertex, against the default in the labels `perm`.  The
+    default lists a vertex's edges in canonical slot order; they all have
+    the vertex's slot at one end, so they sort by the other end's slot,
+    then by tag, parallel edges by edge index."""
     s = 1
-    for cyc in d.orient.values():
+    for cyc in cycles:
         s *= _cyclic_parity([(perm[edges[e][1 - end]], tags[e], e)
                              for (e, end) in cyc])
     return s
+
+
+def _orientation_sign(d, tags, perm):
+    """Sign of d's orientation against the default in the labels `perm`."""
+    return _cycles_sign(d.edges, d.orient.values(), tags, perm)
+
+
+def _search(nv, colors, edges, cycles, tags):
+    """The class of a loop-free diagram given by its parts, as
+    ``(key, sign, perm, gens)``: the canonical key, the sign of `cycles`
+    read in the minimizing labeling ``perm`` (0 when a generator of
+    Aut reverses it), and the generators ``gens``."""
+    entries = [(a, b, tags[i]) for i, (a, b) in enumerate(edges)]
+    key, perm, gens = canonical_form(nv, colors, entries)
+    sign = _cycles_sign(edges, cycles, tags, perm)
+    for g in gens:
+        if _cycles_sign(edges, cycles, tags, [perm[w] for w in g]) != sign:
+            return key, 0, perm, gens
+    return key, sign, perm, gens
+
+
+def _search_diagram(d, with_numbering=False):
+    return _search(d.nv, _colors(d), d.edges, d.orient.values(),
+                   _edge_tags(d, with_numbering))
 
 
 def class_of(d, with_numbering=False):
@@ -347,20 +374,35 @@ def class_of(d, with_numbering=False):
         return d.record[:2]
     if any(a == b for (a, b) in d.edges):
         return None, 0
-    tags = _edge_tags(d, with_numbering)
-    entries = [(u, v, tags[i]) for i, (u, v) in enumerate(d.edges)]
-    key, perm, gens = canonical_form(d.nv, _colors(d), entries)
-    sign = _orientation_sign(d, tags, perm)
-    for g in gens:
-        if _orientation_sign(d, tags, [perm[w] for w in g]) != sign:
-            return key, 0
-    return key, sign
+    return _search_diagram(d, with_numbering)[:2]
+
+
+def _halves(nv, edges):
+    """Each vertex's half-edges in edge order, which is ascending order:
+    the default orientation of a loop-free diagram, in one pass."""
+    halves = [[] for _ in range(nv)]
+    for i, (a, b) in enumerate(edges):
+        halves[a].append((i, 0))
+        halves[b].append((i, 1))
+    return halves
+
+
+def class_of_edges(nv, u, edges):
+    """`class_of`'s search on the diagram with line vertices 0..u-1 in
+    order, the loop-free `edges` and the default orientation, read off the
+    edge list: ``(key, sign, perm, gens)``."""
+    colors = [("u", p) for p in range(u)] + [("t",)] * (nv - u)
+    return _search(nv, colors, edges, _halves(nv, edges)[u:],
+                   [0] * len(edges))
 
 
 def automorphisms(d):
     """Generators of Aut(d): the vertex permutations that keep the line
     order and the edges with their multiplicities, orientations forgotten.
-    Swaps of parallel edges fix every vertex and are not listed."""
+    Swaps of parallel edges fix every vertex and are not listed.  A
+    representative drawn by a search keeps the generators it found."""
+    if d.aut is not None:
+        return d.aut
     entries = [(u, v, 0) for (u, v) in d.edges]
     return canonical_form(d.nv, _colors(d), entries)[2]
 
@@ -370,14 +412,30 @@ def representative(key):
 
     Drawn in canonical labels with its edges in token order, the identity
     is a minimizing labeling under which its ascending orientation is the
-    class default: its sign is 1 unless the class vanishes."""
+    class default: its sign is 1 unless the class vanishes.  Slots sort by
+    color, so the trivalent vertices take the first slots and the line
+    vertices the rest, in line order."""
     slot_colors, tokens = key
-    order = [i for i, c in enumerate(slot_colors) if c[0] == "u"]
-    order.sort(key=lambda i: slot_colors[i][1])
+    nv = len(slot_colors)
+    t = slot_colors.count(("t",))
     edges = [(tok[1], tok[0]) for tok in tokens]
-    return JacobiDiagram(len(slot_colors), order, edges,
-                         default_orientation(len(slot_colors), order, edges),
+    return JacobiDiagram(nv, range(t, nv), edges,
+                         dict(enumerate(_halves(nv, edges)[:t])),
                          validate=False)
+
+
+def drawn(key, sign, perm, gens):
+    """The representative of `key` that a search found in ``(key, sign,
+    perm, gens)``, carrying its record, so its class is known without a
+    search, and the generators of its automorphism group: conjugated by
+    the labeling, g' = perm g perm^-1 maps slot s to perm[g[perm^-1[s]]]."""
+    rep = representative(key)
+    rep.record = (key, 1 if sign else 0, rep)
+    inv = [0] * len(perm)
+    for v, s in enumerate(perm):
+        inv[s] = v
+    rep.aut = [tuple(perm[g[v]] for v in inv) for g in gens]
+    return rep
 
 
 def canonicalize(d):
@@ -392,12 +450,10 @@ def canonicalize(d):
     """
     if d.record is not None:
         return d.record
-    key, sign = class_of(d)
-    if key is None:
+    if any(a == b for (a, b) in d.edges):
         return None, 0, None
-    rep = representative(key)
-    rep.record = (key, 1 if sign else 0, rep)
-    return key, sign, rep
+    key, sign, perm, gens = _search_diagram(d)
+    return key, sign, drawn(key, sign, perm, gens)
 
 
 def key_bytes(key):

@@ -35,13 +35,24 @@ from .relations import generate_relations
 from .vectors import DiagramVector
 
 
+def _ints(row):
+    """Turn the integral `Fraction`s of a row into ints, in place."""
+    for k, c in row.items():
+        if type(c) is Fraction and c.denominator == 1:
+            row[k] = c.numerator
+
+
 class _Eliminator:
-    """Sparse RREF accumulator over a fixed column order."""
+    """Sparse RREF accumulator over a fixed column order.  Once a kept row
+    has a lead other than +-1, values can be `Fraction`s, and each row the
+    elimination writes has its integral ones turned back into ints; before
+    that, every value is an int and nothing is checked."""
 
     def __init__(self, column_rank):
         self.column_rank = column_rank  # key -> position
         self.pivots = {}                # key -> normalized row (dict)
         self._first = None              # least rank of a kept lead
+        self._fractions = False         # whether a kept lead was not +-1
 
     def _reduce_terms(self, terms):
         terms = dict(terms)
@@ -75,6 +86,9 @@ class _Eliminator:
         else:
             inv = Fraction(1, c)
             row = {k: c2 * inv for k, c2 in terms.items()}
+            self._fractions = True
+        if self._fractions:
+            _ints(row)
         rank = self.column_rank[lead]
         if self._first is None or rank < self._first:
             # a kept row holds no column before its own lead, so none
@@ -90,6 +104,8 @@ class _Eliminator:
                             other[k2] = nc
                         else:
                             other.pop(k2, None)
+                    if self._fractions:
+                        _ints(other)
         self.pivots[lead] = row
         return lead
 

@@ -11,9 +11,10 @@ class representative and local site:
                                    three legs), at the first such edge
                                    when it has more
   IHX  [I] - [H] + [X]             on a class whose line part is a chord
-                                   diagram, one internal edge per
-                                   automorphism orbit (every internal edge
-                                   lies on a closed component)
+                                   diagram, one internal edge with no
+                                   parallel partner per automorphism orbit
+                                   (every internal edge lies on a closed
+                                   component)
 
 Orientation signs are folded in on insertion, so an AS relator is the
 zero vector: flipping one vertex keeps the class and negates its sign (a
@@ -41,8 +42,8 @@ zero in (L / S) (x) (C / I), so it lies in 4T (x) C + (chords) (x) I.  A
 4T relation is the difference of the STU rows at two sites of a Y, so 4T
 beside a closed class is the difference of two listed rows (both zero on
 a vanishing class, below); chords beside an IHX row are listed up to
-sign, below.  So y, and x, are in the span of the listed rows, which are
-themselves every-site rows: the row space is the same.
+sign, or the row is 0, below.  So y, and x, are in the span of the listed
+rows, which are themselves every-site rows: the row space is the same.
 
 The rows left out:
 
@@ -59,9 +60,28 @@ The rows left out:
   IHX at s(e) for an automorphism s.  The move commutes with relabeling,
   and reversing one vertex maps the row at an edge to +- itself (at an
   end of the edge, H and X trade places), so the row at s(e) is +- the
-  row at e.  Parallel edges join the same two vertices and have one row
-  up to sign for the same reason (their swap is an automorphism that
-  reverses both ends), so orbits are taken on the vertex pairs.
+  row at e.  The edges taken have no parallel partner, so each joins its
+  own vertex pair, and the orbits are taken on those pairs.
+  IHX at an edge e = ab with a parallel partner f: the row is 0.  Write
+  the cyclic orders of I as (e, p, q) at a and (e, r, s) at b, as in
+  `jacobi.ihx_terms`; H moves r to a and p to b, X moves s to a and p
+  to b.  f has one half-edge among p, q and one among r, s, which are:
+    p, r    X joins p and r at b, a loop, so [X] = 0 (a loop admits an
+            orientation-reversing symmetry, and `class_of` drops it).  H
+            moves both ends of f, which still joins a and b, and reads
+            (e, q, f) at a and (e, s, f) at b: I with both ends reversed,
+            [H] = [I].
+    p, s    H joins p and s at b, [H] = 0.  X reads (e, q, f) at a and
+            (e, r, f) at b: I with a reversed, [X] = -[I].
+    q, r    H joins q and r at a, [H] = 0.  X reads (e, f, s) at a and
+            (e, f, p) at b, where I reads (e, p, f) at a and (e, f, s) at
+            b: swapping a and b carries X onto I with one end reversed,
+            [X] = -[I].
+    q, s    X joins q and s at a, [X] = 0.  H reads (e, f, r) at a and
+            (e, f, p) at b, where I reads (e, p, f) at a and (e, r, f) at
+            b: swapping a and b carries H onto I with both ends reversed,
+            [H] = [I].
+  Each time [I] - [H] + [X] = 0.
 """
 
 from .canon import orbits
@@ -87,14 +107,15 @@ class RelationSet:
 
 
 def _ihx_edges(d):
-    """The internal edges of d, one per orbit of Aut(d) on the vertex
-    pairs they join, in edge order."""
-    edges = internal_edges(d)
+    """The internal edges of d with no parallel partner (the rows at the
+    others are 0), one per orbit of Aut(d) on the vertex pairs they join,
+    in edge order."""
+    internal = internal_edges(d)
+    pairs = [frozenset(d.edges[e]) for e in internal]
+    edges = [e for e, pair in zip(internal, pairs) if pairs.count(pair) == 1]
     if not edges:
         return []
-    index = {}
-    for e in edges:
-        index.setdefault(frozenset(d.edges[e]), len(index))
+    index = {frozenset(d.edges[e]): i for i, e in enumerate(edges)}
     moves = [[index[frozenset(g[v] for v in pair)] for pair in index]
              for g in automorphisms(d)]
     orbit = orbits(len(index), moves)

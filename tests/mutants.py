@@ -1,0 +1,165 @@
+"""Mutation checks: each mutant must fail the tests named for it.
+
+A mutant replaces one exact piece of source text in one module, in a copy
+of `src/`, and the tests it names run against that copy (with ``--slow``,
+so a slow parameter may be named).  The text must occur exactly once, so
+an entry that no longer matches the source fails loudly instead of
+testing nothing.  A mutant is killed when pytest reports failing tests,
+or when they run past the time limit; it survives when they pass, and any
+other pytest outcome (a test id that does not exist, say) is an error.
+Stdlib only:
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # the named ones
+    python tests/mutants.py --list
+
+The exit code is 0 only when every mutant run was killed.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIMIT_S = 300
+
+JACOBI = "tests/test_jacobi_core.py::"
+WEIGHTS = "tests/test_weights.py::"
+SPACE = "tests/test_space.py::"
+CANON = "tests/test_canon.py::"
+
+# (name, module under src/knotweights, source text, replacement, test ids)
+MUTANTS = (
+    ("edge-list sign reads the wrong end",
+     "jacobi.py",
+     "        halves[b].append((i, 1))\n    return halves\n",
+     "        halves[b].append((i, 0))\n    return halves\n",
+     [JACOBI + "test_edge_list_class_matches_class_of[3]"]),
+    ("sign parity misses one rotation",
+     "jacobi.py",
+     "if a < b < c or b < c < a or c < a < b:",
+     "if a < b < c or b < c < a:",
+     [JACOBI + "test_flip_negates_the_sign_at_every_vertex[2]",
+      WEIGHTS
+      + "test_values_follow_the_orientation_sign_under_relabeling[2]"]),
+    ("kept generators not conjugated into canonical labels",
+     "jacobi.py",
+     "rep.aut = [tuple(perm[g[v]] for v in inv) for g in gens]",
+     "rep.aut = [tuple(g) for g in gens]",
+     [JACOBI + "test_kept_automorphisms_match_a_fresh_search[3]"]),
+    ("one-pass orientation lists half-edges descending",
+     "jacobi.py",
+     "    halves = [[] for _ in range(nv)]\n"
+     "    for i, (a, b) in enumerate(edges):",
+     "    halves = [[] for _ in range(nv)]\n"
+     "    for i, (a, b) in reversed(list(enumerate(edges))):",
+     [JACOBI + "test_representative_orientation_is_the_default[2]"]),
+    ("in-place multigraphs skip a partner",
+     "enumerate.py",
+     "frame[2] = j + 1",
+     "frame[2] = j + 2",
+     [JACOBI + "test_multigraphs_match_the_concatenating_generator[3]"]),
+    ("swap test also skips ties",
+     "enumerate.py",
+     "                        < [x for x in at_i if x != j]):",
+     "                        <= [x for x in at_i if x != j]):",
+     [JACOBI + "test_swap_test_matches_the_relabeling_oracle[3]"]),
+    ("swap test compares unjoined vertices the wrong way",
+     "enumerate.py",
+     "elif at_j < at_i:",
+     "elif at_j > at_i:",
+     [JACOBI + "test_swap_test_matches_the_relabeling_oracle[3]"]),
+    ("block endpoints in component order, unsorted",
+     "conway.py",
+     "    points = sorted([p for t in terms for chord in next(iter(t))\n"
+     "                     for p in chord])",
+     "    points = list([p for t in terms for chord in next(iter(t))\n"
+     "                   for p in chord])",
+     [WEIGHTS + "test_block_wc_matches_the_per_choice_sort[3]"]),
+    ("cumulant adds the lower terms",
+     "conway.py",
+     "total -= c[sub | 1] * wc_of(rest ^ sub)",
+     "total += c[sub | 1] * wc_of(rest ^ sub)",
+     [WEIGHTS + "test_cumulant_matches_the_partition_oracle[4]"]),
+    ("IHX taken at parallel edges too",
+     "relations.py",
+     "if pairs.count(pair) == 1]",
+     "if pairs.count(pair) >= 1]",
+     [SPACE + "test_relators_are_stu_at_spanning_sites_and_ihx_beside_chords"
+      "[3-50-15]"]),
+    ("back-substitution keeps integral Fractions",
+     "quotient.py",
+     "                    if self._fractions:\n"
+     "                        _ints(other)\n",
+     "",
+     [SPACE + "test_eliminator_keeps_integral_values_as_ints"]),
+    ("discrete canonical labels flip directed tokens",
+     "canon.py",
+     "tokens.append((b, a, 0, tag) if a < b else (a, b, 1, tag))",
+     "tokens.append((b, a, 1, tag) if a < b else (a, b, 0, tag))",
+     [CANON + "test_search_matches_the_uncut_search_on_every_call[2]"]),
+)
+
+
+def mutated_source(name, module, text, replacement, where):
+    """Copy `src/` under `where` with one replacement; return the copy."""
+    src = where / "src"
+    shutil.copytree(ROOT / "src", src,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    path = src / "knotweights" / module
+    code = path.read_text(encoding="utf-8")
+    count = code.count(text)
+    if count != 1:
+        raise SystemExit(f"mutant {name!r}: the text occurs {count} times "
+                         f"in {module}, not once")
+    path.write_text(code.replace(text, replacement), encoding="utf-8")
+    return src
+
+
+def run(mutant):
+    """'killed', 'survived' or 'error: ...' for one mutant."""
+    name, module, text, replacement, tests = mutant
+    with tempfile.TemporaryDirectory() as tmp:
+        src = mutated_source(name, module, text, replacement, Path(tmp))
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONDONTWRITEBYTECODE="1")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "--slow",
+                 "-p", "no:cacheprovider", *tests],
+                cwd=ROOT, env=env, capture_output=True, text=True,
+                timeout=LIMIT_S)
+        except subprocess.TimeoutExpired:
+            return "killed"
+    if done.returncode == 1:
+        return "killed"
+    if done.returncode == 0:
+        return "survived"
+    tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
+    return f"error: pytest exit {done.returncode}: {' '.join(tail)}"
+
+
+def main(args):
+    if args == ["--list"]:
+        for mutant in MUTANTS:
+            print(mutant[0])
+        return 0
+    chosen = [m for m in MUTANTS if not args or m[0] in args]
+    unknown = set(args) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"no mutant named {sorted(unknown)}")
+        return 2
+    bad = 0
+    for mutant in chosen:
+        outcome = run(mutant)
+        bad += outcome != "killed"
+        print(f"{outcome:8}  {mutant[0]}")
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,27 +1,28 @@
 """Naive generate-and-filter enumerations used to cross-check the fast
 generators, the BCR classes by a scan over words of four cycle pieces, the
-wheel and degree-one BCR diagrams written out edge by edge, the legs and
-the Jacobi diagram an ordering induces by scans over every edge, the
-Jacobi enumeration without its swap filter and the swap filter by a
-relabeling array per swap, the relators listed at every local site, a
-dense rank for the sparse eliminator and the sparse
-eliminator normalizing every row in Fractions, the canonical labeling
-search without automorphism pruning and with it but without the
-least-sibling cut, the orientation sign read through a sorted edge map,
-the product split by a scan over every cut of the line, the P + N + T
-splitting with N spanned by products and its projection onto the connected
-summand P, the STU and IHX moves that renumber their terms or scan for the
-moving half-edges, the surgery circle count by a walk over a successor
-dict, the circle-counting weight and its cumulant by a class-keyed,
-memoized STU recursion and by STU on whole diagrams with every block of
-the cumulant rebuilt, the cumulant as a sum over set partitions, the BCR
-sources of a diagram listed one by one, their cycle sum by a recursion
-with one dict per layer, the weighted source count by a scan over every
-ordering of every BCR class, the Alexander determinant by expansion in
-minors, and the skein recursion
-on mutable crossing lists.  Everything here works by exhausting a finite
-search space and keeping what passes an independently coded validity test,
-or by textbook elimination."""
+wheel and degree-one BCR diagrams written out edge by edge, the legs and the
+Jacobi diagram an ordering induces by scans over every edge, the Jacobi
+enumeration without its swap filter and the swap filter by a relabeling
+array per swap, the multigraph search by nested generators that concatenate
+edge lists and its candidates as validated diagrams, the relators listed at
+every local site, a dense rank for the sparse eliminator and the sparse
+eliminator normalizing every row in Fractions, the canonical labeling search
+without automorphism pruning and with it but without the least-sibling cut,
+the orientation sign read through a sorted edge map, the product split by a
+scan over every cut of the line, the P + N + T splitting with N spanned by
+products and its projection onto the connected summand P, the STU and IHX
+moves that renumber their terms or scan for the moving half-edges, the
+surgery circle count by a walk over a successor dict, the weight of a block
+of components with the endpoints of every choice sorted afresh, the
+circle-counting weight and its cumulant by a class-keyed, memoized STU
+recursion and by STU on whole diagrams with every block of the cumulant
+rebuilt, the cumulant as a sum over set partitions, the BCR sources of a
+diagram listed one by one, their cycle sum by a recursion with one dict per
+layer, the weighted source count by a scan over every ordering of every BCR
+class, the Alexander determinant by expansion in minors, and the skein
+recursion on mutable crossing lists.  Everything here works by exhausting a
+finite search space and keeping what passes an independently coded validity
+test, or by textbook elimination."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -34,7 +35,7 @@ from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
 from knotweights.bridge import _group_order as group_order
 from knotweights.bridge import _orbit_length, _vertex_roles, _wbcr_table
 from knotweights.conway import _block_wc
-from knotweights.enumerate import (K_MAX, _multigraphs, check_degree,
+from knotweights.enumerate import (K_MAX, _swap_beats, check_degree,
                                    enumerate_jacobi)
 from knotweights.jacobi import (JacobiDiagram, _colors, _cyclic_parity,
                                 _edge_tags, _rotate_to, automorphisms,
@@ -254,6 +255,65 @@ def brute_force_jacobi_keys(k):
     return keys
 
 
+def multigraphs_by_concatenation(deg_seq, free_start):
+    """`enumerate._multigraphs` by nested generators, a new edge list
+    concatenated at every level: the loop-free multigraphs with the given
+    degrees, a free vertex first touched only after the lower ones."""
+    deg = list(deg_seq)
+    n = len(deg)
+    orig = tuple(deg_seq)
+
+    def first_untouched():
+        for j in range(free_start, n):
+            if deg[j] == orig[j] and deg[j] > 0:
+                return j
+        return None
+
+    def rec():
+        pivot = None
+        for v in range(n):
+            if deg[v] > 0:
+                pivot = v
+                break
+        if pivot is None:
+            yield []
+            return
+        need = deg[pivot]
+        deg[pivot] = 0
+
+        def stubs(remaining, min_j, acc):
+            if remaining == 0:
+                for rest in rec():
+                    yield acc + rest
+                return
+            fu = first_untouched()
+            for j in range(min_j, n):
+                if j == pivot or deg[j] == 0:
+                    continue
+                if j >= free_start and deg[j] == orig[j] and j != fu:
+                    continue
+                deg[j] -= 1
+                yield from stubs(remaining - 1, j, acc + [(pivot, j)])
+                deg[j] += 1
+
+        yield from stubs(need, 0, [])
+        deg[pivot] = need
+
+    yield from rec()
+
+
+def candidate_diagrams(k):
+    """`enumerate._candidates` as validated diagrams with the default
+    orientation, each with its line vertex count."""
+    for t in range(0, 2 * k + 1):
+        u = 2 * k - t
+        if (3 * t + u) % 2:
+            continue
+        for edges in multigraphs_by_concatenation([1] * u + [3] * t, u):
+            if not _swap_beats(edges, u, 2 * k):
+                yield u, make_diagram(2 * k, range(u), edges)
+
+
 def enumerate_jacobi_unfiltered(k):
     """Jacobi class representatives by the first-touch multigraph loop alone,
     every candidate canonicalized, in key order."""
@@ -262,7 +322,7 @@ def enumerate_jacobi_unfiltered(k):
         u = 2 * k - t
         if (3 * t + u) % 2:
             continue
-        for edges in _multigraphs([1] * u + [3] * t, free_start=u):
+        for edges in multigraphs_by_concatenation([1] * u + [3] * t, u):
             key, _, rep = canonicalize(make_diagram(2 * k, range(u), edges))
             found.setdefault(key, rep)
     return tuple(found[key] for key in sorted(found))
@@ -453,8 +513,8 @@ def canonical_form_all(n, colors, edges, directed=False):
             for (idx, a, b, tag) in edges_at[v]:
                 w = b if a == v else a
                 if assign[w] != -1:
-                    new_tokens.append(canon._edge_token(assign[a], assign[b],
-                                                        tag, directed))
+                    new_tokens.append(_edge_token(assign[a], assign[b],
+                                                  tag, directed))
             merged = sorted(tokens + new_tokens)
             prune = False
             if best_tokens is not None:
@@ -539,7 +599,7 @@ def canonical_form_dfs(n, colors, edges, directed=False):
             for (a, b, tag) in edges_at[v]:
                 if assign[a] != -1 and assign[b] != -1:
                     new_tokens.append(
-                        canon._edge_token(assign[a], assign[b], tag, directed))
+                        _edge_token(assign[a], assign[b], tag, directed))
             new_tokens.sort()
             merged = tokens + new_tokens
             back = s
@@ -556,6 +616,18 @@ def canonical_form_dfs(n, colors, edges, directed=False):
     return (slot_colors, tuple(best[0])), best[1], gens
 
 
+def _edge_token(a, b, tag, directed):
+    """An edge's token in the labels a and b of its ends: (hi, lo, tag), or
+    (hi, lo, flip, tag) with flip 1 when the edge runs from hi to lo."""
+    if a < b:
+        lo, hi, flip = a, b, 0
+    else:
+        lo, hi, flip = b, a, 1
+    if directed:
+        return (hi, lo, flip, tag)
+    return (hi, lo, tag)
+
+
 def edge_map_for_perm(edges, perm, directed=False):
     """Map original edge indices to canonical edge slots under `perm`.
 
@@ -567,7 +639,7 @@ def edge_map_for_perm(edges, perm, directed=False):
     """
     tagged = []
     for idx, (u, v, tag) in enumerate(edges):
-        tagged.append((canon._edge_token(perm[u], perm[v], tag, directed),
+        tagged.append((_edge_token(perm[u], perm[v], tag, directed),
                        idx))
     tagged.sort()
     edge_map = [-1] * len(edges)
@@ -842,6 +914,36 @@ def count_circles_by_successors(d):
             visited.add(arc)
             arc = succ[arc]
     return circles
+
+
+def _partners_by_sorting(chords):
+    """Each endpoint's partner, the endpoints numbered in sorted order."""
+    points = sorted([p for chord in chords for p in chord])
+    at = {p: i for i, p in enumerate(points)}
+    partner = [0] * len(points)
+    for a, b in chords:
+        i, j = at[a], at[b]
+        partner[i] = j
+        partner[j] = i
+    return partner
+
+
+def block_wc_by_sorting(terms):
+    """`conway._block_wc` with the merged endpoints of every choice of one
+    chord list per component sorted afresh, and its circle walk taken on
+    them."""
+    total = 0
+    for choice in product(*(t.items() for t in terms)):
+        partner = _partners_by_sorting(
+            [ch for chords, _ in choice for ch in chords])
+        n = len(partner)
+        arc = steps = 0
+        while arc != n:
+            arc = partner[arc] + 1
+            steps += 1
+        if steps == n:
+            total += prod(c for _, c in choice)
+    return total
 
 
 def _set_partitions(items):

@@ -13,7 +13,8 @@ from knotweights.errors import (DegreeOutOfRange, InvalidNumbering, LoopEdge,
                                 VertexTypeViolation)
 from knotweights.jacobi import (JacobiDiagram, _colors, _orientation_sign,
                                 automorphisms, canonicalize, chord_diagram,
-                                class_of, empty_diagram, flipped, ihx_terms,
+                                class_of, class_of_edges, default_orientation,
+                                empty_diagram, flipped, ihx_terms,
                                 internal_edges, make_diagram, product,
                                 representative, single_chord, stu_expand,
                                 stu_sites, theta_graph, validate_jacobi, wheel)
@@ -22,9 +23,11 @@ from knotweights.enumerate import (_candidates, _multigraphs, _swap_beats,
 from knotweights.vectors import DiagramVector, vector_of
 
 from helpers import SearchRan, refuse_search, shuffled_jacobi
-from oracles import (class_of_all, class_of_by_edge_map, edge_map_for_perm,
-                     enumerate_jacobi_unfiltered, group_order,
-                     ihx_terms_scanned, orientation_sign_by_edge_map,
+from oracles import (candidate_diagrams, class_of_all, class_of_by_edge_map,
+                     edge_map_for_perm, enumerate_jacobi_unfiltered,
+                     group_order, ihx_terms_scanned,
+                     multigraphs_by_concatenation,
+                     orientation_sign_by_edge_map,
                      product_split_by_cuts, stu_expand_renumbered,
                      swap_beats_by_relabeling)
 
@@ -139,10 +142,71 @@ def test_swap_test_matches_the_relabeling_oracle(k):
 @pytest.mark.parametrize("k", [
     0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_unvalidated_candidates_are_valid(k):
-    for d in _candidates(k):
+    # each candidate, line vertices 0..u-1 and its edge list, is a valid
+    # diagram with the default orientation
+    for u, edges in _candidates(k):
+        d = make_diagram(2 * k, range(u), edges)
         checked = validate_jacobi(d)
-        assert (checked.univalent_order, checked.edges, checked.orient) == (
-            d.univalent_order, d.edges, d.orient)
+        assert (checked.univalent_order, checked.edges) == (
+            tuple(range(u)), tuple(edges))
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_multigraphs_match_the_concatenating_generator(k):
+    for t in range(0, 2 * k + 1):
+        u = 2 * k - t
+        if (3 * t + u) % 2:
+            continue
+        degrees = [1] * u + [3] * t
+        assert (list(_multigraphs(degrees, free_start=u))
+                == list(multigraphs_by_concatenation(degrees, u)))
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_edge_list_class_matches_class_of(k):
+    # the class read off a candidate's edge list is class_of of the
+    # diagram it stands for, and the swap test keeps the same candidates
+    got = list(_candidates(k))
+    want = list(candidate_diagrams(k))
+    assert [u for u, _ in got] == [u for u, _ in want]
+    for (u, edges), (_, d) in zip(got, want):
+        assert d.edges == tuple(edges)
+        key, sign, perm, gens = class_of_edges(2 * k, u, edges)
+        assert (key, sign) == class_of(d)
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_representative_orientation_is_the_default(k):
+    for rep in enumerate_jacobi(k, k_max=k):
+        drawn = representative(rep.record[0])
+        assert drawn.orient == default_orientation(
+            drawn.nv, drawn.univalent_order, drawn.edges)
+        assert drawn.univalent_order == tuple(sorted(drawn.univalent))
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_kept_automorphisms_match_a_fresh_search(k):
+    # a representative keeps the generators its search found, conjugated
+    # into canonical labels; they generate the group a new search finds
+    for rep in enumerate_jacobi(k, k_max=k):
+        entries = [(a, b, 0) for (a, b) in rep.edges]
+        fresh = canonical_form(rep.nv, _colors(rep), entries)[2]
+        kept = automorphisms(rep)
+        assert kept is rep.aut
+        for g in kept:
+            assert sorted((min(g[a], g[b]), max(g[a], g[b]))
+                          for a, b in rep.edges) == sorted(rep.edges)
+            assert [g[v] for v in rep.univalent_order] == list(
+                rep.univalent_order)
+        assert group_order(rep.nv, kept) == group_order(rep.nv, fresh)
+    for d in (wheel(3), theta_graph()):
+        key, _, rep = canonicalize(d)
+        assert group_order(rep.nv, automorphisms(rep)) == group_order(
+            d.nv, automorphisms(d))
 
 
 def test_enumerate_contains_stock_diagrams():

@@ -107,8 +107,8 @@ def test_relators_reduce_to_zero():
 
 
 @pytest.mark.parametrize("k, stu, ihx", [
-    (1, 0, 1), (2, 4, 5), (3, 50, 28),
-    pytest.param(4, 621, 168, marks=pytest.mark.slow)])
+    (1, 0, 0), (2, 4, 2), (3, 50, 15),
+    pytest.param(4, 621, 104, marks=pytest.mark.slow)])
 def test_relators_are_stu_at_spanning_sites_and_ihx_beside_chords(k, stu,
                                                                   ihx):
     rels = generate_relations(k)
@@ -147,18 +147,25 @@ def test_stu_rows_of_vanishing_classes_are_zero(k):
                                pytest.param(4, marks=pytest.mark.slow)])
 def test_ihx_rows_on_closed_components_are_listed_up_to_sign(k):
     # beside a chord line part, where every internal edge is on a closed
-    # component
+    # component; the rows left out sit at an edge with a parallel partner,
+    # and they are 0
     listed = {frozenset(vec.terms.items())
               for vec in generate_relations(k).vectors("IHX")}
-    checked = 0
+    checked = parallel = 0
     for rep, kind, e, vec in relators_at_sites(k):
         if kind != "IHX":
             continue
         if not _line_trivalents(rep):
-            assert (frozenset(vec.terms.items()) in listed
-                    or frozenset((-vec).terms.items()) in listed)
-            checked += 1
+            pair = set(rep.edges[e])
+            if sum(set(other) == pair for other in rep.edges) > 1:
+                assert vec.is_zero()
+                parallel += 1
+            else:
+                assert (frozenset(vec.terms.items()) in listed
+                        or frozenset((-vec).terms.items()) in listed)
+                checked += 1
     assert checked >= len(listed)
+    assert parallel
 
 
 @pytest.mark.parametrize("k", [1, 2, 3,
@@ -187,6 +194,34 @@ def test_integer_pivots_match_the_fraction_eliminator(k):
         if not vec.is_zero():
             oracle.add_row({key: Fraction(c) for key, c in vec.terms.items()})
     assert oracle.pivots == q._elim.pivots
+
+
+def _integral_fractions(elim):
+    return [c for row in elim.pivots.values() for c in row.values()
+            if type(c) is Fraction and c.denominator == 1]
+
+
+def test_eliminator_keeps_integral_values_as_ints():
+    # a lead of 2 brings in halves; back-substitution of the next row,
+    # whose lead is 2 as well, leaves an integral value in the first row
+    elim = quotient._Eliminator({"a": 0, "b": 1, "c": 2})
+    elim.add_row({"a": 2, "b": 2, "c": 1})
+    elim.add_row({"b": 2, "c": 3})
+    assert elim.pivots == {"a": {"a": 1, "c": -1},
+                           "b": {"b": 1, "c": Fraction(3, 2)}}
+    assert not _integral_fractions(elim)
+    # an all-int elimination is left alone
+    elim = quotient._Eliminator({"a": 0, "b": 1})
+    elim.add_row({"a": 1, "b": 2})
+    assert not elim._fractions
+
+
+@pytest.mark.slow
+def test_degree_five_pivots_hold_no_integral_fraction():
+    # two leads of +-2 at degree 5 bring Fractions into 1,878 kept rows
+    elim = quotient_basis(5, k_max=5)._elim
+    assert elim._fractions
+    assert not _integral_fractions(elim)
 
 
 def test_dimensions_low_degrees():

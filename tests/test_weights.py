@@ -18,7 +18,8 @@ from knotweights.vectors import vector_of
 
 from helpers import refuse_search, shuffled_jacobi
 from oracles import (ClassWeights, SplittingByProducts,
-                     count_circles_by_successors, cumulant_by_partitions,
+                     block_wc_by_sorting, count_circles_by_successors,
+                     cumulant_by_partitions,
                      relators_everywhere, wc_prime_resolved, wc_resolved)
 
 
@@ -215,6 +216,39 @@ def test_cumulant_matches_the_partition_oracle(k):
         several += len(terms) > 1
         assert conway._cumulant(terms) == cumulant_by_partitions(terms)
     assert several or k < 2
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_block_wc_matches_the_per_choice_sort(k):
+    # on every block (set of components) of every class with legs on every
+    # component; a block holding a component whose expansion cancels is 0
+    blocks = cancelled = 0
+    for rep in enumerate_jacobi(k, k_max=k):
+        if rep.nv == 0 or rep.has_trivalent_component():
+            continue
+        ex = conway._Expansion(rep)
+        terms = [ex.terms(c) for c in rep.components()]
+        for mask in range(1, 1 << len(terms)):
+            block = [t for i, t in enumerate(terms) if mask >> i & 1]
+            assert conway._block_wc(block) == block_wc_by_sorting(block)
+            blocks += 1
+            cancelled += not all(block)
+        for i in range(len(terms)):
+            block = terms[:i] + [{}] + terms[i + 1:]
+            assert conway._block_wc(block) == block_wc_by_sorting(block) == 0
+    assert blocks > k or k < 2
+    assert cancelled or k < 4
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_wc_prime_of_a_representative_is_that_of_its_class(k):
+    # verify prop32 evaluates wc' on the representative it holds, the
+    # vanishing classes included
+    for rep in enumerate_jacobi(k, k_max=k):
+        assert wc_prime_eval(rep, k_max=k) == wc_prime_eval(vector_of(rep),
+                                                            k_max=k)
 
 
 class ExpansionRan(Exception):
