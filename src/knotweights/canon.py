@@ -4,7 +4,8 @@ Every diagram handled by this package has at most ~16 vertices, so canonical
 forms are computed exactly: a color-respecting relabeling minimizing the
 sorted edge list, after a Weisfeiler-Leman style refinement of the color
 classes.  When the refinement leaves every cell a single vertex there is
-one relabeling and no automorphism, so no search runs.  Otherwise a
+one relabeling and no automorphism, so no search runs; when the colors
+alone do (a chord diagram, say), no refinement runs either.  Otherwise a
 depth-first search assigns the slots in order, one vertex of the slot's
 cell at a time.
 
@@ -112,17 +113,17 @@ def canonical_form(n, colors, edges, directed=False):
     order = sorted(range(n), key=colors.__getitem__)  # stable: ties by v
     slot_colors = tuple(colors[v] for v in order)
 
-    incidence = [[] for _ in range(n)]
-    for (u, v, tag) in edges:
-        if directed:
-            incidence[u].append((v, tag, 1))
-            incidence[v].append((u, tag, -1))
-        else:
-            incidence[u].append((v, tag, 0))
-            incidence[v].append((u, tag, 0))
-
     cells = [list(g) for _, g in groupby(order, key=colors.__getitem__)]
-    cells = _refine(cells, incidence)
+    if len(cells) < n:
+        incidence = [[] for _ in range(n)]
+        for (u, v, tag) in edges:
+            if directed:
+                incidence[u].append((v, tag, 1))
+                incidence[v].append((u, tag, -1))
+            else:
+                incidence[u].append((v, tag, 0))
+                incidence[v].append((u, tag, 0))
+        cells = _refine(cells, incidence)
 
     if len(cells) == n:
         # a discrete partition leaves one leaf, and no automorphism

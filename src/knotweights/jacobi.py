@@ -17,9 +17,10 @@ record and the automorphism generators that a representative drawn by a
 search carries (:func:`drawn`).  The
 orientation sign is read off the labeling, with no edge map.  Products and
 purely trivalent components, on which wc' vanishes, are decided here alone
-(:meth:`JacobiDiagram.product_split`, ``has_trivalent_component``), and
-so are the line part's trivalent vertices, which choose the STU sites
-(``line_trivalent_count``).
+(:meth:`JacobiDiagram.product_split`, ``has_trivalent_component``).
+The local moves give their terms as diagrams
+(`stu_expand`, `ihx_terms`) or, for a search with no diagram built, as
+parts (`stu_parts`, `ihx_parts`, `class_of_parts`).
 """
 
 from .canon import canonical_form
@@ -163,23 +164,18 @@ class JacobiDiagram:
     def is_chord_diagram(self):
         return len(self.univalent_order) == self.nv
 
-    def has_trivalent_component(self):
+    def has_trivalent_component(self, comps=None):
+        """Whether a component is purely trivalent; `comps` may pass the
+        components already walked."""
         uni = self.univalent
-        return any(not (set(c) & uni) for c in self.components())
-
-    def line_trivalent_count(self):
-        """Trivalent vertices on the line part: the components that touch
-        the line."""
-        uni = self.univalent
-        return sum(len(c) for c in self.components()
-                   if not uni.isdisjoint(c)) - len(uni)
+        return any(uni.isdisjoint(c) for c in comps or self.components())
 
     def chords(self):
         """Chord endpoints as 1-based line positions (chord diagrams only)."""
         pos = {v: i + 1 for i, v in enumerate(self.univalent_order)}
         return [tuple(sorted((pos[a], pos[b]))) for (a, b) in self.edges]
 
-    def product_split(self):
+    def product_split(self, component_map=None):
         """Split as a product d1 x d2 with d1 connected, or None.
 
         A diagram is a non-trivial product when its components can be
@@ -188,8 +184,9 @@ class JacobiDiagram:
         spoils every split.  The cut falls after the first line position,
         short of the last, that no component met so far reaches past; the
         first group suffices because products are associative.
+        `component_map` may pass `component_map()` already walked.
         """
-        comps, comp_of = self.component_map()
+        comps, comp_of = component_map or self.component_map()
         last = {comp_of[v]: p for p, v in enumerate(self.univalent_order)}
         if len(last) < len(comps):
             return None
@@ -299,12 +296,16 @@ def flipped(d, v):
 
 # -- canonical classes ------------------------------------------------------
 
-def _colors(d):
-    pos = {v: i for i, v in enumerate(d.univalent_order)}
-    colors = []
-    for v in range(d.nv):
-        colors.append(("u", pos[v]) if v in pos else ("t",))
+def _line_colors(nv, order):
+    """Vertex colors: ``("u", p)`` at line position p, ``("t",)`` off it."""
+    colors = [("t",)] * nv
+    for p, v in enumerate(order):
+        colors[v] = ("u", p)
     return colors
+
+
+def _colors(d):
+    return _line_colors(d.nv, d.univalent_order)
 
 
 def _edge_tags(d, with_numbering):
@@ -396,6 +397,16 @@ def class_of_edges(nv, u, edges):
                    [0] * len(edges))
 
 
+def class_of_parts(nv, order, edges, cycles):
+    """`class_of`'s search on the diagram with the line order `order`, the
+    loop-free `edges` and the cyclic orders `cycles` (one half-edge triple
+    per trivalent vertex), with no diagram built: ``(key, sign, perm,
+    gens)``.  The local moves give their terms in these parts
+    (`stu_parts`, `ihx_parts`)."""
+    return _search(nv, _line_colors(nv, order), edges, cycles,
+                   [0] * len(edges))
+
+
 def automorphisms(d):
     """Generators of Aut(d): the vertex permutations that keep the line
     order and the edges with their multiplicities, orientations forgotten.
@@ -464,15 +475,14 @@ def key_bytes(key):
 # -- local moves ------------------------------------------------------------
 
 def stu_sites(d):
-    """All (trivalent vertex, univalent vertex) pairs joined by an edge."""
+    """All (trivalent vertex, univalent vertex) pairs joined by an edge, in
+    line order, read off one map from each vertex to a neighbour (a
+    univalent vertex has one)."""
+    far = [None] * d.nv
+    for a, b in d.edges:
+        far[a], far[b] = b, a
     uni = d.univalent
-    sites = []
-    for u in d.univalent_order:
-        (e, end), = d.incident(u)
-        t = d.edges[e][1 - end]
-        if t not in uni:
-            sites.append((t, u))
-    return sites
+    return [(far[u], u) for u in d.univalent_order if far[u] not in uni]
 
 
 def _rotate_to(cyc, first):
@@ -498,6 +508,15 @@ def stu_expand(d, t, u):
     keeps beta at t and moves alpha to u.  Both terms share their edge
     indices.
     """
+    order, terms, orient = stu_parts(d, t, u)
+    return tuple(JacobiDiagram(d.nv, order, edges, orient, validate=False)
+                 for edges in terms)
+
+
+def stu_parts(d, t, u):
+    """`stu_expand`'s two terms as parts, with no diagram built:
+    ``(order, (edges1, edges2), orient)``, the line order and the cyclic
+    orders both terms share and each term's edge list."""
     ((eu, end_u),) = d.incident(u)
     _, alpha, beta = _rotate_to(d.orient[t], (eu, 1 - end_u))
     i = d.univalent_order.index(u)
@@ -508,9 +527,9 @@ def stu_expand(d, t, u):
     def term(moving):
         edges = _moved(d, [(moving, u)])
         del edges[eu]
-        return JacobiDiagram(d.nv, order, edges, orient, validate=False)
+        return edges
 
-    return term(beta), term(alpha)
+    return order, (term(beta), term(alpha)), orient
 
 
 def ihx_terms(d, edge_idx):
@@ -522,6 +541,14 @@ def ihx_terms(d, edge_idx):
     and p to b, carrying (g, q, s) and (g, r, p).  Every vertex and edge
     keeps its label.
     """
+    return tuple(JacobiDiagram(d.nv, d.univalent_order, edges, orient,
+                               validate=False)
+                 for edges, orient in ihx_parts(d, edge_idx))
+
+
+def ihx_parts(d, edge_idx):
+    """`ihx_terms`' H and X as parts, with no diagram built: ``(edges,
+    orient)`` each."""
     a, b = d.edges[edge_idx]
     g_a, p, q = _rotate_to(d.orient[a], (edge_idx, 0))
     g_b, r, s = _rotate_to(d.orient[b], (edge_idx, 1))
@@ -529,9 +556,7 @@ def ihx_terms(d, edge_idx):
     def term(to_a, cyc_a, cyc_b):
         orient = dict(d.orient)
         orient[a], orient[b] = cyc_a, cyc_b
-        return JacobiDiagram(d.nv, d.univalent_order,
-                             _moved(d, [(to_a, a), (p, b)]), orient,
-                             validate=False)
+        return _moved(d, [(to_a, a), (p, b)]), orient
 
     return (term(r, (g_a, q, r), (g_b, s, p)),
             term(s, (g_a, q, s), (g_b, r, p)))

@@ -168,11 +168,12 @@ def _summands(k):
         key, sign = class_of(rep)
         if not sign:
             continue
-        if rep.has_trivalent_component():
+        parts = rep.component_map()
+        if rep.has_trivalent_component(parts[0]):
             t_keys.append(key)
-        elif rep.nv == 0 or rep.product_split() is not None:
+        elif rep.nv == 0 or rep.product_split(parts) is not None:
             n_keys.append(key)
-        elif rep.is_connected():
+        elif len(parts[0]) == 1:
             p_keys.append(key)
     return p_keys, n_keys, t_keys
 

@@ -2,7 +2,7 @@
 
 The line part of a diagram is its components that touch the line; the
 rest are closed (purely trivalent) components.  Relators are emitted per
-class representative and local site:
+class representative, in key order, and local site:
 
   STU  [G] - [G1] + [G2]           on a class that does not vanish, at
                                    every edge joining a trivalent vertex
@@ -10,11 +10,19 @@ class representative and local site:
                                    has one trivalent vertex (a Y with
                                    three legs), at the first such edge
                                    when it has more
-  IHX  [I] - [H] + [X]             on a class whose line part is a chord
-                                   diagram, one internal edge with no
-                                   parallel partner per automorphism orbit
-                                   (every internal edge lies on a closed
-                                   component)
+  IHX  [I] - [H] + [X]             on a class that does not vanish whose
+                                   line part is a chord diagram, one
+                                   internal edge with no parallel partner
+                                   per automorphism orbit (every internal
+                                   edge lies on a closed component), but
+                                   for the orbits that a row listed
+                                   earlier marked (rule 1)
+
+Each term is classed by a search on its parts, with no diagram built
+(`jacobi.class_of_parts`).  The STU rows of a class with a closed part
+are its line part's rows, each key joined to the closed part's tokens
+(rule 3): they are searched once per line part, on its representative,
+and no search runs on the closed part.
 
 Orientation signs are folded in on insertion, so an AS relator is the
 zero vector: flipping one vertex keeps the class and negates its sign (a
@@ -82,12 +90,67 @@ The rows left out:
             b: swapping a and b carries H onto I with both ends reversed,
             [H] = [I].
   Each time [I] - [H] + [X] = 0.
+  IHX on a vanishing class, and at an orbit that a listed row marked:
+  rules 2 and 1.
+
+Rule 1: each IHX relation once.  The move at H's middle edge gives I and
+X back.  H reads (e, q, r) at a and (e, s, p) at b; taken as (e, p', q')
+and (e, r', s'), its H moves r' = s to a and p' = q to b, reading (e, r,
+s) at a and (e, p, q) at b, which is I with a and b swapped, and its X
+moves s' = p to a and q to b, reading (e, r, p) at a and (e, s, q) at b,
+which is X with a and b swapped and one end reversed.  So the row at H's
+middle edge is [H] - [I] - [X], minus the row at I; in the same way the
+row at X's middle edge is the row at I.  The search that classes a
+companion returns `perm`, an isomorphism onto its class's
+representative, and the move commutes with it up to the sign of the
+reversed vertices, so the row at the companion's middle edge, carried
+to the slot pair (perm[a], perm[b]), is +- the listed row, and so is the
+row at every edge of that pair's orbit (above).  A representative skips
+such an orbit.  A mark made after the companion's turn skips nothing, so
+a relation is listed once, at the first of its three diagrams in key
+order whose turn lists it.
+
+Rule 2: IHX only where the class does not vanish.  At a vanishing I the
+row is [X] - [H].  If H or X, J say, does not vanish, the row at J's
+middle edge is +- this row (rule 1).  At J's turn the orbit of that edge
+is listed, or it was marked by a listed row that is +- the same row, or
+the edge has a parallel partner and the row is 0.  If all three vanish
+the row is 0.
+
+Rule 3: the key of a class with a closed part.  The colors put every
+trivalent vertex in the first cell, before the line vertices.  In
+refinement (`canon._refine`) a closed vertex's signature is three times
+the index of its own cell, the least one while that cell is the first, so
+the closed vertices stay together in the first cell.  The other cells
+are the line part alone's, in the same order, and the first cell holds
+the closed part and the line part alone's first cell: a line vertex
+compares the same cells as it does in the line part alone (their
+indices shift by one at most, and together), and in the first cell the
+least signature is the one the closed vertices carry.  When the
+refinement stops, a line vertex left in the first cell would have all
+its neighbours there, and so would its whole component, which touches
+the line; so the first cell is exactly the closed part, and no edge
+leaves it.  The search fills the closed slots 0..c-1 from the closed
+part and the rest from the line part: a level below c holds closed
+tokens only, and the others line tokens only, so the least leaf is the
+least labeling of the closed part alone (one cell, as every signature
+there reads the cell itself), followed by that of the line part alone
+with every slot shifted by c.  The key is the closed tokens followed by
+the line part's tokens shifted by c, and the closed part's size is read
+off it (`_closed_slots`).  The sign is the product of the two parts'
+signs: the default orientation at a vertex reads its own part's slots,
+and an automorphism keeps the line part and the closed part apart.  On a
+class that does not vanish the closed part's sign is 1.  STU at a site
+cuts a line component at t, and both pieces keep a line vertex, t or u,
+so the terms keep the closed part as it is and have no other.  So the
+STU row of C x L at a site is L's row there with every key joined to
+C's tokens.
 """
 
 from .canon import orbits
 from .enumerate import K_MAX, check_degree, enumerate_jacobi
-from .jacobi import (automorphisms, class_of, ihx_terms, internal_edges,
-                     stu_expand, stu_sites)
+from .jacobi import (automorphisms, class_of, class_of_parts, ihx_parts,
+                     internal_edges, representative, stu_parts, stu_sites)
 from .vectors import DiagramVector
 
 
@@ -106,36 +169,105 @@ class RelationSet:
         return len(self.relators)
 
 
-def _ihx_edges(d):
+def _ihx_edges(d, marked):
     """The internal edges of d with no parallel partner (the rows at the
     others are 0), one per orbit of Aut(d) on the vertex pairs they join,
-    in edge order."""
+    in edge order, but for the orbits that hold a pair in `marked`.  The
+    edges are yielded one at a time, and `marked` is read afresh for
+    each, so pairs marked meanwhile count."""
     internal = internal_edges(d)
     pairs = [frozenset(d.edges[e]) for e in internal]
     edges = [e for e, pair in zip(internal, pairs) if pairs.count(pair) == 1]
     if not edges:
-        return []
+        return
     index = {frozenset(d.edges[e]): i for i, e in enumerate(edges)}
     moves = [[index[frozenset(g[v] for v in pair)] for pair in index]
              for g in automorphisms(d)]
     orbit = orbits(len(index), moves)
-    seen, out = set(), []
+    seen = set()
     for e in edges:
+        seen.update(orbit[index[p]] for p in marked if p in index)
         o = orbit[index[frozenset(d.edges[e])]]
         if o not in seen:
             seen.add(o)
-            out.append(e)
-    return out
+            yield e
 
 
-def _row(k, first, second, third):
-    """The vector [first] - [second] + [third]."""
-    vec = DiagramVector(k)
-    for d, coeff in ((first, 1), (second, -1), (third, 1)):
-        key, sign = class_of(d)
-        if sign:
-            vec.add_term(key, coeff * sign)
-    return vec
+def _ihx_rows(k, rep, key, marks):
+    """The IHX rows of a representative whose line part is a chord
+    diagram, at the edges `_ihx_edges` leaves; each row marks the middle
+    edge of its two companions, in their canonical slots."""
+    marked = marks.setdefault(key, set())
+    rows = []
+    for e in _ihx_edges(rep, marked):
+        a, b = rep.edges[e]
+        vec = DiagramVector(k, {key: 1})
+        for (edges, orient), coeff in zip(ihx_parts(rep, e), (-1, 1)):
+            term, sign, perm, _ = class_of_parts(
+                rep.nv, rep.univalent_order, edges, orient.values())
+            if sign:
+                vec.add_term(term, coeff * sign)
+                marks.setdefault(term, set()).add(
+                    frozenset((perm[a], perm[b])))
+        rows.append(vec)
+    del marks[key]
+    return rows
+
+
+def _stu_terms(line):
+    """The STU rows of a representative `line` with no closed part, as the
+    terms after its own class: at every site when it has one trivalent
+    vertex, at the first site when it has more."""
+    sites = stu_sites(line)
+    if line.nv - len(line.univalent_order) > 1:
+        sites = sites[:1]
+    rows = []
+    for (t, u) in sites:
+        order, term_edges, orient = stu_parts(line, t, u)
+        terms = []
+        for edges, coeff in zip(term_edges, (-1, 1)):
+            term, sign = class_of_parts(line.nv, order, edges,
+                                        orient.values())[:2]
+            if sign:
+                terms.append((term, coeff * sign))
+        rows.append(terms)
+    return rows
+
+
+def _closed_slots(key):
+    """The number of slots of a class's closed part, read off its key.
+    The closed part takes the first slots, so it is the longest run of
+    trivalent slots 0..c-1 whose 3c half-edges the first 3c/2 tokens, the
+    ones whose larger slot is below c, pair among themselves."""
+    colors, tokens = key
+    closed = inside = 0
+    for c in range(1, colors.count(("t",)) + 1):
+        while inside < len(tokens) and tokens[inside][0] < c:
+            inside += 1
+        if 2 * inside == 3 * c:
+            closed = c
+    return closed
+
+
+def _line_key(key, closed):
+    """The key of the line part of a class whose closed part, in its first
+    `closed` slots, has the first ``3 * closed / 2`` tokens of `key`."""
+    colors, tokens = key
+    return colors[closed:], tuple((hi - closed, lo - closed, tag)
+                                  for hi, lo, tag in tokens[3 * closed // 2:])
+
+
+def _joined(closed_tokens, line_key):
+    """The key of the class whose closed part has the tokens
+    `closed_tokens` and whose line part has the key `line_key`: the closed
+    tokens, then the line tokens shifted past the closed slots."""
+    if not closed_tokens:
+        return line_key
+    closed = 2 * len(closed_tokens) // 3
+    colors, tokens = line_key
+    return ((("t",),) * closed + colors,
+            closed_tokens + tuple((hi + closed, lo + closed, tag)
+                                  for hi, lo, tag in tokens))
 
 
 def generate_relations(k, k_max=K_MAX):
@@ -143,13 +275,28 @@ def generate_relations(k, k_max=K_MAX):
     rels = RelationSet(k)
     if k == 0:
         return rels
+    marks = {}       # key -> slot pairs of companions of listed IHX rows
+    line_rows = {}   # line key -> STU rows of a line part below degree k
     for rep in enumerate_jacobi(k, k_max=k):
-        line_trivalents = rep.line_trivalent_count()
-        if line_trivalents == 0:
-            for e in _ihx_edges(rep):
-                rels.add("IHX", _row(k, rep, *ihx_terms(rep, e)))
-        elif class_of(rep)[1]:
-            sites = stu_sites(rep)
-            for (t, u) in sites if line_trivalents == 1 else sites[:1]:
-                rels.add("STU", _row(k, rep, *stu_expand(rep, t, u)))
+        key, sign = class_of(rep)
+        if not sign:
+            continue
+        closed = _closed_slots(key)
+        if rep.nv - closed == len(rep.univalent_order):
+            for vec in _ihx_rows(k, rep, key, marks):
+                rels.add("IHX", vec)
+            continue
+        if closed:
+            line = _line_key(key, closed)
+            rows = line_rows.get(line)
+            if rows is None:
+                rows = line_rows[line] = _stu_terms(representative(line))
+        else:
+            rows = _stu_terms(rep)
+        closed_tokens = key[1][:3 * closed // 2]
+        for terms in rows:
+            vec = DiagramVector(k, {key: 1})
+            for term, coeff in terms:
+                vec.add_term(_joined(closed_tokens, term), coeff)
+            rels.add("STU", vec)
     return rels

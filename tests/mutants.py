@@ -89,7 +89,19 @@ MUTANTS = (
      "if pairs.count(pair) == 1]",
      "if pairs.count(pair) >= 1]",
      [SPACE + "test_relators_are_stu_at_spanning_sites_and_ihx_beside_chords"
-      "[3-50-15]"]),
+      "[3-50-7]"]),
+    ("IHX companion marked in its own labels, not its canonical slots",
+     "relations.py",
+     "frozenset((perm[a], perm[b]))",
+     "frozenset((a, b))",
+     [SPACE + "test_relators_are_stu_at_spanning_sites_and_ihx_beside_chords"
+      "[3-50-7]"]),
+    ("line tokens joined unshifted",
+     "relations.py",
+     "closed_tokens + tuple((hi + closed, lo + closed, tag)\n"
+     "                                  for hi, lo, tag in tokens))",
+     "closed_tokens + tokens)",
+     [SPACE + "test_closed_and_line_keys_join_into_the_class_key[2]"]),
     ("back-substitution keeps integral Fractions",
      "quotient.py",
      "                    if self._fractions:\n"

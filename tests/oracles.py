@@ -5,7 +5,8 @@ Jacobi diagram an ordering induces by scans over every edge, the Jacobi
 enumeration without its swap filter and the swap filter by a relabeling
 array per swap, the multigraph search by nested generators that concatenate
 edge lists and its candidates as validated diagrams, the relators listed at
-every local site, a dense rank for the sparse eliminator and the sparse
+every local site and class by class with every term searched on the whole
+diagram, a dense rank for the sparse eliminator and the sparse
 eliminator normalizing every row in Fractions, the canonical labeling search
 without automorphism pruning and with it but without the least-sibling cut,
 the orientation sign read through a sorted edge map, the product split by a
@@ -370,6 +371,61 @@ def relators_everywhere(k, k_max=K_MAX):
     rels = RelationSet(k)
     for _, kind, _, vec in relators_at_sites(k):
         rels.add(kind, vec)
+    return rels
+
+
+def _ihx_edges_per_orbit(d):
+    """The internal edges of d with no parallel partner, one per orbit of
+    Aut(d) on the vertex pairs they join, in edge order."""
+    internal = internal_edges(d)
+    pairs = [frozenset(d.edges[e]) for e in internal]
+    edges = [e for e, pair in zip(internal, pairs) if pairs.count(pair) == 1]
+    if not edges:
+        return []
+    index = {frozenset(d.edges[e]): i for i, e in enumerate(edges)}
+    moves = [[index[frozenset(g[v] for v in pair)] for pair in index]
+             for g in automorphisms(d)]
+    orbit = canon.orbits(len(index), moves)
+    seen, out = set(), []
+    for e in edges:
+        o = orbit[index[frozenset(d.edges[e])]]
+        if o not in seen:
+            seen.add(o)
+            out.append(e)
+    return out
+
+
+def _row_by_class_of(k, first, second, third):
+    """The vector [first] - [second] + [third]."""
+    vec = DiagramVector(k)
+    for d, coeff in ((first, 1), (second, -1), (third, 1)):
+        key, sign = class_of(d)
+        if sign:
+            vec.add_term(key, coeff * sign)
+    return vec
+
+
+def relations_per_class(k, k_max=K_MAX):
+    """The relators listed class by class, each term classed by a search
+    on the whole diagram: STU on every class that does not vanish, at
+    every site when its line part has one trivalent vertex and at the
+    first site when it has more, and IHX on every class whose line part is
+    a chord diagram, vanishing or not, at one edge with no parallel
+    partner per automorphism orbit."""
+    check_degree(k, k_max)
+    rels = RelationSet(k)
+    for rep in enumerate_jacobi(k, k_max=k):
+        uni = rep.univalent
+        line_trivalents = sum(len(c) for c in rep.components()
+                              if not uni.isdisjoint(c)) - len(uni)
+        if line_trivalents == 0:
+            for e in _ihx_edges_per_orbit(rep):
+                rels.add("IHX", _row_by_class_of(k, rep, *ihx_terms(rep, e)))
+        elif class_of(rep)[1]:
+            sites = stu_sites(rep)
+            for (t, u) in sites if line_trivalents == 1 else sites[:1]:
+                rels.add("STU",
+                         _row_by_class_of(k, rep, *stu_expand(rep, t, u)))
     return rels
 
 

@@ -9,6 +9,7 @@ import pytest
 from knotweights import bcr, canon, jacobi
 from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
 from knotweights.jacobi import _colors
+from knotweights.relations import generate_relations
 
 from helpers import shuffled_jacobi
 from oracles import (canonical_form_all, canonical_form_dfs, group_order,
@@ -16,10 +17,12 @@ from oracles import (canonical_form_all, canonical_form_dfs, group_order,
 
 
 def _recorded_calls(monkeypatch, k):
-    """Every `canonical_form` call that enumerating degree k and relating
-    it at every site makes, with the automorphism search of every class,
-    as argument tuples: a superset of the calls that `generate_relations`
-    makes."""
+    """Every `canonical_form` call that enumerating degree k, listing its
+    relators and relating it at every site make, as argument tuples.  The
+    enumeration's calls find the automorphisms each class keeps; the
+    listing's own calls, its line parts of lower degree and its IHX
+    companions, are ones that relating at every site does not make, so
+    every search the program makes up to the listing is recorded."""
     calls = []
     search = canon.canonical_form
 
@@ -33,9 +36,8 @@ def _recorded_calls(monkeypatch, k):
     enumerate_jacobi.__wrapped__(k)
     if k:
         enumerate_bcr.__wrapped__(k)
+    generate_relations(k)
     relators_everywhere(k)
-    for rep in enumerate_jacobi(k):
-        jacobi.automorphisms(rep)
     monkeypatch.undo()
     return calls
 

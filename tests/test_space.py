@@ -7,17 +7,20 @@ import pytest
 from knotweights.bridge import _wbcr_table
 from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
 from knotweights.errors import DegreeOutOfRange
-from knotweights.jacobi import (class_of, empty_diagram, flipped, product,
+from knotweights.jacobi import (class_of, empty_diagram, flipped,
+                                ihx_terms, internal_edges, product,
                                 single_chord, stu_expand, stu_sites, wheel)
 from knotweights import quotient
 from knotweights.quotient import (dims_table, project_pc, quotient_basis,
                                   splitting)
+from knotweights import relations
 from knotweights.relations import generate_relations
 from knotweights.vectors import DiagramVector, vector_of
 
+from helpers import shuffled_jacobi
 from oracles import (FractionEliminator, SplittingByProducts,
-                     dense_rank_oracle, relators_at_sites,
-                     relators_everywhere)
+                     dense_rank_oracle, relations_per_class,
+                     relators_at_sites, relators_everywhere, sub_diagram)
 
 
 def test_as_sign_identity():
@@ -107,8 +110,8 @@ def test_relators_reduce_to_zero():
 
 
 @pytest.mark.parametrize("k, stu, ihx", [
-    (1, 0, 0), (2, 4, 2), (3, 50, 15),
-    pytest.param(4, 621, 104, marks=pytest.mark.slow)])
+    (1, 0, 0), (2, 4, 1), (3, 50, 7),
+    pytest.param(4, 621, 42, marks=pytest.mark.slow)])
 def test_relators_are_stu_at_spanning_sites_and_ihx_beside_chords(k, stu,
                                                                   ihx):
     rels = generate_relations(k)
@@ -130,6 +133,73 @@ def test_relators_span_the_relators_at_every_site(k):
         assert q.reduce(vec).is_zero()
         elim.add_row(vec.terms)
     assert elim.pivots == q._elim.pivots
+
+
+@pytest.mark.parametrize("k", [1, 2, 3,
+                               pytest.param(4, marks=pytest.mark.slow),
+                               pytest.param(5, marks=pytest.mark.slow)])
+def test_quotient_and_splitting_match_the_per_class_listing(monkeypatch, k):
+    # each IHX relation once, at classes that do not vanish, and the STU
+    # rows of a class with a closed part joined from its line part's, leave
+    # the basis, every pivot row and the splitting of the listing that
+    # searches every term on the whole class
+    q = quotient_basis(k, k_max=k)
+    parts = splitting(k, k_max=k)
+    monkeypatch.setattr(quotient, "generate_relations", relations_per_class)
+    oracle = quotient_basis.__wrapped__(k)
+    assert oracle.basis == q.basis
+    assert oracle._elim.pivots == q._elim.pivots
+    monkeypatch.setattr(quotient, "quotient_basis",
+                        lambda k, k_max: oracle)
+    assert splitting.__wrapped__(k) == parts
+
+
+@pytest.mark.parametrize("k", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_ihx_at_a_companions_middle_edge_gives_the_relation_back(k):
+    # the row at H's middle edge is minus the row at I, the row at X's is
+    # the row at I, at every internal edge with no parallel partner
+    checked = 0
+    for rep in enumerate_jacobi(k):
+        for e in internal_edges(rep):
+            if sum(set(p) == set(rep.edges[e]) for p in rep.edges) > 1:
+                continue
+            h, x = ihx_terms(rep, e)
+            row = vector_of(rep) - vector_of(h) + vector_of(x)
+            for d, want in ((h, -row), (x, row)):
+                h2, x2 = ihx_terms(d, e)
+                assert vector_of(d) - vector_of(h2) + vector_of(x2) == want
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_closed_and_line_keys_join_into_the_class_key(k):
+    # the closed part of a class takes its first slots, as many as its key
+    # says; searched afresh on a relabeled copy, a class with a closed part
+    # and a line part has the closed part's tokens, then the line part's
+    # shifted past the closed slots, and the product of their signs
+    rng = random.Random(k)
+    joined = 0
+    for rep in enumerate_jacobi(k):
+        uni = rep.univalent
+        closed = [v for c in rep.components() if uni.isdisjoint(c)
+                  for v in c]
+        assert sorted(closed) == list(range(len(closed)))
+        assert relations._closed_slots(class_of(rep)[0]) == len(closed)
+        if not closed or len(closed) == rep.nv:
+            continue
+        d = shuffled_jacobi(rep, rng)
+        uni = d.univalent
+        closed = [v for c in d.components() if uni.isdisjoint(c) for v in c]
+        line = [v for v in range(d.nv) if v not in closed]
+        key, sign = class_of(d)
+        closed_key, closed_sign = class_of(sub_diagram(d, closed))
+        line_key, line_sign = class_of(sub_diagram(d, line))
+        assert relations._joined(closed_key[1], line_key) == key
+        assert relations._line_key(key, len(closed)) == line_key
+        assert sign == closed_sign * line_sign
+        joined += 1
+    assert joined or k < 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 3,
