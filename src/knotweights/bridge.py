@@ -38,7 +38,13 @@ chains close up by themselves, the one cycle through every trivalent
 vertex is the only source.  The roles are chosen by a product over the
 trivalent vertices, and a choice is kept when the edges between
 trivalent vertices, one bit each, are each the out-edge of exactly one
-end.  The test oracles in `tests/oracles.py` are `sources`, which lists
+end.  A trivalent vertex with no leg, no edge to a univalent vertex,
+has no role at all (`_vertex_roles` picks its leg among the edges to
+univalent vertices), so the product of roles is empty and the diagram
+has no source: `wbcr` returns 0 on it before building any role
+(``JacobiDiagram.has_legless_vertex``).  This is the leg-less zero of wc
+and wc' too (see `conway`), so all three weights vanish on such a
+diagram.  The test oracles in `tests/oracles.py` are `sources`, which lists
 the sources one by one, `wbcr_by_orderings`, which scans every ordering
 of every BCR class, and `cycle_sum_by_layers`, the cycle sum with one
 state per (visited set, end rank) stepping by each option on its own.
@@ -204,11 +210,13 @@ def _cycle_sum(ring):
 
 def wbcr(d, k_max=K_MAX):
     """The signed, weighted count of ordered numbered sources of `d`, as a
-    cycle sum per choice of roles at the trivalent vertices."""
+    cycle sum per choice of roles at the trivalent vertices; 0 with no
+    role built when a trivalent vertex has no leg, and so no role."""
     k = d.degree
     check_degree(k, k_max)
-    if not d.edges or any(a == b for (a, b) in d.edges):
-        return ZERO  # the empty diagram and loops have no sources
+    if (not d.edges or any(a == b for (a, b) in d.edges)
+            or d.has_legless_vertex()):
+        return ZERO  # the empty diagram, loops and leg-less vertices
     rank = {v: i for i, v in enumerate(d.univalent_order)}
     tri = [v for v in range(d.nv) if v not in rank]
     tt = [i for i, (a, b) in enumerate(d.edges)

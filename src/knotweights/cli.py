@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from . import cache  # noqa: F401  (loaded for perfbench's cache.load span)
@@ -29,19 +29,51 @@ from .serialize import from_json, jacobi_to_obj, bcr_to_obj
 from .series import conway_series, exp_substitute, zbcr_series
 
 
-def _frac(x):
-    return str(Fraction(x))
-
-
 def _emit(obj, as_json):
-    """Print obj as indented JSON, written in blocks of encoder chunks: the
-    whole document joined at once holds millions of chunk strings for a
-    degree-5 enumeration."""
+    """Print obj as indented JSON, the text of ``json.dumps(obj, indent=2,
+    sort_keys=True)``, written in blocks of pieces: the whole document
+    joined at once holds millions of pieces for a degree-5 enumeration."""
     if as_json:
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-        while block := "".join(islice(chunks, 8192)):
-            sys.stdout.write(block)
-        sys.stdout.write("\n")
+        out = []
+        _json(obj, out, "\n")
+        out.append("\n")
+        sys.stdout.write("".join(out))
+
+
+def _json(obj, out, newline):
+    """Append the pieces of obj's JSON to `out`, writing them out every
+    8192 list items; `newline` opens a line at obj's indent.  Strings,
+    booleans and ints, the scalars the commands print, are written here,
+    and anything else by `json.dumps`."""
+    if isinstance(obj, str):
+        out.append(_string(obj))
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif type(obj) is int:
+        out.append(repr(obj))
+    elif isinstance(obj, dict) and obj:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + _string(key) + ": ")
+            _json(obj[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _json(item, out, inner)
+            sep = "," + inner
+            if len(out) > 8192:
+                sys.stdout.write("".join(out))
+                out.clear()
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(obj))
 
 
 def _read(path):
@@ -115,18 +147,18 @@ def cmd_weight(args):
     value = (wc_diagram(d) if args.system == "wc"
              else wc_prime_diagram(d, k_max=args.k_max))
     if args.json:
-        _emit({"system": args.system, "value": _frac(value)}, True)
+        _emit({"system": args.system, "value": str(value)}, True)
     else:
-        print(_frac(value))
+        print(value)
     return 0
 
 
 def cmd_wbcr(args):
     value = wbcr(_read_jacobi(args.diagram), k_max=args.k_max)
     if args.json:
-        _emit({"wbcr": _frac(value)}, True)
+        _emit({"wbcr": str(value)}, True)
     else:
-        print(_frac(value))
+        print(value)
     return 0
 
 
@@ -137,8 +169,7 @@ def _report(rows, label, as_json, key_fields):
         for r in rows:
             row = {"equal": r["equal"]}
             for f in key_fields:
-                v = r.get(f)
-                row[f] = _frac(v) if isinstance(v, Fraction) else str(v)
+                row[f] = str(r.get(f))
             out.append(row)
         _emit({"check": label, "rows": out, "pass": ok}, True)
     else:
@@ -173,7 +204,7 @@ def cmd_verify(args):
         want = Fraction(1 + (-1) ** k)
         rows = [{"equal": got == want, "wbcr": got, "expected": want}]
         if not args.json:
-            print(f"wbcr(wheel_{k}) = {_frac(got)} (expected {_frac(want)})")
+            print(f"wbcr(wheel_{k}) = {got} (expected {want})")
         return _report(rows, f"wheel weight at degree {k}", args.json,
                        ["wbcr", "expected"])
     raise AssertionError(args.what)

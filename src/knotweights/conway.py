@@ -20,11 +20,40 @@ a signed set of chord lists, and wc of any union of components is the sum,
 over one chord list per component, of the product of the coefficients
 whenever the merged chord diagram leaves no circle.  The chord lists of
 one component share their endpoint keys, so a union's endpoints are sorted
-and numbered once (`_block_wc`).  A component with no univalent vertex
-(``JacobiDiagram.has_trivalent_component``) makes wc vanish outright.  The
-linear extensions to diagram vectors evaluate each class on its
-representative; `wc_prime_eval` also takes a diagram, standing for its
-class, so `verify prop32` evaluates the representative it holds.
+and numbered once (`_block_wc`).  The linear extensions to diagram vectors
+evaluate each class on its representative; `wc_prime_eval` also takes a
+diagram, standing for its class, so `verify prop32` evaluates the
+representative it holds.
+
+A trivalent vertex with no leg (no edge to a univalent vertex) makes wc
+vanish outright (``JacobiDiagram.has_legless_vertex``), with no expansion;
+a purely trivalent component, on which wc is 0 by definition, is the case
+where no vertex of a component has a leg.  The proof: on chord diagrams wc
+is the gl(1|1) weight system, with the defining representation C^(1|1) on
+the line.  The Casimir of the supertrace form acts on C^(1|1) (x) C^(1|1)
+as the super-permutation, so a chord diagram weighs sdim^(circles) =
+0^(circles), the circle through the line aside [Figueroa-O'Farrill,
+Kimura, Vaintrob, The universal Vassiliev invariant for the Lie
+superalgebra gl(1|1), Comm. Math. Phys. 185 (1997)].  Lie superalgebra
+weight systems satisfy STU [Vaintrob, Vassiliev knot invariants and Lie
+S-algebras, Math. Res. Lett. 1 (1994)], and STU fixes a weight system on
+Jacobi diagrams from its chord values, so wc is the gl(1|1) weight on
+every diagram with legs: a trivalent vertex carries the structure tensor
+str([x, y] z) and an edge the inverse of the form.  In g = gl(1|1),
+[g, g] is spanned by E (the identity, central), psi+ and psi-, str
+vanishes on it, and [[g, g], [g, g]] = C E.  Let v be trivalent with
+trivalent neighbours only.
+  Three distinct neighbours: the rest of the diagram feeds v's three
+  edges from three different vertex tensors, each of which gives its
+  third edge a bracket, so v sees u1, u2, u3 in [g, g] and returns
+  str([u1, u2] u3) = c str(E u3) = c str(u3) = 0.
+  A double edge to w (a bubble) and a third neighbour x: the bubble maps
+  what enters w's third edge, y, to c str(y) E on v's third edge (on the
+  basis, e11 and e22 go to 2E and -2E, up to one sign fixed by the
+  conventions, and psi+- to 0), and x, being trivalent, returns
+  str([E, a] b) = 0, E being central.
+  A triple edge to w: v and w make a theta, a purely trivalent component.
+Each way, wc is 0.
 
 The logarithmic variant wc' is the cumulant of wc over connected
 components: on a diagram D,
@@ -39,9 +68,11 @@ connected summand (the test oracle
 ``tests/oracles.py:SplittingByProducts.project_connected``).  It
 kills the empty class and every non-trivial product, so a diagram whose
 components fall into two groups, one wholly before the other on the line
-(the cut of ``JacobiDiagram.product_split``), is 0 without an expansion,
-as is one with a purely trivalent component; one walk over the
-components finds both and feeds the expansion.  One component is its own
+(the cut of ``JacobiDiagram.product_split``), is 0 without an expansion.
+So is one with a trivalent vertex without a leg: in every partition, the
+block that holds that vertex's component has wc 0.  The leg test comes
+first; then every component has a leg, and one walk over the
+components finds the cut and feeds the expansion.  One component is its own
 cumulant, wc.  Otherwise the sum over partitions is taken by the subset
 recursion on bitmasks of components (see `_cumulant`), which gives the
 same integers from one value per subset holding the first component;
@@ -232,7 +263,7 @@ def _block_wc(terms):
 
 def wc_diagram(d):
     """Circle-counting weight of an oriented diagram (exact rational)."""
-    if d.has_trivalent_component():
+    if d.has_legless_vertex():
         return ZERO
     ex = _Expansion(d)
     return Fraction(_block_wc([ex.terms(c) for c in d.components()]))
@@ -277,15 +308,14 @@ def _cumulant(terms):
 
 
 def wc_prime_diagram(d, k_max=K_MAX):
-    """Logarithmic variant: the cumulant of wc over d's components.  One
-    walk over the components gives the exact zeros and the expansion."""
+    """Logarithmic variant: the cumulant of wc over d's components.  The
+    leg test and one walk over the components give the exact zeros and
+    the expansion."""
     check_degree(d.degree, k_max)
-    if d.nv == 0:
+    if d.nv == 0 or d.has_legless_vertex():
         return ZERO
     comps, comp_of = d.component_map()
     last = {comp_of[v]: p for p, v in enumerate(d.univalent_order)}
-    if len(last) < len(comps):
-        return ZERO  # a purely trivalent component
     if len(comps) > 1:
         reach = -1
         for p, v in enumerate(d.univalent_order[:-1]):

@@ -9,8 +9,10 @@ classes are sorted by canonical key.  Jacobi diagrams are generated
 as loop-free multigraphs with the prescribed valences, using a first-touch
 symmetry cut on the interchangeable trivalent vertices, and a candidate
 that swapping two of them turns into a smaller sorted edge list, read off
-the two vertices' neighbours, is skipped before its canonical search.
-The least labeling of each class passes both cuts, so no class is lost.
+the two vertices' neighbours, is skipped before its canonical search,
+as is a closed candidate with parallel edges whose list does not start
+with a pair of them.  The least labeling of each class passes every cut,
+so no class is lost.
 The multigraphs grow one edge list in place, and a candidate stays an
 edge list: its class, with the default orientation, is read off the list
 by the sign routine `class_of` uses (`jacobi.class_of_edges`).  A diagram
@@ -18,6 +20,42 @@ is drawn only for a new key, as the representative of its class, and it
 keeps the record and the automorphism generators that search found, so
 each enumeration carries one representative per class in a deterministic
 order.
+
+Only two kinds of candidate are searched: those whose components all
+touch the line, and those that are one closed (purely trivalent)
+component; the multigraph search drops the others as it goes.  Every
+other class has a closed part beside a line part, or several closed
+components, and it is joined from classes of lower degree with no search
+(`jacobi.joined`): its closed part is a multiset of connected closed
+classes, and its line part a class whose components all touch the line,
+the empty one included.  The lower degrees come from `enumerate_jacobi`
+under its per-degree memo.
+
+A closed part of several components.  Refinement never splits a purely
+closed graph: every vertex reads three incidences into the one cell.  In
+the search (`canon.canonical_form`), a vertex with an assigned neighbour
+has a level below [end] and any other vertex has the level [end], so
+while a component has vertices left the least children lie in it: each
+component takes consecutive slots.  Its levels, taken from its first
+slot, shift with that slot and compare as they would unshifted, so the
+least leaf labels each component as the search of it alone does, and it
+takes the components in the order of their level sequences, each level
+closed by [end].  No such sequence is a prefix of another (the first c
+levels of a larger component would hold all 3c/2 edges of c trivalent
+vertices, which would then be a component), so the least concatenation
+is the sorted one.  The token lists, (slot, lower slot) in order, compare
+as the level sequences do, a step to the next slot standing for [end],
+so that is the order of the components' token lists.
+So the key is the components' tokens in that order, each shifted to its
+first slot.  The default orientation at a vertex reads only its own
+component's slots, all shifted alike, so the sign is the product of the
+components' signs.  The automorphisms are generated by each component's,
+moved to its slots, and the swaps of adjacent equal components; a swap
+shifts every vertex's neighbours alike, so it keeps the default
+orientation.  Beside a line part, the closed part takes the first slots
+and the line part the rest, shifted (rule 3 in `relations`); an
+automorphism keeps the two parts apart, so the generators are each
+part's, and the class vanishes when a part does.
 """
 
 from functools import lru_cache, wraps
@@ -25,7 +63,7 @@ from itertools import product as iproduct
 
 from .bcr import EXTERNAL, INTERNAL, bcr_key, cycle_with_legs
 from .errors import DegreeOutOfRange
-from .jacobi import class_of_edges, drawn
+from .jacobi import _closed_slots, class_of_edges, drawn, joined, kept
 
 K_MAX = 4
 
@@ -91,6 +129,14 @@ def _multigraphs(deg_seq, free_start):
     multi-edge by taking j again; then the next pivot.  The search keeps
     one edge list, grown and shrunk in place, on an explicit stack, and
     yields a copy of it at each leaf.
+
+    A free pivot past vertex 0 that is still untouched ends its branch:
+    the vertices from it on, all untouched as they are touched in
+    increasing order, have no edge to an earlier vertex, so they make
+    closed components apart from the rest, and such a class is joined
+    from its parts (`_joined_classes`).  What is left is the multigraphs
+    whose components all touch a vertex below free_start or, when
+    free_start is 0, the connected ones.
     """
     deg = list(deg_seq)
     n = len(deg)
@@ -105,12 +151,15 @@ def _multigraphs(deg_seq, free_start):
 
     def opened(pivot):
         """The frame of the next pivot from `pivot` on, its stubs taken
-        off, or None when every stub is used."""
+        off, None when every stub is used, or False when the branch
+        ends at a closed part apart from the rest."""
         while pivot < n and not deg[pivot]:
             pivot += 1
         if pivot == n:
             return None
         need = deg[pivot]
+        if pivot > 0 and pivot >= free_start and need == orig[pivot]:
+            return False
         deg[pivot] = 0
         return [pivot, need, 0, first_untouched(), need]
 
@@ -142,11 +191,12 @@ def _multigraphs(deg_seq, free_start):
             frames.append([pivot, left - 1, j, first_untouched(), 0])
             continue
         frame = opened(pivot + 1)
-        if frame is None:
-            yield edges[:]
-            deg[edges.pop()[1]] += 1
-        else:
+        if frame:
             frames.append(frame)
+        else:
+            if frame is None:
+                yield edges[:]
+            deg[edges.pop()[1]] += 1
 
 
 def _swap_beats(edges, free_start, n):
@@ -184,28 +234,72 @@ def _swap_beats(edges, free_start, n):
     return False
 
 
+def _parallel_first(edges):
+    """Whether a closed multigraph's sorted edge list starts with a pair of
+    parallel edges, or has none.  The least labeling of a class passes:
+    its list starts (0, 1), (0, 1) whenever some labeling's does."""
+    return len(set(edges)) == len(edges) or edges[0] == edges[1]
+
+
 def _candidates(k):
     """The degree-k multigraphs that pass the swap test, as ``(u, edges)``
-    with line vertices 0..u-1.  `_multigraphs` gives each one loop-free
-    with the right valences."""
+    with line vertices 0..u-1: those whose components all touch the line,
+    and those that are one closed component with, when it has parallel
+    edges, a pair of them at vertex 0 (`_parallel_first`).  `_multigraphs`
+    gives each one loop-free with the right valences."""
     for t in range(0, 2 * k + 1):
         u = 2 * k - t
         if (3 * t + u) % 2:
             continue
         for edges in _multigraphs([1] * u + [3] * t, free_start=u):
-            if not _swap_beats(edges, u, 2 * k):
+            if ((u or _parallel_first(edges))
+                    and not _swap_beats(edges, u, 2 * k)):
                 yield u, edges
+
+
+def _closed_multisets(closed, k, first=0):
+    """The multisets of at least one of the connected closed classes in
+    `closed`, a list of representatives, of total degree at most k, as
+    lists taken in list order."""
+    for i in range(first, len(closed)):
+        rep = closed[i]
+        if rep.degree <= k:
+            yield [rep]
+            for rest in _closed_multisets(closed, k - rep.degree, i):
+                yield [rep] + rest
+
+
+def _joined_classes(k):
+    """The degree-k classes with a closed part beside a line part, or with
+    several closed components: every multiset of connected closed classes
+    of degree below k, of total degree j <= k, beside every class of
+    degree k - j whose components all touch the line (at j = k, the empty
+    diagram, whose key is that of no slots and no tokens)."""
+    lower = [enumerate_jacobi(j, k_max=j) for j in range(1, k)]
+    closed = [rep for reps in lower for rep in reps
+              if not rep.univalent_order and rep.is_connected()]
+    line = [[kept(((), ()), 1, [])]] + [
+        [rep for rep in reps if not _closed_slots(rep.record[0])]
+        for reps in lower]
+    for parts in _closed_multisets(closed, k):
+        j = sum(rep.degree for rep in parts)
+        for rep in line[k - j]:
+            yield joined(parts, rep)
 
 
 @per_degree()
 def enumerate_jacobi(k):
     """All Jacobi diagram classes of degree k, one representative each.
 
-    Each candidate's class is read off its edge list with the default
-    vertex orientation (ascending half-edges), and the representative of
-    the class is drawn from the key only the first time the key is seen.
-    It carries the record `canonicalize` would give it and the generators
-    of its automorphism group, so neither needs another search.
+    The candidates whose components all touch the line, and those that
+    are one closed component, are searched: each one's class is read off
+    its edge list with the default vertex orientation (ascending
+    half-edges), and the representative of the class is drawn from the
+    key only the first time the key is seen.  The other classes are
+    joined from lower-degree classes with no search (`jacobi.joined`).
+    A representative carries the record `canonicalize` would give it and
+    the generators of its automorphism group, so neither needs another
+    search.
     """
     n = 2 * k
     found = {}
@@ -213,4 +307,6 @@ def enumerate_jacobi(k):
         key, sign, perm, gens = class_of_edges(n, u, edges)
         if key not in found:
             found[key] = drawn(key, sign, perm, gens)
+    for rep in _joined_classes(k):
+        found[rep.record[0]] = rep
     return tuple(found[key] for key in sorted(found))

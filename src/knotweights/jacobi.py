@@ -14,13 +14,20 @@ local moves that would create one simply drop the term (see
 A class is named by its canonical key, from which :func:`representative`
 draws its default-oriented diagram: no per-class state is kept beyond the
 record and the automorphism generators that a representative drawn by a
-search carries (:func:`drawn`).  The
-orientation sign is read off the labeling, with no edge map.  Products and
-purely trivalent components, on which wc' vanishes, are decided here alone
-(:meth:`JacobiDiagram.product_split`, ``has_trivalent_component``).
+search, or joined from its parts, carries (:func:`drawn`, :func:`joined`).
+The orientation sign is read off the labeling, with no edge map.  Products
+and trivalent vertices without a leg, on which wc' vanishes, are decided
+here alone (:meth:`JacobiDiagram.product_split`, ``has_legless_vertex``).
 The local moves give their terms as diagrams
 (`stu_expand`, `ihx_terms`) or, for a search with no diagram built, as
 parts (`stu_parts`, `ihx_parts`, `class_of_parts`).
+
+The key of a class with a closed part is read and written by parts: the
+closed part takes the first slots, its components in the order of their
+tokens, and the line part follows, shifted (`_closed_slots`, `_line_key`,
+`_joined`).  The relator listing joins STU rows this way, and the
+enumeration draws such classes from their parts with no search
+(`joined`); the proofs are in `relations` (rule 3) and `enumerate`.
 """
 
 from .canon import canonical_form
@@ -40,7 +47,8 @@ class JacobiDiagram:
       numbering       optional dict edge index -> label in 1..3k
       record          ``canonicalize``'s ``(key, sign, self)``, set only on
                       a representative drawn from its key by a search (in
-                      ``canonicalize`` or ``enumerate_jacobi``)
+                      ``canonicalize`` or ``enumerate_jacobi``) or joined
+                      from its parts (``joined``)
       aut             generators of Aut(self), set with ``record``
     """
 
@@ -169,6 +177,22 @@ class JacobiDiagram:
         components already walked."""
         uni = self.univalent
         return any(uni.isdisjoint(c) for c in comps or self.components())
+
+    def has_legless_vertex(self):
+        """Whether some trivalent vertex has no leg, an edge to a univalent
+        vertex.  wc, wc' and wbcr all vanish then (proofs in `conway` and
+        `bridge`); a purely trivalent component is the case where no
+        vertex of the component has one."""
+        uni = [False] * self.nv
+        for v in self.univalent_order:
+            uni[v] = True
+        legged = uni[:]
+        for a, b in self.edges:
+            if uni[a]:
+                legged[b] = True
+            elif uni[b]:
+                legged[a] = True
+        return not all(legged)
 
     def chords(self):
         """Chord endpoints as 1-based line positions (chord diagrams only)."""
@@ -440,12 +464,19 @@ def drawn(key, sign, perm, gens):
     perm, gens)``, carrying its record, so its class is known without a
     search, and the generators of its automorphism group: conjugated by
     the labeling, g' = perm g perm^-1 maps slot s to perm[g[perm^-1[s]]]."""
-    rep = representative(key)
-    rep.record = (key, 1 if sign else 0, rep)
     inv = [0] * len(perm)
     for v, s in enumerate(perm):
         inv[s] = v
-    rep.aut = [tuple(perm[g[v]] for v in inv) for g in gens]
+    return kept(key, sign, [tuple(perm[g[v]] for v in inv) for g in gens])
+
+
+def kept(key, sign, gens):
+    """The representative of `key` carrying its record, with `sign` 0 when
+    the class vanishes, and `gens`, generators of its automorphism group
+    in canonical slots."""
+    rep = representative(key)
+    rep.record = (key, 1 if sign else 0, rep)
+    rep.aut = gens
     return rep
 
 
@@ -470,6 +501,81 @@ def canonicalize(d):
 def key_bytes(key):
     """Stable byte form of a canonical key, for golden files and hashing."""
     return repr(key).encode("ascii")
+
+
+# -- keys of classes with a closed part --------------------------------------
+
+def _closed_slots(key):
+    """The number of slots of a class's closed part, read off its key.
+    The closed part takes the first slots, so it is the longest run of
+    trivalent slots 0..c-1 whose 3c half-edges the first 3c/2 tokens, the
+    ones whose larger slot is below c, pair among themselves."""
+    colors, tokens = key
+    closed = inside = 0
+    for c in range(1, colors.count(("t",)) + 1):
+        while inside < len(tokens) and tokens[inside][0] < c:
+            inside += 1
+        if 2 * inside == 3 * c:
+            closed = c
+    return closed
+
+
+def _line_key(key, closed):
+    """The key of the line part of a class whose closed part, in its first
+    `closed` slots, has the first ``3 * closed / 2`` tokens of `key`."""
+    colors, tokens = key
+    return colors[closed:], _shifted(tokens[3 * closed // 2:], -closed)
+
+
+def _shifted(tokens, by):
+    return tuple((hi + by, lo + by, tag) for hi, lo, tag in tokens)
+
+
+def _joined(closed_tokens, line_key):
+    """The key of the class whose closed part has the tokens
+    `closed_tokens` and whose line part has the key `line_key`: the closed
+    tokens, then the line tokens shifted past the closed slots."""
+    if not closed_tokens:
+        return line_key
+    closed = 2 * len(closed_tokens) // 3
+    colors, tokens = line_key
+    return ((("t",),) * closed + colors,
+            closed_tokens + _shifted(tokens, closed))
+
+
+def _lifted(g, at, n):
+    """The permutation of slots 0..n-1 that moves the block of slots from
+    `at` on by `g`, a permutation of the block's own slots."""
+    perm = list(range(n))
+    perm[at:at + len(g)] = [at + s for s in g]
+    return tuple(perm)
+
+
+def joined(closed, line):
+    """The representative of the class whose closed part has the
+    components of `closed`, representatives of connected closed classes,
+    and whose line part is the representative `line`, drawn with no
+    search.  The components take their slots in the order of their
+    tokens, each shifted; the class vanishes when a part does; its
+    automorphisms are generated by each part's, moved to its slots, and
+    the swaps of adjacent equal components (the proofs are in the
+    `enumerate` docstring)."""
+    closed = sorted(closed, key=lambda rep: rep.record[0][1])
+    n = sum(rep.nv for rep in closed) + line.nv
+    tokens, sign, gens = (), line.record[1], []
+    at, before = 0, None
+    for rep in closed:
+        own = rep.record[0][1]
+        c = rep.nv
+        tokens += _shifted(own, at)
+        sign *= rep.record[1]
+        gens += [_lifted(g, at, n) for g in rep.aut]
+        if own == before:
+            gens.append(_lifted(tuple(range(c, 2 * c)) + tuple(range(c)),
+                                at - c, n))
+        at, before = at + c, own
+    gens += [_lifted(g, at, n) for g in line.aut]
+    return kept(_joined(tokens, line.record[0]), sign, gens)
 
 
 # -- local moves ------------------------------------------------------------

@@ -137,7 +137,8 @@ least labeling of the closed part alone (one cell, as every signature
 there reads the cell itself), followed by that of the line part alone
 with every slot shifted by c.  The key is the closed tokens followed by
 the line part's tokens shifted by c, and the closed part's size is read
-off it (`_closed_slots`).  The sign is the product of the two parts'
+off it (`jacobi._closed_slots`; `enumerate` draws such classes from their
+parts by the same key format).  The sign is the product of the two parts'
 signs: the default orientation at a vertex reads its own part's slots,
 and an automorphism keeps the line part and the closed part apart.  On a
 class that does not vanish the closed part's sign is 1.  STU at a site
@@ -149,8 +150,9 @@ C's tokens.
 
 from .canon import orbits
 from .enumerate import K_MAX, check_degree, enumerate_jacobi
-from .jacobi import (automorphisms, class_of, class_of_parts, ihx_parts,
-                     internal_edges, representative, stu_parts, stu_sites)
+from .jacobi import (_closed_slots, _joined, _line_key, automorphisms,
+                     class_of, class_of_parts, ihx_parts, internal_edges,
+                     representative, stu_parts, stu_sites)
 from .vectors import DiagramVector
 
 
@@ -232,42 +234,6 @@ def _stu_terms(line):
                 terms.append((term, coeff * sign))
         rows.append(terms)
     return rows
-
-
-def _closed_slots(key):
-    """The number of slots of a class's closed part, read off its key.
-    The closed part takes the first slots, so it is the longest run of
-    trivalent slots 0..c-1 whose 3c half-edges the first 3c/2 tokens, the
-    ones whose larger slot is below c, pair among themselves."""
-    colors, tokens = key
-    closed = inside = 0
-    for c in range(1, colors.count(("t",)) + 1):
-        while inside < len(tokens) and tokens[inside][0] < c:
-            inside += 1
-        if 2 * inside == 3 * c:
-            closed = c
-    return closed
-
-
-def _line_key(key, closed):
-    """The key of the line part of a class whose closed part, in its first
-    `closed` slots, has the first ``3 * closed / 2`` tokens of `key`."""
-    colors, tokens = key
-    return colors[closed:], tuple((hi - closed, lo - closed, tag)
-                                  for hi, lo, tag in tokens[3 * closed // 2:])
-
-
-def _joined(closed_tokens, line_key):
-    """The key of the class whose closed part has the tokens
-    `closed_tokens` and whose line part has the key `line_key`: the closed
-    tokens, then the line tokens shifted past the closed slots."""
-    if not closed_tokens:
-        return line_key
-    closed = 2 * len(closed_tokens) // 3
-    colors, tokens = line_key
-    return ((("t",),) * closed + colors,
-            closed_tokens + tuple((hi + closed, lo + closed, tag)
-                                  for hi, lo, tag in tokens))
 
 
 def generate_relations(k, k_max=K_MAX):

@@ -30,6 +30,7 @@ JACOBI = "tests/test_jacobi_core.py::"
 WEIGHTS = "tests/test_weights.py::"
 SPACE = "tests/test_space.py::"
 CANON = "tests/test_canon.py::"
+MASS = "tests/test_mass.py::"
 
 # (name, module under src/knotweights, source text, replacement, test ids)
 MUTANTS = (
@@ -47,8 +48,8 @@ MUTANTS = (
       + "test_values_follow_the_orientation_sign_under_relabeling[2]"]),
     ("kept generators not conjugated into canonical labels",
      "jacobi.py",
-     "rep.aut = [tuple(perm[g[v]] for v in inv) for g in gens]",
-     "rep.aut = [tuple(g) for g in gens]",
+     "[tuple(perm[g[v]] for v in inv) for g in gens]",
+     "[tuple(g) for g in gens]",
      [JACOBI + "test_kept_automorphisms_match_a_fresh_search[3]"]),
     ("one-pass orientation lists half-edges descending",
      "jacobi.py",
@@ -62,6 +63,17 @@ MUTANTS = (
      "frame[2] = j + 1",
      "frame[2] = j + 2",
      [JACOBI + "test_multigraphs_match_the_concatenating_generator[3]"]),
+    ("multigraph search also drops the closed candidates of one component",
+     "enumerate.py",
+     "if pivot > 0 and pivot >= free_start and need == orig[pivot]:",
+     "if pivot >= free_start and need == orig[pivot]:",
+     [JACOBI + "test_searched_candidates_are_line_only_or_one_closed"
+      "_component[1]"]),
+    ("closed candidates kept only with vertex 0 off every parallel pair",
+     "enumerate.py",
+     "len(set(edges)) == len(edges) or edges[0] == edges[1]",
+     "len(set(edges)) == len(edges) or edges[0] != edges[1]",
+     [MASS + "test_class_lists_meet_the_mass_formula[3]"]),
     ("swap test also skips ties",
      "enumerate.py",
      "                        < [x for x in at_i if x != j]):",
@@ -97,11 +109,37 @@ MUTANTS = (
      [SPACE + "test_relators_are_stu_at_spanning_sites_and_ihx_beside_chords"
       "[3-50-7]"]),
     ("line tokens joined unshifted",
-     "relations.py",
-     "closed_tokens + tuple((hi + closed, lo + closed, tag)\n"
-     "                                  for hi, lo, tag in tokens))",
+     "jacobi.py",
+     "closed_tokens + _shifted(tokens, closed))",
      "closed_tokens + tokens)",
      [SPACE + "test_closed_and_line_keys_join_into_the_class_key[2]"]),
+    ("closed components joined unshifted",
+     "jacobi.py",
+     "tokens += _shifted(own, at)",
+     "tokens += own",
+     [JACOBI + "test_classes_joined_from_parts_match_a_search_of_every"
+      "_candidate[2]"]),
+    ("closed components joined unsorted",
+     "jacobi.py",
+     "closed = sorted(closed, key=lambda rep: rep.record[0][1])",
+     "closed = list(closed)",
+     [JACOBI + "test_classes_joined_from_parts_match_a_search_of_every"
+      "_candidate[5]"]),
+    ("drop a block-swap generator",
+     "jacobi.py",
+     "        if own == before:\n",
+     "        if False:\n",
+     [MASS + "test_class_lists_meet_the_mass_formula[2]"]),
+    ("drop a class: closed parts never repeat a component",
+     "enumerate.py",
+     "_closed_multisets(closed, k - rep.degree, i)",
+     "_closed_multisets(closed, k - rep.degree, i + 1)",
+     [MASS + "test_class_lists_meet_the_mass_formula[2]"]),
+    ("leg test loosened: an edge between trivalent vertices gives a leg",
+     "jacobi.py",
+     "            elif uni[b]:\n                legged[a] = True",
+     "            else:\n                legged[a] = True",
+     [WEIGHTS + "test_legless_classes_expand_to_zero[3]"]),
     ("back-substitution keeps integral Fractions",
      "quotient.py",
      "                    if self._fractions:\n"

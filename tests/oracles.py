@@ -2,9 +2,12 @@
 generators, the BCR classes by a scan over words of four cycle pieces, the
 wheel and degree-one BCR diagrams written out edge by edge, the legs and the
 Jacobi diagram an ordering induces by scans over every edge, the Jacobi
-enumeration without its swap filter and the swap filter by a relabeling
+enumeration without its swap filter and with every candidate searched,
+none joined from its parts, the swap filter by a relabeling
 array per swap, the multigraph search by nested generators that concatenate
-edge lists and its candidates as validated diagrams, the relators listed at
+edge lists, every multigraph kept and then those with closed components
+apart from the rest dropped by a component scan, and its candidates as
+validated diagrams, the relators listed at
 every local site and class by class with every term searched on the whole
 diagram, a dense rank for the sparse eliminator and the sparse
 eliminator normalizing every row in Fractions, the canonical labeling search
@@ -13,7 +16,8 @@ the orientation sign read through a sorted edge map, the product split by a
 scan over every cut of the line, the P + N + T splitting with N spanned by
 products and its projection onto the connected summand P, the STU and IHX
 moves that renumber their terms or scan for the moving half-edges, the
-surgery circle count by a walk over a successor dict, the weight of a block
+surgery circle count by a walk over a successor dict and as a corank
+over GF(2) on every labeled chord diagram, the weight of a block
 of components with the endpoints of every choice sorted afresh, the
 circle-counting weight and its cumulant by a class-keyed, memoized STU
 recursion and by STU on whole diagrams with every block of the cumulant
@@ -26,6 +30,7 @@ finite search space and keeping what passes an independently coded validity
 test, or by textbook elimination."""
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement, groupby,
                        permutations, product)
@@ -40,7 +45,8 @@ from knotweights.enumerate import (K_MAX, _swap_beats, check_degree,
                                    enumerate_jacobi)
 from knotweights.jacobi import (JacobiDiagram, _colors, _cyclic_parity,
                                 _edge_tags, _rotate_to, automorphisms,
-                                canonicalize, class_of, ihx_terms,
+                                canonicalize, chord_diagram, class_of,
+                                class_of_edges, drawn, ihx_terms,
                                 internal_edges, make_diagram, representative,
                                 stu_expand, stu_sites)
 from knotweights.jacobi import product as diagram_product
@@ -257,9 +263,33 @@ def brute_force_jacobi_keys(k):
 
 
 def multigraphs_by_concatenation(deg_seq, free_start):
-    """`enumerate._multigraphs` by nested generators, a new edge list
-    concatenated at every level: the loop-free multigraphs with the given
-    degrees, a free vertex first touched only after the lower ones."""
+    """`enumerate._multigraphs` by a filter on `every_multigraph`: those
+    whose components all hold a vertex below free_start, or, when
+    free_start is 0, the connected ones."""
+    for edges in every_multigraph(deg_seq, free_start):
+        roots = component_roots(len(deg_seq), edges)
+        if free_start:
+            kept = set(roots) <= set(roots[:free_start])
+        else:
+            kept = len(set(roots)) <= 1
+        if kept:
+            yield edges
+
+
+def component_roots(n, edges):
+    """Each vertex's component, named by one of its vertices."""
+    root = list(range(n))
+    for a, b in edges:
+        ra, rb = root[a], root[b]
+        if ra != rb:
+            root = [ra if r == rb else r for r in root]
+    return root
+
+
+def every_multigraph(deg_seq, free_start):
+    """The loop-free multigraphs with the given degrees, a free vertex
+    first touched only after the lower ones, by nested generators, a new
+    edge list concatenated at every level."""
     deg = list(deg_seq)
     n = len(deg)
     orig = tuple(deg_seq)
@@ -305,14 +335,31 @@ def multigraphs_by_concatenation(deg_seq, free_start):
 
 def candidate_diagrams(k):
     """`enumerate._candidates` as validated diagrams with the default
-    orientation, each with its line vertex count."""
+    orientation, each with its line vertex count: a closed one is kept
+    when vertices 0 and 1 are joined by as many edges as any pair is."""
     for t in range(0, 2 * k + 1):
         u = 2 * k - t
         if (3 * t + u) % 2:
             continue
         for edges in multigraphs_by_concatenation([1] * u + [3] * t, u):
+            count = Counter(edges)
+            if u == 0 and count[(0, 1)] < max(count.values(), default=0):
+                continue
             if not _swap_beats(edges, u, 2 * k):
                 yield u, make_diagram(2 * k, range(u), edges)
+
+
+def every_candidate(k):
+    """Every degree-k multigraph that passes the swap test, as ``(u,
+    edges)``, those with closed components apart from the rest
+    included."""
+    for t in range(0, 2 * k + 1):
+        u = 2 * k - t
+        if (3 * t + u) % 2:
+            continue
+        for edges in every_multigraph([1] * u + [3] * t, u):
+            if not _swap_beats(edges, u, 2 * k):
+                yield u, edges
 
 
 def enumerate_jacobi_unfiltered(k):
@@ -323,9 +370,21 @@ def enumerate_jacobi_unfiltered(k):
         u = 2 * k - t
         if (3 * t + u) % 2:
             continue
-        for edges in multigraphs_by_concatenation([1] * u + [3] * t, u):
+        for edges in every_multigraph([1] * u + [3] * t, u):
             key, _, rep = canonicalize(make_diagram(2 * k, range(u), edges))
             found.setdefault(key, rep)
+    return tuple(found[key] for key in sorted(found))
+
+
+def enumerate_jacobi_by_search(k):
+    """`enumerate_jacobi` with every candidate searched, those with a
+    closed part beside a line part and those with several closed
+    components included, and no class joined from its parts."""
+    found = {}
+    for u, edges in every_candidate(k):
+        key, sign, perm, gens = class_of_edges(2 * k, u, edges)
+        if key not in found:
+            found[key] = drawn(key, sign, perm, gens)
     return tuple(found[key] for key in sorted(found))
 
 
@@ -970,6 +1029,43 @@ def count_circles_by_successors(d):
             visited.add(arc)
             arc = succ[arc]
     return circles
+
+
+def pairings(items):
+    """Every way to split the list `items` into pairs."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for i, other in enumerate(rest):
+        for tail in pairings(rest[:i] + rest[i + 1:]):
+            yield [(first, other)] + tail
+
+
+def labeled_chord_diagrams(k):
+    """Every chord diagram on the points 1..2k: each pairing of them."""
+    for pairs in pairings(list(range(1, 2 * k + 1))):
+        yield chord_diagram(pairs)
+
+
+def circles_by_gf2_corank(d):
+    """The circles surgery leaves on a chord diagram, as the corank over
+    GF(2) of its chords' intersection matrix [Cohn-Lempel, J. Combin.
+    Theory A 13 (1972); Moran, J. Combin. Theory A 37 (1984)]: two chords
+    intersect when exactly one end of one lies between the ends of the
+    other.  Rows are bitmasks, reduced by Gaussian elimination."""
+    chords = d.chords()
+    pivots = {}  # leading bit -> reduced row
+    for a, b in chords:
+        row = sum(1 << j for j, (c, e) in enumerate(chords)
+                  if (a < c < b) != (a < e < b))
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(chords) - len(pivots)
 
 
 def _partners_by_sorting(chords):

@@ -24,7 +24,8 @@ from knotweights.vectors import DiagramVector, vector_of
 
 from helpers import SearchRan, refuse_search, shuffled_jacobi
 from oracles import (candidate_diagrams, class_of_all, class_of_by_edge_map,
-                     edge_map_for_perm, enumerate_jacobi_unfiltered,
+                     edge_map_for_perm, enumerate_jacobi_by_search,
+                     enumerate_jacobi_unfiltered, every_candidate,
                      group_order, ihx_terms_scanned,
                      multigraphs_by_concatenation,
                      orientation_sign_by_edge_map,
@@ -207,6 +208,48 @@ def test_kept_automorphisms_match_a_fresh_search(k):
         key, _, rep = canonicalize(d)
         assert group_order(rep.nv, automorphisms(rep)) == group_order(
             d.nv, automorphisms(d))
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_classes_joined_from_parts_match_a_search_of_every_candidate(k):
+    # the classes with a closed part beside a line part, or with several
+    # closed components, are joined from lower degrees with no search;
+    # searching every candidate finds the same keys, signs and groups
+    got = enumerate_jacobi(k, k_max=k)
+    want = enumerate_jacobi_by_search(k)
+    assert [rep.record[:2] for rep in got] == [rep.record[:2] for rep in want]
+    for a, b in zip(got, want):
+        assert group_order(a.nv, a.aut) == group_order(b.nv, b.aut)
+        for g in a.aut:
+            assert sorted(tuple(sorted((g[x], g[y]))) for x, y in a.edges) \
+                == sorted(tuple(sorted(e)) for e in a.edges)
+    several = sum(len([c for c in rep.components()
+                       if rep.univalent.isdisjoint(c)]) > 1 for rep in got)
+    assert several or k < 2
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_searched_candidates_are_line_only_or_one_closed_component(k):
+    # the multigraph search drops the candidates with closed components
+    # apart from the rest as it goes, and the closed ones whose vertex 0
+    # lies on no parallel pair while another vertex does, and keeps the
+    # others in order
+    kinds = set()
+    want = []
+    for u, edges in every_candidate(k):
+        d = make_diagram(2 * k, range(u), edges)
+        comps = d.components()
+        closed = [c for c in comps if d.univalent.isdisjoint(c)]
+        searched = not closed or (u == 0 and len(comps) == 1)
+        if u == 0 and len(set(edges)) < len(edges):
+            searched = searched and edges.count((0, 1)) > 1
+        kinds.add((bool(closed), u == 0, searched))
+        if searched:
+            want.append((u, edges))
+    assert list(_candidates(k)) == want
+    assert len(kinds) == 4 or k < 2
 
 
 def test_enumerate_contains_stock_diagrams():

@@ -1,0 +1,30 @@
+"""The mass-formula certificate of the Jacobi class lists (see `mass.py`)."""
+
+from fractions import Fraction
+
+import pytest
+
+from knotweights.enumerate import enumerate_jacobi
+
+from mass import class_mass, expected_mass, loopless_pairings
+from oracles import pairings
+
+
+@pytest.mark.parametrize("u, t", [
+    (u, t) for u in range(5) for t in range(4) if (u + 3 * t) % 2 == 0
+    and u + 3 * t <= 10])
+def test_loopless_pairings_count_the_pairings_with_no_loop(u, t):
+    # half-edge h belongs to vertex h for h < u, to u + (h - u) // 3 after
+    owner = list(range(u)) + [u + i // 3 for i in range(3 * t)]
+    count = sum(all(owner[a] != owner[b] for a, b in pairs)
+                for pairs in pairings(list(range(u + 3 * t))))
+    assert loopless_pairings(u, t) == count
+
+
+def test_expected_mass_at_degree_four():
+    assert expected_mass(4) == Fraction(195881377, 497664)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
+def test_class_lists_meet_the_mass_formula(k):
+    assert class_mass(enumerate_jacobi(k, k_max=k)) == expected_mass(k)

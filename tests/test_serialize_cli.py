@@ -197,6 +197,16 @@ def test_emit_writes_the_bytes_of_one_dumps(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_emit_writes_every_kind_of_value_as_dumps_does(capsys):
+    _assert_emit_is_one_dumps(
+        {"tuple": (1, (2, "x")), "empty": {}, "lists": [[], {}, [[]]],
+         "none": None, "float": -0.5, "big": 10 ** 30, "neg": -7,
+         "flags": [True, False], "text": "quote\" slash\\ tab\t \u2603"},
+        capsys)
+    _assert_emit_is_one_dumps([], capsys)
+    _assert_emit_is_one_dumps("top", capsys)
+
+
 def test_emit_of_a_degree_four_enumeration_spans_several_blocks(capsys):
     diagrams = [jacobi_to_obj(d) for d in enumerate_jacobi(4)]
     obj = {"kind": "jacobi", "degree": 4, "count": len(diagrams),

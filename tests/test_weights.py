@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from knotweights import cli, conway, quotient
-from knotweights.bridge import verify_main, wbcr
+from knotweights.bridge import _vertex_roles, verify_main, wbcr
 from knotweights.conway import (count_circles, wc_diagram, wc_eval,
                                 wc_prime_diagram, wc_prime_eval)
 from knotweights.enumerate import enumerate_jacobi
@@ -18,8 +19,9 @@ from knotweights.vectors import vector_of
 
 from helpers import refuse_search, shuffled_jacobi
 from oracles import (ClassWeights, SplittingByProducts,
-                     block_wc_by_sorting, count_circles_by_successors,
-                     cumulant_by_partitions,
+                     block_wc_by_sorting, circles_by_gf2_corank,
+                     count_circles_by_successors, cumulant_by_partitions,
+                     labeled_chord_diagrams,
                      relators_everywhere, wc_prime_resolved, wc_resolved)
 
 
@@ -39,6 +41,16 @@ def test_circle_counts_match_the_successor_walk(k):
         if rep.is_chord_diagram():
             for d in [rep] + [shuffled_jacobi(rep, rng) for _ in range(3)]:
                 assert count_circles(d) == count_circles_by_successors(d)
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_circle_counts_are_the_gf2_corank(k):
+    count = 0
+    for d in labeled_chord_diagrams(k):
+        assert count_circles(d) == circles_by_gf2_corank(d)
+        count += 1
+    assert count == prod(range(1, 2 * k, 2))
 
 
 def test_wc_on_empty_and_degree_one():
@@ -256,10 +268,11 @@ class ExpansionRan(Exception):
 
 
 def test_exact_zeros_expand_nothing(monkeypatch):
-    # the one walk over the components finds exactly the empty diagram,
-    # purely trivalent components and products, and expands nothing there
+    # the leg test and the one walk over the components find exactly the
+    # empty diagram, trivalent vertices without a leg (purely trivalent
+    # components among them) and products, and expand nothing there
     reps = [rep for k in range(5) for rep in enumerate_jacobi(k)]
-    zero = [rep.nv == 0 or rep.has_trivalent_component()
+    zero = [rep.nv == 0 or rep.has_legless_vertex()
             or rep.product_split() is not None for rep in reps]
     assert 0 < sum(zero) < len(reps)
 
@@ -273,6 +286,30 @@ def test_exact_zeros_expand_nothing(monkeypatch):
         else:
             with pytest.raises(ExpansionRan):
                 wc_prime_diagram(rep)
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_legless_classes_expand_to_zero(k):
+    # every class with a trivalent vertex that has no leg: the vertex has
+    # no source role, and where every component has a leg (wc is 0 on a
+    # purely trivalent one by definition), STU on the whole diagram gives
+    # wc = wc' = 0
+    expanded = 0
+    for rep in enumerate_jacobi(k, k_max=k):
+        uni = rep.univalent
+        rank = {v: i for i, v in enumerate(rep.univalent_order)}
+        legless = [v for v in rep.trivalent
+                   if not any(w in uni for e in rep.incident(v)
+                              for w in rep.edges[e[0]])]
+        assert rep.has_legless_vertex() == bool(legless)
+        for v in legless:
+            assert _vertex_roles(rep, v, rank) == []
+        if legless and not rep.has_trivalent_component():
+            assert wc_resolved(rep) == 0
+            assert wc_prime_resolved(rep, k_max=k) == 0
+            expanded += 1
+    assert expanded or k < 2
 
 
 def _wc_prime_nonzero_at_degree_four():
