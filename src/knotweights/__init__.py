@@ -24,10 +24,17 @@ from .vectors import DiagramVector, vector_of
 
 from .bcr import bcr_key as _bcr_key
 from .jacobi import class_of as _class_of
+from .jacobi import class_of_parts as _class_of_parts
 
 
 def canonical_key(d):
-    """Bytes identifying a diagram up to structure-preserving isomorphism."""
+    """Bytes identifying a diagram up to structure-preserving isomorphism,
+    its edge numbering, when it has one, included; a diagram with a loop
+    has no class and gives ``b"None"``."""
     if isinstance(d, BCRDiagram):
         return key_bytes(_bcr_key(d))
-    return key_bytes(_class_of(d, with_numbering=d.numbering is not None)[0])
+    if d.numbering is None or any(a == b for a, b in d.edges):
+        return key_bytes(_class_of(d)[0])
+    tags = [d.numbering[i] for i in range(len(d.edges))]
+    return key_bytes(_class_of_parts(d.nv, d.univalent_order, d.edges, (),
+                                     tags)[0])

@@ -315,13 +315,8 @@ def wc_prime_diagram(d, k_max=K_MAX):
     if d.nv == 0 or d.has_legless_vertex():
         return ZERO
     comps, comp_of = d.component_map()
-    last = {comp_of[v]: p for p, v in enumerate(d.univalent_order)}
-    if len(comps) > 1:
-        reach = -1
-        for p, v in enumerate(d.univalent_order[:-1]):
-            reach = max(reach, last[comp_of[v]])
-            if reach == p:
-                return ZERO  # a product, cut as in JacobiDiagram.product_split
+    if len(comps) > 1 and d.product_split((comps, comp_of)) is not None:
+        return ZERO
     ex = _Expansion(d)
     terms = [ex.terms(c) for c in comps]
     if len(terms) == 1:

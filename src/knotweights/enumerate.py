@@ -15,7 +15,7 @@ with a pair of them.  The least labeling of each class passes every cut,
 so no class is lost.
 The multigraphs grow one edge list in place, and a candidate stays an
 edge list: its class, with the default orientation, is read off the list
-by the sign routine `class_of` uses (`jacobi.class_of_edges`).  A diagram
+by the one class search (`jacobi.class_of_parts`).  A diagram
 is drawn only for a new key, as the representative of its class, and it
 keeps the record and the automorphism generators that search found, so
 each enumeration carries one representative per class in a deterministic
@@ -63,7 +63,8 @@ from itertools import product as iproduct
 
 from .bcr import EXTERNAL, INTERNAL, bcr_key, cycle_with_legs
 from .errors import DegreeOutOfRange
-from .jacobi import _closed_slots, class_of_edges, drawn, joined, kept
+from .jacobi import (_closed_slots, _halves, class_of_parts, drawn, joined,
+                     kept)
 
 K_MAX = 4
 
@@ -304,7 +305,8 @@ def enumerate_jacobi(k):
     n = 2 * k
     found = {}
     for u, edges in _candidates(k):
-        key, sign, perm, gens = class_of_edges(n, u, edges)
+        key, sign, perm, gens = class_of_parts(n, range(u), edges,
+                                               _halves(n, edges)[u:])
         if key not in found:
             found[key] = drawn(key, sign, perm, gens)
     for rep in _joined_classes(k):

@@ -15,12 +15,15 @@ A class is named by its canonical key, from which :func:`representative`
 draws its default-oriented diagram: no per-class state is kept beyond the
 record and the automorphism generators that a representative drawn by a
 search, or joined from its parts, carries (:func:`drawn`, :func:`joined`).
-The orientation sign is read off the labeling, with no edge map.  Products
-and trivalent vertices without a leg, on which wc' vanishes, are decided
-here alone (:meth:`JacobiDiagram.product_split`, ``has_legless_vertex``).
-The local moves give their terms as diagrams
-(`stu_expand`, `ihx_terms`) or, for a search with no diagram built, as
-parts (`stu_parts`, `ihx_parts`, `class_of_parts`).
+Every search runs in :func:`class_of_parts`, on a diagram's parts: line
+order, edges, cyclic orders and, for a numbered diagram, edge tags.
+`class_of`, `canonicalize` and `automorphisms` pass a diagram's parts, the
+enumeration a candidate's edge list, and the local moves their terms,
+with no diagram built (`stu_parts`, `ihx_parts`; `stu_expand` and
+`ihx_terms` wrap them).  The orientation sign is read off the labeling,
+with no edge map.  Products and trivalent vertices without a leg, on
+which wc' vanishes, are decided here alone
+(:meth:`JacobiDiagram.product_split`, ``has_legless_vertex``).
 
 The key of a class with a closed part is read and written by parts: the
 closed part takes the first slots, its components in the order of their
@@ -45,8 +48,8 @@ class JacobiDiagram:
                       when the diagram came from a directed construction
       orient          dict trivalent vertex -> cyclic triple of half-edges
       numbering       optional dict edge index -> label in 1..3k
-      record          ``canonicalize``'s ``(key, sign, self)``, set only on
-                      a representative drawn from its key by a search (in
+      record          ``class_of``'s ``(key, sign)``, set only on a
+                      representative drawn from its key by a search (in
                       ``canonicalize`` or ``enumerate_jacobi``) or joined
                       from its parts (``joined``)
       aut             generators of Aut(self), set with ``record``
@@ -225,20 +228,19 @@ class JacobiDiagram:
 
 
 def default_orientation(nv, univalent_order, edges):
-    """Cyclic orders listing each trivalent vertex's half-edges ascending."""
+    """Cyclic orders listing each trivalent vertex's half-edges ascending
+    (`_halves`)."""
     uni = set(univalent_order)
-    halves = {v: [] for v in range(nv) if v not in uni}
-    for i, (a, b) in enumerate(edges):
-        if a in halves:
-            halves[a].append((i, 0))
-        if b in halves:
-            halves[b].append((i, 1))
-    return {v: tuple(sorted(h)) for v, h in halves.items()}
+    return {v: tuple(h) for v, h in enumerate(_halves(nv, edges))
+            if v not in uni}
 
 
 def make_diagram(nv, univalent_order, edges, orient=None, numbering=None):
     if orient is None:
-        orient = default_orientation(nv, univalent_order, edges)
+        try:
+            orient = default_orientation(nv, univalent_order, edges)
+        except (IndexError, TypeError):
+            orient = {}  # an id off 0..nv-1: the validation names it
     return JacobiDiagram(nv, univalent_order, edges, orient, numbering)
 
 
@@ -328,16 +330,6 @@ def _line_colors(nv, order):
     return colors
 
 
-def _colors(d):
-    return _line_colors(d.nv, d.univalent_order)
-
-
-def _edge_tags(d, with_numbering):
-    if with_numbering and d.numbering is not None:
-        return [d.numbering[i] for i in range(len(d.edges))]
-    return [0] * len(d.edges)
-
-
 def _cyclic_parity(triple):
     a, b, c = triple
     if a < b < c or b < c < a or c < a < b:
@@ -358,18 +350,19 @@ def _cycles_sign(edges, cycles, tags, perm):
     return s
 
 
-def _orientation_sign(d, tags, perm):
-    """Sign of d's orientation against the default in the labels `perm`."""
-    return _cycles_sign(d.edges, d.orient.values(), tags, perm)
-
-
-def _search(nv, colors, edges, cycles, tags):
-    """The class of a loop-free diagram given by its parts, as
-    ``(key, sign, perm, gens)``: the canonical key, the sign of `cycles`
-    read in the minimizing labeling ``perm`` (0 when a generator of
-    Aut reverses it), and the generators ``gens``."""
+def class_of_parts(nv, order, edges, cycles, tags=None):
+    """The class of the loop-free diagram with the line order `order`, the
+    edges `edges` and the cyclic orders `cycles` (one half-edge triple per
+    trivalent vertex), with no diagram built: ``(key, sign, perm, gens)``,
+    the canonical key, the sign of `cycles` read in the minimizing labeling
+    ``perm`` (0 when a generator of Aut reverses it), and the generators
+    ``gens``.  `tags`, one per edge (a numbering), are kept by every
+    isomorphism; they default to none.  Every Jacobi class search runs
+    here."""
+    if tags is None:
+        tags = [0] * len(edges)
     entries = [(a, b, tags[i]) for i, (a, b) in enumerate(edges)]
-    key, perm, gens = canonical_form(nv, colors, entries)
+    key, perm, gens = canonical_form(nv, _line_colors(nv, order), entries)
     sign = _cycles_sign(edges, cycles, tags, perm)
     for g in gens:
         if _cycles_sign(edges, cycles, tags, [perm[w] for w in g]) != sign:
@@ -377,29 +370,25 @@ def _search(nv, colors, edges, cycles, tags):
     return key, sign, perm, gens
 
 
-def _search_diagram(d, with_numbering=False):
-    return _search(d.nv, _colors(d), d.edges, d.orient.values(),
-                   _edge_tags(d, with_numbering))
-
-
-def class_of(d, with_numbering=False):
+def class_of(d):
     """Canonical class of an oriented diagram: ``(key, sign)``.
 
     The key identifies the diagram up to isomorphisms preserving the line
-    order and (optionally) the edge numbering, with trivalent orientations
-    forgotten.  The sign compares the given orientation with the class
-    default (ascending half-edges at every vertex in canonical labels),
-    read in one minimizing labeling.  Relabeling by an automorphism
-    multiplies it by a character of the automorphism group, so it is 0
-    exactly when some generator of that group reverses an odd number of
-    vertices, in which case the class vanishes by antisymmetry.  A
-    representative that carries its record answers without a search.
+    order, with trivalent orientations forgotten.  The sign compares the
+    given orientation with the class default (ascending half-edges at
+    every vertex in canonical labels), read in one minimizing labeling.
+    Relabeling by an automorphism multiplies it by a character of the
+    automorphism group, so it is 0 exactly when some generator of that
+    group reverses an odd number of vertices, in which case the class
+    vanishes by antisymmetry.  A representative that carries its record
+    answers without a search.
     """
     if d.record is not None:
-        return d.record[:2]
+        return d.record
     if any(a == b for (a, b) in d.edges):
         return None, 0
-    return _search_diagram(d, with_numbering)[:2]
+    return class_of_parts(d.nv, d.univalent_order, d.edges,
+                          d.orient.values())[:2]
 
 
 def _halves(nv, edges):
@@ -412,25 +401,6 @@ def _halves(nv, edges):
     return halves
 
 
-def class_of_edges(nv, u, edges):
-    """`class_of`'s search on the diagram with line vertices 0..u-1 in
-    order, the loop-free `edges` and the default orientation, read off the
-    edge list: ``(key, sign, perm, gens)``."""
-    colors = [("u", p) for p in range(u)] + [("t",)] * (nv - u)
-    return _search(nv, colors, edges, _halves(nv, edges)[u:],
-                   [0] * len(edges))
-
-
-def class_of_parts(nv, order, edges, cycles):
-    """`class_of`'s search on the diagram with the line order `order`, the
-    loop-free `edges` and the cyclic orders `cycles` (one half-edge triple
-    per trivalent vertex), with no diagram built: ``(key, sign, perm,
-    gens)``.  The local moves give their terms in these parts
-    (`stu_parts`, `ihx_parts`)."""
-    return _search(nv, _line_colors(nv, order), edges, cycles,
-                   [0] * len(edges))
-
-
 def automorphisms(d):
     """Generators of Aut(d): the vertex permutations that keep the line
     order and the edges with their multiplicities, orientations forgotten.
@@ -438,8 +408,7 @@ def automorphisms(d):
     representative drawn by a search keeps the generators it found."""
     if d.aut is not None:
         return d.aut
-    entries = [(u, v, 0) for (u, v) in d.edges]
-    return canonical_form(d.nv, _colors(d), entries)[2]
+    return class_of_parts(d.nv, d.univalent_order, d.edges, ())[3]
 
 
 def representative(key):
@@ -471,17 +440,18 @@ def drawn(key, sign, perm, gens):
 
 
 def kept(key, sign, gens):
-    """The representative of `key` carrying its record, with `sign` 0 when
-    the class vanishes, and `gens`, generators of its automorphism group
-    in canonical slots."""
+    """The representative of `key` carrying its record ``(key, sign)``,
+    with `sign` 0 when the class vanishes and 1 otherwise, and `gens`,
+    generators of its automorphism group in canonical slots."""
     rep = representative(key)
-    rep.record = (key, 1 if sign else 0, rep)
+    rep.record = (key, 1 if sign else 0)
     rep.aut = gens
     return rep
 
 
 def canonicalize(d):
-    """Return ``(key, sign, representative)``, the record on the drawing.
+    """Return ``(key, sign, representative)``: the class, and its
+    representative carrying its record.
 
     The representative is drawn even when the class vanishes (sign 0), so
     enumerations can list it; only loop-carrying diagrams have no class at
@@ -491,10 +461,11 @@ def canonicalize(d):
     canonicalized afresh.
     """
     if d.record is not None:
-        return d.record
+        return d.record + (d,)
     if any(a == b for (a, b) in d.edges):
         return None, 0, None
-    key, sign, perm, gens = _search_diagram(d)
+    key, sign, perm, gens = class_of_parts(d.nv, d.univalent_order, d.edges,
+                                           d.orient.values())
     return key, sign, drawn(key, sign, perm, gens)
 
 

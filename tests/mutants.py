@@ -31,6 +31,8 @@ WEIGHTS = "tests/test_weights.py::"
 SPACE = "tests/test_space.py::"
 CANON = "tests/test_canon.py::"
 MASS = "tests/test_mass.py::"
+ALEXANDER = "tests/test_alexander.py::"
+BCR = "tests/test_bcr_core.py::"
 
 # (name, module under src/knotweights, source text, replacement, test ids)
 MUTANTS = (
@@ -146,6 +148,31 @@ MUTANTS = (
      "                        _ints(other)\n",
      "",
      [SPACE + "test_eliminator_keeps_integral_values_as_ints"]),
+    ("class search builds its entries without the tags",
+     "jacobi.py",
+     "entries = [(a, b, tags[i]) for i, (a, b) in enumerate(edges)]",
+     "entries = [(a, b, 0) for i, (a, b) in enumerate(edges)]",
+     [JACOBI + "test_canonical_key_keeps_the_class_and_the_numbering[2]"]),
+    ("generator sign check never returns 0",
+     "jacobi.py",
+     "            return key, 0, perm, gens\n",
+     "            return key, sign, perm, gens\n",
+     [JACOBI + "test_canonical_form_matches_the_unpruned_search[2]"]),
+    ("Bareiss row swap keeps the sign",
+     "alexander.py",
+     "            a[k], a[piv] = a[piv], a[k]\n            sign = -sign\n",
+     "            a[k], a[piv] = a[piv], a[k]\n",
+     [ALEXANDER + "test_bareiss_matches_laplace_on_random_matrices"]),
+    ("BCR classes drawn from the greatest rotation",
+     "enumerate.py",
+     "and word == min(word[i:] + word[:i]",
+     "and word == max(word[i:] + word[:i]",
+     [BCR + "test_enumeration_matches_the_piece_word_scan[3]"]),
+    ("BCR cycle lengths stop at 2k - 1",
+     "enumerate.py",
+     "for length in range(max(2, k), 2 * k + 1):",
+     "for length in range(max(2, k), 2 * k):",
+     [MASS + "test_bcr_class_lists_meet_the_burnside_count[3]"]),
     ("discrete canonical labels flip directed tokens",
      "canon.py",
      "tokens.append((b, a, 0, tag) if a < b else (a, b, 1, tag))",

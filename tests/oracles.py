@@ -12,7 +12,8 @@ every local site and class by class with every term searched on the whole
 diagram, a dense rank for the sparse eliminator and the sparse
 eliminator normalizing every row in Fractions, the canonical labeling search
 without automorphism pruning and with it but without the least-sibling cut,
-the orientation sign read through a sorted edge map, the product split by a
+the orientation sign read through a sorted edge map, the default
+orientation by sorting each vertex's half-edges, the product split by a
 scan over every cut of the line, the P + N + T splitting with N spanned by
 products and its projection onto the connected summand P, the STU and IHX
 moves that renumber their terms or scan for the moving half-edges, the
@@ -43,10 +44,10 @@ from knotweights.bridge import _orbit_length, _vertex_roles, _wbcr_table
 from knotweights.conway import _block_wc
 from knotweights.enumerate import (K_MAX, _swap_beats, check_degree,
                                    enumerate_jacobi)
-from knotweights.jacobi import (JacobiDiagram, _colors, _cyclic_parity,
-                                _edge_tags, _rotate_to, automorphisms,
+from knotweights.jacobi import (JacobiDiagram, _cyclic_parity, _halves,
+                                _line_colors, _rotate_to, automorphisms,
                                 canonicalize, chord_diagram, class_of,
-                                class_of_edges, drawn, ihx_terms,
+                                class_of_parts, drawn, ihx_terms,
                                 internal_edges, make_diagram, representative,
                                 stu_expand, stu_sites)
 from knotweights.jacobi import product as diagram_product
@@ -382,7 +383,8 @@ def enumerate_jacobi_by_search(k):
     components included, and no class joined from its parts."""
     found = {}
     for u, edges in every_candidate(k):
-        key, sign, perm, gens = class_of_edges(2 * k, u, edges)
+        key, sign, perm, gens = class_of_parts(
+            2 * k, range(u), edges, _halves(2 * k, edges)[u:])
         if key not in found:
             found[key] = drawn(key, sign, perm, gens)
     return tuple(found[key] for key in sorted(found))
@@ -764,9 +766,9 @@ def edge_map_for_perm(edges, perm, directed=False):
 
 
 def orientation_sign_by_edge_map(d, entries, perm):
-    """`jacobi._orientation_sign` by sorting every edge token into its
-    canonical slot and reading each vertex's cyclic order in slots and
-    ends."""
+    """`jacobi._cycles_sign` of d's orientation by sorting every edge
+    token into its canonical slot and reading each vertex's cyclic order
+    in slots and ends."""
     _, emap = edge_map_for_perm(entries, perm)
     s = 1
     for v, cyc in d.orient.items():
@@ -777,11 +779,28 @@ def orientation_sign_by_edge_map(d, entries, perm):
     return s
 
 
+def default_orientation_by_sorting(nv, univalent_order, edges):
+    """`jacobi.default_orientation` by collecting each trivalent vertex's
+    half-edges in a dict and sorting them."""
+    uni = set(univalent_order)
+    halves = {v: [] for v in range(nv) if v not in uni}
+    for i, (a, b) in enumerate(edges):
+        if a in halves:
+            halves[a].append((i, 0))
+        if b in halves:
+            halves[b].append((i, 1))
+    return {v: tuple(sorted(h)) for v, h in halves.items()}
+
+
 def class_of_by_edge_map(d, with_numbering=False):
-    """`jacobi.class_of` with every sign read through the edge map."""
-    tags = _edge_tags(d, with_numbering)
+    """`jacobi.class_of` with every sign read through the edge map, the
+    edge numbering kept if `with_numbering`."""
+    tags = [0] * len(d.edges)
+    if with_numbering and d.numbering is not None:
+        tags = [d.numbering[i] for i in range(len(d.edges))]
     entries = [(u, v, tags[i]) for i, (u, v) in enumerate(d.edges)]
-    key, perm, gens = canon.canonical_form(d.nv, _colors(d), entries)
+    key, perm, gens = canon.canonical_form(
+        d.nv, _line_colors(d.nv, d.univalent_order), entries)
     signs = {orientation_sign_by_edge_map(d, entries, p)
              for p in [perm] + [[perm[w] for w in g] for g in gens]}
     return key, (signs.pop() if len(signs) == 1 else 0)
@@ -792,7 +811,8 @@ def class_of_all(d):
     the sign is read through the edge map in every minimizing relabeling
     and is 0 unless they all agree."""
     entries = [(u, v, 0) for (u, v) in d.edges]
-    key, perms = canonical_form_all(d.nv, _colors(d), entries)
+    key, perms = canonical_form_all(
+        d.nv, _line_colors(d.nv, d.univalent_order), entries)
     signs = {orientation_sign_by_edge_map(d, entries, perm) for perm in perms}
     return key, (signs.pop() if len(signs) == 1 else 0), len(perms)
 

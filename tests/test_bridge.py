@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from knotweights import bridge
+from knotweights import bridge, canonical_key
 from knotweights.bcr import (EXTERNAL, INTERNAL, bcr_canonical, validate_bcr,
                              wheel_bcr)
 from knotweights.bridge import (epsilon, epsilon2, epsilon3, jacobi_of,
@@ -314,9 +314,8 @@ def test_verify_main_never_builds_the_ordering_table(monkeypatch):
 # -- the two involutions used in the compatibility proofs --------------------
 
 def _numbered_key(jd, numbering):
-    d = JacobiDiagram(jd.nv, jd.univalent_order, jd.edges, jd.orient,
-                      numbering, validate=False)
-    return class_of(d, with_numbering=True)[0]
+    return canonical_key(JacobiDiagram(jd.nv, jd.univalent_order, jd.edges,
+                                       jd.orient, numbering, validate=False))
 
 
 def _numbering(d):
@@ -342,8 +341,7 @@ def _decorated_key(bcr, rho, sigma):
 
 
 def _triple_member_key(bcr, rho, sigma):
-    jd = jacobi_of(bcr, rho, sigma)
-    return class_of(jd, with_numbering=True)[0]
+    return canonical_key(jacobi_of(bcr, rho, sigma))
 
 
 def _term_sign(target, bcr, rho):

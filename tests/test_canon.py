@@ -8,7 +8,7 @@ import pytest
 
 from knotweights import bcr, canon, jacobi
 from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
-from knotweights.jacobi import _colors
+from knotweights.jacobi import _line_colors
 from knotweights.relations import generate_relations
 
 from helpers import shuffled_jacobi
@@ -65,8 +65,9 @@ def test_closed_classes_match_the_unpruned_search(k):
     for rep in closed:
         for d in [rep] + [shuffled_jacobi(rep, rng) for _ in range(2)]:
             entries = [(u, v, 0) for (u, v) in d.edges]
-            key, perm, gens = canon.canonical_form(d.nv, _colors(d), entries)
-            key_all, perms = canonical_form_all(d.nv, _colors(d), entries)
+            colors = _line_colors(d.nv, d.univalent_order)
+            key, perm, gens = canon.canonical_form(d.nv, colors, entries)
+            key_all, perms = canonical_form_all(d.nv, colors, entries)
             assert key == key_all
             assert perm in perms
             assert group_order(d.nv, gens) == len(perms)

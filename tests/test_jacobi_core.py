@@ -8,23 +8,26 @@ import textwrap
 import pytest
 
 import knotweights
+from knotweights.bcr import bcr_key
 from knotweights.canon import canonical_form
 from knotweights.errors import (DegreeOutOfRange, InvalidNumbering, LoopEdge,
                                 VertexTypeViolation)
-from knotweights.jacobi import (JacobiDiagram, _colors, _orientation_sign,
-                                automorphisms, canonicalize, chord_diagram,
-                                class_of, class_of_edges, default_orientation,
+from knotweights.jacobi import (JacobiDiagram, _cycles_sign, _halves,
+                                _line_colors, automorphisms, canonicalize,
+                                chord_diagram, class_of, class_of_parts,
                                 empty_diagram, flipped, ihx_terms,
-                                internal_edges, make_diagram, product,
-                                representative, single_chord, stu_expand,
-                                stu_sites, theta_graph, validate_jacobi, wheel)
+                                internal_edges, key_bytes, make_diagram,
+                                product, representative, single_chord,
+                                stu_expand, stu_sites, theta_graph,
+                                validate_jacobi, wheel)
 from knotweights.enumerate import (_candidates, _multigraphs, _swap_beats,
-                                   enumerate_jacobi)
+                                   enumerate_bcr, enumerate_jacobi)
 from knotweights.vectors import DiagramVector, vector_of
 
 from helpers import SearchRan, refuse_search, shuffled_jacobi
 from oracles import (candidate_diagrams, class_of_all, class_of_by_edge_map,
-                     edge_map_for_perm, enumerate_jacobi_by_search,
+                     default_orientation_by_sorting, edge_map_for_perm,
+                     enumerate_jacobi_by_search,
                      enumerate_jacobi_unfiltered, every_candidate,
                      group_order, ihx_terms_scanned,
                      multigraphs_by_concatenation,
@@ -174,7 +177,8 @@ def test_edge_list_class_matches_class_of(k):
     assert [u for u, _ in got] == [u for u, _ in want]
     for (u, edges), (_, d) in zip(got, want):
         assert d.edges == tuple(edges)
-        key, sign, perm, gens = class_of_edges(2 * k, u, edges)
+        key, sign, perm, gens = class_of_parts(
+            2 * k, range(u), edges, _halves(2 * k, edges)[u:])
         assert (key, sign) == class_of(d)
 
 
@@ -183,7 +187,7 @@ def test_edge_list_class_matches_class_of(k):
 def test_representative_orientation_is_the_default(k):
     for rep in enumerate_jacobi(k, k_max=k):
         drawn = representative(rep.record[0])
-        assert drawn.orient == default_orientation(
+        assert drawn.orient == default_orientation_by_sorting(
             drawn.nv, drawn.univalent_order, drawn.edges)
         assert drawn.univalent_order == tuple(sorted(drawn.univalent))
 
@@ -195,7 +199,8 @@ def test_kept_automorphisms_match_a_fresh_search(k):
     # into canonical labels; they generate the group a new search finds
     for rep in enumerate_jacobi(k, k_max=k):
         entries = [(a, b, 0) for (a, b) in rep.edges]
-        fresh = canonical_form(rep.nv, _colors(rep), entries)[2]
+        fresh = canonical_form(
+            rep.nv, _line_colors(rep.nv, rep.univalent_order), entries)[2]
         kept = automorphisms(rep)
         assert kept is rep.aut
         for g in kept:
@@ -326,7 +331,8 @@ def test_canonical_form_matches_the_unpruned_search(k):
     for rep in enumerate_jacobi(k):
         for d in [rep] + [shuffled_jacobi(rep, rng) for _ in range(3)]:
             entries = [(u, v, 0) for (u, v) in d.edges]
-            key, perm, gens = canonical_form(d.nv, _colors(d), entries)
+            key, perm, gens = canonical_form(
+                d.nv, _line_colors(d.nv, d.univalent_order), entries)
             key_all, sign_all, aut = class_of_all(d)
             assert key == key_all
             assert edge_map_for_perm(entries, perm)[0] == list(key[1])
@@ -342,13 +348,78 @@ def test_sign_and_product_split_match_the_oracles(k):
     for rep in enumerate_jacobi(k):
         for d in [rep] + [shuffled_jacobi(rep, rng) for _ in range(3)]:
             entries = [(u, v, 0) for (u, v) in d.edges]
-            _, perm, gens = canonical_form(d.nv, _colors(d), entries)
+            _, perm, gens = canonical_form(
+                d.nv, _line_colors(d.nv, d.univalent_order), entries)
             perms = [perm] + [[perm[w] for w in g] for g in gens]
             perms += [rng.sample(range(d.nv), d.nv) for _ in range(3)]
             for p in perms:
-                assert (_orientation_sign(d, [0] * len(d.edges), p)
+                assert (_cycles_sign(d.edges, d.orient.values(),
+                                     [0] * len(d.edges), p)
                         == orientation_sign_by_edge_map(d, entries, p))
             assert d.product_split() == product_split_by_cuts(d)
+
+
+def _numbered(d, labels):
+    return JacobiDiagram(d.nv, d.univalent_order, d.edges, d.orient,
+                         dict(enumerate(labels)))
+
+
+def _edge_moves(d):
+    """The edge permutation of each element of Aut(d), by closure of its
+    generators, for a diagram with no parallel edges."""
+    index = {frozenset(e): i for i, e in enumerate(d.edges)}
+    group, frontier = {tuple(range(d.nv))}, [tuple(range(d.nv))]
+    while frontier:
+        frontier = [q for q in {tuple(g[x] for x in p) for p in frontier
+                                for g in automorphisms(d)} if q not in group]
+        group.update(frontier)
+    return [[index[frozenset((g[a], g[b]))] for a, b in d.edges]
+            for g in group]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_canonical_key_keeps_the_class_and_the_numbering(k):
+    rng = random.Random(k)
+    for rep in enumerate_jacobi(k):
+        key = knotweights.canonical_key(rep)
+        assert key == key_bytes(class_of(rep)[0])
+        m = len(rep.edges)
+        first = rng.sample(range(1, 3 * k + 1), m)
+        numbered = knotweights.canonical_key(_numbered(rep, first))
+        for _ in range(3):
+            assert knotweights.canonical_key(shuffled_jacobi(rep, rng)) == key
+            assert knotweights.canonical_key(
+                shuffled_jacobi(_numbered(rep, first), rng)) == numbered
+        if len(set(map(frozenset, rep.edges))) < m:
+            continue  # parallel edges swap with no vertex moved
+        # two numberings give one key exactly when an automorphism carries
+        # one onto the other
+        moves = _edge_moves(rep)
+        image = [0] * m
+        for i, e in enumerate(rng.choice(moves)):
+            image[e] = first[i]
+        for second in [image] + [rng.sample(range(1, 3 * k + 1), m)
+                                 for _ in range(3)]:
+            related = any(all(second[move[i]] == first[i] for i in range(m))
+                          for move in moves)
+            assert (knotweights.canonical_key(_numbered(rep, second))
+                    == numbered) == related
+
+
+def test_canonical_key_of_bcr_and_loop_diagrams():
+    for k in (1, 2, 3):
+        for d in enumerate_bcr(k):
+            assert knotweights.canonical_key(d) == key_bytes(bcr_key(d))
+    edges = [(0, 0), (0, 1), (1, 1)]
+    for numbering in (None, {0: 1, 1: 2, 2: 3}):
+        d = JacobiDiagram(2, (), edges, {}, numbering, validate=False)
+        assert knotweights.canonical_key(d) == b"None"
+
+
+def test_make_diagram_names_an_id_off_the_vertices():
+    for edges in ([(0, 2)], [(0, "1")]):
+        with pytest.raises(VertexTypeViolation):
+            make_diagram(2, [0, 1], edges)
 
 
 def test_numbered_signs_match_the_edge_map_oracle():
@@ -362,7 +433,9 @@ def test_numbered_signs_match_the_edge_map_oracle():
             numbered = JacobiDiagram(d.nv, d.univalent_order, d.edges,
                                      d.orient, dict(enumerate(labels)))
             for x in (numbered, shuffled_jacobi(numbered, rng)):
-                assert (class_of(x, with_numbering=True)
+                tags = [x.numbering[i] for i in range(len(x.edges))]
+                assert (class_of_parts(x.nv, x.univalent_order, x.edges,
+                                       x.orient.values(), tags)[:2]
                         == class_of_by_edge_map(x, with_numbering=True))
 
 
@@ -434,7 +507,7 @@ def test_copies_of_a_representative_are_canonicalized_afresh(monkeypatch):
     0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_a_representative_is_drawn_from_its_key(k):
     for rep in enumerate_jacobi(k):
-        key, sign, _ = rep.record
+        key, sign = rep.record
         drawn = representative(key)
         assert drawn.record is None
         validate_jacobi(drawn)

@@ -1,12 +1,14 @@
-"""The mass-formula certificate of the Jacobi class lists (see `mass.py`)."""
+"""The counting certificates of the class lists (see `mass.py`): the
+Jacobi lists by a mass formula, the BCR lists by Burnside's lemma."""
 
 from fractions import Fraction
 
 import pytest
 
-from knotweights.enumerate import enumerate_jacobi
+from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
 
-from mass import class_mass, expected_mass, loopless_pairings
+from mass import (bcr_class_count, class_mass, expected_mass,
+                  loopless_pairings)
 from oracles import pairings
 
 
@@ -28,3 +30,8 @@ def test_expected_mass_at_degree_four():
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
 def test_class_lists_meet_the_mass_formula(k):
     assert class_mass(enumerate_jacobi(k, k_max=k)) == expected_mass(k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_bcr_class_lists_meet_the_burnside_count(k):
+    assert len(enumerate_bcr(k, k_max=k)) == bcr_class_count(k)
