@@ -13,7 +13,6 @@ import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
-from pathlib import Path
 
 from . import cache  # noqa: F401  (loaded for perfbench's cache.load span)
 from .alexander import alexander_by_skein, alexander_poly
@@ -26,7 +25,7 @@ from .pd import parse_pd
 from .psi import verify_wc_psi
 from .quotient import dims_table
 from .serialize import from_json, jacobi_to_obj, bcr_to_obj
-from .series import conway_series, exp_substitute, zbcr_series
+from .series import exp_substitute, zbcr_series
 
 
 def _emit(obj, as_json):
@@ -80,7 +79,8 @@ def _read(path):
     """The text of an input file; an unreadable path or a file that is not
     UTF-8 is an input error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise DiagramError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -234,8 +234,8 @@ def cmd_alexander(args):
         if args.zbcr:
             z = zbcr_series(delta, K)
             out["zbcr"] = {str(k): str(v) for k, v in z.items()}
-            c = conway_series(delta, K)
-            out["conway"] = {str(k): str(v) for k, v in c.items()}
+            # conway_series(delta, K) is the same expansion as the series
+            out["conway"] = {str(k): v for k, v in enumerate(out["series"])}
             if not args.json:
                 for k in sorted(z):
                     print(f"  Z_{k} = {z[k]}")

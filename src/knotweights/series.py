@@ -1,4 +1,20 @@
-"""Exact Laurent polynomials in t and truncated power series in h."""
+"""Exact Laurent polynomials in t and truncated power series in h.
+
+`PowerSeries.log` and `PowerSeries.exp` take O(K^2) Fraction products by
+the recurrences that differentiating the series gives (Brent and Kung,
+"Fast algorithms for manipulating formal power series", J. ACM 25, 1978).
+For s with s_0 = 1 and l = log s, s' = l' s; the coefficient of h^(n-1)
+on each side is
+
+    n s_n = sum_{k=1}^{n} k l_k s_{n-k},
+
+and the k = n term is n l_n s_0 = n l_n, so
+
+    l_n = s_n - (1/n) sum_{k=1}^{n-1} k l_k s_{n-k},
+
+each l_n from l_1 .. l_(n-1).  Likewise for a with a_0 = 0 and e = exp a,
+e' = a' e gives n e_n = sum_{k=1}^{n} k a_k e_{n-k} with e_0 = 1.
+"""
 
 from fractions import Fraction
 from math import factorial
@@ -85,52 +101,28 @@ class PowerSeries:
         return (isinstance(other, PowerSeries) and self.K == other.K
                 and self.coeffs == other.coeffs)
 
-    def __add__(self, other):
-        K = min(self.K, other.K)
-        return PowerSeries(K, [self.coeffs[i] + other.coeffs[i]
-                               for i in range(K + 1)])
-
-    def __sub__(self, other):
-        K = min(self.K, other.K)
-        return PowerSeries(K, [self.coeffs[i] - other.coeffs[i]
-                               for i in range(K + 1)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries(self.K, [c * other for c in self.coeffs])
-        K = min(self.K, other.K)
-        out = [Fraction(0)] * (K + 1)
-        for i in range(K + 1):
-            if not self.coeffs[i]:
-                continue
-            for j in range(K + 1 - i):
-                out[i + j] += self.coeffs[i] * other.coeffs[j]
-        return PowerSeries(K, out)
-
-    __rmul__ = __mul__
-
     def exp(self):
         """exp of a series with zero constant term."""
-        if self.coeffs[0]:
+        a = self.coeffs
+        if a[0]:
             raise NonUnitConstantTerm("exp needs constant term 0")
-        out = PowerSeries(self.K, [1])
-        power = PowerSeries(self.K, [1])
-        for m in range(1, self.K + 1):
-            power = power * self
-            out = out + power * Fraction(1, factorial(m))
-        return out
+        e = [Fraction(1)]
+        for n in range(1, self.K + 1):
+            e.append(sum((k * a[k] * e[n - k] for k in range(1, n + 1)
+                          if a[k]), Fraction(0)) / n)
+        return PowerSeries(self.K, e)
 
     def log(self):
         """log of a series with constant term 1."""
-        if self.coeffs[0] != 1:
+        s = self.coeffs
+        if s[0] != 1:
             raise NonUnitConstantTerm("log needs constant term 1")
-        x = self - PowerSeries(self.K, [1])
-        out = PowerSeries(self.K)
-        power = PowerSeries(self.K, [1])
-        for m in range(1, self.K + 1):
-            power = power * x
-            out = out + power * Fraction((-1) ** (m + 1), m)
-        return out
+        ell = [Fraction(0)]
+        for n in range(1, self.K + 1):
+            ell.append(s[n] - sum((k * ell[k] * s[n - k]
+                                   for k in range(1, n) if s[n - k]),
+                                  Fraction(0)) / n)
+        return PowerSeries(self.K, ell)
 
     def __str__(self):
         bits = []

@@ -44,6 +44,13 @@ def _commands():
     for k in ("5", "6"):
         out.append((["enumerate", "bcr", "--degree", k, "--k-max", k,
                      "--json"], True))
+    for knot in ("unknot", "3_1", "6_2", "7_1"):
+        out.append((["alexander", "--pd", f"tests/fixtures/{knot}.pd",
+                     "--series", "8", "--zbcr", "--json"], False))
+    out.append((["alexander", "--pd", "tests/fixtures/5_2.pd", "--series",
+                 "16", "--zbcr", "--json"], False))
+    out.append((["alexander", "--pd", "tests/fixtures/4_1.pd", "--series",
+                 "8", "--zbcr"], False))
     return out
 
 
@@ -52,10 +59,11 @@ COMMANDS = _commands()
 
 def digest(argv, python=sys.executable):
     """sha256 of stdout and stderr and the exit code of one command, run in
-    a fresh interpreter on this checkout's sources."""
+    a fresh interpreter on this checkout's sources from the checkout's root,
+    which the input paths in COMMANDS are relative to."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run([python, "-c", _MAIN, *argv], capture_output=True,
-                         env=env, check=False)
+                         env=env, cwd=HERE.parent, check=False)
     return {"stdout": hashlib.sha256(run.stdout).hexdigest(),
             "stderr": hashlib.sha256(run.stderr).hexdigest(),
             "exit": run.returncode}

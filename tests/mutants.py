@@ -33,6 +33,7 @@ CANON = "tests/test_canon.py::"
 MASS = "tests/test_mass.py::"
 ALEXANDER = "tests/test_alexander.py::"
 BCR = "tests/test_bcr_core.py::"
+CLI = "tests/test_serialize_cli.py::"
 
 # (name, module under src/knotweights, source text, replacement, test ids)
 MUTANTS = (
@@ -178,6 +179,29 @@ MUTANTS = (
      "tokens.append((b, a, 0, tag) if a < b else (a, b, 1, tag))",
      "tokens.append((b, a, 1, tag) if a < b else (a, b, 0, tag))",
      [CANON + "test_search_matches_the_uncut_search_on_every_call[2]"]),
+    ("log recurrence drops the k weight",
+     "series.py",
+     "k * ell[k] * s[n - k]",
+     "ell[k] * s[n - k]",
+     [ALEXANDER + "test_log_and_exp_match_the_power_loops_on_the_fixtures"
+      "[3_1]"]),
+    ("log recurrence sums through k = n",
+     "series.py",
+     "for k in range(1, n) if s[n - k]",
+     "for k in range(1, n + 1) if s[n - k]",
+     [ALEXANDER + "test_log_and_exp_match_the_power_loops_on_the_fixtures"
+      "[3_1]"]),
+    ("exp recurrence drops the k weight",
+     "series.py",
+     "k * a[k] * e[n - k]",
+     "a[k] * e[n - k]",
+     [ALEXANDER + "test_exp_matches_the_power_loop_on_series_with_odd"
+      "_terms"]),
+    ("conway field read one place off",
+     "cli.py",
+     'enumerate(out["series"])',
+     'enumerate(out["series"], 1)',
+     [CLI + "test_cli_conway_field_is_the_expansion[3_1]"]),
 )
 
 

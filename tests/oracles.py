@@ -25,8 +25,9 @@ recursion and by STU on whole diagrams with every block of the cumulant
 rebuilt, the cumulant as a sum over set partitions, the BCR sources of a
 diagram listed one by one, their cycle sum by a recursion with one dict per
 layer, the weighted source count by a scan over every ordering of every BCR
-class, the Alexander determinant by expansion in minors, and the skein
-recursion on mutable crossing lists.  Everything here works by exhausting a
+class, the Alexander determinant by expansion in minors, the skein
+recursion on mutable crossing lists, and the logarithm and exponential of a
+power series as sums of powers.  Everything here works by exhausting a
 finite search space and keeping what passes an independently coded validity
 test, or by textbook elimination."""
 
@@ -1554,3 +1555,39 @@ def conway_skein_lists(pd):
     if len(pd) == 0:
         return {0: 1}
     return _list_nabla(_ListTangle.from_pd(pd))
+
+
+def _truncated_mul(a, b):
+    """a * b for coefficient lists of one length K + 1, cut after h^K."""
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] += x * b[j]
+    return out
+
+
+def power_loop_log(s):
+    """`PowerSeries.log` on a coefficient list with s[0] = 1, lowest power
+    first: the sum of (-1)^(m+1) x^m / m over 1 <= m <= K for x = s - 1,
+    each power by a whole truncated product."""
+    assert s[0] == 1
+    x = [Fraction(0)] + list(s[1:])
+    out = [Fraction(0)] * len(s)
+    power = [Fraction(1)] + [Fraction(0)] * (len(s) - 1)
+    for m in range(1, len(s)):
+        power = _truncated_mul(power, x)
+        out = [c + Fraction((-1) ** (m + 1), m) * q
+               for c, q in zip(out, power)]
+    return out
+
+
+def power_loop_exp(a):
+    """`PowerSeries.exp` on a coefficient list with a[0] = 0: the sum of
+    a^m / m! over 0 <= m <= K."""
+    assert a[0] == 0
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    power = list(out)
+    for m in range(1, len(a)):
+        power = _truncated_mul(power, a)
+        out = [c + Fraction(1, factorial(m)) * q for c, q in zip(out, power)]
+    return out

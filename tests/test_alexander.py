@@ -18,7 +18,8 @@ from knotweights.series import (LaurentPolynomial, PowerSeries,
 
 from helpers import (connected_sum, gauss_crossings, gauss_pd, gauss_text,
                      random_gauss_knot, torus_knot, twist_knot)
-from oracles import _list_nabla, _ListTangle, conway_skein_lists, laplace_det
+from oracles import (_list_nabla, _ListTangle, conway_skein_lists,
+                     laplace_det, power_loop_exp, power_loop_log)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -172,6 +173,71 @@ def test_power_series_log_exp_roundtrip():
         PowerSeries(3, [0, 1]).log()
     with pytest.raises(NonUnitConstantTerm):
         PowerSeries(3, [1, 1]).exp()
+
+
+def _check_log_and_exp(p, K):
+    """log and exp of p(e^h) to order K against the power loops, and exp
+    undoing log."""
+    s = exp_substitute(p, K)
+    ell = s.log()
+    assert ell.coeffs == power_loop_log(s.coeffs)
+    e = ell.exp()
+    assert e == s
+    assert e.coeffs == power_loop_exp(ell.coeffs)
+    z = zbcr_series(p, K)
+    assert z == {k: -ell[k] for k in range(2, K + 1)}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_log_and_exp_match_the_power_loops_on_the_fixtures(name):
+    p = alexander_poly(load(name))
+    for K in (0, 1, 2, 8, 16):
+        _check_log_and_exp(p, K)
+
+
+def _helper_families():
+    """T(2,n), twist knots and connected sums from `helpers`, to 13
+    crossings."""
+    out = [(f"T(2,{n})", torus_knot(n)) for n in range(3, 14, 2)]
+    out += [(f"Tw({m})", twist_knot(m)) for m in range(1, 10)]
+    out += [("T(2,3)#Tw(2)", connected_sum(torus_knot(3), twist_knot(2))),
+            ("Tw(1)#Tw(4)", connected_sum(twist_knot(1), twist_knot(4))),
+            ("T(2,5)#T(2,7)", connected_sum(torus_knot(5), torus_knot(7)))]
+    return out
+
+
+HELPER_FAMILIES = _helper_families()
+
+
+@pytest.mark.parametrize("knot", [k for _, k in HELPER_FAMILIES],
+                         ids=[name for name, _ in HELPER_FAMILIES])
+def test_log_and_exp_match_the_power_loops_on_the_families(knot):
+    p = alexander_poly(gauss_pd(knot))
+    for K in (4, 9, 16):
+        _check_log_and_exp(p, K)
+
+
+def test_log_and_exp_match_the_power_loops_on_random_polynomials():
+    # symmetric integer polynomials with p(1) = 1, which need not be the
+    # Alexander polynomial of any diagram drawn here
+    rng = random.Random(36)
+    for _ in range(60):
+        half = {i: rng.randint(-6, 6) for i in range(1, rng.randint(1, 7))}
+        coeffs = {0: 1 - 2 * sum(half.values())}
+        for i, c in half.items():
+            coeffs[i] = coeffs[-i] = c
+        _check_log_and_exp(LaurentPolynomial(coeffs), rng.randint(0, 16))
+
+
+def test_exp_matches_the_power_loop_on_series_with_odd_terms():
+    rng = random.Random(37)
+    for _ in range(40):
+        K = rng.randint(0, 12)
+        a = [Fraction(0)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                             for _ in range(K)]
+        e = PowerSeries(K, a).exp()
+        assert e.coeffs == power_loop_exp(a)
+        assert e.log() == PowerSeries(K, a)
 
 
 # -- the Bareiss determinant and the skein recursion against their oracles ----

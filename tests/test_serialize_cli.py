@@ -6,12 +6,15 @@ from pathlib import Path
 import pytest
 
 from knotweights import canon, cli, jacobi
+from knotweights.alexander import alexander_poly
 from knotweights.bcr import EXTERNAL, INTERNAL, validate_bcr, wheel_bcr
 from knotweights.enumerate import enumerate_jacobi
 from knotweights.errors import DiagramError, ParseError, VertexTypeViolation
 from knotweights.jacobi import (JacobiDiagram, class_of, product,
                                 single_chord, wheel)
+from knotweights.pd import parse_pd
 from knotweights.serialize import from_json, jacobi_to_obj, to_json
+from knotweights.series import conway_series
 
 from helpers import refuse_search
 
@@ -147,6 +150,19 @@ def test_cli_alexander(tmp_path, monkeypatch, capsys):
     assert data["delta"] == "t - 1 + t^-1"
     assert data["zbcr"]["2"] == "-1"
     assert data["zbcr"]["4"] == "5/12"
+
+
+@pytest.mark.parametrize("name", ["unknot", "3_1", "5_1", "6_2", "7_1"])
+def test_cli_conway_field_is_the_expansion(tmp_path, monkeypatch, capsys,
+                                           name):
+    pd = FIXTURES / f"{name}.pd"
+    assert _run(tmp_path, monkeypatch, "alexander", "--json", "--pd",
+                str(pd), "--series", "8", "--zbcr") == 0
+    data = json.loads(capsys.readouterr().out)
+    delta = alexander_poly(parse_pd(pd.read_text()))
+    want = conway_series(delta, 8)
+    assert data["conway"] == {str(k): str(v) for k, v in want.items()}
+    assert data["series"] == [str(want[k]) for k in range(9)]
 
 
 def test_cli_non_planar_pd_exits_two(tmp_path, monkeypatch, capsys):
