@@ -16,14 +16,14 @@ legs": every vertex has out-degree one, legs are single external edges from
 univalent vertices into the trivalent cycle vertices, and transitions
 between the internal and external parts of the cycle pair up the type-4 and
 type-5 vertices.  So a diagram is fixed by its cycle's edge flavors, and
-:func:`cycle_with_legs` builds every diagram the program makes from them;
-an isomorphism is a rotation of the cycle, so a class is a cyclic flavor
-word up to rotation.
+:func:`cycle_with_legs` builds every diagram the program makes from them.
+An isomorphism is a rotation of the cycle, so a class is a cyclic flavor
+word up to rotation, keyed by its least rotation (:func:`bcr_key`), and
+|Aut| counts the rotations that fix the word (:func:`aut_order`).
 """
 
 import json
 
-from .canon import canonical_form
 from .errors import (CycleStructureViolation, Disconnected, EmptyGraph,
                      LoopEdge, ParseError, VertexTypeViolation)
 
@@ -185,16 +185,19 @@ def validate_bcr(nv, external, edges):
     return BCRDiagram(nv, external, edges, type_of, cycle, legs, out_edge)
 
 
-def bcr_canonical(d):
-    """Canonical key, one minimizing relabeling and generators of the
-    automorphism group of a BCR diagram (see `canon.canonical_form`)."""
-    colors = [("e",) if v in d.external else ("i",) for v in range(d.nv)]
-    entries = [(a, b, cls) for (a, b, cls) in d.edges]
-    return canonical_form(d.nv, colors, entries, directed=True)
+def flavor_word(d):
+    """The word of cycle edge flavors that `cycle_with_legs` builds d from."""
+    return tuple(d.edges[d.out_edge[v]][2] for v in d.cycle)
 
 
 def bcr_key(d):
-    return bcr_canonical(d)[0]
+    word = flavor_word(d)
+    return min(word[i:] + word[:i] for i in range(len(word)))
+
+
+def aut_order(d):
+    word = flavor_word(d)
+    return sum(word[i:] + word[:i] == word for i in range(len(word)))
 
 
 def cycle_with_legs(flavors):

@@ -54,7 +54,7 @@ from fractions import Fraction
 from itertools import groupby, permutations, product
 from operator import itemgetter
 
-from .bcr import bcr_canonical
+from .bcr import aut_order
 from .enumerate import (K_MAX, check_degree, enumerate_bcr, enumerate_jacobi,
                         per_degree)
 from .errors import AmbiguousIsomorphism, NotIsomorphic
@@ -276,19 +276,6 @@ def wbcr(d, k_max=K_MAX):
 
 # -- the ordering scan (test oracle) -----------------------------------------
 
-def _group_order(n, gens):
-    """Order of the group generated by vertex permutations `gens`, by
-    closure: only the ordering scan and the tests need |Aut|."""
-    seen = {tuple(range(n))}
-    frontier = list(seen)
-    while frontier:
-        frontier = [q for q in {tuple(g[x] for x in p)
-                                for p in frontier for g in gens}
-                    if q not in seen]
-        seen.update(frontier)
-    return len(seen)
-
-
 @per_degree(lowest=1)
 def _wbcr_table(k):
     """Base sums keyed by induced class: sum of eps*eps2*sign over all
@@ -298,7 +285,7 @@ def _wbcr_table(k):
     traced layer function to exist."""
     table = {}
     for bcr in enumerate_bcr(k, k_max=k):
-        aut = _group_order(bcr.nv, bcr_canonical(bcr)[2])
+        aut = aut_order(bcr)
         eps = epsilon(bcr)
         # the per-term denominator identity: internal edges make up
         # exactly the gap between 2k and the induced edge count

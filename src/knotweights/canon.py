@@ -1,4 +1,4 @@
-"""Canonical labeling of small vertex-colored multigraphs.
+"""Canonical labeling of small vertex-colored, loop-free multigraphs.
 
 Every diagram handled by this package has at most ~16 vertices, so canonical
 forms are computed exactly: a color-respecting relabeling minimizing the
@@ -9,16 +9,17 @@ alone do (a chord diagram, say), no refinement runs either.  Otherwise a
 depth-first search assigns the slots in order, one vertex of the slot's
 cell at a time.
 
-Edges are triples ``(u, v, tag)``; parallel edges are simply repeated
-entries.  Edge tokens are keyed by the larger endpoint first, so a leaf's
-sorted token list is the concatenation of its levels: level ``s`` holds
-the tokens whose larger endpoint is slot ``s``, and which vertex takes
-slot ``s`` fixes level ``s``.  Ended by a sentinel above every token, the
-levels compare as the leaves below them do.  The search codes a level's
-token ``(lo, rest)`` as the int ``lo * R + rank(rest)``, with the ``R``
-rests of the call ranked in order, and the sentinel as ``n * R``: the ints
-order as the tokens do, so the search is unchanged, and the least leaf's
-levels are decoded to tuples at the end.  Three cuts follow.
+Edges are triples ``(u, v, tag)`` with ``u != v``; parallel edges are
+simply repeated entries.  Edge tokens are keyed by the larger endpoint
+first, so a leaf's sorted token list is the concatenation of its levels:
+level ``s`` holds the tokens whose larger endpoint is slot ``s``, and
+which vertex takes slot ``s`` fixes level ``s``.  Ended by a sentinel
+above every token, the levels compare as the leaves below them do.  The
+search codes a level's token ``(lo, tag)`` as the int ``lo * R +
+rank(tag)``, with the ``R`` tags of the call ranked in order, and the
+sentinel as ``n * R``: the ints order as the tokens do, so the search is
+unchanged, and the least leaf's levels are decoded to tuples at the end.
+Three cuts follow.
 
 * Least children.  A node visits only the vertices whose level is the
   least among its children; a larger level roots only leaves that lose to
@@ -65,8 +66,8 @@ def _refine(cells, incidence):
                 continue
             sigs = {}
             for v in cell:
-                sig = tuple(sorted((cell_of[w], tag, role)
-                                   for (w, tag, role) in incidence[v]))
+                sig = tuple(sorted((cell_of[w], tag)
+                                   for (w, tag) in incidence[v]))
                 sigs.setdefault(sig, []).append(v)
             if len(sigs) == 1:
                 new_cells.append(cell)
@@ -98,8 +99,8 @@ def orbits(n, gens):
     return [find(v) for v in range(n)]
 
 
-def canonical_form(n, colors, edges, directed=False):
-    """Minimal relabeling of a vertex-colored multigraph.
+def canonical_form(n, colors, edges):
+    """Minimal relabeling of a vertex-colored, loop-free multigraph.
 
     Returns ``(key, perm, gens)``.  ``key = (slot_colors, edge_tokens)`` is
     relabeling-invariant; ``perm`` is one map ``vertex -> slot`` (a tuple
@@ -107,9 +108,14 @@ def canonical_form(n, colors, edges, directed=False):
     permutations generating the automorphism group, so the minimizing
     relabelings are exactly ``perm`` composed with that group.  Relabelings
     must preserve colors; slots are ordered by color.
+
+    No edge may be a loop, which would drop out of the key, and no caller
+    passes one: the enumeration's candidates are loop-free; `class_of`,
+    `canonicalize` and `canonical_key` turn a loop away; an STU term at
+    (t, u) moves a half-edge of t to u, whose one edge ran to t; and IHX
+    is taken only at an edge with no parallel partner, so no half-edge
+    that H or X moves lands at its own edge's other end.
     """
-    if n == 0:
-        return ((), ()), (), []
     order = sorted(range(n), key=colors.__getitem__)  # stable: ties by v
     slot_colors = tuple(colors[v] for v in order)
 
@@ -117,27 +123,19 @@ def canonical_form(n, colors, edges, directed=False):
     if len(cells) < n:
         incidence = [[] for _ in range(n)]
         for (u, v, tag) in edges:
-            if directed:
-                incidence[u].append((v, tag, 1))
-                incidence[v].append((u, tag, -1))
-            else:
-                incidence[u].append((v, tag, 0))
-                incidence[v].append((u, tag, 0))
+            incidence[u].append((v, tag))
+            incidence[v].append((u, tag))
         cells = _refine(cells, incidence)
 
     if len(cells) == n:
-        # a discrete partition leaves one leaf, and no automorphism
+        # a discrete (or empty) partition leaves one leaf, no automorphism
         perm = [0] * n
         for s, (v,) in enumerate(cells):
             perm[v] = s
-        # the token (hi, lo, tag), or (hi, lo, flip, tag) if directed
         tokens = []
         for (u, v, tag) in edges:
             a, b = perm[u], perm[v]
-            if directed:
-                tokens.append((b, a, 0, tag) if a < b else (a, b, 1, tag))
-            else:
-                tokens.append((b, a, tag) if a < b else (a, b, tag))
+            tokens.append((b, a, tag) if a < b else (a, b, tag))
         tokens.sort()
         return (slot_colors, tuple(tokens)), tuple(perm), []
 
@@ -147,31 +145,17 @@ def canonical_form(n, colors, edges, directed=False):
     for cell in cells:
         slot_cell.extend([sorted(cell)] * len(cell))
 
-    # A token at level s (larger endpoint slot s) is (lo, rest): rest is
-    # (tag,), or (flip, tag) if directed, as seen from the vertex taking
-    # slot s.  It is kept as the int lo * R + rank(rest), where rank(rest)
-    # is the tag's rank among the call's T tags, plus T if the flip is 1.
-    # adj[w] lists (x, rank) for the tokens that w's slot gives x, sorted
-    # so that each x receives its tokens in order.
+    # adj[w] lists (x, rank of the tag) for the tokens that w's slot gives
+    # x, sorted so that each x receives its tokens in order
     tags = sorted({tag for (_, _, tag) in edges})
     tag_rank = {tag: r for r, tag in enumerate(tags)}
-    if directed:
-        rests = [(flip, tag) for flip in (0, 1) for tag in tags]
-        flipped = len(tags)
-    else:
-        rests = [(tag,) for tag in tags]
-        flipped = 0
-    R = len(rests)
+    R = len(tags)
     adj = [[] for _ in range(n)]
-    loops = [[] for _ in range(n)]
     for (u, v, tag) in edges:
         r = tag_rank[tag]
-        if u == v:
-            loops[u].append(r + flipped)
-        else:
-            adj[u].append((v, r))
-            adj[v].append((u, r + flipped))
-    for lst in adj + loops:
+        adj[u].append((v, r))
+        adj[v].append((u, r))
+    for lst in adj:
         lst.sort()
 
     end = n * R  # above every token, since lo < n
@@ -180,13 +164,8 @@ def canonical_form(n, colors, edges, directed=False):
     pending = [[end] for _ in range(n)]
     assign = [-1] * n  # vertex -> slot
     path = []          # slot -> vertex, for the assigned prefix
-    levels = []        # slot -> its level tokens, for the assigned prefix
     best = None        # (levels, perm, path) of the least leaf so far
     gens = []
-
-    def with_loops(v, s):
-        """v's level tokens if it took slot s, its loops included."""
-        return pending[v][:-1] + [s * R + r for r in loops[v]] + [end]
 
     def dfs(s, eq, fixing):
         """Search below the prefix `path`, whose levels equal the best
@@ -197,7 +176,9 @@ def canonical_form(n, colors, edges, directed=False):
         nonlocal best
         if s == n:
             if not eq:
-                best = ([lst[:] for lst in levels], tuple(assign), list(path))
+                # an assigned vertex's pending tokens are its level's
+                best = ([pending[v][:] for v in path], tuple(assign),
+                        list(path))
                 return s
             # equal to the best leaf: the map carrying this leaf onto it
             # is an automorphism, and it fixes the common prefix
@@ -207,8 +188,7 @@ def canonical_form(n, colors, edges, directed=False):
             while path[c] == best_path[c]:
                 c += 1
             return c
-        children = [(with_loops(v, s) if loops[v] else pending[v], v)
-                    for v in slot_cell[s] if assign[v] == -1]
+        children = [(pending[v], v) for v in slot_cell[s] if assign[v] == -1]
         least = min(children)[0]
         if eq:
             if least > best[0][s]:
@@ -228,7 +208,6 @@ def canonical_form(n, colors, edges, directed=False):
             tried.append(v)
             assign[v] = s
             path.append(v)
-            levels.append(t)
             base = s * R
             for x, r in adj[v]:
                 if assign[x] == -1:
@@ -238,7 +217,6 @@ def canonical_form(n, colors, edges, directed=False):
             for x, _ in adj[v]:
                 if assign[x] == -1:
                     del pending[x][-2]
-            levels.pop()
             path.pop()
             assign[v] = -1
             if back < s:
@@ -254,7 +232,7 @@ def canonical_form(n, colors, edges, directed=False):
         return s
 
     dfs(0, False, [])
-    tokens = tuple((s, code // R) + rests[code % R]
+    tokens = tuple((s, code // R, tags[code % R])
                    for s, level in enumerate(best[0]) for code in level[:-1])
     return (slot_colors, tokens), best[1], gens
 

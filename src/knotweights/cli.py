@@ -258,7 +258,8 @@ def build_parser():
         prog="knotweights",
         description="Diagram enumeration, weight systems, and Alexander "
                     "series, all in exact rational arithmetic.")
-    sub = p.add_subparsers(dest="command", required=True)
+    # a given prog spares argparse formatting a usage line to find it
+    sub = p.add_subparsers(dest="command", required=True, prog="knotweights")
 
     e = sub.add_parser("enumerate", parents=[common],
                        help="list diagram classes")

@@ -5,7 +5,7 @@ by that flavor word up to rotation (see `bcr`).  The legs sit where two
 neighbouring flavors agree, one per cycle vertex at most, so a cycle of
 length L carries 2k - L legs and k <= L <= 2k.  Each class is drawn
 once, from the rotation whose word of cycle pieces is least, and the
-classes are sorted by canonical key.  Jacobi diagrams are generated
+classes are sorted by their least flavor words.  Jacobi diagrams are generated
 as loop-free multigraphs with the prescribed valences, using a first-touch
 symmetry cut on the interchangeable trivalent vertices, and a candidate
 that swapping two of them turns into a smaller sorted edge list, read off

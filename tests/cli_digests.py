@@ -51,6 +51,8 @@ def _commands():
                  "16", "--zbcr", "--json"], False))
     out.append((["alexander", "--pd", "tests/fixtures/4_1.pd", "--series",
                  "8", "--zbcr"], False))
+    out.append((["--help"], False))
+    out.append((["alexander", "--help"], False))
     return out
 
 
@@ -60,8 +62,9 @@ COMMANDS = _commands()
 def digest(argv, python=sys.executable):
     """sha256 of stdout and stderr and the exit code of one command, run in
     a fresh interpreter on this checkout's sources from the checkout's root,
-    which the input paths in COMMANDS are relative to."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    which the input paths in COMMANDS are relative to.  Help text wraps at
+    the terminal width, so the width is fixed."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
     run = subprocess.run([python, "-c", _MAIN, *argv], capture_output=True,
                          env=env, cwd=HERE.parent, check=False)
     return {"stdout": hashlib.sha256(run.stdout).hexdigest(),

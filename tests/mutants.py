@@ -34,6 +34,7 @@ MASS = "tests/test_mass.py::"
 ALEXANDER = "tests/test_alexander.py::"
 BCR = "tests/test_bcr_core.py::"
 CLI = "tests/test_serialize_cli.py::"
+BRIDGE = "tests/test_bridge.py::"
 
 # (name, module under src/knotweights, source text, replacement, test ids)
 MUTANTS = (
@@ -174,11 +175,36 @@ MUTANTS = (
      "for length in range(max(2, k), 2 * k + 1):",
      "for length in range(max(2, k), 2 * k):",
      [MASS + "test_bcr_class_lists_meet_the_burnside_count[3]"]),
-    ("discrete canonical labels flip directed tokens",
+    ("BCR key without the rotation minimum",
+     "bcr.py",
+     "return min(word[i:] + word[:i] for i in range(len(word)))",
+     "return word",
+     [BCR + "test_word_keys_match_the_directed_search[2]"]),
+    ("identity rotation not counted in |Aut|",
+     "bcr.py",
+     "return sum(word[i:] + word[:i] == word for i in range(len(word)))",
+     "return sum(word[i:] + word[:i] == word for i in range(1, len(word)))",
+     [BCR + "test_wheel_automorphisms_are_rotations"]),
+    ("canonical search visits the greatest children",
      "canon.py",
-     "tokens.append((b, a, 0, tag) if a < b else (a, b, 1, tag))",
-     "tokens.append((b, a, 1, tag) if a < b else (a, b, 0, tag))",
-     [CANON + "test_search_matches_the_uncut_search_on_every_call[2]"]),
+     "least = min(children)[0]",
+     "least = max(children)[0]",
+     [CANON + "test_parallel_edges_and_tags"]),
+    ("skein join renames the smaller arc",
+     "alexander.py",
+     "lo, hi = min(x, y), max(x, y)",
+     "hi, lo = min(x, y), max(x, y)",
+     [ALEXANDER + "test_skein_matches_the_list_recursion_on_the_fixtures"]),
+    ("planarity check passes codes with too few faces",
+     "pd.py",
+     "if n_faces != len(self) + 2:",
+     "if n_faces > len(self) + 2:",
+     [ALEXANDER + "test_parse_rejects_non_planar_codes"]),
+    ("epsilon drops the trivalent vertices",
+     "bridge.py",
+     "(len(bcr.external_edges()) + bcr.n_trivalent()) % 2",
+     "len(bcr.external_edges()) % 2",
+     [BRIDGE + "test_epsilon_values"]),
     ("log recurrence drops the k weight",
      "series.py",
      "k * ell[k] * s[n - k]",

@@ -11,7 +11,8 @@ validated diagrams, the relators listed at
 every local site and class by class with every term searched on the whole
 diagram, a dense rank for the sparse eliminator and the sparse
 eliminator normalizing every row in Fractions, the canonical labeling search
-without automorphism pruning and with it but without the least-sibling cut,
+without automorphism pruning, on directed graphs too, and with it but
+without the least-sibling cut, the order of a permutation group by closure,
 the orientation sign read through a sorted edge map, the default
 orientation by sorting each vertex's half-edges, the product split by a
 scan over every cut of the line, the P + N + T splitting with N spanned by
@@ -40,7 +41,6 @@ from math import factorial, prod
 
 from knotweights import canon
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
-from knotweights.bridge import _group_order as group_order
 from knotweights.bridge import _orbit_length, _vertex_roles, _wbcr_table
 from knotweights.conway import _block_wc
 from knotweights.enumerate import (K_MAX, _swap_beats, check_degree,
@@ -575,6 +575,9 @@ def canonical_form_all(n, colors, edges, directed=False):
     """`canon.canonical_form` without automorphism pruning: the search
     visits every minimizing relabeling and returns ``(key, perms)`` with
     all of them, so ``len(perms)`` is the order of the automorphism group.
+    With `directed`, an edge runs from u to v, and an edge token carries
+    a flip, 1 when the edge runs from the larger slot to the smaller (see
+    `_edge_token`): the oracle of the BCR word keys.
     """
     if n == 0:
         return ((), ()), [()]
@@ -583,12 +586,12 @@ def canonical_form_all(n, colors, edges, directed=False):
 
     incidence = [[] for _ in range(n)]
     for (u, v, tag) in edges:
-        if directed:
-            incidence[u].append((v, tag, 1))
-            incidence[v].append((u, tag, -1))
+        if directed:  # the edge's tag and its direction, as one label
+            incidence[u].append((v, (tag, 1)))
+            incidence[v].append((u, (tag, -1)))
         else:
-            incidence[u].append((v, tag, 0))
-            incidence[v].append((u, tag, 0))
+            incidence[u].append((v, tag))
+            incidence[v].append((u, tag))
 
     cells = [list(g) for _, g in groupby(order, key=lambda v: colors[v])]
     cells = canon._refine(cells, incidence)
@@ -648,7 +651,7 @@ def canonical_form_all(n, colors, edges, directed=False):
     return (slot_colors, tuple(best_tokens)), best_perms
 
 
-def canonical_form_dfs(n, colors, edges, directed=False):
+def canonical_form_dfs(n, colors, edges):
     """`canon.canonical_form` by the plain pruned search: every child of a
     node is tried in cell order, skipped only by the orbits of the
     generators that fix the path, and each node's whole token list is
@@ -660,12 +663,8 @@ def canonical_form_dfs(n, colors, edges, directed=False):
 
     incidence = [[] for _ in range(n)]
     for (u, v, tag) in edges:
-        if directed:
-            incidence[u].append((v, tag, 1))
-            incidence[v].append((u, tag, -1))
-        else:
-            incidence[u].append((v, tag, 0))
-            incidence[v].append((u, tag, 0))
+        incidence[u].append((v, tag))
+        incidence[v].append((u, tag))
 
     cells = [list(g) for _, g in groupby(order, key=lambda v: colors[v])]
     cells = canon._refine(cells, incidence)
@@ -717,7 +716,7 @@ def canonical_form_dfs(n, colors, edges, directed=False):
             for (a, b, tag) in edges_at[v]:
                 if assign[a] != -1 and assign[b] != -1:
                     new_tokens.append(
-                        _edge_token(assign[a], assign[b], tag, directed))
+                        _edge_token(assign[a], assign[b], tag))
             new_tokens.sort()
             merged = tokens + new_tokens
             back = s
@@ -734,7 +733,7 @@ def canonical_form_dfs(n, colors, edges, directed=False):
     return (slot_colors, tuple(best[0])), best[1], gens
 
 
-def _edge_token(a, b, tag, directed):
+def _edge_token(a, b, tag, directed=False):
     """An edge's token in the labels a and b of its ends: (hi, lo, tag), or
     (hi, lo, flip, tag) with flip 1 when the edge runs from hi to lo."""
     if a < b:
@@ -746,7 +745,7 @@ def _edge_token(a, b, tag, directed):
     return (hi, lo, tag)
 
 
-def edge_map_for_perm(edges, perm, directed=False):
+def edge_map_for_perm(edges, perm):
     """Map original edge indices to canonical edge slots under `perm`.
 
     Parallel edges are tied in ascending original order (a fixed convention;
@@ -757,8 +756,7 @@ def edge_map_for_perm(edges, perm, directed=False):
     """
     tagged = []
     for idx, (u, v, tag) in enumerate(edges):
-        tagged.append((_edge_token(perm[u], perm[v], tag, directed),
-                       idx))
+        tagged.append((_edge_token(perm[u], perm[v], tag), idx))
     tagged.sort()
     edge_map = [-1] * len(edges)
     for slot, (_tok, idx) in enumerate(tagged):
@@ -1334,6 +1332,19 @@ def sources(d):
                         if rank[y] < rank[x]:
                             s2 = -s2
                     yield ext + internal, s2
+
+
+def group_order(n, gens):
+    """Order of the group generated by vertex permutations `gens`, by
+    closure."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        frontier = [q for q in {tuple(g[x] for x in p)
+                                for p in frontier for g in gens}
+                    if q not in seen]
+        seen.update(frontier)
+    return len(seen)
 
 
 def _parallel_factor(rep):

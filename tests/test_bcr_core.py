@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from knotweights.bcr import (EXTERNAL, INTERNAL, BCRDiagram, bcr_canonical,
+from knotweights.bcr import (EXTERNAL, INTERNAL, BCRDiagram, aut_order,
                              bcr_key, cycle_with_legs, degree_one_bcr,
-                             validate_bcr, wheel_bcr)
+                             flavor_word, validate_bcr, wheel_bcr)
 from knotweights.enumerate import enumerate_bcr
 from knotweights.errors import (DegreeOutOfRange, DiagramError, Disconnected,
                                 EmptyGraph, LoopEdge, VertexTypeViolation)
@@ -12,7 +12,7 @@ from knotweights.serialize import bcr_to_obj
 
 from helpers import shuffled_bcr
 from oracles import (bcr_inputs, canonical_form_all, degree_one_bcr_explicit,
-                     enumerate_bcr_by_pieces, group_order, wheel_bcr_explicit)
+                     enumerate_bcr_by_pieces, wheel_bcr_explicit)
 
 
 def test_degree_one_diagram():
@@ -160,21 +160,34 @@ def test_relabeling_preserves_key():
 
 def test_wheel_automorphisms_are_rotations():
     for k in (2, 3, 4):
-        d = wheel_bcr(k)
-        _, _, gens = bcr_canonical(d)
-        assert group_order(d.nv, gens) == k
+        assert aut_order(wheel_bcr(k)) == k
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_bcr_canonical_form_matches_the_unpruned_search(k):
+def test_flavor_word_rebuilds_the_diagram():
+    rng = random.Random(3)
+    for k in (1, 2, 3):
+        for rep in enumerate_bcr(k):
+            d = shuffled_bcr(rep, rng)
+            assert bcr_to_obj(cycle_with_legs(flavor_word(rep))) == \
+                bcr_to_obj(rep)
+            assert bcr_key(cycle_with_legs(flavor_word(d))) == bcr_key(rep)
+
+
+@pytest.mark.parametrize("k", [
+    1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_word_keys_match_the_directed_search(k):
+    """Over every class and three shuffles of each, two diagrams have the
+    same word key exactly when the directed graph search finds them
+    isomorphic, and the rotations that fix the word are as many as that
+    search's minimizing relabelings, |Aut|."""
     rng = random.Random(k)
-    for rep in enumerate_bcr(k):
+    searched = {}  # word key -> key of the directed search
+    for rep in enumerate_bcr(k, k_max=k):
         for d in [rep] + [shuffled_bcr(rep, rng) for _ in range(3)]:
-            key, perm, gens = bcr_canonical(d)
             colors = [("e",) if v in d.external else ("i",)
                       for v in range(d.nv)]
             key_all, perms = canonical_form_all(d.nv, colors, list(d.edges),
                                                 directed=True)
-            assert key == key_all
-            assert perm in perms
-            assert group_order(d.nv, gens) == len(perms)
+            assert searched.setdefault(bcr_key(d), key_all) == key_all
+            assert aut_order(d) == len(perms)
+    assert len(set(searched.values())) == len(searched)

@@ -5,11 +5,9 @@ from math import factorial
 import pytest
 
 from knotweights import bridge, canonical_key
-from knotweights.bcr import (EXTERNAL, INTERNAL, bcr_canonical, validate_bcr,
-                             wheel_bcr)
+from knotweights.bcr import EXTERNAL, INTERNAL, validate_bcr, wheel_bcr
 from knotweights.bridge import (epsilon, epsilon2, epsilon3, jacobi_of,
                                 orderings, verify_main, verify_stu, wbcr)
-from knotweights.canon import canonical_form
 from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
 from knotweights.errors import DegreeOutOfRange, NotIsomorphic
 from knotweights.jacobi import (JacobiDiagram, class_of, flipped,
@@ -290,16 +288,12 @@ def test_cycle_sum_on_random_rings(seed):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_oracle_group_orders_match_the_unpruned_search(k):
-    # the ordering scan weighs its terms by |Aut|, which it now closes
-    # from the generators the pruned search returns
+    # the ordering scan weighs its terms by the target's |Aut|, which it
+    # closes from the generators the pruned search returns (a source's
+    # |Aut| is its word's rotation count, tested in test_bcr_core.py)
     for rep in enumerate_jacobi(k):
         assert oracles._jacobi_edge_aut_order(rep) == (
             class_of_all(rep)[2] * oracles._parallel_factor(rep))
-    for d in enumerate_bcr(k):
-        colors = [("e",) if v in d.external else ("i",) for v in range(d.nv)]
-        perms = canonical_form_all(d.nv, colors, list(d.edges),
-                                   directed=True)[1]
-        assert bridge._group_order(d.nv, bcr_canonical(d)[2]) == len(perms)
 
 
 def test_verify_main_never_builds_the_ordering_table(monkeypatch):
@@ -332,12 +326,14 @@ def _decorated_sources(target):
 
 
 def _decorated_key(bcr, rho, sigma):
-    """Canonical form of an ordered, numbered source diagram."""
+    """Canonical form of an ordered, numbered source diagram, by the
+    directed search: its ranks make every vertex's color its own, or
+    nearly, so the unpruned search has little to do."""
     colors = [("e",) if v in bcr.external else ("i", rho[v])
               for v in range(bcr.nv)]
     entries = [(a, b, (cls, sigma.get(i, 0)))
                for i, (a, b, cls) in enumerate(bcr.edges)]
-    return canonical_form(bcr.nv, colors, entries, directed=True)[0]
+    return canonical_form_all(bcr.nv, colors, entries, directed=True)[0]
 
 
 def _triple_member_key(bcr, rho, sigma):

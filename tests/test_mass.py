@@ -1,5 +1,6 @@
 """The counting certificates of the class lists (see `mass.py`): the
-Jacobi lists by a mass formula, the BCR lists by Burnside's lemma."""
+Jacobi lists by a mass formula, the BCR lists by Burnside's lemma, the
+support and the line-only classes by the exponential formula."""
 
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
 
 from mass import (bcr_class_count, class_mass, expected_mass,
-                  loopless_pairings)
+                  line_only_counts, loopless_pairings, support_count)
 from oracles import pairings
 
 
@@ -35,3 +36,24 @@ def test_class_lists_meet_the_mass_formula(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_bcr_class_lists_meet_the_burnside_count(k):
     assert len(enumerate_bcr(k, k_max=k)) == bcr_class_count(k)
+
+
+def test_support_count_values():
+    assert [support_count(k) for k in range(1, 7)] == [
+        1, 5, 35, 351, 4537, 71852]
+
+
+@pytest.mark.parametrize("k", [
+    1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_support_meets_its_closed_form(k):
+    support = sum(not rep.has_legless_vertex()
+                  for rep in enumerate_jacobi(k, k_max=k))
+    assert support == support_count(k)
+
+
+@pytest.mark.parametrize("k", [
+    1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_line_only_classes_follow_from_the_connected_ones(k):
+    listed, formula = line_only_counts(k)
+    assert listed == formula
+    assert sum(listed.values()) == [1, 6, 49, 527, 7123][k - 1]
