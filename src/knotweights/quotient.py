@@ -1,16 +1,21 @@
 """The quotient space per degree: basis, reduction, and dimensions.
 
-Row reduction is exact sparse Gaussian elimination with a fixed class
-ordering (canonical keys, lexicographic), kept fully reduced.  The relators
-have integer coefficients, and a row whose lead is +-1 is normalized by its
-sign, so rows stay Python ints; a `Fraction` enters only through a lead of
-any other value.  The fully reduced echelon form of a row space over a
-fixed column order is unique, so bases and reduced coordinates are
-reproducible whatever order the rows come in.  The relators come in by
-descending rank of their first column: a kept row holds no column before
-its own lead, so a row whose lead comes before every kept lead needs no
-back-substitution, and in this order most rows are such rows.  The degree-k
-space splits into
+The relators are kept in row echelon form over a fixed class ordering
+(canonical keys, lexicographic): each kept row is filed under its lead, its
+column of least rank, where it holds 1, and no two rows share a lead.
+Every echelon form of a row space over a fixed column order has the same
+set of leads, so the basis, the classes that lead no row, depends on the
+row space alone, not on the rows that span it or their order.  Reducing a
+vector by the rows, lead columns in increasing order, leaves the one vector
+congruent to it modulo the relators that lives on basis columns, so reduced
+coordinates do not depend on them either.  A kept row is never edited, so a
+copy of the pivot dict can be extended with more rows while it shares the
+relators' rows.  The relators have integer coefficients, and a row whose
+lead is +-1 is normalized by its sign, so rows stay Python ints; a
+`Fraction` enters only through a lead of any other value.  The relators
+come in by descending rank of their lead: in the order they are generated,
+the kept rows fill in, and degree-5 elimination takes more than ten times
+as long.  The degree-k space splits into
 
   P  connected classes with a univalent vertex,
   N  the empty class and the product classes,
@@ -18,8 +23,10 @@ space splits into
 
 read off the class list: products commute in the quotient, so the product
 classes span every product, and interleaved disconnected classes generate
-no summand.  The independent classes of each summand give its dimension,
-and one more elimination over all of them checks that the sum is direct.
+no summand.  A class is independent of the relators and the classes before
+it when its unit row, added to the relators' rows, reduces to a new lead.
+The independent classes of each summand give its dimension, and one more
+pass over all of them checks that the sum is direct.
 
 `project_pc`, the projection onto P along N + T, serves only the tests
 (the program takes wc' as a cumulant over components instead); it stays
@@ -27,7 +34,9 @@ here while the benchmark's tracer test (perfbench/test_perfbench.py)
 expects every traced layer function to exist.
 """
 
+import copy
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .enumerate import K_MAX, enumerate_jacobi, per_degree
 from .jacobi import class_of
@@ -43,29 +52,35 @@ def _ints(row):
 
 
 class _Eliminator:
-    """Sparse RREF accumulator over a fixed column order.  Once a kept row
-    has a lead other than +-1, values can be `Fraction`s, and each row the
-    elimination writes has its integral ones turned back into ints; before
-    that, every value is an int and nothing is checked."""
+    """Sparse row echelon form over a fixed column order: `pivots` maps each
+    lead column to its row, which has 1 there and no column of lower rank.
+    Kept rows are never edited, so copies of the form share them.  Once a
+    kept row has a lead other than +-1, values can be `Fraction`s, and each
+    new row has its integral ones turned back into ints; before that, every
+    value is an int and nothing is checked."""
 
     def __init__(self, column_rank):
         self.column_rank = column_rank  # key -> position
         self.pivots = {}                # key -> normalized row (dict)
-        self._first = None              # least rank of a kept lead
         self._fractions = False         # whether a kept lead was not +-1
 
     def _reduce_terms(self, terms):
+        """The row less its multiples of kept rows, lead columns taken in
+        increasing rank, those a subtraction brings in included."""
         terms = dict(terms)
-        for col in sorted(terms, key=self.column_rank.get):
+        rank, pivots = self.column_rank, self.pivots
+        heap = [(rank[col], col) for col in terms if col in pivots]
+        heapify(heap)
+        while heap:
+            col = heappop(heap)[1]
             c = terms.get(col)
             if not c:
                 continue
-            row = self.pivots.get(col)
-            if row is None:
-                continue
-            for k2, c2 in row.items():
+            for k2, c2 in pivots[col].items():
                 nc = terms.get(k2, 0) - c * c2
                 if nc:
+                    if k2 not in terms and k2 in pivots:
+                        heappush(heap, (rank[k2], k2))
                     terms[k2] = nc
                 else:
                     terms.pop(k2, None)
@@ -89,23 +104,6 @@ class _Eliminator:
             self._fractions = True
         if self._fractions:
             _ints(row)
-        rank = self.column_rank[lead]
-        if self._first is None or rank < self._first:
-            # a kept row holds no column before its own lead, so none
-            # holds this one: nothing to back-substitute
-            self._first = rank
-        else:
-            for other in self.pivots.values():
-                c = other.get(lead)
-                if c:
-                    for k2, c2 in row.items():
-                        nc = other.get(k2, 0) - c * c2
-                        if nc:
-                            other[k2] = nc
-                        else:
-                            other.pop(k2, None)
-                    if self._fractions:
-                        _ints(other)
         self.pivots[lead] = row
         return lead
 
@@ -141,8 +139,7 @@ def quotient_basis(k):
     elim = _Eliminator(rank)
     rows = [vec.terms for vec in generate_relations(k, k_max=k).vectors()
             if not vec.is_zero()]
-    # latest leads first: a row whose lead no kept row reaches needs no
-    # back-substitution, and the reduced form does not depend on the order
+    # latest leads first, against fill-in (see the module docstring)
     rows.sort(key=lambda terms: min(map(rank.__getitem__, terms)),
               reverse=True)
     for terms in rows:
@@ -151,14 +148,12 @@ def quotient_basis(k):
 
 
 def _independent(quotient, keys):
-    """The keys whose classes are independent of the ones before them."""
-    elim = _Eliminator({key: i for i, key in enumerate(quotient.basis)})
-    picked = []
-    for key in keys:
-        red = quotient.reduce(DiagramVector(quotient.degree, {key: 1}))
-        if elim.add_row(red.terms) is not None:
-            picked.append(key)
-    return picked
+    """The keys whose classes are independent of the ones before them: a
+    copy of the relators' echelon form, sharing their rows, extended with
+    each key's unit row."""
+    elim = copy.copy(quotient._elim)
+    elim.pivots = dict(elim.pivots)
+    return [key for key in keys if elim.add_row({key: 1}) is not None]
 
 
 def _summands(k):

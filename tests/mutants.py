@@ -144,12 +144,33 @@ MUTANTS = (
      "            elif uni[b]:\n                legged[a] = True",
      "            else:\n                legged[a] = True",
      [WEIGHTS + "test_legless_classes_expand_to_zero[3]"]),
-    ("back-substitution keeps integral Fractions",
+    ("new rows keep integral Fractions",
      "quotient.py",
-     "                    if self._fractions:\n"
-     "                        _ints(other)\n",
+     "        if self._fractions:\n            _ints(row)\n",
      "",
      [SPACE + "test_eliminator_keeps_integral_values_as_ints"]),
+    ("reduction skips the leads a subtraction brings in",
+     "quotient.py",
+     "                    if k2 not in terms and k2 in pivots:\n",
+     "                    if False:\n",
+     [SPACE + "test_reduction_takes_the_leads_a_subtraction_brings_in"]),
+    ("splitting extends the relator rows in place",
+     "quotient.py",
+     "    elim.pivots = dict(elim.pivots)\n",
+     "",
+     [SPACE + "test_splitting_and_projection_leave_the_relator_rows_alone"
+      "[2]"]),
+    ("edge ids go unchecked",
+     "serialize.py",
+     "    _check_ids(edges_rows, \"edges\", \"m\")\n",
+     "",
+     [CLI + "test_cli_vertex_class_and_id_type_are_checked"
+      "[argv1-edge_id_seven]"]),
+    ("a bigon is taken with equal signs",
+     "alexander.py",
+     "if j is None or crossings[j][4] != -s:",
+     "if j is None:",
+     [ALEXANDER + "test_equal_signs_bound_no_bigon[1]"]),
     ("class search builds its entries without the tags",
      "jacobi.py",
      "entries = [(a, b, tags[i]) for i, (a, b) in enumerate(edges)]",

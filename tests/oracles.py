@@ -517,7 +517,8 @@ def dense_rank_oracle(rows, columns):
 
 
 class FractionEliminator:
-    """`quotient._Eliminator` over Fractions: every sum starts at
+    """The reference for `quotient._Eliminator`: the fully reduced echelon
+    form, kept by back-substitution, over Fractions.  Every sum starts at
     Fraction(0) and every kept row is scaled by 1 / lead, so rows must come
     in with Fraction coefficients (1 / lead on an int is a float)."""
 

@@ -1,3 +1,6 @@
+import copy
+import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import cache
@@ -128,11 +131,8 @@ def test_relators_span_the_relators_at_every_site(k):
     for vec in generate_relations(k).vectors():
         assert frozenset(vec.terms.items()) in listed
     q = quotient_basis(k)
-    elim = quotient._Eliminator(q._elim.column_rank)
-    for vec in everywhere.vectors():
-        assert q.reduce(vec).is_zero()
-        elim.add_row(vec.terms)
-    assert elim.pivots == q._elim.pivots
+    _assert_same_quotient(q._elim, _fraction_reference(everywhere, q),
+                          everywhere)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3,
@@ -238,15 +238,46 @@ def test_ihx_rows_on_closed_components_are_listed_up_to_sign(k):
     assert parallel
 
 
+def _fraction_reference(relators, q):
+    """The relators eliminated over Fractions, in the order given, to the
+    fully reduced form."""
+    ref = FractionEliminator(q._elim.column_rank)
+    for vec in relators.vectors():
+        if not vec.is_zero():
+            ref.add_row({key: Fraction(c) for key, c in vec.terms.items()})
+    return ref
+
+
+def _integral_fractions(elim):
+    return [c for row in elim.pivots.values() for c in row.values()
+            if type(c) is Fraction and c.denominator == 1]
+
+
+def _assert_same_quotient(elim, ref, relators):
+    """`elim` and the reference `ref` span the same quotient: the same
+    leads, every class reduced alike, every relator reduced to 0, and no
+    kept value of `elim` an integral Fraction."""
+    assert elim.pivots.keys() == ref.pivots.keys()
+    for key in elim.column_rank:
+        assert (elim._reduce_terms({key: 1})
+                == ref._reduce_terms({key: Fraction(1)}))
+    for vec in relators.vectors():
+        assert not elim._reduce_terms(vec.terms)
+    assert not _integral_fractions(elim)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3,
                                pytest.param(4, marks=pytest.mark.slow)])
 def test_lead_order_and_generation_order_give_equal_pivots(k):
+    # the rows differ with the order they come in, but not the leads, the
+    # basis or what a vector reduces to
     q = quotient_basis(k)
+    rels = generate_relations(k)
     elim = quotient._Eliminator(q._elim.column_rank)
-    for vec in generate_relations(k).vectors():
+    for vec in rels.vectors():
         if not vec.is_zero():
             elim.add_row(vec.terms)
-    assert elim.pivots == q._elim.pivots
+    _assert_same_quotient(elim, _fraction_reference(rels, q), rels)
     assert q.basis == [key for key in q.class_keys
                        if key not in elim.pivots]
 
@@ -255,40 +286,84 @@ def test_lead_order_and_generation_order_give_equal_pivots(k):
                                pytest.param(4, marks=pytest.mark.slow)])
 def test_integer_pivots_match_the_fraction_eliminator(k):
     # the relators are integer rows, and eliminating them in ints leaves
-    # the pivots that elimination over Fractions, in generation order,
+    # the quotient that elimination over Fractions, in generation order,
     # leaves
     q = quotient_basis(k)
-    oracle = FractionEliminator(q._elim.column_rank)
-    for vec in generate_relations(k).vectors():
+    rels = generate_relations(k)
+    for vec in rels.vectors():
         assert all(type(c) is int for c in vec.terms.values())
-        if not vec.is_zero():
-            oracle.add_row({key: Fraction(c) for key, c in vec.terms.items()})
-    assert oracle.pivots == q._elim.pivots
-
-
-def _integral_fractions(elim):
-    return [c for row in elim.pivots.values() for c in row.values()
-            if type(c) is Fraction and c.denominator == 1]
+    _assert_same_quotient(q._elim, _fraction_reference(rels, q), rels)
 
 
 def test_eliminator_keeps_integral_values_as_ints():
-    # a lead of 2 brings in halves; back-substitution of the next row,
-    # whose lead is 2 as well, leaves an integral value in the first row
+    # a lead of 2 brings in halves; the next row, reduced by the first,
+    # has a lead of 1/2 and comes out integral
     elim = quotient._Eliminator({"a": 0, "b": 1, "c": 2})
-    elim.add_row({"a": 2, "b": 2, "c": 1})
-    elim.add_row({"b": 2, "c": 3})
-    assert elim.pivots == {"a": {"a": 1, "c": -1},
-                           "b": {"b": 1, "c": Fraction(3, 2)}}
+    ref = FractionEliminator(elim.column_rank)
+    for row in ({"a": 2, "b": 1}, {"a": 1, "b": 1, "c": 1}):
+        elim.add_row(row)
+        ref.add_row({key: Fraction(c) for key, c in row.items()})
+    assert elim.pivots == {"a": {"a": 1, "b": Fraction(1, 2)},
+                           "b": {"b": 1, "c": 2}}
     assert not _integral_fractions(elim)
+    assert ref.pivots == {"a": {"a": 1, "c": -1}, "b": {"b": 1, "c": 2}}
+    for key in "abc":
+        assert (elim._reduce_terms({key: 1})
+                == ref._reduce_terms({key: Fraction(1)}))
     # an all-int elimination is left alone
     elim = quotient._Eliminator({"a": 0, "b": 1})
     elim.add_row({"a": 1, "b": 2})
     assert not elim._fractions
 
 
+def test_reduction_takes_the_leads_a_subtraction_brings_in():
+    # the row under "a" holds "b", which leads the row kept after it:
+    # reducing "a" leaves the combination on the basis column "c" alone
+    elim = quotient._Eliminator({"a": 0, "b": 1, "c": 2})
+    elim.add_row({"a": 1, "b": 1})
+    elim.add_row({"b": 1, "c": 1})
+    assert elim.pivots["a"] == {"a": 1, "b": 1}
+    assert elim._reduce_terms({"a": 1}) == {"c": 1}
+    assert elim._reduce_terms({"a": 1, "c": -1}) == {}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_splitting_and_projection_leave_the_relator_rows_alone(k):
+    # the splitting shares the relators' rows and the projection only
+    # reads reduced forms: neither writes to the quotient's pivots
+    q = quotient_basis(k)
+    before = copy.deepcopy(q._elim.pivots)
+    assert splitting.__wrapped__(k) == splitting(k)
+    quotient._projector.__wrapped__(k)
+    for rep in enumerate_jacobi(k):
+        project_pc(vector_of(rep))
+    assert q._elim.pivots == before
+    assert quotient_basis(k) is q
+
+
+# sha256 of the JSON of [basis, splitting], recorded while the relators
+# were kept fully reduced
+BASIS_DIGESTS = {
+    0: "ead9078af12b35e82b7dc17ba6fe01e3e9846db7998569774f6691aaf1a93efd",
+    1: "f6900077610d6c75f7f444856bb53437fc6f7fa8e814bf4875750fd9635fa0a9",
+    2: "8fd01fe57c663db36d9c76fe1a7dcf550474ccca4021ea9b0da7c98ff54a4ab3",
+    3: "0dd8ea9e902a4f2f79fc6d7dc5bb2b0a391812b8888ffd113b2082fe5d55d1d2",
+    4: "7608cf171d66f434c4fbf3ebd63ce15c9456b0c549e95d9c402909179062bcc5",
+    5: "06ae63e3820be28163c707809b13a60d093ad2d85beb7965c6054f2747de7fe4",
+}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4,
+                               pytest.param(5, marks=pytest.mark.slow)])
+def test_basis_and_splitting_keep_their_recorded_digest(k):
+    data = json.dumps([quotient_basis(k, k_max=k).basis,
+                       splitting(k, k_max=k)])
+    assert hashlib.sha256(data.encode()).hexdigest() == BASIS_DIGESTS[k]
+
+
 @pytest.mark.slow
 def test_degree_five_pivots_hold_no_integral_fraction():
-    # two leads of +-2 at degree 5 bring Fractions into 1,878 kept rows
+    # two leads of +-2 at degree 5 bring Fractions into 192 kept rows
     elim = quotient_basis(5, k_max=5)._elim
     assert elim._fractions
     assert not _integral_fractions(elim)
