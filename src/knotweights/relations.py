@@ -19,8 +19,13 @@ class representative, in key order, and local site:
                                    earlier marked (rule 1)
 
 Each term is classed by a search on its parts, with no diagram built
-(`jacobi.class_of_parts`).  The STU rows of a class with a closed part
-are its line part's rows, each key joined to the closed part's tokens
+(`jacobi.class_of_parts`), and kept under the key object that
+`enumerate_jacobi` holds for its class, not under the search's fresh
+copy: a key is 1.5-1.7 KB at degree 5, and with a copy per term cold
+`dim` peaked at 69 MB at degree 5 and 1,023 MB at degree 6, against 50
+and 656 MB shared (one run each).  A nonvanishing term whose class is
+not listed raises LookupError.  The STU rows of a class with a closed
+part are its line part's rows, each key joined to the closed part's tokens
 (rule 3): they are searched once per line part, on its representative,
 and no search runs on the closed part.
 
@@ -195,7 +200,18 @@ def _ihx_edges(d, marked):
             yield e
 
 
-def _ihx_rows(k, rep, key, marks):
+def _listed(classes, term):
+    """The class list's own key object for a term's key, so that the
+    relators share the keys `enumerate_jacobi` holds instead of each
+    holding a fresh copy."""
+    try:
+        return classes[term]
+    except KeyError:
+        raise LookupError(f"relator term {term!r} is not a listed "
+                          f"nonvanishing class") from None
+
+
+def _ihx_rows(k, rep, key, marks, classes):
     """The IHX rows of a representative whose line part is a chord
     diagram, at the edges `_ihx_edges` leaves; each row marks the middle
     edge of its two companions, in their canonical slots."""
@@ -208,6 +224,7 @@ def _ihx_rows(k, rep, key, marks):
             term, sign, perm, _ = class_of_parts(
                 rep.nv, rep.univalent_order, edges, orient.values())
             if sign:
+                term = _listed(classes, term)
                 vec.add_term(term, coeff * sign)
                 marks.setdefault(term, set()).add(
                     frozenset((perm[a], perm[b])))
@@ -241,15 +258,19 @@ def generate_relations(k, k_max=K_MAX):
     rels = RelationSet(k)
     if k == 0:
         return rels
-    marks = {}       # key -> slot pairs of companions of listed IHX rows
-    line_rows = {}   # line key -> STU rows of a line part below degree k
+    listed = []      # (representative, key) of the nonvanishing classes
+    classes = {}     # key -> itself, for the same classes
     for rep in enumerate_jacobi(k, k_max=k):
         key, sign = class_of(rep)
-        if not sign:
-            continue
+        if sign:
+            listed.append((rep, key))
+            classes[key] = key
+    marks = {}       # key -> slot pairs of companions of listed IHX rows
+    line_rows = {}   # line key -> STU rows of a line part below degree k
+    for rep, key in listed:
         closed = _closed_slots(key)
         if rep.nv - closed == len(rep.univalent_order):
-            for vec in _ihx_rows(k, rep, key, marks):
+            for vec in _ihx_rows(k, rep, key, marks, classes):
                 rels.add("IHX", vec)
             continue
         if closed:
@@ -263,6 +284,7 @@ def generate_relations(k, k_max=K_MAX):
         for terms in rows:
             vec = DiagramVector(k, {key: 1})
             for term, coeff in terms:
-                vec.add_term(_joined(closed_tokens, term), coeff)
+                vec.add_term(_listed(classes, _joined(closed_tokens, term)),
+                             coeff)
             rels.add("STU", vec)
     return rels

@@ -160,6 +160,24 @@ MUTANTS = (
      "",
      [SPACE + "test_splitting_and_projection_leave_the_relator_rows_alone"
       "[2]"]),
+    ("lead taken as the greatest column of a row",
+     "quotient.py",
+     "        lead = min(terms)\n",
+     "        lead = max(terms)\n",
+     [SPACE + "test_integer_pivots_match_the_fraction_eliminator[2]"]),
+    ("reduce passes a foreign key through",
+     "quotient.py",
+     "            raise ValueError(\n",
+     "            return vec\n            raise ValueError(\n",
+     [SPACE + "test_reduce_rejects_a_key_that_is_not_a_class_of_the_degree"
+      "[2]"]),
+    ("relator term kept under the search's fresh key",
+     "relations.py",
+     "vec.add_term(_listed(classes, _joined(closed_tokens, term)),\n"
+     "                             coeff)",
+     "vec.add_term(_joined(closed_tokens, term), coeff)",
+     [SPACE + "test_relators_hold_the_class_lists_keys_and_rows_their_ranks"
+      "[2]"]),
     ("edge ids go unchecked",
      "serialize.py",
      "    _check_ids(edges_rows, \"edges\", \"m\")\n",

@@ -894,10 +894,12 @@ class SplittingByProducts:
         return [red.terms.get(key, Fraction(0)) for key in self.quotient.basis]
 
     def _independent(self, generators):
-        elim = _Eliminator({key: i for i, key in
-                            enumerate(self.quotient.basis)})
+        elim = _Eliminator()
+        rank = self.quotient.rank
         return [(gen, self.coords(vec)) for gen, vec in generators
-                if elim.add_row(self.quotient.reduce(vec).terms) is not None]
+                if elim.add_row({rank[key]: c for key, c
+                                 in self.quotient.reduce(vec).terms.items()})
+                is not None]
 
     @property
     def dims(self):

@@ -131,7 +131,7 @@ def test_relators_span_the_relators_at_every_site(k):
     for vec in generate_relations(k).vectors():
         assert frozenset(vec.terms.items()) in listed
     q = quotient_basis(k)
-    _assert_same_quotient(q._elim, _fraction_reference(everywhere, q),
+    _assert_same_quotient(q, q._elim, _fraction_reference(everywhere, q),
                           everywhere)
 
 
@@ -240,8 +240,8 @@ def test_ihx_rows_on_closed_components_are_listed_up_to_sign(k):
 
 def _fraction_reference(relators, q):
     """The relators eliminated over Fractions, in the order given, to the
-    fully reduced form."""
-    ref = FractionEliminator(q._elim.column_rank)
+    fully reduced form, on the class keys in the quotient's order."""
+    ref = FractionEliminator(q.rank)
     for vec in relators.vectors():
         if not vec.is_zero():
             ref.add_row({key: Fraction(c) for key, c in vec.terms.items()})
@@ -253,16 +253,22 @@ def _integral_fractions(elim):
             if type(c) is Fraction and c.denominator == 1]
 
 
-def _assert_same_quotient(elim, ref, relators):
-    """`elim` and the reference `ref` span the same quotient: the same
-    leads, every class reduced alike, every relator reduced to 0, and no
-    kept value of `elim` an integral Fraction."""
-    assert elim.pivots.keys() == ref.pivots.keys()
-    for key in elim.column_rank:
-        assert (elim._reduce_terms({key: 1})
+def _ranked(q, vec):
+    return {q.rank[key]: c for key, c in vec.terms.items()}
+
+
+def _assert_same_quotient(q, elim, ref, relators):
+    """`elim`, on the columns of `q`, and the reference `ref`, on its class
+    keys, span the same quotient: the same leads, every class reduced
+    alike, every relator reduced to 0, and no kept value of `elim` an
+    integral Fraction."""
+    keys = q.class_keys
+    assert sorted(elim.pivots) == sorted(q.rank[key] for key in ref.pivots)
+    for i, key in enumerate(keys):
+        assert ({keys[j]: c for j, c in elim._reduce_terms({i: 1}).items()}
                 == ref._reduce_terms({key: Fraction(1)}))
     for vec in relators.vectors():
-        assert not elim._reduce_terms(vec.terms)
+        assert not elim._reduce_terms(_ranked(q, vec))
     assert not _integral_fractions(elim)
 
 
@@ -273,13 +279,13 @@ def test_lead_order_and_generation_order_give_equal_pivots(k):
     # basis or what a vector reduces to
     q = quotient_basis(k)
     rels = generate_relations(k)
-    elim = quotient._Eliminator(q._elim.column_rank)
+    elim = quotient._Eliminator()
     for vec in rels.vectors():
         if not vec.is_zero():
-            elim.add_row(vec.terms)
-    _assert_same_quotient(elim, _fraction_reference(rels, q), rels)
-    assert q.basis == [key for key in q.class_keys
-                       if key not in elim.pivots]
+            elim.add_row(_ranked(q, vec))
+    _assert_same_quotient(q, elim, _fraction_reference(rels, q), rels)
+    assert q.basis == [key for i, key in enumerate(q.class_keys)
+                       if i not in elim.pivots]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3,
@@ -292,39 +298,90 @@ def test_integer_pivots_match_the_fraction_eliminator(k):
     rels = generate_relations(k)
     for vec in rels.vectors():
         assert all(type(c) is int for c in vec.terms.values())
-    _assert_same_quotient(q._elim, _fraction_reference(rels, q), rels)
+    _assert_same_quotient(q, q._elim, _fraction_reference(rels, q), rels)
 
 
 def test_eliminator_keeps_integral_values_as_ints():
     # a lead of 2 brings in halves; the next row, reduced by the first,
     # has a lead of 1/2 and comes out integral
-    elim = quotient._Eliminator({"a": 0, "b": 1, "c": 2})
-    ref = FractionEliminator(elim.column_rank)
-    for row in ({"a": 2, "b": 1}, {"a": 1, "b": 1, "c": 1}):
+    a, b, c = 0, 1, 2
+    elim = quotient._Eliminator()
+    ref = FractionEliminator({a: 0, b: 1, c: 2})
+    for row in ({a: 2, b: 1}, {a: 1, b: 1, c: 1}):
         elim.add_row(row)
-        ref.add_row({key: Fraction(c) for key, c in row.items()})
-    assert elim.pivots == {"a": {"a": 1, "b": Fraction(1, 2)},
-                           "b": {"b": 1, "c": 2}}
+        ref.add_row({col: Fraction(x) for col, x in row.items()})
+    assert elim.pivots == {a: {a: 1, b: Fraction(1, 2)}, b: {b: 1, c: 2}}
     assert not _integral_fractions(elim)
-    assert ref.pivots == {"a": {"a": 1, "c": -1}, "b": {"b": 1, "c": 2}}
-    for key in "abc":
-        assert (elim._reduce_terms({key: 1})
-                == ref._reduce_terms({key: Fraction(1)}))
+    assert ref.pivots == {a: {a: 1, c: -1}, b: {b: 1, c: 2}}
+    for col in (a, b, c):
+        assert (elim._reduce_terms({col: 1})
+                == ref._reduce_terms({col: Fraction(1)}))
     # an all-int elimination is left alone
-    elim = quotient._Eliminator({"a": 0, "b": 1})
-    elim.add_row({"a": 1, "b": 2})
+    elim = quotient._Eliminator()
+    elim.add_row({a: 1, b: 2})
     assert not elim._fractions
 
 
 def test_reduction_takes_the_leads_a_subtraction_brings_in():
-    # the row under "a" holds "b", which leads the row kept after it:
-    # reducing "a" leaves the combination on the basis column "c" alone
-    elim = quotient._Eliminator({"a": 0, "b": 1, "c": 2})
-    elim.add_row({"a": 1, "b": 1})
-    elim.add_row({"b": 1, "c": 1})
-    assert elim.pivots["a"] == {"a": 1, "b": 1}
-    assert elim._reduce_terms({"a": 1}) == {"c": 1}
-    assert elim._reduce_terms({"a": 1, "c": -1}) == {}
+    # the row under a holds b, which leads the row kept after it:
+    # reducing a leaves the combination on the basis column c alone
+    a, b, c = 0, 1, 2
+    elim = quotient._Eliminator()
+    elim.add_row({a: 1, b: 1})
+    elim.add_row({b: 1, c: 1})
+    assert elim.pivots[a] == {a: 1, b: 1}
+    assert elim._reduce_terms({a: 1}) == {c: 1}
+    assert elim._reduce_terms({a: 1, c: -1}) == {}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3,
+                               pytest.param(4, marks=pytest.mark.slow)])
+def test_relators_hold_the_class_lists_keys_and_rows_their_ranks(k):
+    # every relator term is the very key object enumerate_jacobi holds
+    # for its class, and the kept rows hold ranks in the class list
+    listed = {}
+    for rep in enumerate_jacobi(k):
+        key, sign = class_of(rep)
+        if sign:
+            listed[key] = key
+    for vec in generate_relations(k).vectors():
+        for key in vec.terms:
+            assert key is listed[key]
+    q = quotient_basis(k)
+    assert all(key is listed[key] for key in q.class_keys)
+    columns = range(len(q.class_keys))
+    for lead, row in q._elim.pivots.items():
+        assert lead == min(row)
+        assert all(type(col) is int and col in columns for col in row)
+
+
+def test_a_relator_term_off_the_class_list_raises(monkeypatch):
+    # drop a class that a relator listed at another class holds as a term
+    reps = enumerate_jacobi(2)
+    vec = next(vec for vec in generate_relations(2).vectors()
+               if len(vec.terms) > 1)
+    gone = list(vec.terms)[-1]
+    monkeypatch.setattr(relations, "enumerate_jacobi",
+                        lambda k, k_max: [rep for rep in reps
+                                          if class_of(rep)[0] != gone])
+    with pytest.raises(LookupError) as info:
+        generate_relations(2)
+    assert repr(gone) in str(info.value)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_reduce_rejects_a_key_that_is_not_a_class_of_the_degree(k):
+    # a class of the degree below and a class that vanishes have no
+    # column; neither comes back looking like a basis class
+    q = quotient_basis(k)
+    vanishing = [class_of(rep)[0] for rep in enumerate_jacobi(k)
+                 if not class_of(rep)[1]]
+    assert vanishing
+    for key in (quotient_basis(k - 1).class_keys[-1], vanishing[0]):
+        vec = DiagramVector(k, {q.class_keys[0]: 1, key: 2})
+        with pytest.raises(ValueError) as info:
+            q.reduce(vec)
+        assert repr(key) in str(info.value)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
