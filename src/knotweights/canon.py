@@ -232,6 +232,7 @@ def canonical_form(n, colors, edges):
         return s
 
     dfs(0, False, [])
+    dfs = None  # the closure refers to itself: break the cycle
     tokens = tuple((s, code // R, tags[code % R])
                    for s, level in enumerate(best[0]) for code in level[:-1])
     return (slot_colors, tokens), best[1], gens

@@ -30,8 +30,10 @@ from .series import exp_substitute, zbcr_series
 
 def _emit(obj, as_json):
     """Print obj as indented JSON, the text of ``json.dumps(obj, indent=2,
-    sort_keys=True)``, written in blocks of pieces: the whole document
-    joined at once holds millions of pieces for a degree-5 enumeration."""
+    sort_keys=True)`` with a `map` written as the list it yields, in
+    blocks of pieces: the whole document joined at once holds millions of
+    pieces for a degree-5 enumeration, and a `map`'s items are made only
+    as they are written."""
     if as_json:
         out = []
         _json(obj, out, "\n")
@@ -60,7 +62,7 @@ def _json(obj, out, newline):
             _json(obj[key], out, inner)
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
+    elif isinstance(obj, (list, tuple, map)):
         inner = newline + "  "
         sep = "[" + inner
         for item in obj:
@@ -70,7 +72,7 @@ def _json(obj, out, newline):
             if len(out) > 8192:
                 sys.stdout.write("".join(out))
                 out.clear()
-        out.append(newline + "]")
+        out.append("[]" if sep[0] == "[" else newline + "]")
     else:
         out.append(json.dumps(obj))
 
@@ -108,18 +110,18 @@ def _natural(text):
 
 def cmd_enumerate(args):
     if args.kind == "bcr":
-        diagrams = [bcr_to_obj(d) for d in
-                    enumerate_bcr(args.degree, k_max=args.k_max)]
+        reps = enumerate_bcr(args.degree, k_max=args.k_max)
+        to_obj = bcr_to_obj
     else:
-        diagrams = [jacobi_to_obj(d) for d in
-                    enumerate_jacobi(args.degree, k_max=args.k_max)]
+        reps = enumerate_jacobi(args.degree, k_max=args.k_max)
+        to_obj = jacobi_to_obj
     if args.json:
         _emit({"kind": args.kind, "degree": args.degree,
-               "count": len(diagrams), "diagrams": diagrams}, True)
+               "count": len(reps), "diagrams": map(to_obj, reps)}, True)
     else:
         print(f"{args.kind} diagrams of degree {args.degree}: "
-              f"{len(diagrams)} classes")
-        for i, obj in enumerate(diagrams):
+              f"{len(reps)} classes")
+        for i, obj in enumerate(map(to_obj, reps)):
             edges = ["{}-{}{}".format(e["from"], e["to"],
                                       "" if e["class"] in ("plain",)
                                       else ":" + e["class"][0])
@@ -162,23 +164,31 @@ def cmd_wbcr(args):
     return 0
 
 
+def _field(row, name):
+    """A report row's field `name`; the class is its key's byte form."""
+    if name == "class":
+        return key_bytes(row["key"]).decode()
+    return row.get(name)
+
+
 def _report(rows, label, as_json, key_fields):
+    """Report the check rows, each one's output row made as it is
+    written."""
     ok = all(r["equal"] for r in rows)
     if as_json:
-        out = []
-        for r in rows:
+        def written(r):
             row = {"equal": r["equal"]}
             for f in key_fields:
-                row[f] = str(r.get(f))
-            out.append(row)
-        _emit({"check": label, "rows": out, "pass": ok}, True)
+                row[f] = str(_field(r, f))
+            return row
+        _emit({"check": label, "rows": map(written, rows), "pass": ok}, True)
     else:
         n_bad = sum(1 for r in rows if not r["equal"])
         print(f"{label}: {len(rows)} checks, {n_bad} failures")
         for r in rows:
             if not r["equal"]:
                 print("  FAIL " + " ".join(
-                    f"{f}={r.get(f)}" for f in key_fields))
+                    f"{f}={_field(r, f)}" for f in key_fields))
     return 0 if ok else 1
 
 
@@ -186,8 +196,6 @@ def cmd_verify(args):
     k = args.degree
     if args.what == "prop32":
         rows = verify_main(k, k_max=args.k_max)
-        for r in rows:
-            r["class"] = key_bytes(r["key"]).decode()
         return _report(rows, f"wbcr == -wc' at degree {k}", args.json,
                        ["class", "wbcr", "minus_wc_prime"])
     if args.what == "stu":

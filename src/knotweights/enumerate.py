@@ -308,7 +308,8 @@ def enumerate_jacobi(k):
         key, sign, perm, gens = class_of_parts(n, range(u), edges,
                                                _halves(n, edges)[u:])
         if key not in found:
-            found[key] = drawn(key, sign, perm, gens)
+            rep = drawn(key, sign, perm, gens)
+            found[rep.record[0]] = rep
     for rep in _joined_classes(k):
         found[rep.record[0]] = rep
     return tuple(found[key] for key in sorted(found))

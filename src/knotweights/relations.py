@@ -21,10 +21,12 @@ class representative, in key order, and local site:
 Each term is classed by a search on its parts, with no diagram built
 (`jacobi.class_of_parts`), and kept under the key object that
 `enumerate_jacobi` holds for its class, not under the search's fresh
-copy: a key is 1.5-1.7 KB at degree 5, and with a copy per term cold
-`dim` peaked at 69 MB at degree 5 and 1,023 MB at degree 6, against 50
-and 656 MB shared (one run each).  A nonvanishing term whose class is
-not listed raises LookupError.  The STU rows of a class with a closed
+copy: a fresh key is 1.5-1.7 KB at degree 5, and with a copy per term
+cold `dim` peaked at 69 MB at degree 5 and 1,023 MB at degree 6, against
+50 and 656 MB shared (one run each).  The held keys also share their
+parts with every other held representative (`jacobi.kept`), and cold
+`dim` now peaks at 30 MB at degree 5 and 274 MB at degree 6.  A
+nonvanishing term whose class is not listed raises LookupError.  The STU rows of a class with a closed
 part are its line part's rows, each key joined to the closed part's tokens
 (rule 3): they are searched once per line part, on its representative,
 and no search runs on the closed part.

@@ -35,6 +35,7 @@ ALEXANDER = "tests/test_alexander.py::"
 BCR = "tests/test_bcr_core.py::"
 CLI = "tests/test_serialize_cli.py::"
 BRIDGE = "tests/test_bridge.py::"
+MEMORY = "tests/test_memory.py::"
 
 # (name, module under src/knotweights, source text, replacement, test ids)
 MUTANTS = (
@@ -178,6 +179,22 @@ MUTANTS = (
      "vec.add_term(_joined(closed_tokens, term), coeff)",
      [SPACE + "test_relators_hold_the_class_lists_keys_and_rows_their_ranks"
       "[2]"]),
+    ("`kept` skips the pool for edge pairs",
+     "jacobi.py",
+     "    rep.edges = tuple(map(pooled, rep.edges))\n",
+     "",
+     [MEMORY + "test_held_parts_are_the_pools[2]"]),
+    ("`found` keyed by the search's fresh key",
+     "enumerate.py",
+     "found[rep.record[0]] = rep\n    for rep in _joined_classes(k):",
+     "found[key] = rep\n    for rep in _joined_classes(k):",
+     [MEMORY + "test_enumeration_files_each_class_under_its"
+      "_representatives_key[2]"]),
+    ("`dfs` cycle left in place",
+     "canon.py",
+     "    dfs = None",
+     "    pass",
+     [MEMORY + "test_a_searching_canonical_form_leaves_no_garbage"]),
     ("edge ids go unchecked",
      "serialize.py",
      "    _check_ids(edges_rows, \"edges\", \"m\")\n",
