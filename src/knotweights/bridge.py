@@ -44,7 +44,22 @@ univalent vertices), so the product of roles is empty and the diagram
 has no source: `wbcr` returns 0 on it before building any role
 (``JacobiDiagram.has_legless_vertex``).  This is the leg-less zero of wc
 and wc' too (see `conway`), so all three weights vanish on such a
-diagram.  The test oracles in `tests/oracles.py` are `sources`, which lists
+diagram.
+
+On a chord diagram D with k chords there are no roles to choose, and the
+ring is the chords alone.  Over a chord's two ends, ordered a < b, its
+options weigh W[start][end] = -1 when start = end and +1 otherwise, so
+W = -u u^T with u = (1, -1), a rank-one matrix.  Summed over the options,
+a cycle through chords i then j takes from that pair u(end of i) u(start
+of j) sgn(start of j - end of i) over the four choices of ends:
+sgn(a_j - a_i) - sgn(b_j - a_i) - sgn(a_j - b_i) + sgn(b_j - b_i), which
+is 2 S_ij for the signed intersection matrix S of `conway`.  So the ring
+sum is (-2)^k times the sum over the cyclic orders sigma of the chords of
+prod_i S[i][sigma(i)], and the sign (-1)^k and divisor 2^k of `wbcr`
+leave that cycle sum.  At odd k it is 0 (reversal, see `conway`), and at
+even k `conway` gives wc' as minus it: Prop 3.2 on chord diagrams.  This
+step is proved; `conway`'s step wc = det S_D is measured, not proved.
+The test oracles in `tests/oracles.py` are `sources`, which lists
 the sources one by one, `wbcr_by_orderings`, which scans every ordering
 of every BCR class, and `cycle_sum_by_layers`, the cycle sum with one
 state per (visited set, end rank) stepping by each option on its own.

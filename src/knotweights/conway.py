@@ -72,11 +72,45 @@ components fall into two groups, one wholly before the other on the line
 So is one with a trivalent vertex without a leg: in every partition, the
 block that holds that vertex's component has wc 0.  The leg test comes
 first; then every component has a leg, and one walk over the
-components finds the cut and feeds the expansion.  One component is its own
-cumulant, wc.  Otherwise the sum over partitions is taken by the subset
-recursion on bitmasks of components (see `_cumulant`), which gives the
-same integers from one value per subset holding the first component;
-``tests/oracles.py:cumulant_by_partitions`` sums the partitions.
+components finds the cut and feeds the expansion.
+
+wc' is a weight system too, wc composed with a linear projection, so STU
+gives it as the sum, over one chord list per component, of the product of
+the coefficients times wc' of the merged chord diagram; on a chord
+diagram the components are the chords, and wc' is the cumulant of wc over
+them.  For a chord diagram D with chords (a_i, b_i), a_i < b_i, let S_D
+be its signed intersection matrix: S_ij = 1 and S_ji = -1 when
+a_i < a_j < b_i < b_j, and 0 otherwise.  Then
+
+  wc'(D) = (-1)^(k-1) sum over the cyclic orders sigma of the k chords
+           of prod_i S_D[i][sigma(i)],
+
+evaluated by `_cycles` (the test oracles ``cumulant_by_partitions``,
+``wc_prime_resolved``, ``ClassWeights.wc_prime`` and
+``SplittingByProducts.project_connected`` keep the cumulant).  The proof:
+  Principal minors (measured).  wc(D_B) = det S_B for every set B of
+  chords, S_B the principal submatrix.  wc is 0 or 1, and 1 exactly when
+  S_D is invertible over GF(2) [Cohn-Lempel, J. Combin. Theory A 13
+  (1972); Moran, J. Combin. Theory A 37 (1984)]; det S_D = Pf(S_D)^2, so
+  the identity is Pf(S_D) in {0, 1, -1}.  That is measured on every chord
+  diagram with k <= 6 and on seeded random ones at k = 8 and 10 (the
+  tests), not proved, and wc' at k >= 8 rests on it.
+  Exponential formula (proved).  det S_B sums sgn(pi) prod_i S[i][pi(i)]
+  over the permutations pi of B.  A permutation is a set partition of B
+  into blocks with a cyclic order on each; its sign and its product are
+  products over the cycles, a cycle of length m giving (-1)^(m-1).  So
+  wc(D_B) = sum over set partitions of B of prod over blocks C of z(C),
+  z(C) the signed cycle sum of C, and the cumulant, which inverts this
+  moment-cumulant relation, is z of the whole chord set.
+  Odd k (proved).  S is skew, so reversing a cycle multiplies its product
+  by (-1)^k.  At odd k >= 3 reversal pairs off the cyclic orders and the
+  sum is 0; at k = 1 the one cycle reads S_ii = 0.  So the sign is -1
+  wherever the sum is not 0.  (wc' of odd degree is 0 also because
+  surgery along k chords leaves k circles mod 2.)
+  A chord that crosses no other has a zero row, and every cycle passes
+  through it, so the sum is 0.
+``bridge`` shows that wbcr is the same cycle sum on a chord diagram,
+which is Prop 3.2 there, given the principal minors.
 """
 
 from fractions import Fraction
@@ -242,9 +276,7 @@ def _block_wc(terms):
     renumbered on them once; a choice then writes its partner array
     directly.  A component whose expansion cancels leaves nothing to
     choose, and the block is 0."""
-    if not all(terms):
-        return 0
-    points = sorted([p for t in terms for chord in next(iter(t))
+    points = sorted([p for t in terms for chord in next(iter(t), ())
                      for p in chord])
     at = {p: i for i, p in enumerate(points)}
     options = [[([(at[a], at[b]) for a, b in chords], c)
@@ -275,42 +307,44 @@ def wc_eval(v):
                 for key, c in v.terms.items()), ZERO)
 
 
-def _cumulant(terms):
-    """The cumulant of wc over the expanded components `terms`, by the
-    subset recursion on bitmasks of components
-
-      c(S) = w(S) - sum over T with min S in T, T a proper subset of S,
-             of c(T) w(S - T),
-
-    where w is wc of a union of components.  Only sets holding component 0
-    need c; they are taken in increasing order, so c(T) is there when S
-    needs it, and w(S - T) is evaluated, once per set, only when c(T) is
-    not 0.  c of the whole set is the cumulant."""
-    w = {}
-
-    def wc_of(mask):
-        val = w.get(mask)
-        if val is None:
-            val = w[mask] = _block_wc([t for i, t in enumerate(terms)
-                                       if mask >> i & 1])
-        return val
-
-    c = {}
-    for mask in range(1, 1 << len(terms), 2):
-        total = wc_of(mask)
-        rest = sub = mask ^ 1
-        while sub:
-            sub = (sub - 1) & rest
-            if c[sub | 1]:
-                total -= c[sub | 1] * wc_of(rest ^ sub)
-        c[mask] = total
-    return total
+def _cycles(chords):
+    """The cycle sum of the chord diagram `chords`: over the cyclic orders
+    sigma of the chords, the sum of prod_i S[i][sigma(i)], where S is the
+    signed intersection matrix read off the endpoint keys, each chord a
+    sorted pair.  0 at once for an odd number of chords (reversal) and
+    for a chord that crosses no other (its row of S is 0).  Held-Karp
+    recursion from chord 0: ``sums[mask]`` maps the chord a path through
+    `mask` ends at to the signed sum of those paths; masks are taken in
+    increasing order, so each is complete before it is extended, and
+    dropped once it is.  Each step reads a row of S, and the closing one
+    reads row 0 negated, S being skew.  The identity in place of the
+    cumulant is in the module docstring; `bridge._cycle_sum` is the other
+    side of the identity `verify prop32` checks and is not used here."""
+    if len(chords) % 2:
+        return 0
+    steps = [[(1 << j, j, s) for j, (c, e) in enumerate(chords)
+              if (s := (a < c < b < e) - (c < a < e < b))]
+             for a, b in chords]
+    if not all(steps):
+        return 0
+    sums = [{} for _ in range(1 << len(chords))]
+    sums[1][0] = 1
+    for mask in range(1, len(sums) - 1, 2):
+        ends, sums[mask] = sums[mask], None
+        for last, val in ends.items():
+            for bit, j, s in steps[last]:
+                if not mask & bit:
+                    nxt = sums[mask | bit]
+                    nxt[j] = nxt.get(j, 0) + s * val
+    return -sum(s * sums[-1].get(j, 0) for _, j, s in steps[0])
 
 
 def wc_prime_diagram(d, k_max=K_MAX):
     """Logarithmic variant: the cumulant of wc over d's components.  The
-    leg test and one walk over the components give the exact zeros and
-    the expansion."""
+    leg test and one walk over the components give the exact zeros;
+    otherwise each choice of one chord list per component adds its
+    coefficient times the merged chord diagram's wc', the cycle sum with
+    the sign (-1)^(k-1), which is -1 where the sum is not 0."""
     check_degree(d.degree, k_max)
     if d.nv == 0 or d.has_legless_vertex():
         return ZERO
@@ -318,10 +352,11 @@ def wc_prime_diagram(d, k_max=K_MAX):
     if len(comps) > 1 and d.product_split((comps, comp_of)) is not None:
         return ZERO
     ex = _Expansion(d)
-    terms = [ex.terms(c) for c in comps]
-    if len(terms) == 1:
-        return Fraction(_block_wc(terms))
-    return Fraction(_cumulant(terms))
+    total = 0
+    for choice in product(*(ex.terms(c).items() for c in comps)):
+        total -= (prod(c for _, c in choice)
+                  * _cycles([ch for chords, _ in choice for ch in chords]))
+    return Fraction(total)
 
 
 def wc_prime_eval(v, k_max=K_MAX):

@@ -190,7 +190,10 @@ def psi_apply(gamma, d, K, X=None):
 
 
 def verify_wc_psi(k, k_max=K_MAX):
-    """Check the weight-level substitution compatibility on every class."""
+    """Check the weight-level substitution compatibility on every class.
+    The only series substituted is the degree-1 part, a bare chord, and
+    splicing a bare chord restores the edge, so psi(D) = D and each row
+    reads wc(D) = wc(D)."""
     from .conway import wc_eval
     gamma = doubled_anomaly_degree_one()
     rows = []

@@ -26,10 +26,10 @@ cold `dim` peaked at 69 MB at degree 5 and 1,023 MB at degree 6, against
 50 and 656 MB shared (one run each).  The held keys also share their
 parts with every other held representative (`jacobi.kept`), and cold
 `dim` now peaks at 30 MB at degree 5 and 274 MB at degree 6.  A
-nonvanishing term whose class is not listed raises LookupError.  The STU rows of a class with a closed
-part are its line part's rows, each key joined to the closed part's tokens
-(rule 3): they are searched once per line part, on its representative,
-and no search runs on the closed part.
+nonvanishing term whose class is not listed raises LookupError.  The STU
+rows of a class with a closed part are its line part's rows, each key
+joined to the closed part's tokens (rule 3): they are searched once per
+line part, on its representative, and no search runs on the closed part.
 
 Orientation signs are folded in on insertion, so an AS relator is the
 zero vector: flipping one vertex keeps the class and negates its sign (a

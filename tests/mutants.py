@@ -91,16 +91,27 @@ MUTANTS = (
      [JACOBI + "test_swap_test_matches_the_relabeling_oracle[3]"]),
     ("block endpoints in component order, unsorted",
      "conway.py",
-     "    points = sorted([p for t in terms for chord in next(iter(t))\n"
+     "    points = sorted([p for t in terms for chord in next(iter(t), ())\n"
      "                     for p in chord])",
-     "    points = list([p for t in terms for chord in next(iter(t))\n"
+     "    points = list([p for t in terms for chord in next(iter(t), ())\n"
      "                   for p in chord])",
      [WEIGHTS + "test_block_wc_matches_the_per_choice_sort[3]"]),
-    ("cumulant adds the lower terms",
+    ("wc' cycle sum without the sign (-1)^(k-1)",
      "conway.py",
-     "total -= c[sub | 1] * wc_of(rest ^ sub)",
-     "total += c[sub | 1] * wc_of(rest ^ sub)",
+     "        total -= (prod(c for _, c in choice)",
+     "        total += (prod(c for _, c in choice)",
      [WEIGHTS + "test_cumulant_matches_the_partition_oracle[4]"]),
+    ("wc' cycle sum closes on S transposed",
+     "conway.py",
+     "    return -sum(s * sums[-1].get(j, 0) for _, j, s in steps[0])",
+     "    return sum(s * sums[-1].get(j, 0) for _, j, s in steps[0])",
+     [WEIGHTS + "test_chord_diagrams_wc_is_det_and_wc_prime_the_cycle_sum"
+      "[4]"]),
+    ("wc' cycle sum counts each cycle in both directions",
+     "conway.py",
+     "    return -sum(s * sums[-1].get(j, 0) for _, j, s in steps[0])",
+     "    return -2 * sum(s * sums[-1].get(j, 0) for _, j, s in steps[0])",
+     [WEIGHTS + "test_random_chord_diagrams_wc_prime_is_the_cumulant[8-200]"]),
     ("IHX taken at parallel edges too",
      "relations.py",
      "if pairs.count(pair) == 1]",

@@ -19,7 +19,9 @@ scan over every cut of the line, the P + N + T splitting with N spanned by
 products and its projection onto the connected summand P, the STU and IHX
 moves that renumber their terms or scan for the moving half-edges, the
 surgery circle count by a walk over a successor dict and as a corank
-over GF(2) on every labeled chord diagram, the weight of a block
+over GF(2) on every labeled chord diagram, a chord diagram's signed
+intersection matrix with its determinant by elimination and its cycle sum
+over every cyclic order, the weight of a block
 of components with the endpoints of every choice sorted afresh, the
 circle-counting weight and its cumulant by a class-keyed, memoized STU
 recursion and by STU on whole diagrams with every block of the cumulant
@@ -1090,6 +1092,45 @@ def circles_by_gf2_corank(d):
     return len(chords) - len(pivots)
 
 
+def intersection_matrix(d):
+    """The signed intersection matrix of a chord diagram, chords in edge
+    order: S[i][j] = 1 and S[j][i] = -1 when a_i < a_j < b_i < b_j."""
+    chords = d.chords()
+    return [[1 if a < c < b < e else -1 if c < a < e < b else 0
+             for c, e in chords] for a, b in chords]
+
+
+def det_by_elimination(matrix):
+    """The determinant by Gaussian elimination in Fractions."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    n, det = len(rows), Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] / rows[col][col]
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def cycle_sum_by_permutations(matrix):
+    """The sum over the cyclic orders sigma of 0..k-1 of prod_i
+    S[i][sigma(i)], each cyclic order listed as 0 followed by a
+    permutation of the rest."""
+    k = len(matrix)
+    total = 0
+    for rest in permutations(range(1, k)):
+        cycle = (0,) + rest
+        total += prod(matrix[cycle[i - 1]][cycle[i]] for i in range(k))
+    return total
+
+
 def _partners_by_sorting(chords):
     """Each endpoint's partner, the endpoints numbered in sorted order."""
     points = sorted([p for chord in chords for p in chord])
@@ -1133,9 +1174,9 @@ def _set_partitions(items):
 
 
 def cumulant_by_partitions(terms):
-    """`conway._cumulant` as a sum over the set partitions of the expanded
-    components `terms`: (-1)^(|pi|-1) (|pi|-1)! times the product of wc
-    over the blocks, each block's wc computed once."""
+    """The cumulant of wc over the expanded components `terms`, as a sum
+    over their set partitions: (-1)^(|pi|-1) (|pi|-1)! times the product of
+    wc over the blocks, each block's wc computed once."""
     block_wc = {}
     total = 0
     for part in _set_partitions(list(range(len(terms)))):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -10,8 +11,8 @@ from knotweights.bridge import (epsilon, epsilon2, epsilon3, jacobi_of,
                                 orderings, verify_main, verify_stu, wbcr)
 from knotweights.enumerate import enumerate_bcr, enumerate_jacobi
 from knotweights.errors import DegreeOutOfRange, NotIsomorphic
-from knotweights.jacobi import (JacobiDiagram, class_of, flipped,
-                                product, single_chord, stu_expand,
+from knotweights.jacobi import (JacobiDiagram, chord_diagram, class_of,
+                                flipped, product, single_chord, stu_expand,
                                 stu_sites, wheel)
 from knotweights.bcr import degree_one_bcr
 
@@ -263,6 +264,42 @@ def test_cycle_sum_matches_the_layered_oracle(k, monkeypatch):
     assert any(cycle_sum(ring) for ring in rings) == (k > 1)
     for ring in rings:
         assert cycle_sum(ring) == cycle_sum_by_layers(ring)
+
+
+@pytest.mark.parametrize("labels", sorted(set(permutations("iijj"))))
+def test_chord_options_are_rank_one_and_a_step_scores_twice_s(
+        labels, monkeypatch):
+    # two labeled chords i, j on four line points, each of the six
+    # placements: the options wbcr lists for a chord weigh -u u^T with
+    # u = +1 at its first end and -1 at its second, and the four scores of
+    # a step from chord i to chord j sum to 2 S_ij
+    pairs = [tuple(p + 1 for p, x in enumerate(labels) if x == c)
+             for c in "ij"]
+    d = chord_diagram(pairs)
+    S = oracles.intersection_matrix(d)
+    rings = []
+    cycle_sum = bridge._cycle_sum
+
+    def record(ring):
+        rings.append(ring)
+        return cycle_sum(ring)
+
+    monkeypatch.setattr(bridge, "_cycle_sum", record)
+    assert wbcr(d, 2) == S[0][1] * S[1][0]
+    (ring,) = rings
+    ends = [sorted({s for s, _, _ in options}) for options in ring]
+    assert [tuple(r + 1 for r in e) for e in ends] == [
+        tuple(sorted(c)) for c in d.chords()]
+    u = [{a: 1, b: -1} for a, b in ends]
+    for options, ui in zip(ring, u):
+        assert sorted((s, e) for s, e, _ in options) == [
+            (s, e) for s in ui for e in ui]
+        assert all(w == -ui[s] * ui[e] for s, e, w in options)
+    for i, j in ((0, 1), (1, 0)):
+        scores = [u[i][e] * u[j][f] * ((f > e) - (f < e))
+                  for e in ends[i] for f in ends[j]]
+        assert sum(scores) == 2 * S[i][j]
+    assert cycle_sum(ring) == (-2) ** 2 * S[0][1] * S[1][0]
 
 
 @pytest.mark.parametrize("seed", range(6))

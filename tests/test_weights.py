@@ -21,7 +21,8 @@ from helpers import refuse_search, shuffled_jacobi
 from oracles import (ClassWeights, SplittingByProducts,
                      block_wc_by_sorting, circles_by_gf2_corank,
                      count_circles_by_successors, cumulant_by_partitions,
-                     labeled_chord_diagrams,
+                     cycle_sum_by_permutations, det_by_elimination,
+                     intersection_matrix, labeled_chord_diagrams,
                      relators_everywhere, wc_prime_resolved, wc_resolved)
 
 
@@ -217,17 +218,64 @@ def _assert_kernel_matches_the_oracle(diagrams, k_max=4):
 @pytest.mark.parametrize("k", [
     0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_cumulant_matches_the_partition_oracle(k):
-    # on every class with legs on every component, products included, where
-    # the blocks' values cancel
-    several = 0
+    # wc' as the cycle sum over the STU chord terms, against the signed sum
+    # over set partitions of the components, on every class with legs on
+    # every component, products and leg-less vertices included
+    several = nonzero = 0
     for rep in enumerate_jacobi(k, k_max=k):
         if rep.nv == 0 or rep.has_trivalent_component():
             continue
         ex = conway._Expansion(rep)
         terms = [ex.terms(c) for c in rep.components()]
         several += len(terms) > 1
-        assert conway._cumulant(terms) == cumulant_by_partitions(terms)
+        value = wc_prime_diagram(rep, k)
+        assert value == cumulant_by_partitions(terms)
+        nonzero += value != 0
     assert several or k < 2
+    assert bool(nonzero) == (k > 0 and k % 2 == 0)
+
+
+def _assert_chord_identities(d, k):
+    # wc = det S, wc' = (-1)^(k-1) times the cycle sum of S, the cumulant
+    # of wc over the chords, and wbcr = the cycle sum
+    S = intersection_matrix(d)
+    cycles = cycle_sum_by_permutations(S)
+    assert wc_diagram(d) == det_by_elimination(S)
+    value = wc_prime_diagram(d, k)
+    assert value == (-1) ** (k - 1) * cycles
+    ex = conway._Expansion(d)
+    assert value == cumulant_by_partitions(
+        [ex.terms(c) for c in d.components()])
+    assert wbcr(d, k) == cycles
+    return cycles != 0
+
+
+@pytest.mark.parametrize("k", [
+    1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_chord_diagrams_wc_is_det_and_wc_prime_the_cycle_sum(k):
+    nonzero = sum(_assert_chord_identities(d, k)
+                  for d in labeled_chord_diagrams(k))
+    assert bool(nonzero) == (k % 2 == 0)
+
+
+@pytest.mark.parametrize("k, n", [(8, 200), (10, 20)])
+def test_random_chord_diagrams_wc_prime_is_the_cumulant(k, n):
+    # seeded random pairings of 1..2k, wbcr included; the cycle sum by
+    # permutations, which lists (k-1)! orders per diagram, is left out
+    rng = random.Random(k)
+    nonzero = 0
+    for _ in range(n):
+        points = list(range(1, 2 * k + 1))
+        rng.shuffle(points)
+        d = chord_diagram(list(zip(points[::2], points[1::2])))
+        S = intersection_matrix(d)
+        assert wc_diagram(d) == det_by_elimination(S)
+        ex = conway._Expansion(d)
+        terms = [ex.terms(c) for c in d.components()]
+        value = wc_prime_diagram(d, k)
+        assert value == cumulant_by_partitions(terms) == -wbcr(d, k)
+        nonzero += value != 0
+    assert nonzero
 
 
 @pytest.mark.parametrize("k", [
