@@ -311,8 +311,9 @@ def _cycles(chords):
     """The cycle sum of the chord diagram `chords`: over the cyclic orders
     sigma of the chords, the sum of prod_i S[i][sigma(i)], where S is the
     signed intersection matrix read off the endpoint keys, each chord a
-    sorted pair.  0 at once for an odd number of chords (reversal) and
-    for a chord that crosses no other (its row of S is 0).  Held-Karp
+    sorted pair.  The number of chords is even (an odd one sums to 0 by
+    reversal, a zero `wc_prime_diagram` returns first); 0 at once for a
+    chord that crosses no other (its row of S is 0).  Held-Karp
     recursion from chord 0: ``sums[mask]`` maps the chord a path through
     `mask` ends at to the signed sum of those paths; masks are taken in
     increasing order, so each is complete before it is extended, and
@@ -320,8 +321,6 @@ def _cycles(chords):
     reads row 0 negated, S being skew.  The identity in place of the
     cumulant is in the module docstring; `bridge._cycle_sum` is the other
     side of the identity `verify prop32` checks and is not used here."""
-    if len(chords) % 2:
-        return 0
     steps = [[(1 << j, j, s) for j, (c, e) in enumerate(chords)
               if (s := (a < c < b < e) - (c < a < e < b))]
              for a, b in chords]
@@ -341,12 +340,13 @@ def _cycles(chords):
 
 def wc_prime_diagram(d, k_max=K_MAX):
     """Logarithmic variant: the cumulant of wc over d's components.  The
-    leg test and one walk over the components give the exact zeros;
-    otherwise each choice of one chord list per component adds its
-    coefficient times the merged chord diagram's wc', the cycle sum with
-    the sign (-1)^(k-1), which is -1 where the sum is not 0."""
+    parity of the degree (the odd-k zero of the module docstring), the leg
+    test and one walk over the components give the exact zeros; otherwise
+    each choice of one chord list per component adds its coefficient
+    times the merged chord diagram's wc', the cycle sum with the sign
+    (-1)^(k-1), which is -1 where the sum is not 0."""
     check_degree(d.degree, k_max)
-    if d.nv == 0 or d.has_legless_vertex():
+    if d.nv == 0 or d.degree % 2 or d.has_legless_vertex():
         return ZERO
     comps, comp_of = d.component_map()
     if len(comps) > 1 and d.product_split((comps, comp_of)) is not None:

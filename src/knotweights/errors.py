@@ -60,10 +60,6 @@ class AmbiguousIsomorphism(DiagramError):
     """An orientation-reversing symmetry makes the matching sign ill-defined."""
 
 
-class BadSelection(DiagramError):
-    pass
-
-
 class ParseError(DiagramError):
     def __init__(self, line_no, text, reason=""):
         self.line_no = line_no

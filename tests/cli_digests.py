@@ -38,8 +38,10 @@ def _commands():
                         k == SLOW_DEGREE))
     for what in ("stu", "wcpsi"):
         out.append((["verify", what, "--degree", "3", "--json"], False))
+    out.append((["verify", "wcpsi", "--degree", "4", "--json"], True))
     out.append((["verify", "lemma33", "--degree", "4", "--json"], True))
-    for argv in (["enumerate", "jacobi"], ["dim"], ["verify", "prop32"]):
+    for argv in (["enumerate", "jacobi"], ["dim"], ["verify", "prop32"],
+                 ["verify", "wcpsi"]):
         out.append((argv + ["--degree", "5", "--k-max", "5", "--json"], True))
     for k in ("5", "6"):
         out.append((["enumerate", "bcr", "--degree", k, "--k-max", k,

@@ -36,6 +36,7 @@ BCR = "tests/test_bcr_core.py::"
 CLI = "tests/test_serialize_cli.py::"
 BRIDGE = "tests/test_bridge.py::"
 MEMORY = "tests/test_memory.py::"
+PSI = "tests/test_psi.py::"
 
 # (name, module under src/knotweights, source text, replacement, test ids)
 MUTANTS = (
@@ -112,6 +113,21 @@ MUTANTS = (
      "    return -sum(s * sums[-1].get(j, 0) for _, j, s in steps[0])",
      "    return -2 * sum(s * sums[-1].get(j, 0) for _, j, s in steps[0])",
      [WEIGHTS + "test_random_chord_diagrams_wc_prime_is_the_cumulant[8-200]"]),
+    ("wc' of odd degree expanded instead of 0 at once",
+     "conway.py",
+     "if d.nv == 0 or d.degree % 2 or d.has_legless_vertex():",
+     "if d.nv == 0 or d.has_legless_vertex():",
+     [WEIGHTS + "test_exact_zeros_expand_nothing"]),
+    ("splice leaves the host's half-edges unmapped",
+     "psi.py",
+     "            return (emap[e], end)",
+     "            return h",
+     [PSI + "test_splicing_a_chord_either_way_restores_the_edge"]),
+    ("default selection keeps one edge per component",
+     "psi.py",
+     "for i in edges[:len(comp) // 2])",
+     "for i in edges[:1])",
+     [PSI + "test_default_selection_sizes"]),
     ("IHX taken at parallel edges too",
      "relations.py",
      "if pairs.count(pair) == 1]",

@@ -316,11 +316,12 @@ class ExpansionRan(Exception):
 
 
 def test_exact_zeros_expand_nothing(monkeypatch):
-    # the leg test and the one walk over the components find exactly the
-    # empty diagram, trivalent vertices without a leg (purely trivalent
-    # components among them) and products, and expand nothing there
+    # the parity, the leg test and the one walk over the components find
+    # exactly the empty diagram, the odd degrees, trivalent vertices
+    # without a leg (purely trivalent components among them) and products,
+    # and expand nothing there
     reps = [rep for k in range(5) for rep in enumerate_jacobi(k)]
-    zero = [rep.nv == 0 or rep.has_legless_vertex()
+    zero = [rep.nv == 0 or rep.degree % 2 or rep.has_legless_vertex()
             or rep.product_split() is not None for rep in reps]
     assert 0 < sum(zero) < len(reps)
 
