@@ -1,23 +1,23 @@
 """Exact Laurent polynomials in t and truncated power series in h.
 
-`PowerSeries.log` and `PowerSeries.exp` take O(K^2) Fraction products by
-the recurrences that differentiating the series gives (Brent and Kung,
-"Fast algorithms for manipulating formal power series", J. ACM 25, 1978).
-For s with s_0 = 1 and l = log s, s' = l' s; the coefficient of h^(n-1)
-on each side is
+For p = sum_m c_m t^m, p(e^h) = sum_n mu_n h^n / n! with the power sums
+mu_n = sum_m c_m m^n.  If mu_0 = p(1) = 1, let log p(e^h) = sum_n kappa_n
+h^n / n!.  For M = p(e^h), the h^(n-1) / (n-1)! coefficients of M' =
+(log M)' M give mu_n = sum_{k=1}^{n} C(n-1, k-1) kappa_k mu_{n-k}; the k = n
+term is kappa_n, so kappa_n = mu_n - sum_{k=1}^{n-1} C(n-1, k-1) kappa_k
+mu_{n-k} (P. J. Smith, The American Statistician 49, 1995).  D mu_n is an
+integer for D the least common denominator of the c_m; D h in place of h
+multiplies mu_n and kappa_n by D^n, and D^n mu_n = D^(n-1) (D mu_n), so the
+recursion runs in integers.  `exp_substitute` and `zbcr_series` make one
+Fraction per order, mu_n / n! and -kappa_n / n!.
 
-    n s_n = sum_{k=1}^{n} k l_k s_{n-k},
-
-and the k = n term is n l_n s_0 = n l_n, so
-
-    l_n = s_n - (1/n) sum_{k=1}^{n-1} k l_k s_{n-k},
-
-each l_n from l_1 .. l_(n-1).  Likewise for a with a_0 = 0 and e = exp a,
-e' = a' e gives n e_n = sum_{k=1}^{n} k a_k e_{n-k} with e_0 = 1.
+`PowerSeries.exp` takes O(K^2) Fraction products by the same kind of
+identity (Brent and Kung, J. ACM 25, 1978): for a_0 = 0 and e = exp a,
+e' = a' e gives n e_n = sum_{k=1}^{n} k a_k e_{n-k}, e_0 = 1.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 from .errors import NonUnitConstantTerm
 
@@ -112,18 +112,6 @@ class PowerSeries:
                           if a[k]), Fraction(0)) / n)
         return PowerSeries(self.K, e)
 
-    def log(self):
-        """log of a series with constant term 1."""
-        s = self.coeffs
-        if s[0] != 1:
-            raise NonUnitConstantTerm("log needs constant term 1")
-        ell = [Fraction(0)]
-        for n in range(1, self.K + 1):
-            ell.append(s[n] - sum((k * ell[k] * s[n - k]
-                                   for k in range(1, n) if s[n - k]),
-                                  Fraction(0)) / n)
-        return PowerSeries(self.K, ell)
-
     def __str__(self):
         bits = []
         for n, c in enumerate(self.coeffs):
@@ -139,26 +127,33 @@ class PowerSeries:
     __repr__ = __str__
 
 
+def _power_sums(p, K):
+    """D and the integers D mu_n, n <= K, for p's power sums mu_n."""
+    D = lcm(*(c.denominator for c in p.coeffs.values()))
+    terms = [(c.numerator * (D // c.denominator), m)
+             for m, c in p.coeffs.items()]
+    return D, [sum(a * m ** n for a, m in terms) for n in range(K + 1)]
+
+
 def exp_substitute(p, K):
-    """Expand p(e^h) to order K: each t^m contributes m^n/n! at h^n."""
-    out = [Fraction(0)] * (K + 1)
-    for m, c in p.coeffs.items():
-        for n in range(K + 1):
-            out[n] += c * Fraction(m ** n if n else 1, factorial(n))
-    return PowerSeries(K, out)
+    """Expand p(e^h) to order K: mu_n / n! at h^n."""
+    D, sums = _power_sums(p, K)
+    return PowerSeries(K, [Fraction(s, D * factorial(n))
+                           for n, s in enumerate(sums)])
 
 
 def zbcr_series(p, K):
-    """Degree-indexed invariants from the symmetric normalized polynomial.
-
-    Returns {k: -[h^k] log p(e^h)} for 2 <= k <= K.  Requires p(1) = 1 so
-    the substituted series has constant term 1.
-    """
-    s = exp_substitute(p, K)
-    if s[0] != 1:
+    """{k: -[h^k] log p(e^h)} for 2 <= k <= K; p(1) must be 1."""
+    D, sums = _power_sums(p, K)
+    if sums[0] != D:
         raise NonUnitConstantTerm("polynomial must evaluate to 1 at t=1")
-    ell = s.log()
-    return {k: -ell[k] for k in range(2, K + 1)}
+    mu = [1] + [D ** (n - 1) * sums[n] for n in range(1, K + 1)]
+    kappa = [0]
+    for n in range(1, K + 1):
+        kappa.append(mu[n] - sum(comb(n - 1, k - 1) * kappa[k] * mu[n - k]
+                                 for k in range(1, n) if mu[n - k]))
+    return {n: Fraction(-kappa[n], D ** n * factorial(n))
+            for n in range(2, K + 1)}
 
 
 def conway_series(p, K):

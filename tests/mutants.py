@@ -288,24 +288,54 @@ MUTANTS = (
      "(len(bcr.external_edges()) + bcr.n_trivalent()) % 2",
      "len(bcr.external_edges()) % 2",
      [BRIDGE + "test_epsilon_values"]),
-    ("log recurrence drops the k weight",
-     "series.py",
-     "k * ell[k] * s[n - k]",
-     "ell[k] * s[n - k]",
-     [ALEXANDER + "test_log_and_exp_match_the_power_loops_on_the_fixtures"
-      "[3_1]"]),
-    ("log recurrence sums through k = n",
-     "series.py",
-     "for k in range(1, n) if s[n - k]",
-     "for k in range(1, n + 1) if s[n - k]",
-     [ALEXANDER + "test_log_and_exp_match_the_power_loops_on_the_fixtures"
-      "[3_1]"]),
     ("exp recurrence drops the k weight",
      "series.py",
      "k * a[k] * e[n - k]",
      "a[k] * e[n - k]",
      [ALEXANDER + "test_exp_matches_the_power_loop_on_series_with_odd"
       "_terms"]),
+    ("cumulant recursion takes C(n - 1, k)",
+     "series.py",
+     "comb(n - 1, k - 1)",
+     "comb(n - 1, k)",
+     [ALEXANDER + "test_log_and_exp_match_the_power_loops_on_the_fixtures"
+      "[3_1]"]),
+    ("power sums start at n = 1",
+     "series.py",
+     "for a, m in terms) for n in range(K + 1)]",
+     "for a, m in terms) for n in range(1, K + 2)]",
+     [ALEXANDER + "test_log_and_exp_match_the_power_loops_on_the_fixtures"
+      "[3_1]"]),
+    ("substitution divides by n, not n!",
+     "series.py",
+     "D * factorial(n)",
+     "D * (n or 1)",
+     [ALEXANDER + "test_log_and_exp_match_the_power_loops_on_the_fixtures"
+      "[3_1]"]),
+    ("z_k keeps the sign of the cumulant",
+     "series.py",
+     "Fraction(-kappa[n]",
+     "Fraction(kappa[n]",
+     [ALEXANDER + "test_log_and_exp_match_the_power_loops_on_the_families"
+      "[T(2,3)]"]),
+    ("moments not rescaled by the denominator",
+     "series.py",
+     "D ** (n - 1) * sums[n]",
+     "sums[n]",
+     [ALEXANDER
+      + "test_rational_seifert_polynomial_keeps_its_denominators"]),
+    ("cumulants divided by n! alone",
+     "series.py",
+     "D ** n * factorial(n)",
+     "factorial(n)",
+     [ALEXANDER
+      + "test_log_and_exp_match_the_power_loops_on_random_polynomials"]),
+    ("unit check assumes an integer polynomial",
+     "series.py",
+     "if sums[0] != D:",
+     "if sums[0] != 1:",
+     [ALEXANDER
+      + "test_rational_seifert_polynomial_keeps_its_denominators"]),
     ("conway field read one place off",
      "cli.py",
      'enumerate(out["series"])',

@@ -29,8 +29,9 @@ rebuilt, the cumulant as a sum over set partitions, the BCR sources of a
 diagram listed one by one, their cycle sum by a recursion with one dict per
 layer, the weighted source count by a scan over every ordering of every BCR
 class, the Alexander determinant by expansion in minors, the skein
-recursion on mutable crossing lists, and the logarithm and exponential of a
-power series as sums of powers.  Everything here works by exhausting a
+recursion on mutable crossing lists, the substitution t = e^h with a
+Fraction per term and order, and the logarithm and exponential of a power
+series as sums of powers.  Everything here works by exhausting a
 finite search space and keeping what passes an independently coded validity
 test, or by textbook elimination."""
 
@@ -56,6 +57,7 @@ from knotweights.jacobi import (JacobiDiagram, _cyclic_parity, _halves,
 from knotweights.jacobi import product as diagram_product
 from knotweights.quotient import _Eliminator, quotient_basis
 from knotweights.relations import RelationSet
+from knotweights.series import PowerSeries
 from knotweights.vectors import DiagramVector, vector_of
 
 
@@ -1612,6 +1614,16 @@ def conway_skein_lists(pd):
     return _list_nabla(_ListTangle.from_pd(pd))
 
 
+def exp_substitute_per_term(p, K):
+    """`series.exp_substitute` term by term: each c t^m adds c m^n / n! at
+    h^n."""
+    out = [Fraction(0)] * (K + 1)
+    for m, c in p.coeffs.items():
+        for n in range(K + 1):
+            out[n] += c * Fraction(m ** n if n else 1, factorial(n))
+    return PowerSeries(K, out)
+
+
 def _truncated_mul(a, b):
     """a * b for coefficient lists of one length K + 1, cut after h^K."""
     out = [Fraction(0)] * len(a)
@@ -1622,9 +1634,9 @@ def _truncated_mul(a, b):
 
 
 def power_loop_log(s):
-    """`PowerSeries.log` on a coefficient list with s[0] = 1, lowest power
-    first: the sum of (-1)^(m+1) x^m / m over 1 <= m <= K for x = s - 1,
-    each power by a whole truncated product."""
+    """log of a power series given as a coefficient list with s[0] = 1,
+    lowest power first: the sum of (-1)^(m+1) x^m / m over 1 <= m <= K for
+    x = s - 1, each power by a whole truncated product."""
     assert s[0] == 1
     x = [Fraction(0)] + list(s[1:])
     out = [Fraction(0)] * len(s)

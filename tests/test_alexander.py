@@ -19,11 +19,15 @@ from knotweights.series import (LaurentPolynomial, PowerSeries,
 from helpers import (connected_sum, gauss_crossings, gauss_pd, gauss_text,
                      random_gauss_knot, torus_knot, twist_knot)
 from oracles import (_list_nabla, _ListTangle, conway_skein_lists,
-                     laplace_det, power_loop_exp, power_loop_log)
+                     exp_substitute_per_term, laplace_det, power_loop_exp,
+                     power_loop_log)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 CORPUS = ["unknot", "3_1", "4_1", "5_1", "5_2", "6_1", "6_2", "6_3", "7_1"]
+
+# the orders K at which the series are checked
+ORDERS = (0, 1, 2, 8, 16)
 
 DELTAS = {
     "unknot": {0: 1},
@@ -162,36 +166,45 @@ def test_series_identity_through_degree_six():
 
 
 def test_non_unit_constant_term_rejected():
-    with pytest.raises(NonUnitConstantTerm):
-        zbcr_series(LaurentPolynomial({0: 2}), 4)
+    for coeffs in ({}, {0: 2}, {0: -1}, {1: 1, 0: -2, -1: 1},
+                   {1: Fraction(1, 3), 0: Fraction(1, 2), -1: Fraction(1, 3)},
+                   {1: Fraction(62, 135), 0: Fraction(11, 135)}):
+        for K in ORDERS:
+            with pytest.raises(NonUnitConstantTerm):
+                zbcr_series(LaurentPolynomial(coeffs), K)
 
 
 def test_power_series_log_exp_roundtrip():
     s = PowerSeries(6, [1, 0, 1, 0, Fraction(1, 12)])
-    assert s.log().exp() == s
-    with pytest.raises(NonUnitConstantTerm):
-        PowerSeries(3, [0, 1]).log()
+    assert PowerSeries(6, power_loop_log(s.coeffs)).exp() == s
     with pytest.raises(NonUnitConstantTerm):
         PowerSeries(3, [1, 1]).exp()
 
 
 def _check_log_and_exp(p, K):
-    """log and exp of p(e^h) to order K against the power loops, and exp
-    undoing log."""
+    """p(e^h) to order K against the term-by-term oracle, `zbcr_series`
+    against minus its log by the power loop, and exp of that log against
+    the power loop and p(e^h), all equal as Fractions; p is symmetric, so
+    odd z_k are exactly 0."""
     s = exp_substitute(p, K)
-    ell = s.log()
-    assert ell.coeffs == power_loop_log(s.coeffs)
+    assert s == exp_substitute_per_term(p, K)
+    ell = PowerSeries(K, power_loop_log(s.coeffs))
     e = ell.exp()
     assert e == s
     assert e.coeffs == power_loop_exp(ell.coeffs)
     z = zbcr_series(p, K)
     assert z == {k: -ell[k] for k in range(2, K + 1)}
+    assert all(z[k] == 0 for k in range(3, K + 1, 2))
+
+
+def test_the_corpus_is_every_fixture():
+    assert sorted(CORPUS) == sorted(f.stem for f in FIXTURES.glob("*.pd"))
 
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_log_and_exp_match_the_power_loops_on_the_fixtures(name):
     p = alexander_poly(load(name))
-    for K in (0, 1, 2, 8, 16):
+    for K in ORDERS:
         _check_log_and_exp(p, K)
 
 
@@ -213,20 +226,27 @@ HELPER_FAMILIES = _helper_families()
                          ids=[name for name, _ in HELPER_FAMILIES])
 def test_log_and_exp_match_the_power_loops_on_the_families(knot):
     p = alexander_poly(gauss_pd(knot))
-    for K in (4, 9, 16):
+    for K in ORDERS + (4, 9):
         _check_log_and_exp(p, K)
 
 
 def test_log_and_exp_match_the_power_loops_on_random_polynomials():
-    # symmetric integer polynomials with p(1) = 1, which need not be the
-    # Alexander polynomial of any diagram drawn here
+    # symmetric polynomials with p(1) = 1, which need not be the Alexander
+    # polynomial of any diagram drawn here: 200 with integer coefficients
+    # at random K, then 200 with rational ones at each of ORDERS in turn
     rng = random.Random(36)
-    for _ in range(60):
-        half = {i: rng.randint(-6, 6) for i in range(1, rng.randint(1, 7))}
+    for i in range(400):
+        if i < 200:
+            half = {j: rng.randint(-6, 6) for j in range(1, rng.randint(1, 7))}
+        else:
+            half = {j: Fraction(rng.randint(-6, 6),
+                                rng.choice((1, 2, 3, 7, 135)))
+                    for j in range(1, rng.randint(1, 7))}
         coeffs = {0: 1 - 2 * sum(half.values())}
-        for i, c in half.items():
-            coeffs[i] = coeffs[-i] = c
-        _check_log_and_exp(LaurentPolynomial(coeffs), rng.randint(0, 16))
+        for j, c in half.items():
+            coeffs[j] = coeffs[-j] = c
+        K = rng.randint(0, 16) if i < 200 else ORDERS[i % len(ORDERS)]
+        _check_log_and_exp(LaurentPolynomial(coeffs), K)
 
 
 def test_exp_matches_the_power_loop_on_series_with_odd_terms():
@@ -237,7 +257,18 @@ def test_exp_matches_the_power_loop_on_series_with_odd_terms():
                              for _ in range(K)]
         e = PowerSeries(K, a).exp()
         assert e.coeffs == power_loop_exp(a)
-        assert e.log() == PowerSeries(K, a)
+        assert power_loop_log(e.coeffs) == a
+
+
+def test_rational_seifert_polynomial_keeps_its_denominators():
+    # Delta of the rational Seifert matrix V = [[1/3, 1/2], [-1/4, 2/5]],
+    # det(t V - V^T) / det(V - V^T) centred
+    p = LaurentPolynomial({1: Fraction(62, 135), 0: Fraction(11, 135),
+                           -1: Fraction(62, 135)})
+    for K in ORDERS:
+        _check_log_and_exp(p, K)
+    assert zbcr_series(p, 2) == {2: Fraction(-62, 135)}
+    assert exp_substitute(p, 2) == PowerSeries(2, [1, 0, Fraction(62, 135)])
 
 
 # -- the Bareiss determinant and the skein recursion against their oracles ----
