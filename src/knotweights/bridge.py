@@ -58,7 +58,8 @@ sum is (-2)^k times the sum over the cyclic orders sigma of the chords of
 prod_i S[i][sigma(i)], and the sign (-1)^k and divisor 2^k of `wbcr`
 leave that cycle sum.  At odd k it is 0 (reversal, see `conway`), and at
 even k `conway` gives wc' as minus it: Prop 3.2 on chord diagrams.  This
-step is proved; `conway`'s step wc = det S_D is measured, not proved.
+step is proved, and so is `conway`'s step wc = det S_D, by the band
+surface.
 The test oracles in `tests/oracles.py` are `sources`, which lists
 the sources one by one, `wbcr_by_orderings`, which scans every ordering
 of every BCR class, and `cycle_sum_by_layers`, the cycle sum with one

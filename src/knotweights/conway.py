@@ -4,26 +4,31 @@ A chord diagram is evaluated by surgering the line along every chord: cut
 at the two endpoints and reconnect crosswise, so the arc before one
 endpoint continues into the arc after its partner.  The diagram weighs 1
 when no closed circle remains and 0 otherwise; counting circles and
-testing a merged chord list for none walk one partner array.  wc is a
+testing for none walk one partner array on the line positions.  wc is a
 weight system, so a diagram with trivalent vertices is evaluated by STU on
 its own labels [Bar-Natan, On the Vassiliev knot invariants, Topology 34
 (1995)], with no class lookup.
 
-Each connected component is STU-expanded once, on plain arrays edited in
-place and restored on return: a univalent vertex next to a trivalent
+The whole diagram is STU-expanded once (`_expand`), on plain arrays edited
+in place and restored on return: a univalent vertex next to a trivalent
 vertex t is resolved, t becomes a line vertex just before it, and the two
-resolutions enter with opposite signs.  The new line vertices all sit
-beside original legs, so an endpoint is named by the key (original line
-position, index among the vertices beside it), and the keys of different
-components interleave exactly as on the line.  A component's expansion is
-a signed set of chord lists, and wc of any union of components is the sum,
-over one chord list per component, of the product of the coefficients
-whenever the merged chord diagram leaves no circle.  The chord lists of
-one component share their endpoint keys, so a union's endpoints are sorted
-and numbered once (`_block_wc`).  The linear extensions to diagram vectors
-evaluate each class on its representative; `wc_prime_eval` also takes a
-diagram, standing for its class, so `verify prop32` evaluates the
-representative it holds.
+resolutions enter with opposite signs.  Every trivalent vertex has a leg
+when the expansion runs (the leg test below comes first), and that leg
+stays on the line until its vertex is resolved, so the vertices are taken
+in any order.  Each term numbers its line vertices 0..2k-1 in line order
+and lists its chords as pairs of those positions; equal chord lists are
+merged, so the expansion is a signed set of chord diagrams.  wc sums the
+coefficients of those that surgery leaves without a circle, and wc' sums
+minus each coefficient times a cycle sum (below).  The linear extensions
+to diagram vectors evaluate each class on its representative;
+`wc_prime_eval` also takes a diagram, standing for its class, so `verify
+prop32` evaluates the representative it holds.
+
+wc of odd degree is 0 with no expansion: STU keeps the degree, and surgery
+along k chords leaves k circles mod 2 (each chord's cut and crosswise
+reconnection, which keeps the line's direction, splits one component in
+two or joins two into one), so a chord diagram of odd degree leaves at
+least one circle.
 
 A trivalent vertex with no leg (no edge to a univalent vertex) makes wc
 vanish outright (``JacobiDiagram.has_legless_vertex``), with no expansion;
@@ -70,16 +75,15 @@ kills the empty class and every non-trivial product, so a diagram whose
 components fall into two groups, one wholly before the other on the line
 (the cut of ``JacobiDiagram.product_split``), is 0 without an expansion.
 So is one with a trivalent vertex without a leg: in every partition, the
-block that holds that vertex's component has wc 0.  The leg test comes
-first; then every component has a leg, and one walk over the
-components finds the cut and feeds the expansion.
+block that holds that vertex's component has wc 0.  The degree, the leg
+test and the cut come first; then the whole diagram is expanded.
 
 wc' is a weight system too, wc composed with a linear projection, so STU
-gives it as the sum, over one chord list per component, of the product of
-the coefficients times wc' of the merged chord diagram; on a chord
-diagram the components are the chords, and wc' is the cumulant of wc over
-them.  For a chord diagram D with chords (a_i, b_i), a_i < b_i, let S_D
-be its signed intersection matrix: S_ij = 1 and S_ji = -1 when
+gives it as the sum, over the chord diagrams of the expansion, of the
+coefficient times wc' of the chord diagram; on a chord diagram the
+components are the chords, and wc' is the cumulant of wc over them.  For
+a chord diagram D with chords (a_i, b_i), a_i < b_i, let S_D be its
+signed intersection matrix: S_ij = 1 and S_ji = -1 when
 a_i < a_j < b_i < b_j, and 0 otherwise.  Then
 
   wc'(D) = (-1)^(k-1) sum over the cyclic orders sigma of the k chords
@@ -88,13 +92,37 @@ a_i < a_j < b_i < b_j, and 0 otherwise.  Then
 evaluated by `_cycles` (the test oracles ``cumulant_by_partitions``,
 ``wc_prime_resolved``, ``ClassWeights.wc_prime`` and
 ``SplittingByProducts.project_connected`` keep the cumulant).  The proof:
-  Principal minors (measured).  wc(D_B) = det S_B for every set B of
-  chords, S_B the principal submatrix.  wc is 0 or 1, and 1 exactly when
-  S_D is invertible over GF(2) [Cohn-Lempel, J. Combin. Theory A 13
-  (1972); Moran, J. Combin. Theory A 37 (1984)]; det S_D = Pf(S_D)^2, so
-  the identity is Pf(S_D) in {0, 1, -1}.  That is measured on every chord
-  diagram with k <= 6 and on seeded random ones at k = 8 and 10 (the
-  tests), not proved, and wc' at k >= 8 rests on it.
+  Principal minors (proved, by the band surface).  wc(D_B) = det S_B for
+  every set B of chords, S_B the principal submatrix; D_B is a chord
+  diagram with the intersection matrix S_B, so it suffices to show
+  wc(D) = det S_D.  Glue to a disk one untwisted band per chord, at the
+  chord's two endpoints on an arc of the disk's boundary.  The surface F
+  is compact, connected and orientable, and retracts onto a wedge of k
+  circles, so H_1(F) = Z^k with the cores as a basis, core i running
+  along band i and back across the disk.  Two cores meet only in the
+  disk, where they are straight chords of it; they cross once exactly
+  when their endpoints interlace, and the order of the endpoints fixes
+  the sign of the crossing, so the intersection form of F is +-S_D in
+  this basis (as V - V^T is for a Seifert surface [Lickorish, An
+  Introduction to Knot Theory, GTM 175 (1997), ch. 6]).  Walking along
+  the boundary of F, the arc of the disk that ends at an endpoint runs
+  along the band's outer edge into the arc after its partner: this is
+  the surgery.  Closing the line through the rest of the disk's boundary
+  makes the line one boundary component, so F has b = 1 + c boundary
+  components, c the circles that surgery leaves [the same surface counts
+  circles for the gl(N) weight systems: Chmutov, Duzhin, Mostovoy,
+  Introduction to Vassiliev Knot Invariants (2012), ch. 6].  The form is
+  the duality pairing of H_1(F) with H_1(F, dF), which is perfect
+  [Lefschetz duality: Hatcher, Algebraic Topology (2002), Thm. 3.43],
+  taken after j: H_1(F) -> H_1(F, dF).  In the exact sequence of the
+  pair, the kernel of j is the image of H_1(dF) = Z^b, whose one
+  relation is that the boundary circles sum to the boundary of F, so
+  the form's radical has rank b - 1 = c.  At c = 0, j is also onto
+  (H_0(dF) -> H_0(F) is injective) and S_D is unimodular: det S_D =
+  Pf(S_D)^2 = 1.  At c > 0 the radical is not 0 and det S_D = 0.  So
+  wc(D) = det S_D.  With GF(2) coefficients the same sequence gives
+  corank c over GF(2), the theorem of Cohn-Lempel [J. Combin. Theory A
+  13 (1972)] and Moran [J. Combin. Theory A 37 (1984)].
   Exponential formula (proved).  det S_B sums sgn(pi) prod_i S[i][pi(i)]
   over the permutations pi of B.  A permutation is a set partition of B
   into blocks with a cyclic order on each; its sign and its product are
@@ -105,17 +133,15 @@ evaluated by `_cycles` (the test oracles ``cumulant_by_partitions``,
   Odd k (proved).  S is skew, so reversing a cycle multiplies its product
   by (-1)^k.  At odd k >= 3 reversal pairs off the cyclic orders and the
   sum is 0; at k = 1 the one cycle reads S_ii = 0.  So the sign is -1
-  wherever the sum is not 0.  (wc' of odd degree is 0 also because
-  surgery along k chords leaves k circles mod 2.)
+  wherever the sum is not 0.  (wc' of odd degree is 0 also by the circle
+  parity above.)
   A chord that crosses no other has a zero row, and every cycle passes
   through it, so the sum is 0.
 ``bridge`` shows that wbcr is the same cycle sum on a chord diagram,
-which is Prop 3.2 there, given the principal minors.
+which is Prop 3.2 there.
 """
 
 from fractions import Fraction
-from itertools import product
-from math import prod
 
 from .enumerate import K_MAX, check_degree
 from .errors import VertexTypeViolation
@@ -124,16 +150,13 @@ from .jacobi import JacobiDiagram, class_of, representative
 ZERO = Fraction(0)
 
 
-def _partners(chords):
-    """Each endpoint's partner, for `chords` given as pairs of endpoint
-    keys that sort in line order; endpoints are numbered by that order."""
-    points = sorted([p for chord in chords for p in chord])
-    at = {p: i for i, p in enumerate(points)}
-    partner = [0] * len(points)
+def _partner(chords):
+    """Each line position's partner, for chords given as pairs of the
+    positions 0..2k-1."""
+    partner = [0] * (2 * len(chords))
     for a, b in chords:
-        i, j = at[a], at[b]
-        partner[i] = j
-        partner[j] = i
+        partner[a] = b
+        partner[b] = a
     return partner
 
 
@@ -143,7 +166,8 @@ def count_circles(d):
     arc walk that `_no_circle` takes."""
     if not d.is_chord_diagram():
         raise VertexTypeViolation(d.trivalent[0], "not a chord diagram")
-    succ = [p + 1 for p in _partners(d.chords())] + [0]
+    partner = _partner([(a - 1, b - 1) for a, b in d.chords()])
+    succ = [p + 1 for p in partner] + [0]
     seen = [False] * len(succ)
     cycles = 0
     for start in range(len(succ)):
@@ -169,136 +193,64 @@ def _no_circle(partner):
     return steps == n
 
 
-class _Expansion:
-    """The components of a diagram on plain arrays, ready to expand.
+def _expand(d):
+    """The STU expansion of d, every trivalent vertex of which has a leg:
+    {chords: coefficient}, each chord a pair (i, j), i < j, of line
+    positions 0..2k-1, listed in the order of i.
 
     Half-edge h = 2 * edge + end sits at vertex ``ends[h]``; ``leg[v]`` is
-    the half-edge at a line vertex v and ``cyc[t]`` the cyclic order at a
-    trivalent vertex t.  ``beside[p]`` lists, in line order, the vertices
-    beside the original leg at line position p, and ``at[v]`` is that p.
+    the half-edge at a line vertex v, ``cyc[t]`` the cyclic order at a
+    trivalent vertex t, and ``line`` lists the line vertices in order.
     """
+    ends = [v for pair in d.edges for v in pair]
+    cyc = {t: tuple(2 * e + end for (e, end) in c)
+           for t, c in d.orient.items()}
+    line = list(d.univalent_order)
+    leg = {v: h for h, v in enumerate(ends) if v not in cyc}
+    order = list(cyc)
+    pos = [0] * d.nv
+    out = {}
 
-    def __init__(self, d):
-        self.ends = [v for pair in d.edges for v in pair]
-        self.cyc = {t: tuple(2 * e + end for (e, end) in c)
-                    for t, c in d.orient.items()}
-        self.at = [None] * d.nv
-        self.beside = []
-        for p, v in enumerate(d.univalent_order):
-            self.at[v] = p
-            self.beside.append([v])
-        self.leg = {v: h for h, v in enumerate(self.ends)
-                    if self.at[v] is not None}
-        self.width = d.nv + 1
+    def expand(depth, sign):
+        if depth == len(order):
+            for i, v in enumerate(line):
+                pos[v] = i
+            chords = tuple((i, j) for i, v in enumerate(line)
+                           if i < (j := pos[ends[leg[v] ^ 1]]))
+            out[chords] = out.get(chords, 0) + sign
+            return
+        t = order[depth]
+        c = cyc[t]
+        for i, h in enumerate(c):
+            u = ends[h ^ 1]
+            if u in leg:
+                break
+        alpha, beta = c[i - 2], c[i - 1]  # (to u, alpha, beta) cyclically
+        to_u = leg[u]
+        j = line.index(u)
+        line.insert(j, t)
+        for keep, move, s in ((alpha, beta, sign), (beta, alpha, -sign)):
+            leg[t], leg[u] = keep, move
+            ends[move] = u
+            expand(depth + 1, s)
+            ends[move] = t
+        leg[u] = to_u
+        del leg[t]
+        del line[j]
 
-    def terms(self, comp):
-        """The STU expansion of one legged component: {chords: coefficient},
-        each chord a sorted pair of endpoint keys, listed in the line order
-        of their first endpoints."""
-        ends, cyc, at, beside, leg = (self.ends, self.cyc, self.at,
-                                      self.beside, self.leg)
-        legs = [v for v in comp if at[v] is not None]
-        spots = sorted(at[v] for v in legs)
-        width = self.width
-        order = self._resolution_order(legs)
-        key = [0] * len(at)
-        out = {}
-
-        def expand(depth, sign):
-            if depth == len(order):
-                for p in spots:
-                    for i, v in enumerate(beside[p], p * width):
-                        key[v] = i
-                chords = []
-                for p in spots:
-                    for v in beside[p]:
-                        a, b = key[v], key[ends[leg[v] ^ 1]]
-                        if a < b:
-                            chords.append((a, b))
-                chords = tuple(chords)
-                out[chords] = out.get(chords, 0) + sign
-                return
-            t = order[depth]
-            c = cyc.pop(t)
-            for i, h in enumerate(c):
-                u = ends[h ^ 1]
-                if at[u] is not None:
-                    break
-            alpha, beta = c[i - 2], c[i - 1]  # (to u, alpha, beta) cyclically
-            to_u = leg[u]
-            line = beside[at[u]]
-            j = line.index(u)
-            line.insert(j, t)
-            at[t] = at[u]
-            for keep, move, s in ((alpha, beta, sign), (beta, alpha, -sign)):
-                leg[t], leg[u] = keep, move
-                ends[move] = u
-                expand(depth + 1, s)
-                ends[move] = t
-            leg[u] = to_u
-            del leg[t]
-            at[t] = None
-            del line[j]
-            cyc[t] = c
-
-        expand(0, 1)
-        return {chords: c for chords, c in out.items() if c}
-
-    def _resolution_order(self, legs):
-        """The trivalent vertices by distance from the legs.  Resolving a
-        vertex leaves each of its other neighbors next to a line vertex,
-        whichever term is taken, so every vertex in this order has a
-        univalent neighbor when its turn comes."""
-        ends, cyc = self.ends, self.cyc
-        order = []
-        seen = set(legs)
-        frontier = legs
-        while frontier:
-            nxt = []
-            for v in frontier:
-                halves = cyc[v] if v in cyc else (self.leg[v],)
-                for h in halves:
-                    w = ends[h ^ 1]
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            order += nxt
-            frontier = nxt
-        return order
-
-
-def _block_wc(terms):
-    """wc of a union of expanded components: one chord list from each.
-
-    Every chord list of a component has the same endpoint keys (each
-    resolved vertex joins the line beside the same leg in every term), so
-    the block's merged endpoints are sorted once, and each chord list is
-    renumbered on them once; a choice then writes its partner array
-    directly.  A component whose expansion cancels leaves nothing to
-    choose, and the block is 0."""
-    points = sorted([p for t in terms for chord in next(iter(t), ())
-                     for p in chord])
-    at = {p: i for i, p in enumerate(points)}
-    options = [[([(at[a], at[b]) for a, b in chords], c)
-                for chords, c in t.items()] for t in terms]
-    partner = [0] * len(points)
-    total = 0
-    for choice in product(*options):
-        for pairs, _ in choice:
-            for i, j in pairs:
-                partner[i] = j
-                partner[j] = i
-        if _no_circle(partner):
-            total += prod(c for _, c in choice)
-    return total
+    expand(0, 1)
+    return {chords: c for chords, c in out.items() if c}
 
 
 def wc_diagram(d):
-    """Circle-counting weight of an oriented diagram (exact rational)."""
-    if d.has_legless_vertex():
+    """Circle-counting weight of an oriented diagram (exact rational): 0
+    at odd degree and with a leg-less vertex, otherwise the sum of the
+    coefficients of the expansion's chord diagrams that surgery leaves
+    without a circle."""
+    if d.degree % 2 or d.has_legless_vertex():
         return ZERO
-    ex = _Expansion(d)
-    return Fraction(_block_wc([ex.terms(c) for c in d.components()]))
+    return Fraction(sum(c for chords, c in _expand(d).items()
+                        if _no_circle(_partner(chords))))
 
 
 def wc_eval(v):
@@ -310,7 +262,7 @@ def wc_eval(v):
 def _cycles(chords):
     """The cycle sum of the chord diagram `chords`: over the cyclic orders
     sigma of the chords, the sum of prod_i S[i][sigma(i)], where S is the
-    signed intersection matrix read off the endpoint keys, each chord a
+    signed intersection matrix read off the line positions, each chord a
     sorted pair.  The number of chords is even (an odd one sums to 0 by
     reversal, a zero `wc_prime_diagram` returns first); 0 at once for a
     chord that crosses no other (its row of S is 0).  Held-Karp
@@ -342,21 +294,15 @@ def wc_prime_diagram(d, k_max=K_MAX):
     """Logarithmic variant: the cumulant of wc over d's components.  The
     parity of the degree (the odd-k zero of the module docstring), the leg
     test and one walk over the components give the exact zeros; otherwise
-    each choice of one chord list per component adds its coefficient
-    times the merged chord diagram's wc', the cycle sum with the sign
-    (-1)^(k-1), which is -1 where the sum is not 0."""
+    each chord diagram of the expansion adds its coefficient times its
+    wc', the cycle sum with the sign (-1)^(k-1), which is -1 where the sum
+    is not 0."""
     check_degree(d.degree, k_max)
-    if d.nv == 0 or d.degree % 2 or d.has_legless_vertex():
+    if (d.nv == 0 or d.degree % 2 or d.has_legless_vertex()
+            or d.product_split() is not None):
         return ZERO
-    comps, comp_of = d.component_map()
-    if len(comps) > 1 and d.product_split((comps, comp_of)) is not None:
-        return ZERO
-    ex = _Expansion(d)
-    total = 0
-    for choice in product(*(ex.terms(c).items() for c in comps)):
-        total -= (prod(c for _, c in choice)
-                  * _cycles([ch for chords, _ in choice for ch in chords]))
-    return Fraction(total)
+    return Fraction(-sum(c * _cycles(chords)
+                         for chords, c in _expand(d).items()))
 
 
 def wc_prime_eval(v, k_max=K_MAX):

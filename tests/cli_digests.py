@@ -53,6 +53,11 @@ def _commands():
                  "16", "--zbcr", "--json"], False))
     out.append((["alexander", "--pd", "tests/fixtures/4_1.pd", "--series",
                  "8", "--zbcr"], False))
+    for name in ("interleaved_d4", "wheel6", "tripods_chords_d6"):
+        for system in ("wc", "wcp"):
+            out.append((["weight", "--system", system, "--diagram",
+                         f"tests/fixtures/{name}.json", "--k-max", "6"],
+                        False))
     out.append((["--help"], False))
     out.append((["alexander", "--help"], False))
     return out

@@ -90,17 +90,20 @@ MUTANTS = (
      "elif at_j < at_i:",
      "elif at_j > at_i:",
      [JACOBI + "test_swap_test_matches_the_relabeling_oracle[3]"]),
-    ("block endpoints in component order, unsorted",
+    ("leaf positions restart at each line position",
      "conway.py",
-     "    points = sorted([p for t in terms for chord in next(iter(t), ())\n"
-     "                     for p in chord])",
-     "    points = list([p for t in terms for chord in next(iter(t), ())\n"
-     "                   for p in chord])",
-     [WEIGHTS + "test_block_wc_matches_the_per_choice_sort[3]"]),
+     "            for i, v in enumerate(line):\n"
+     "                pos[v] = i\n",
+     "            i = 0\n"
+     "            for v in line:\n"
+     "                pos[v] = i\n"
+     "                i = i + 1 if v in cyc else 0\n",
+     [WEIGHTS + "test_kernel_matches_the_oracle_on_every_class_through"
+      "_degree_three"]),
     ("wc' cycle sum without the sign (-1)^(k-1)",
      "conway.py",
-     "        total -= (prod(c for _, c in choice)",
-     "        total += (prod(c for _, c in choice)",
+     "    return Fraction(-sum(c * _cycles(chords)",
+     "    return Fraction(sum(c * _cycles(chords)",
      [WEIGHTS + "test_cumulant_matches_the_partition_oracle[4]"]),
     ("wc' cycle sum closes on S transposed",
      "conway.py",
@@ -115,8 +118,13 @@ MUTANTS = (
      [WEIGHTS + "test_random_chord_diagrams_wc_prime_is_the_cumulant[8-200]"]),
     ("wc' of odd degree expanded instead of 0 at once",
      "conway.py",
-     "if d.nv == 0 or d.degree % 2 or d.has_legless_vertex():",
-     "if d.nv == 0 or d.has_legless_vertex():",
+     "d.nv == 0 or d.degree % 2 or d.has_legless_vertex()",
+     "d.nv == 0 or d.has_legless_vertex()",
+     [WEIGHTS + "test_exact_zeros_expand_nothing"]),
+    ("wc without its odd-degree zero",
+     "conway.py",
+     "if d.degree % 2 or d.has_legless_vertex():",
+     "if d.has_legless_vertex():",
      [WEIGHTS + "test_exact_zeros_expand_nothing"]),
     ("splice leaves the host's half-edges unmapped",
      "psi.py",

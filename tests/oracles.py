@@ -21,13 +21,13 @@ moves that renumber their terms or scan for the moving half-edges, the
 surgery circle count by a walk over a successor dict and as a corank
 over GF(2) on every labeled chord diagram, a chord diagram's signed
 intersection matrix with its determinant by elimination and its cycle sum
-over every cyclic order, the weight of a block
-of components with the endpoints of every choice sorted afresh, the
-circle-counting weight and its cumulant by a class-keyed, memoized STU
-recursion and by STU on whole diagrams with every block of the cumulant
-rebuilt, the cumulant as a sum over set partitions, the BCR sources of a
-diagram listed one by one, their cycle sum by a recursion with one dict per
-layer, the weighted source count by a scan over every ordering of every BCR
+over every cyclic order, the boundary components of its band surface as
+the faces of a ribbon graph, the circle-counting weight and its cumulant
+by a class-keyed, memoized STU recursion and as a sum over set partitions
+with each block rebuilt and resolved by STU on the whole block once, the
+BCR sources of a diagram listed one by one, their cycle sum by a
+recursion with one dict per layer, the weighted source count by a scan
+over every ordering of every BCR
 class, the Alexander determinant by expansion in minors, the skein
 recursion on mutable crossing lists, the substitution t = e^h with a
 Fraction per term and order, and the logarithm and exponential of a power
@@ -45,7 +45,6 @@ from math import factorial, prod
 from knotweights import canon
 from knotweights.bcr import EXTERNAL, INTERNAL, bcr_key, validate_bcr
 from knotweights.bridge import _orbit_length, _vertex_roles, _wbcr_table
-from knotweights.conway import _block_wc
 from knotweights.enumerate import (K_MAX, _swap_beats, check_degree,
                                    enumerate_jacobi)
 from knotweights.jacobi import (JacobiDiagram, _cyclic_parity, _halves,
@@ -1133,36 +1132,6 @@ def cycle_sum_by_permutations(matrix):
     return total
 
 
-def _partners_by_sorting(chords):
-    """Each endpoint's partner, the endpoints numbered in sorted order."""
-    points = sorted([p for chord in chords for p in chord])
-    at = {p: i for i, p in enumerate(points)}
-    partner = [0] * len(points)
-    for a, b in chords:
-        i, j = at[a], at[b]
-        partner[i] = j
-        partner[j] = i
-    return partner
-
-
-def block_wc_by_sorting(terms):
-    """`conway._block_wc` with the merged endpoints of every choice of one
-    chord list per component sorted afresh, and its circle walk taken on
-    them."""
-    total = 0
-    for choice in product(*(t.items() for t in terms)):
-        partner = _partners_by_sorting(
-            [ch for chords, _ in choice for ch in chords])
-        n = len(partner)
-        arc = steps = 0
-        while arc != n:
-            arc = partner[arc] + 1
-            steps += 1
-        if steps == n:
-            total += prod(c for _, c in choice)
-    return total
-
-
 def _set_partitions(items):
     """Every set partition of a list, each as a list of blocks."""
     if not items:
@@ -1173,27 +1142,6 @@ def _set_partitions(items):
         yield [[first]] + part
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
-
-
-def cumulant_by_partitions(terms):
-    """The cumulant of wc over the expanded components `terms`, as a sum
-    over their set partitions: (-1)^(|pi|-1) (|pi|-1)! times the product of
-    wc over the blocks, each block's wc computed once."""
-    block_wc = {}
-    total = 0
-    for part in _set_partitions(list(range(len(terms)))):
-        n = len(part)
-        term = (-1) ** (n - 1) * factorial(n - 1)
-        for block in part:
-            block = tuple(block)
-            w = block_wc.get(block)
-            if w is None:
-                w = block_wc[block] = _block_wc([terms[i] for i in block])
-            term *= w
-            if not term:
-                break
-        total += term
-    return total
 
 
 class ClassWeights:
@@ -1292,24 +1240,61 @@ def wc_resolved(d):
 
 def wc_prime_resolved(d, k_max=K_MAX):
     """The cumulant of wc over d's components, each block rebuilt by
-    `sub_diagram` and resolved from scratch by `wc_resolved`."""
+    `sub_diagram` and resolved from scratch (`cumulant_by_partitions`)."""
     check_degree(d.degree, k_max)
+    return Fraction(cumulant_by_partitions(d))
+
+
+def cumulant_by_partitions(d):
+    """The cumulant of wc over d's components, as a sum over their set
+    partitions: (-1)^(|pi|-1) (|pi|-1)! times the product of wc over the
+    blocks, in integers, each block rebuilt by `sub_diagram` and resolved
+    by `wc_resolved` once (a block of chords by the successor walk)."""
     comps = d.components()
     if not comps:
-        return Fraction(0)
+        return 0
     block_wc = {}
-    total = Fraction(0)
+    total = 0
     for part in _set_partitions(list(range(len(comps)))):
         n = len(part)
-        term = Fraction((-1) ** (n - 1) * factorial(n - 1))
+        term = (-1) ** (n - 1) * factorial(n - 1)
         for block in part:
             block = tuple(block)
-            if block not in block_wc:
-                block_wc[block] = wc_resolved(sub_diagram(
-                    d, [v for i in block for v in comps[i]]))
-            term *= block_wc[block]
+            w = block_wc.get(block)
+            if w is None:
+                w = block_wc[block] = int(wc_resolved(sub_diagram(
+                    d, [v for i in block for v in comps[i]])))
+            term *= w
+            if not term:
+                break
         total += term
     return total
+
+
+def band_surface_boundaries(d):
+    """The boundary components of a chord diagram's band surface, a disk
+    with one untwisted band per chord, as the faces of its ribbon graph.
+    The graph has one vertex, the disk, and one edge per chord; its darts
+    are the chord ends (position, chord), and the rotation sigma takes
+    each to the next around the disk, the line closed up.  The involution
+    alpha swaps the two ends of a chord, and the faces are the orbits of
+    sigma after alpha.  A disk with no bands has its one boundary
+    circle."""
+    darts = sorted((p, c) for c, chord in enumerate(d.chords())
+                   for p in chord)
+    if not darts:
+        return 1
+    sigma = dict(zip(darts, darts[1:] + darts[:1]))
+    alpha = {x: y for x in darts for y in darts if x[1] == y[1] and x != y}
+    faces, seen = 0, set()
+    for start in darts:
+        if start not in seen:
+            faces += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = sigma[alpha[x]]
+    return faces
 
 
 def sources(d):

@@ -19,7 +19,7 @@ from knotweights.vectors import vector_of
 
 from helpers import refuse_search, shuffled_jacobi
 from oracles import (ClassWeights, SplittingByProducts,
-                     block_wc_by_sorting, circles_by_gf2_corank,
+                     band_surface_boundaries, circles_by_gf2_corank,
                      count_circles_by_successors, cumulant_by_partitions,
                      cycle_sum_by_permutations, det_by_elimination,
                      intersection_matrix, labeled_chord_diagrams,
@@ -52,6 +52,22 @@ def test_circle_counts_are_the_gf2_corank(k):
         assert count_circles(d) == circles_by_gf2_corank(d)
         count += 1
     assert count == prod(range(1, 2 * k, 2))
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_band_surface_boundaries_are_the_circles_and_fix_det(k):
+    # the band surface has 1 + c boundary components, c the circles that
+    # surgery leaves, and its intersection form S is unimodular exactly
+    # when there is one: det S = 1 then and 0 otherwise
+    unimodular = 0
+    for d in labeled_chord_diagrams(k):
+        boundaries = band_surface_boundaries(d)
+        assert boundaries == 1 + count_circles(d)
+        det = det_by_elimination(intersection_matrix(d))
+        assert det == (1 if boundaries == 1 else 0)
+        unimodular += boundaries == 1
+    assert bool(unimodular) == (k % 2 == 0)
 
 
 def test_wc_on_empty_and_degree_one():
@@ -207,7 +223,7 @@ def test_verify_main_canonicalizes_nothing_past_the_enumeration(monkeypatch):
     assert all(r["equal"] for r in rows)
 
 
-# -- the per-component expansion against STU on whole diagrams -------------
+# -- the expansion against STU on whole diagrams built afresh -------------
 
 def _assert_kernel_matches_the_oracle(diagrams, k_max=4):
     for d in diagrams:
@@ -225,11 +241,9 @@ def test_cumulant_matches_the_partition_oracle(k):
     for rep in enumerate_jacobi(k, k_max=k):
         if rep.nv == 0 or rep.has_trivalent_component():
             continue
-        ex = conway._Expansion(rep)
-        terms = [ex.terms(c) for c in rep.components()]
-        several += len(terms) > 1
+        several += len(rep.components()) > 1
         value = wc_prime_diagram(rep, k)
-        assert value == cumulant_by_partitions(terms)
+        assert value == cumulant_by_partitions(rep)
         nonzero += value != 0
     assert several or k < 2
     assert bool(nonzero) == (k > 0 and k % 2 == 0)
@@ -243,9 +257,7 @@ def _assert_chord_identities(d, k):
     assert wc_diagram(d) == det_by_elimination(S)
     value = wc_prime_diagram(d, k)
     assert value == (-1) ** (k - 1) * cycles
-    ex = conway._Expansion(d)
-    assert value == cumulant_by_partitions(
-        [ex.terms(c) for c in d.components()])
+    assert value == cumulant_by_partitions(d)
     assert wbcr(d, k) == cycles
     return cycles != 0
 
@@ -270,35 +282,10 @@ def test_random_chord_diagrams_wc_prime_is_the_cumulant(k, n):
         d = chord_diagram(list(zip(points[::2], points[1::2])))
         S = intersection_matrix(d)
         assert wc_diagram(d) == det_by_elimination(S)
-        ex = conway._Expansion(d)
-        terms = [ex.terms(c) for c in d.components()]
         value = wc_prime_diagram(d, k)
-        assert value == cumulant_by_partitions(terms) == -wbcr(d, k)
+        assert value == cumulant_by_partitions(d) == -wbcr(d, k)
         nonzero += value != 0
     assert nonzero
-
-
-@pytest.mark.parametrize("k", [
-    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
-def test_block_wc_matches_the_per_choice_sort(k):
-    # on every block (set of components) of every class with legs on every
-    # component; a block holding a component whose expansion cancels is 0
-    blocks = cancelled = 0
-    for rep in enumerate_jacobi(k, k_max=k):
-        if rep.nv == 0 or rep.has_trivalent_component():
-            continue
-        ex = conway._Expansion(rep)
-        terms = [ex.terms(c) for c in rep.components()]
-        for mask in range(1, 1 << len(terms)):
-            block = [t for i, t in enumerate(terms) if mask >> i & 1]
-            assert conway._block_wc(block) == block_wc_by_sorting(block)
-            blocks += 1
-            cancelled += not all(block)
-        for i in range(len(terms)):
-            block = terms[:i] + [{}] + terms[i + 1:]
-            assert conway._block_wc(block) == block_wc_by_sorting(block) == 0
-    assert blocks > k or k < 2
-    assert cancelled or k < 4
 
 
 @pytest.mark.parametrize("k", [
@@ -316,25 +303,30 @@ class ExpansionRan(Exception):
 
 
 def test_exact_zeros_expand_nothing(monkeypatch):
-    # the parity, the leg test and the one walk over the components find
-    # exactly the empty diagram, the odd degrees, trivalent vertices
-    # without a leg (purely trivalent components among them) and products,
-    # and expand nothing there
+    # for wc', the parity, the leg test and the one walk over the
+    # components find exactly the empty diagram, the odd degrees, trivalent
+    # vertices without a leg (purely trivalent components among them) and
+    # products; for wc, the parity and the leg test find the odd degrees
+    # and the leg-less vertices; neither expands anything there
     reps = [rep for k in range(5) for rep in enumerate_jacobi(k)]
-    zero = [rep.nv == 0 or rep.degree % 2 or rep.has_legless_vertex()
-            or rep.product_split() is not None for rep in reps]
-    assert 0 < sum(zero) < len(reps)
+    wc_zero = [rep.degree % 2 or rep.has_legless_vertex() for rep in reps]
+    wcp_zero = [z or rep.nv == 0 or rep.product_split() is not None
+                for rep, z in zip(reps, wc_zero)]
+    assert 0 < sum(wc_zero) < sum(wcp_zero) < len(reps)
+    assert wc_diagram(empty_diagram()) == 1
 
     def refuse(d):
         raise ExpansionRan()
 
-    monkeypatch.setattr(conway, "_Expansion", refuse)
-    for rep, vanishes in zip(reps, zero):
-        if vanishes:
-            assert wc_prime_diagram(rep) == 0
-        else:
-            with pytest.raises(ExpansionRan):
-                wc_prime_diagram(rep)
+    monkeypatch.setattr(conway, "_expand", refuse)
+    for weight, zero in ((wc_diagram, wc_zero),
+                         (wc_prime_diagram, wcp_zero)):
+        for rep, vanishes in zip(reps, zero):
+            if vanishes:
+                assert weight(rep) == 0
+            else:
+                with pytest.raises(ExpansionRan):
+                    weight(rep)
 
 
 @pytest.mark.parametrize("k", [
@@ -395,6 +387,13 @@ def test_kernel_matches_the_oracle_on_every_class(k, n_classes):
             if canonicalize(rep)[1]]
     assert len(reps) == n_classes
     _assert_kernel_matches_the_oracle(reps, k_max=k)
+
+
+@pytest.mark.slow
+def test_kernel_matches_the_oracle_on_a_sample_of_degree_six():
+    reps = random.Random(6).sample(enumerate_jacobi(6, k_max=6), 300)
+    _assert_kernel_matches_the_oracle(reps, k_max=6)
+    assert any(wc_prime_diagram(rep, 6) for rep in reps)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
