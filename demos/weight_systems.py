@@ -19,11 +19,12 @@ for pairs in ([(1, 2)], [(1, 3), (2, 4)], [(1, 2), (3, 4)]):
           f"-> weight {wc_diagram(d)}")
 
 # Diagrams with trivalent vertices reduce to chord diagrams through the
-# two-term resolution; the wheel family alternates between -2 and 0.
+# two-term resolution; the wheel family alternates between -2 and 0.  The
+# degree cap (default 4) is raised to reach the larger wheels.
 print()
 print("wheels:")
 for k in range(2, 9):
-    print(f"  wc(wheel_{k}) = {wc_diagram(wheel(k))}")
+    print(f"  wc(wheel_{k}) = {wc_diagram(wheel(k), k_max=8)}")
 
 # The weight is constant on the quotient by the local relations; every
 # generated relator evaluates to zero.

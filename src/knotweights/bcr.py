@@ -24,8 +24,8 @@ word up to rotation, keyed by its least rotation (:func:`bcr_key`), and
 
 import json
 
-from .errors import (CycleStructureViolation, Disconnected, EmptyGraph,
-                     LoopEdge, ParseError, VertexTypeViolation)
+from .errors import (Disconnected, EmptyGraph, LoopEdge, ParseError,
+                     VertexTypeViolation)
 
 INTERNAL = "int"
 EXTERNAL = "ext"
@@ -74,18 +74,27 @@ class BCRDiagram:
 
 
 def validate_bcr(nv, external, edges):
-    """Check the five local patterns and the cycle/leg decomposition.
+    """Check the five local patterns and connectedness, and read off the
+    cycle/leg decomposition they force.
 
     `edges` lists (tail, head, cls) triples.  Returns a BCRDiagram carrying
     the per-vertex type tags, the decomposition and each vertex's one
     outgoing edge (`out_edge[v]`).
 
-    Once the patterns, connectedness and the decomposition hold, the
-    counts need no check of their own.  Every pattern has one outgoing
-    edge, so there are as many edges as vertices.  Every trivalent vertex
-    has exactly one leg.  Types 4 and 5 are the switches from external to
-    internal and back around the cycle, so they alternate and pair up, and
-    with t trivalent vertices nv = 2 (t + n4) is even.
+    The decomposition needs no check of its own.  Every pattern has one
+    outgoing edge, so a connected diagram has one directed cycle, with
+    trees that run into it, and as many edges as vertices.  A tree enters
+    the cycle at a vertex with two incoming edges, of type 1 or 2, and one
+    of them comes from its cycle predecessor.  Either type takes one
+    incoming edge from a univalent vertex, and the predecessor, itself
+    entered, is not univalent; so the tree's vertex next to the cycle is
+    univalent, and having no incoming edge it is the whole tree, a leg on
+    a trivalent cycle vertex.
+
+    Nor do the counts need a check.  Every trivalent vertex has exactly
+    one leg.  Types 4 and 5 are the switches from external to internal and
+    back around the cycle, so they alternate and pair up, and with t
+    trivalent vertices nv = 2 (t + n4) is even.
 
     An edge class other than INTERNAL and EXTERNAL is a ParseError, before
     any other check.
@@ -171,17 +180,7 @@ def validate_bcr(nv, external, edges):
     i = cycle.index(min(cycle))
     cycle = cycle[i:] + cycle[:i]
 
-    on_cycle = set(cycle)
-    legs = {}
-    for v in range(nv):
-        if type_of[v] == 3:
-            target = succ[v]
-            if type_of[target] not in (1, 2) or target not in on_cycle:
-                raise CycleStructureViolation(v, "leg must land on a "
-                                                 "trivalent cycle vertex")
-            legs[target] = v
-        elif v not in on_cycle:
-            raise CycleStructureViolation(v, "non-leg vertex off the cycle")
+    legs = {succ[v]: v for v in range(nv) if type_of[v] == 3}
     return BCRDiagram(nv, external, edges, type_of, cycle, legs, out_edge)
 
 

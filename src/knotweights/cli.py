@@ -144,10 +144,8 @@ def cmd_dim(args):
 
 
 def cmd_weight(args):
-    d = _read_jacobi(args.diagram)
-    check_degree(d.degree, args.k_max)
-    value = (wc_diagram(d) if args.system == "wc"
-             else wc_prime_diagram(d, k_max=args.k_max))
+    weight = wc_diagram if args.system == "wc" else wc_prime_diagram
+    value = weight(_read_jacobi(args.diagram), k_max=args.k_max)
     if args.json:
         _emit({"system": args.system, "value": str(value)}, True)
     else:
@@ -207,7 +205,8 @@ def cmd_verify(args):
         return _report(rows, f"wc o substitution == wc at degree {k}",
                        args.json, ["lhs", "rhs"])
     if args.what == "lemma33":
-        check_degree(k, args.k_max)  # before the wheel, whose check is slow
+        # before the wheel, whose size is linear in --degree
+        check_degree(k, args.k_max)
         got = wbcr(wheel(k), k_max=args.k_max)
         want = Fraction(1 + (-1) ** k)
         rows = [{"equal": got == want, "wbcr": got, "expected": want}]
@@ -258,9 +257,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--k-max", type=_natural, default=K_MAX,
-                        help=f"largest degree any step may compute, checked "
-                             f"before any work (default {K_MAX})")
 
     p = argparse.ArgumentParser(
         prog="knotweights",
@@ -269,30 +265,34 @@ def build_parser():
     # a given prog spares argparse formatting a usage line to find it
     sub = p.add_subparsers(dest="command", required=True, prog="knotweights")
 
-    e = sub.add_parser("enumerate", parents=[common],
-                       help="list diagram classes")
+    def capped(name, text):
+        """A diagram subcommand, which takes --k-max; `alexander` has no
+        degree to cap."""
+        c = sub.add_parser(name, parents=[common], help=text)
+        c.add_argument("--k-max", type=_natural, default=K_MAX,
+                       help=f"largest degree any step may compute, checked "
+                            f"before any work (default {K_MAX})")
+        return c
+
+    e = capped("enumerate", "list diagram classes")
     e.add_argument("kind", choices=["bcr", "jacobi"])
     e.add_argument("--degree", type=int, required=True)
     e.set_defaults(func=cmd_enumerate)
 
-    d = sub.add_parser("dim", parents=[common],
-                       help="dimensions of one degree")
+    d = capped("dim", "dimensions of one degree")
     d.add_argument("--degree", type=int, required=True)
     d.set_defaults(func=cmd_dim)
 
-    w = sub.add_parser("weight", parents=[common],
-                       help="evaluate a weight system")
+    w = capped("weight", "evaluate a weight system")
     w.add_argument("--system", choices=["wc", "wcp"], required=True)
     w.add_argument("--diagram", required=True, help="diagram JSON file")
     w.set_defaults(func=cmd_weight)
 
-    b = sub.add_parser("wbcr", parents=[common],
-                       help="signed source count of a diagram")
+    b = capped("wbcr", "signed source count of a diagram")
     b.add_argument("--diagram", required=True, help="diagram JSON file")
     b.set_defaults(func=cmd_wbcr)
 
-    v = sub.add_parser("verify", parents=[common],
-                       help="run one verification suite")
+    v = capped("verify", "run one verification suite")
     v.add_argument("what", choices=["prop32", "stu", "wcpsi", "lemma33"])
     v.add_argument("--degree", type=int, required=True)
     v.set_defaults(func=cmd_verify)

@@ -22,7 +22,10 @@ coefficients of those that surgery leaves without a circle, and wc' sums
 minus each coefficient times a cycle sum (below).  The linear extensions
 to diagram vectors evaluate each class on its representative;
 `wc_prime_eval` also takes a diagram, standing for its class, so `verify
-prop32` evaluates the representative it holds.
+prop32` evaluates the representative it holds.  wc, wc' and both
+extensions take the degree cap `k_max` and check it before any zero test
+or expansion, as `bridge.wbcr` does; the commands pass the user's
+--k-max.
 
 wc of odd degree is 0 with no expansion: STU keeps the degree, and surgery
 along k chords leaves k circles mod 2 (each chord's cut and crosswise
@@ -242,20 +245,23 @@ def _expand(d):
     return {chords: c for chords, c in out.items() if c}
 
 
-def wc_diagram(d):
+def wc_diagram(d, k_max=K_MAX):
     """Circle-counting weight of an oriented diagram (exact rational): 0
     at odd degree and with a leg-less vertex, otherwise the sum of the
     coefficients of the expansion's chord diagrams that surgery leaves
-    without a circle."""
+    without a circle.  The degree cap is checked first, as by wc' and
+    wbcr."""
+    check_degree(d.degree, k_max)
     if d.degree % 2 or d.has_legless_vertex():
         return ZERO
     return Fraction(sum(c for chords, c in _expand(d).items()
                         if _no_circle(_partner(chords))))
 
 
-def wc_eval(v):
+def wc_eval(v, k_max=K_MAX):
     """Linear extension of wc to diagram vectors."""
-    return sum((c * wc_diagram(representative(key))
+    check_degree(v.degree, k_max)
+    return sum((c * wc_diagram(representative(key), k_max)
                 for key, c in v.terms.items()), ZERO)
 
 

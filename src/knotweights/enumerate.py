@@ -247,11 +247,10 @@ def _candidates(k):
     with line vertices 0..u-1: those whose components all touch the line,
     and those that are one closed component with, when it has parallel
     edges, a pair of them at vertex 0 (`_parallel_first`).  `_multigraphs`
-    gives each one loop-free with the right valences."""
+    gives each one loop-free with the right valences; with t trivalent
+    vertices the valences sum to 3t + u = 2(t + k), even for every t."""
     for t in range(0, 2 * k + 1):
         u = 2 * k - t
-        if (3 * t + u) % 2:
-            continue
         for edges in _multigraphs([1] * u + [3] * t, free_start=u):
             if ((u or _parallel_first(edges))
                     and not _swap_beats(edges, u, 2 * k)):

@@ -28,13 +28,6 @@ class VertexTypeViolation(DiagramError):
                          + (f": {reason}" if reason else ""))
 
 
-class CycleStructureViolation(DiagramError):
-    def __init__(self, element, reason=""):
-        self.element = element
-        super().__init__(f"cycle/leg decomposition fails at {element}"
-                         + (f": {reason}" if reason else ""))
-
-
 class InvalidNumbering(DiagramError):
     pass
 

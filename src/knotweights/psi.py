@@ -8,13 +8,13 @@ edges as the component's degree, the edges the framing anomaly is
 substituted into.  Of the doubled anomaly only the degree-1 part, a bare
 chord, is in the program, and splicing a bare chord restores the edge, so
 `verify_wc_psi` checks wc(D) = wc(D) on every class; a check with content
-waits for the higher-degree parts.
+waits for the higher-degree parts.  wc is a weight system, so both sides
+are `wc_diagram` on the diagrams as built, with no class search.
 """
 
-from .conway import wc_eval
+from .conway import wc_diagram
 from .enumerate import K_MAX, enumerate_jacobi
 from .jacobi import JacobiDiagram, single_chord
-from .vectors import vector_of
 
 
 def default_edge_selection(d):
@@ -81,8 +81,9 @@ def splice(d, assignment):
 
 
 def verify_wc_psi(k, k_max=K_MAX):
-    """Compare wc of each degree-k class with wc of the class with a bare
-    chord spliced into every edge of its default selection."""
+    """Compare wc of each degree-k class representative with wc of the
+    diagram with a bare chord spliced into every edge of its default
+    selection, both under the cap `k_max`."""
     chord = single_chord()
     rows = []
     for rep in enumerate_jacobi(k, k_max=k_max):
@@ -92,7 +93,7 @@ def verify_wc_psi(k, k_max=K_MAX):
             raise ArithmeticError(
                 f"splice produced degree {spliced.degree}, expected "
                 f"{rep.degree}")
-        lhs = wc_eval(vector_of(spliced))
-        rhs = wc_eval(vector_of(rep))
+        lhs = wc_diagram(spliced, k_max)
+        rhs = wc_diagram(rep, k_max)
         rows.append({"lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
     return rows

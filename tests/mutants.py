@@ -126,6 +126,13 @@ MUTANTS = (
      "if d.degree % 2 or d.has_legless_vertex():",
      "if d.has_legless_vertex():",
      [WEIGHTS + "test_exact_zeros_expand_nothing"]),
+    ("wc skips its degree cap",
+     "conway.py",
+     "    check_degree(d.degree, k_max)\n"
+     "    if d.degree % 2 or d.has_legless_vertex():",
+     "    if d.degree % 2 or d.has_legless_vertex():",
+     [WEIGHTS + "test_wc_checks_the_cap_before_any_zero_or_expansion",
+      CLI + "test_cli_weight_respects_the_cap"]),
     ("splice leaves the host's half-edges unmapped",
      "psi.py",
      "            return (emap[e], end)",
@@ -286,6 +293,11 @@ MUTANTS = (
      "lo, hi = min(x, y), max(x, y)",
      "hi, lo = min(x, y), max(x, y)",
      [ALEXANDER + "test_skein_matches_the_list_recursion_on_the_fixtures"]),
+    ("descending base case returns the split-link zero",
+     "alexander.py",
+     "out = {0: 1} if n_comp == 1 else {}",
+     "out = {}",
+     [ALEXANDER + "test_descending_diagram_is_the_unknot_by_the_base_case"]),
     ("planarity check passes codes with too few faces",
      "pd.py",
      "if n_faces != len(self) + 2:",

@@ -649,6 +649,59 @@ def test_equal_signs_bound_no_bigon(s0):
         assert conway_skein(p) == conway_skein_lists(p)
 
 
+def _closed_three_braid(word):
+    """The closure of a braid on three strands, word a list of generators
+    (i, e) = sigma_(i+1)^e: the strand coming from the left passes over at
+    e = 1 and under at e = -1, and the crossing's sign is e."""
+    visits, p = [], 0
+    while True:
+        for c, (i, e) in enumerate(word):
+            if p in (i, i + 1):
+                visits.append((c, (p == i) == (e > 0)))
+                p = 2 * i + 1 - p
+        if p == 0:
+            return visits, {c: e for c, (_i, e) in enumerate(word)}
+
+
+def _descending(knot):
+    """The knot's diagram switched so that each crossing is passed over at
+    its first visit; a switched crossing changes sign."""
+    visits, signs = knot
+    signs = dict(signs)
+    seen = set()
+    out = []
+    for c, over in visits:
+        first = c not in seen
+        seen.add(c)
+        if first and not over:
+            signs[c] = -signs[c]
+        out.append((c, first))
+    return out, signs
+
+
+def test_descending_diagram_is_the_unknot_by_the_base_case(monkeypatch):
+    # (sigma_1 sigma_2^-1)^4 closes to 8_18, alternating with no monogon or
+    # bigon face, so no Reidemeister move applies; made descending it is
+    # an unknot that the walk finds no underpass in
+    knot = _closed_three_braid([(0, 1), (1, -1)] * 4)
+    assert alexander_poly(gauss_pd(knot)) == LaurentPolynomial(
+        {3: -1, 2: 5, 1: -10, 0: 13, -1: -10, -2: 5, -3: -1})
+    pd = _planar_pd(*_descending(knot))
+    assert _reidemeister_move(_Tangle.from_pd(pd).crossings) is None
+    walks = []
+    walk = _Tangle.walk
+
+    def recorded(tangle):
+        walks.append((len(tangle.crossings), walk(tangle)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(_Tangle, "walk", recorded)
+    assert alexander_by_skein(pd) == alexander_poly(pd) == \
+        LaurentPolynomial.one()
+    assert (8, (None, 1)) in walks
+    assert conway_skein_lists(pd) == {0: 1}
+
+
 def test_split_tangle_is_zero_without_a_walk(monkeypatch):
     rows = _Tangle.from_pd(load("3_1")).crossings
     assert _list_nabla(_ListTangle(rows, 1)) == {}

@@ -96,7 +96,8 @@ def test_enumeration_matches_the_piece_word_scan(k):
     (2, 1, 0), (2, 2, 2), (3, 2, 0), (3, 3, 0), (3, 4, 0), (4, 3, 0),
     (4, 4, 84), pytest.param(4, 5, 0, marks=pytest.mark.slow)])
 def test_accepted_diagrams_have_balanced_even_counts(nv, m, accepted):
-    # validate_bcr checks neither count; its docstring says why both hold
+    # validate_bcr checks neither count nor the cycle/leg decomposition;
+    # its docstring says why they hold
     seen = 0
     for external, edges in bcr_inputs(nv, m):
         try:
@@ -107,6 +108,14 @@ def test_accepted_diagrams_have_balanced_even_counts(nv, m, accepted):
         types = list(d.type_of.values())
         assert types.count(4) == types.count(5)
         assert d.nv % 2 == 0 and d.nv == len(d.edges)
+        head = [d.edges[i][1] for i in d.out_edge]
+        cycle = list(d.cycle)
+        assert [head[v] for v in cycle] == cycle[1:] + cycle[:1]
+        legs = {head[u]: u for u in range(nv) if u not in cycle}
+        assert legs == d.legs
+        assert all(d.type_of[u] == 3 for u in legs.values())
+        assert sorted(legs) == [v for v in sorted(cycle)
+                                if d.type_of[v] in (1, 2)]
     assert seen == accepted
 
 

@@ -89,6 +89,15 @@ def test_numbering_keys_are_the_edges_and_labels_plain_ints(numbering):
                       numbering=numbering)
 
 
+@pytest.mark.parametrize("pairs", [
+    [(1, 3)], [(0, 1)], [(1, 2), (2, 3)], [(1, 2), (3, 5)]],
+    ids=["gap", "from_zero", "shared_endpoint", "past_the_end"])
+def test_chord_endpoints_must_cover_the_line(pairs):
+    with pytest.raises(VertexTypeViolation,
+                       match="chord endpoints must cover 1..2k"):
+        chord_diagram(pairs)
+
+
 def test_product_unit_and_degree():
     w = wheel(2)
     lhs = canonicalize(product(w, empty_diagram()))

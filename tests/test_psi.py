@@ -1,3 +1,5 @@
+import pytest
+
 from knotweights.conway import wc_eval
 from knotweights.enumerate import enumerate_jacobi
 from knotweights.jacobi import (JacobiDiagram, canonicalize, empty_diagram,
@@ -5,6 +7,8 @@ from knotweights.jacobi import (JacobiDiagram, canonicalize, empty_diagram,
                                 validate_jacobi, wheel)
 from knotweights.psi import default_edge_selection, splice, verify_wc_psi
 from knotweights.vectors import vector_of
+
+from helpers import refuse_search
 
 
 REVERSED_CHORD = JacobiDiagram(2, (0, 1), [(1, 0)], {})
@@ -54,6 +58,30 @@ def test_verify_wc_psi_low_degrees():
     for k in (0, 1, 2, 3):
         rows = verify_wc_psi(k)
         assert rows and all(r["equal"] for r in rows)
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_verify_wc_psi_rows_match_the_class_vectors(k):
+    # the rows evaluate wc on the diagrams themselves; wc of their class
+    # vectors is the oracle
+    reps = enumerate_jacobi(k, k_max=k)
+    rows = verify_wc_psi(k, k_max=k)
+    assert len(rows) == len(reps)
+    for rep, row in zip(reps, rows):
+        want = wc_eval(vector_of(rep), k_max=k)
+        assert row["lhs"] == row["rhs"] == want
+        assert wc_eval(vector_of(chord_spliced(rep)), k_max=k) == want
+    assert k % 2 or any(row["lhs"] for row in rows)
+
+
+def test_verify_wc_psi_canonicalizes_nothing_past_the_enumeration(
+        monkeypatch):
+    enumerate_jacobi(3)
+    refuse_search(monkeypatch)
+    rows = verify_wc_psi(3)
+    assert len(rows) == 67
+    assert all(r["equal"] for r in rows)
 
 
 def test_product_targets_factor():

@@ -51,6 +51,12 @@ def test_serialization_is_deterministic():
     assert list(obj) == ["kind", "vertices", "edges", "univalent_order"]
 
 
+@pytest.mark.parametrize("obj", [None, 3, {"kind": "jacobi"}])
+def test_to_json_refuses_what_is_not_a_diagram(obj):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        to_json(obj)
+
+
 def test_golden_bytes_single_chord():
     assert to_json(single_chord()) == (
         '{"kind":"jacobi",'
@@ -276,6 +282,18 @@ def test_cli_negative_k_max_is_a_usage_error(tmp_path, monkeypatch, capsys,
             in capsys.readouterr().err)
 
 
+def test_cli_sign_that_cannot_be_inferred_exits_two(tmp_path, monkeypatch,
+                                                    capsys):
+    # in X(1,5,2,3) neither of the arcs 5 and 3 follows the other, so
+    # without a +/- suffix the over strand has no direction
+    f = tmp_path / "unsigned.pd"
+    f.write_text("X(1,5,2,3)\nX(3,1,4,6)\nX(5,3,6,2)\n")
+    assert _run(tmp_path, monkeypatch, "alexander", "--pd", str(f)) == 2
+    assert _assert_input_error(capsys) == (
+        "error: line 1: cannot parse 'X(1,5,2,3)' (cannot infer the "
+        "crossing sign; add a +/- suffix)\n")
+
+
 def test_cli_bad_diagram_file_reports_error(tmp_path, monkeypatch, capsys):
     f = tmp_path / "bad.pd"
     f.write_text("X(1,2,3)\n")
@@ -402,7 +420,8 @@ def test_cli_unreadable_input_exits_two(tmp_path, monkeypatch, capsys, argv,
     '{"kind": "jacobi", "edges": []}',
     "[1, 2]",
     to_json(wheel_bcr(2)),
-], ids=["malformed", "no_vertices", "a_list", "bcr_kind"])
+    '{"kind": "chord", "vertices": [], "edges": []}',
+], ids=["malformed", "no_vertices", "a_list", "bcr_kind", "unknown_kind"])
 @pytest.mark.parametrize("argv", _DIAGRAM_ARGV)
 def test_cli_malformed_diagram_exits_two(tmp_path, monkeypatch, capsys, argv,
                                          text):
@@ -508,11 +527,18 @@ def _wheel_2_with_orient(vertex, orient):
     (_chord_with_edge_row(**{"class": "weird"}),
      "cannot parse 'edges' (edge 0 has class \"weird\", not one of plain)"),
     (_chord_without_edge_class(), "missing field 'class'"),
+    (_jacobi_text(3, [(0, 1)], [0, 1, 2]),
+     "vertex 2 has no admissible local type: odd vertex count"),
+    (_wheel_2_with_orient(2, [7, 4, 5]),
+     "vertex 2 has no admissible local type: bad cyclic orientation"),
+    ('{"kind": "chord", "vertices": [], "edges": []}',
+     "cannot parse 'chord' (kind must be 'jacobi' or 'bcr')"),
 ], ids=["trivalent_on_the_line", "bogus_class", "boolean_edge_end",
         "boolean_line_vertex", "boolean_vertex_ids", "edge_id_seven",
         "boolean_edge_id", "orient_on_a_line_vertex",
         "boolean_half_edge_id", "string_number", "boolean_number",
-        "float_number", "weird_edge_class", "no_edge_class"])
+        "float_number", "weird_edge_class", "no_edge_class",
+        "odd_vertex_count", "half_edge_of_another_vertex", "unknown_kind"])
 @pytest.mark.parametrize("argv", _DIAGRAM_ARGV)
 def test_cli_vertex_class_and_id_type_are_checked(tmp_path, monkeypatch,
                                                   capsys, argv, text,
@@ -614,6 +640,17 @@ def test_cli_zbcr_needs_series(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: --zbcr needs --series" in captured.err
+
+
+def test_cli_alexander_takes_no_degree_cap(tmp_path, monkeypatch, capsys):
+    # a PD code has no degree, so there is nothing for --k-max to cap
+    with pytest.raises(SystemExit) as err:
+        _run(tmp_path, monkeypatch, "alexander", "--pd",
+             str(FIXTURES / "3_1.pd"), "--k-max", "3")
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --k-max 3" in captured.err
 
 
 def test_cli_second_call_in_one_process_is_independent(tmp_path, monkeypatch,

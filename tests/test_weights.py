@@ -9,13 +9,13 @@ from knotweights.bridge import _vertex_roles, verify_main, wbcr
 from knotweights.conway import (count_circles, wc_diagram, wc_eval,
                                 wc_prime_diagram, wc_prime_eval)
 from knotweights.enumerate import enumerate_jacobi
-from knotweights.errors import DegreeOutOfRange
+from knotweights.errors import DegreeOutOfRange, VertexTypeViolation
 from knotweights.jacobi import (canonicalize, chord_diagram, class_of,
                                 empty_diagram, flipped, make_diagram,
                                 product, representative, single_chord,
                                 stu_expand, stu_sites, theta_graph, wheel)
 from knotweights.serialize import to_json
-from knotweights.vectors import vector_of
+from knotweights.vectors import DiagramVector, vector_of
 
 from helpers import refuse_search, shuffled_jacobi
 from oracles import (ClassWeights, SplittingByProducts,
@@ -32,6 +32,8 @@ def test_circle_counts():
     assert count_circles(chord_diagram([(1, 3), (2, 4)])) == 0
     assert count_circles(chord_diagram([(1, 2), (3, 4)])) == 2
     assert count_circles(chord_diagram([(1, 4), (2, 3)])) == 2
+    with pytest.raises(VertexTypeViolation, match="not a chord diagram"):
+        count_circles(wheel(2))
 
 
 @pytest.mark.parametrize("k", [
@@ -78,7 +80,7 @@ def test_wc_on_empty_and_degree_one():
 
 def test_wc_wheel_values():
     for k in range(2, 7):
-        assert wc_diagram(wheel(k)) == -1 - (-1) ** k
+        assert wc_diagram(wheel(k), k_max=6) == -1 - (-1) ** k
 
 
 def test_wc_vanishes_in_odd_degrees():
@@ -227,7 +229,7 @@ def test_verify_main_canonicalizes_nothing_past_the_enumeration(monkeypatch):
 
 def _assert_kernel_matches_the_oracle(diagrams, k_max=4):
     for d in diagrams:
-        assert wc_diagram(d) == wc_resolved(d)
+        assert wc_diagram(d, k_max) == wc_resolved(d)
         assert wc_prime_diagram(d, k_max) == wc_prime_resolved(d, k_max)
 
 
@@ -254,7 +256,7 @@ def _assert_chord_identities(d, k):
     # of wc over the chords, and wbcr = the cycle sum
     S = intersection_matrix(d)
     cycles = cycle_sum_by_permutations(S)
-    assert wc_diagram(d) == det_by_elimination(S)
+    assert wc_diagram(d, k) == det_by_elimination(S)
     value = wc_prime_diagram(d, k)
     assert value == (-1) ** (k - 1) * cycles
     assert value == cumulant_by_partitions(d)
@@ -281,7 +283,7 @@ def test_random_chord_diagrams_wc_prime_is_the_cumulant(k, n):
         rng.shuffle(points)
         d = chord_diagram(list(zip(points[::2], points[1::2])))
         S = intersection_matrix(d)
-        assert wc_diagram(d) == det_by_elimination(S)
+        assert wc_diagram(d, k) == det_by_elimination(S)
         value = wc_prime_diagram(d, k)
         assert value == cumulant_by_partitions(d) == -wbcr(d, k)
         nonzero += value != 0
@@ -300,6 +302,23 @@ def test_wc_prime_of_a_representative_is_that_of_its_class(k):
 
 class ExpansionRan(Exception):
     pass
+
+
+def test_wc_checks_the_cap_before_any_zero_or_expansion(monkeypatch):
+    # as wc' and wbcr do: an odd degree above the cap is refused, not 0,
+    # and an empty vector above it too
+    assert wc_diagram(wheel(6), k_max=6) == -2
+
+    def refuse(d):
+        raise ExpansionRan()
+
+    monkeypatch.setattr(conway, "_expand", refuse)
+    for d, k_max in ((wheel(5), 4), (wheel(6), 4), (wheel(3), 2)):
+        with pytest.raises(DegreeOutOfRange):
+            wc_diagram(d, k_max)
+        with pytest.raises(DegreeOutOfRange):
+            wc_eval(DiagramVector(d.degree), k_max)
+    assert wc_diagram(wheel(5), k_max=5) == 0
 
 
 def test_exact_zeros_expand_nothing(monkeypatch):
